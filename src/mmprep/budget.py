@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .manifest import Sample, VisualItem
-from .tiling import TileGrid, TilingConfig, grid_tokens, select_grid
+from .tiling import TILE_TOKENS, TileGrid, grid_tokens, select_grid
 
-TILE_LADDER_DEFAULT = (12, 8, 6, 4, 2, 1)
+# Per-image tile caps tried in phase two, largest first; ends at one tile.
+TILE_LADDER = (12, 8, 6, 4, 2, 1)
 
 PLANNED = "planned"
 DISCARDED = "discarded"
@@ -42,20 +43,12 @@ class BudgetConfig:
     l_max: int
     min_frames: int = 8
     fps_target: float = 2.0
-    tile_ladder: tuple[int, ...] = TILE_LADDER_DEFAULT
-    temporal_tokens: int = 256
-    tiling: TilingConfig = field(default_factory=TilingConfig)
 
     def __post_init__(self):
         if self.l_max <= 0:
             raise ValueError("l_max must be positive")
-        if self.min_frames < 1 or self.fps_target <= 0 or self.temporal_tokens < 1:
-            raise ValueError("min_frames, fps_target and temporal_tokens must be positive")
-        ladder = self.tile_ladder
-        if not ladder or ladder[-1] != 1 or any(a <= b for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("tile_ladder must be strictly descending and end at 1")
-        if ladder[0] > self.tiling.max_tiles:
-            raise ValueError("tile_ladder exceeds the tiling max_tiles")
+        if self.min_frames < 1 or self.fps_target <= 0:
+            raise ValueError("min_frames and fps_target must be positive")
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,7 @@ def plan(sample: Sample, cfg: BudgetConfig) -> SamplingPlan:
     at minimal degradation.
     """
     budget = compute_budget(sample, cfg)
-    tok = cfg.temporal_tokens
+    tok = TILE_TOKENS  # one frame, page or image tile
 
     images = [(i, it) for i, it in enumerate(sample.items) if it.kind == "image"]
     temporal = [(i, it) for i, it in enumerate(sample.items) if it.kind != "image"]
@@ -164,19 +157,17 @@ def plan(sample: Sample, cfg: BudgetConfig) -> SamplingPlan:
 
     # Phase 2: raise the per-image tile cap as far as the leftover budget allows.
     residual = budget.l_visual - tok * n_total
-    tile_cap = cfg.tile_ladder[-1]
+    tile_cap = TILE_LADDER[-1]
     image_total = tok * m
-    for t in cfg.tile_ladder:
-        total_t = sum(
-            grid_tokens(select_grid(it.dims, cfg.tiling, t), cfg.tiling) for _, it in images
-        )
+    for t in TILE_LADDER:
+        total_t = sum(grid_tokens(select_grid(it.dims, t)) for _, it in images)
         if total_t <= residual:
             tile_cap, image_total = t, total_t
             break
 
     grids: list[TileGrid | None] = [None] * len(sample.items)
     for i, it in images:
-        grids[i] = select_grid(it.dims, cfg.tiling, tile_cap)
+        grids[i] = select_grid(it.dims, tile_cap)
 
     stamps: list[tuple[float, ...]] = [()] * len(sample.items)
     for i, it in temporal:

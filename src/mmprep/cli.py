@@ -194,19 +194,18 @@ def stages_cmd(ctx, output_path):
 def tile_cmd(ctx, input_path, output_path, tile_cap):
     """Emit tiling geometry for every image in a manifest (one JSON object per image)."""
     _echo_config(ctx)
-    cfg = tiling.TilingConfig()
     with _open_in(input_path) as fin, _open_out(output_path) as fout:
         try:
             for sample in manifest.iter_manifest(fin):
                 for item in sample.items:
                     if item.kind != "image":
                         continue
-                    grid = tiling.select_grid(item.dims, cfg, tile_cap)
-                    layout = tiling.tile_layout(item.dims, grid, cfg)
+                    grid = tiling.select_grid(item.dims, tile_cap)
+                    layout = tiling.tile_layout(item.dims, grid)
                     fout.write(json.dumps({
                         "id": sample.id,
                         "grid": [grid.cols, grid.rows],
-                        "tokens": tiling.grid_tokens(grid, cfg),
+                        "tokens": tiling.grid_tokens(grid),
                         "canvas": [layout.canvas_w, layout.canvas_h],
                     }) + "\n")
         except manifest.ManifestError as exc:

@@ -96,6 +96,8 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix of row vectors")
+    if not np.isfinite(m).all():
+        raise ValueError("non-finite value in feature matrix")
     norms = np.linalg.norm(m, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("zero vector in feature matrix")
@@ -234,6 +236,8 @@ def read_feature_file(path: str | Path) -> tuple[str, np.ndarray]:
                 f"{path}: body has {values.size} values, header promises {count * dim}"
             )
         arr = values.reshape(count, dim)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: non-finite feature value (NaN or Inf)")
     return str(header["video_id"]), arr
 
 

@@ -1,32 +1,21 @@
-"""Hot inner loops for the clip-similarity scan.
+"""Hot inner loop for the clip-similarity scan.
 
-Two interchangeable implementations of the row-wise max-dot-product kernel:
-a numba-jitted parallel loop (default) and a blocked pure-numpy path. Set
-MMPREP_KERNEL=numpy to force the fallback, MMPREP_KERNEL=numba to insist on
-the jitted path (raises if numba is unavailable). Both operate on L2-normalized
-float64 row matrices and agree to well below 1e-6.
-
-benchmarks/bench_similarity.py times the two paths against each other.
+One kernel: the row-wise max dot product of L2-normalized float64 candidate
+rows against every reference row, computed as a blocked BLAS matrix product
+so that no similarity temporary exceeds block x block values.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_KERNEL = "MMPREP_KERNEL"
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but keep the fallback honest
-    HAS_NUMBA = False
-
-
-def smax_numpy(cand: np.ndarray, ref: np.ndarray, block: int = 2048) -> np.ndarray:
-    """Blocked matmul scan: per candidate row, max dot product over all ref rows."""
+def smax(cand: np.ndarray, ref: np.ndarray, block: int = 2048) -> np.ndarray:
+    """Max dot product of each candidate row against all reference rows."""
+    if cand.ndim != 2 or ref.ndim != 2 or cand.shape[1] != ref.shape[1]:
+        raise ValueError("cand and ref must be 2-D with matching dimension")
+    if ref.shape[0] == 0:
+        raise ValueError("reference set is empty")
     out = np.empty(cand.shape[0], dtype=np.float64)
     for i0 in range(0, cand.shape[0], block):
         cb = cand[i0 : i0 + block]
@@ -36,55 +25,3 @@ def smax_numpy(cand: np.ndarray, ref: np.ndarray, block: int = 2048) -> np.ndarr
             np.maximum(best, sims.max(axis=1), out=best)
         out[i0 : i0 + block] = best
     return out
-
-
-if HAS_NUMBA:
-
-    @numba.njit(parallel=True, cache=True)
-    def _smax_jit(cand, ref):  # pragma: no cover - exercised via smax()
-        n, d = cand.shape
-        m = ref.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in numba.prange(n):
-            best = -np.inf
-            for j in range(m):
-                acc = 0.0
-                for k in range(d):
-                    acc += cand[i, k] * ref[j, k]
-                if acc > best:
-                    best = acc
-            out[i] = best
-        return out
-
-    def smax_numba(cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        return _smax_jit(np.ascontiguousarray(cand), np.ascontiguousarray(ref))
-
-else:  # pragma: no cover
-
-    def smax_numba(cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        raise RuntimeError("numba is not installed; set MMPREP_KERNEL=numpy")
-
-
-def active_backend() -> str:
-    """Which kernel smax() will dispatch to, honoring the env override."""
-    choice = os.environ.get(ENV_KERNEL, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("MMPREP_KERNEL=numba but numba is not installed")
-        return "numba"
-    if choice:
-        raise ValueError(f"unknown {ENV_KERNEL} value {choice!r} (use 'numba' or 'numpy')")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def smax(cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Max dot product of each candidate row against all reference rows."""
-    if cand.ndim != 2 or ref.ndim != 2 or cand.shape[1] != ref.shape[1]:
-        raise ValueError("cand and ref must be 2-D with matching dimension")
-    if ref.shape[0] == 0:
-        raise ValueError("reference set is empty")
-    if active_backend() == "numba":
-        return smax_numba(cand, ref)
-    return smax_numpy(cand, ref)

@@ -9,6 +9,7 @@ module only validates and carries the numbers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -100,8 +101,13 @@ def _parse_item(obj: dict, line: int) -> VisualItem:
         return image_item(w, h, uri)
     if kind == "video":
         d = obj.get("duration_s")
-        _require(isinstance(d, (int, float)) and not isinstance(d, bool) and d > 0, "invalid duration", line, "duration_s")
-        return video_item(float(d), uri)
+        _require(isinstance(d, (int, float)) and not isinstance(d, bool), "invalid duration", line, "duration_s")
+        try:
+            d = float(d)
+        except OverflowError:  # an integer beyond float range
+            d = math.inf
+        _require(math.isfinite(d) and d > 0, "invalid duration", line, "duration_s")
+        return video_item(d, uri)
     if kind == "document":
         p = obj.get("pages")
         _require(isinstance(p, int) and not isinstance(p, bool) and p >= 1, "invalid pages", line, "pages")

@@ -1,11 +1,12 @@
 """Area-preserving tile grid selection and per-image token accounting.
 
 An input image of W x H pixels is resized onto a cols x rows canvas of
-fixed-size square tiles. The grid is chosen to keep as much of the original
-area as possible (capped by a threshold) while staying close to the original
-aspect ratio; the two factors multiply into the selection score. Grid choice
-drives the token cost of the image: one token block per tile, plus one
-thumbnail block when the grid has more than one tile.
+448 px square tiles, at most 12 of them. The grid is chosen to keep as much
+of the original area as possible (capped at 60%) while staying close to the
+original aspect ratio; the two factors multiply into the selection score.
+Grid choice drives the token cost of the image: 256 tokens per tile, plus
+one thumbnail tile when the grid has more than one tile. The constants below
+are the source paper's values; every caller shares them.
 """
 
 from __future__ import annotations
@@ -15,21 +16,14 @@ from fractions import Fraction
 
 from .manifest import ImageDims
 
-TILE_TOKENS_DEFAULT = 256
+TILE_SIZE_PX = 448
+MAX_TILES = 12
+AREA_THRESHOLD = 0.6
+TILE_TOKENS = 256
 
-
-@dataclass(frozen=True)
-class TilingConfig:
-    tile_size_px: int = 448
-    max_tiles: int = 12
-    area_threshold: float = 0.6
-    tile_tokens: int = TILE_TOKENS_DEFAULT
-
-    def __post_init__(self):
-        if self.tile_size_px < 1 or self.max_tiles < 1 or self.tile_tokens < 1:
-            raise ValueError("tile_size_px, max_tiles and tile_tokens must be positive")
-        if not 0 < self.area_threshold <= 1:
-            raise ValueError("area_threshold must be in (0, 1]")
+# Exact value of the float threshold (not 3/5): ties between grids are
+# decided against this rational, so it must stay the float's binary value.
+_THR = Fraction(AREA_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -64,42 +58,39 @@ def candidate_grids(max_tiles: int) -> list[TileGrid]:
     ]
 
 
-def score_grid(grid: TileGrid, dims: ImageDims, cfg: TilingConfig = TilingConfig()) -> float:
+def score_grid(grid: TileGrid, dims: ImageDims) -> float:
     """Selection score: min(area ratio, threshold) * aspect alignment, in [0, threshold]."""
-    area_ratio = grid.tiles * cfg.tile_size_px**2 / (dims.width_px * dims.height_px)
+    area_ratio = grid.tiles * TILE_SIZE_PX**2 / (dims.width_px * dims.height_px)
     grid_aspect = grid.cols / grid.rows
     orig_aspect = dims.width_px / dims.height_px
-    return min(area_ratio, cfg.area_threshold) * min(grid_aspect / orig_aspect, orig_aspect / grid_aspect)
+    return min(area_ratio, AREA_THRESHOLD) * min(grid_aspect / orig_aspect, orig_aspect / grid_aspect)
 
 
-def _score_ratio(grid: TileGrid, dims: ImageDims, cfg: TilingConfig) -> tuple[int, int]:
+def _score_ratio(grid: TileGrid, dims: ImageDims) -> tuple[int, int]:
     # Exact rational score as an (unreduced) numerator/denominator pair.
-    thr = Fraction(cfg.area_threshold)
     area = dims.width_px * dims.height_px
-    area_num = min(grid.tiles * cfg.tile_size_px**2 * thr.denominator, thr.numerator * area)
-    area_den = thr.denominator * area
+    area_num = min(grid.tiles * TILE_SIZE_PX**2 * _THR.denominator, _THR.numerator * area)
+    area_den = _THR.denominator * area
     ch = grid.cols * dims.height_px
     rw = grid.rows * dims.width_px
     return area_num * min(ch, rw), area_den * max(ch, rw)
 
 
-def select_grid(dims: ImageDims, cfg: TilingConfig = TilingConfig(), tile_cap: int | None = None) -> TileGrid:
+def select_grid(dims: ImageDims, tile_cap: int = MAX_TILES) -> TileGrid:
     """Pick the best grid among candidates with at most tile_cap tiles.
 
     Maximizes the selection score with exact integer arithmetic (no float
     ties). Ties break toward fewest tiles, then smallest aspect-ratio
     distance to the original, then smallest column count.
     """
-    if tile_cap is None:
-        tile_cap = cfg.max_tiles
-    if not 1 <= tile_cap <= cfg.max_tiles:
-        raise ValueError(f"tile_cap must be in [1, {cfg.max_tiles}], got {tile_cap}")
+    if not 1 <= tile_cap <= MAX_TILES:
+        raise ValueError(f"tile_cap must be in [1, {MAX_TILES}], got {tile_cap}")
 
     best: TileGrid | None = None
     best_num = best_den = 0
     best_diff = 0
     for grid in candidate_grids(tile_cap):
-        num, den = _score_ratio(grid, dims, cfg)
+        num, den = _score_ratio(grid, dims)
         # |cols/rows - W/H| up to the common 1/H factor: |cols*H - rows*W| / rows
         diff = abs(grid.cols * dims.height_px - grid.rows * dims.width_px)
         if best is None:
@@ -120,20 +111,20 @@ def select_grid(dims: ImageDims, cfg: TilingConfig = TilingConfig(), tile_cap: i
     return best
 
 
-def grid_tokens(grid: TileGrid, cfg: TilingConfig = TilingConfig()) -> int:
+def grid_tokens(grid: TileGrid) -> int:
     """Token cost of a chosen grid: k tiles plus a thumbnail tile when k > 1."""
     k = grid.tiles
-    return cfg.tile_tokens if k == 1 else (k + 1) * cfg.tile_tokens
+    return TILE_TOKENS if k == 1 else (k + 1) * TILE_TOKENS
 
 
-def image_tokens(dims: ImageDims, tile_cap: int, cfg: TilingConfig = TilingConfig()) -> int:
+def image_tokens(dims: ImageDims, tile_cap: int) -> int:
     """Token cost of an image tiled under the given per-image tile cap."""
-    return grid_tokens(select_grid(dims, cfg, tile_cap), cfg)
+    return grid_tokens(select_grid(dims, tile_cap))
 
 
-def tile_layout(dims: ImageDims, grid: TileGrid, cfg: TilingConfig = TilingConfig()) -> TileLayout:
+def tile_layout(dims: ImageDims, grid: TileGrid) -> TileLayout:
     """Row-major crop boxes on the resize canvas; the caller resizes dims to the canvas."""
-    s = cfg.tile_size_px
+    s = TILE_SIZE_PX
     rects = tuple(
         (c * s, r * s, (c + 1) * s, (r + 1) * s)
         for r in range(grid.rows)

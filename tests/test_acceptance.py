@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from mmprep import cli, kernels
-from mmprep.budget import BudgetConfig, TextOverflowError, plan, temporal_cap
+from mmprep.budget import TILE_LADDER, BudgetConfig, TextOverflowError, plan, temporal_cap
 from mmprep.annotator import (
     AnchorLeakError,
     ClipQA,
@@ -134,13 +134,11 @@ def test_criterion_2_ads_exactness():
                 violations += 1
                 continue
         if m and p.tile_cap is not None:  # t* maximality
-            idx = cfg.tile_ladder.index(p.tile_cap)
+            idx = TILE_LADDER.index(p.tile_cap)
             if idx > 0:
-                bigger = cfg.tile_ladder[idx - 1]
+                bigger = TILE_LADDER[idx - 1]
                 cost = sum(
-                    grid_tokens(select_grid(it.dims, cfg.tiling, bigger), cfg.tiling)
-                    for it in sample.items
-                    if it.kind == "image"
+                    grid_tokens(select_grid(it.dims, bigger)) for it in sample.items if it.kind == "image"
                 )
                 if cost <= l_visual - 256 * n_total:
                     violations += 1
@@ -214,12 +212,12 @@ def test_criterion_5_curator():
     cn = cand / np.linalg.norm(cand, axis=1)[:, None]
     rn = ref / np.linalg.norm(ref, axis=1)[:, None]
 
-    production = kernels.smax(cn, rn)  # jitted parallel path by default
-    blocked = kernels.smax_numpy(cn, rn)
+    default_block = kernels.smax(cn, rn)
+    small_block = kernels.smax(cn, rn, block=256)
     scan = np.empty(cn.shape[0])
     for i in range(cn.shape[0]):  # exhaustive row-wise scan, no blocking
         scan[i] = np.max(rn @ cn[i])
-    kernel_err = max(np.abs(production - scan).max(), np.abs(blocked - scan).max())
+    kernel_err = max(np.abs(default_block - scan).max(), np.abs(small_block - scan).max())
 
     # strict tau boundary: 0.49 in, 0.50 out
     ref_idx = ReferenceIndex(np.array([[1.0, 0.0]]))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mmprep.budget import (
+    TILE_LADDER,
     BudgetConfig,
     Budget,
     SamplingPlan,
@@ -50,15 +51,6 @@ def test_temporal_cap_document_pages():
 def test_temporal_cap_rejects_images():
     with pytest.raises(ValueError):
         temporal_cap(image_item(8, 8), BudgetConfig(l_max=1024))
-
-
-def test_config_validates_ladder():
-    with pytest.raises(ValueError):
-        BudgetConfig(l_max=1024, tile_ladder=(12, 8, 8, 1))
-    with pytest.raises(ValueError):
-        BudgetConfig(l_max=1024, tile_ladder=(12, 8))
-    with pytest.raises(ValueError):
-        BudgetConfig(l_max=1024, tile_ladder=(16, 1))
 
 
 # --- the four worked plans ----------------------------------------------------
@@ -209,7 +201,7 @@ def _check_plan_properties(sample, cfg, p: SamplingPlan):
 
     l_visual = cfg.l_max - sample.text_tokens
     n_total = sum(p.temporal_counts)
-    image_cost = sum(grid_tokens(g, cfg.tiling) for g in p.image_grids if g is not None)
+    image_cost = sum(grid_tokens(g) for g in p.image_grids if g is not None)
     assert p.total_tokens == sample.text_tokens + 256 * n_total + image_cost
 
     # temporal caps respected
@@ -230,14 +222,11 @@ def _check_plan_properties(sample, cfg, p: SamplingPlan):
 
     # t* maximality against the next ladder rung
     if p.image_grids and any(g is not None for g in p.image_grids):
-        ladder = cfg.tile_ladder
-        idx = ladder.index(p.tile_cap)
+        idx = TILE_LADDER.index(p.tile_cap)
         if idx > 0:
-            bigger = ladder[idx - 1]
+            bigger = TILE_LADDER[idx - 1]
             cost_bigger = sum(
-                grid_tokens(select_grid(it.dims, cfg.tiling, bigger), cfg.tiling)
-                for it in sample.items
-                if it.kind == "image"
+                grid_tokens(select_grid(it.dims, bigger)) for it in sample.items if it.kind == "image"
             )
             assert cost_bigger > l_visual - 256 * n_total
 

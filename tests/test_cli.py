@@ -69,6 +69,34 @@ def test_plan_validation_error_exit_1(capsys, tmp_path):
     assert out == ""
 
 
+NON_FINITE_DURATIONS = ["Infinity", "1" + "0" * 400]
+
+
+def _video_record(duration: str) -> str:
+    return ('{"id": "x", "items": [{"kind": "video", "duration_s": ' + duration + ', "uri": ""}], '
+            '"text_tokens": 0, "tags": []}\n')
+
+
+@pytest.mark.parametrize("duration", NON_FINITE_DURATIONS)
+def test_plan_non_finite_duration_exit_1(capsys, tmp_path, duration):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_video_record(duration))
+    code, out, err = run_cli(capsys, ["plan", "-i", str(bad)])
+    assert code == 1
+    assert "invalid duration at line 1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("duration", NON_FINITE_DURATIONS)
+def test_validate_manifest_non_finite_duration(capsys, tmp_path, duration):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_video_record(duration))
+    code, out, _ = run_cli(capsys, ["validate", "--kind", "manifest", "-i", str(bad)])
+    assert code == 1
+    errors = [json.loads(l) for l in out.splitlines()]
+    assert [e["field"] for e in errors] == ["duration_s"]
+
+
 def test_missing_input_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["plan", "-i", str(tmp_path / "nope.jsonl")])
     assert code == 2
@@ -202,6 +230,21 @@ def test_curate_jobs_flag_same_output(capsys, tmp_path):
     code, parallel, _ = run_cli(capsys, args + ["--jobs", "3"])
     assert code == 0
     assert parallel == serial
+
+
+def test_curate_nan_feature_exit_1(capsys, tmp_path):
+    ref_dir = tmp_path / "ref"
+    cand_dir = tmp_path / "cand"
+    ref_dir.mkdir()
+    cand_dir.mkdir()
+    write_feature_file(ref_dir / "r.feat", "refvid", np.ones((20, 4), dtype=np.float32))
+    cand = np.ones((20, 4), dtype=np.float32)
+    cand[3, 1] = np.nan
+    write_feature_file(cand_dir / "c.feat", "candvid", cand)
+    code, out, err = run_cli(capsys, ["curate", "--reference", str(ref_dir), "--candidates", str(cand_dir)])
+    assert code == 1
+    assert out == ""
+    assert "c.feat" in err
 
 
 # --- annotate ---------------------------------------------------------------------

@@ -5,23 +5,21 @@ import pytest
 
 from mmprep.manifest import ImageDims
 from mmprep.tiling import (
+    AREA_THRESHOLD,
+    TILE_SIZE_PX,
     TileGrid,
-    TilingConfig,
     candidate_grids,
-    grid_tokens,
     image_tokens,
     score_grid,
     select_grid,
     tile_layout,
 )
 
-CFG = TilingConfig()
 
-
-def oracle_select(width, height, tile_cap=12, cfg=CFG):
+def oracle_select(width, height, tile_cap=12):
     """Independent exhaustive argmax over the candidate grids, exact rationals."""
-    thr = Fraction(cfg.area_threshold)
-    s2 = cfg.tile_size_px**2
+    thr = Fraction(AREA_THRESHOLD)
+    s2 = TILE_SIZE_PX**2
     best_key, best_grid = None, None
     for cols in range(1, tile_cap + 1):
         for rows in range(1, tile_cap // cols + 1):
@@ -57,8 +55,8 @@ def test_score_matches_hand_computed_values():
 
 def test_score_saturates_at_threshold_for_matching_aspect():
     # 2x1 on 896x448: area ratio 1.0 >= 0.6 and aspect exact -> exactly the cap
-    assert score_grid(TileGrid(2, 1), ImageDims(896, 448)) == CFG.area_threshold
-    assert score_grid(TileGrid(4, 2), ImageDims(896, 448)) == CFG.area_threshold
+    assert score_grid(TileGrid(2, 1), ImageDims(896, 448)) == AREA_THRESHOLD
+    assert score_grid(TileGrid(4, 2), ImageDims(896, 448)) == AREA_THRESHOLD
 
 
 def test_worked_example_grids():
@@ -73,17 +71,17 @@ def test_4000x3000_beats_3x3():
 
 
 def test_select_respects_tile_cap():
-    assert select_grid(ImageDims(4000, 3000), CFG, tile_cap=1) == TileGrid(1, 1)
-    g = select_grid(ImageDims(4000, 3000), CFG, tile_cap=6)
+    assert select_grid(ImageDims(4000, 3000), tile_cap=1) == TileGrid(1, 1)
+    g = select_grid(ImageDims(4000, 3000), tile_cap=6)
     assert g.tiles <= 6
     assert (g.cols, g.rows) == oracle_select(4000, 3000, tile_cap=6)
 
 
 def test_select_rejects_bad_cap():
     with pytest.raises(ValueError):
-        select_grid(ImageDims(100, 100), CFG, tile_cap=0)
+        select_grid(ImageDims(100, 100), tile_cap=0)
     with pytest.raises(ValueError):
-        select_grid(ImageDims(100, 100), CFG, tile_cap=13)
+        select_grid(ImageDims(100, 100), tile_cap=13)
 
 
 def test_oracle_equivalence_randomized():
@@ -100,7 +98,7 @@ def test_score_bounds_randomized():
         w, h = rng.randint(1, 8192), rng.randint(1, 8192)
         g = rng.choice(candidate_grids(12))
         s = score_grid(g, ImageDims(w, h))
-        assert 0 < s <= CFG.area_threshold + 1e-12
+        assert 0 < s <= AREA_THRESHOLD + 1e-12
 
 
 def test_degenerate_strip_dims():
@@ -129,12 +127,6 @@ def test_tokens_monotone_in_tile_cap():
         w, h = rng.randint(1, 8192), rng.randint(1, 8192)
         costs = [image_tokens(ImageDims(w, h), cap) for cap in range(1, 13)]
         assert costs == sorted(costs), (w, h, costs)
-
-
-def test_grid_tokens_respects_config():
-    small = TilingConfig(tile_tokens=16)
-    assert grid_tokens(TileGrid(1, 1), small) == 16
-    assert grid_tokens(TileGrid(2, 2), small) == 80
 
 
 # --- layout -------------------------------------------------------------------
