@@ -66,14 +66,14 @@ def score_grid(grid: TileGrid, dims: ImageDims) -> float:
     return min(area_ratio, AREA_THRESHOLD) * min(grid_aspect / orig_aspect, orig_aspect / grid_aspect)
 
 
-def _score_ratio(grid: TileGrid, dims: ImageDims) -> tuple[int, int]:
-    # Exact rational score as an (unreduced) numerator/denominator pair.
-    area = dims.width_px * dims.height_px
-    area_num = min(grid.tiles * TILE_SIZE_PX**2 * _THR.denominator, _THR.numerator * area)
-    area_den = _THR.denominator * area
-    ch = grid.cols * dims.height_px
-    rw = grid.rows * dims.width_px
-    return area_num * min(ch, rw), area_den * max(ch, rw)
+# Per tile cap, the candidates as (cols, rows, tiles, capped-area numerator of
+# one grid before the min with the image's area) in candidate_grids order.
+_CANDIDATES = {
+    cap: tuple(
+        (g.cols, g.rows, g.tiles, g.tiles * TILE_SIZE_PX**2 * _THR.denominator) for g in candidate_grids(cap)
+    )
+    for cap in range(1, MAX_TILES + 1)
+}
 
 
 def select_grid(dims: ImageDims, tile_cap: int = MAX_TILES) -> TileGrid:
@@ -86,29 +86,38 @@ def select_grid(dims: ImageDims, tile_cap: int = MAX_TILES) -> TileGrid:
     if not 1 <= tile_cap <= MAX_TILES:
         raise ValueError(f"tile_cap must be in [1, {MAX_TILES}], got {tile_cap}")
 
-    best: TileGrid | None = None
-    best_num = best_den = 0
-    best_diff = 0
-    for grid in candidate_grids(tile_cap):
-        num, den = _score_ratio(grid, dims)
+    w, h = dims.width_px, dims.height_px
+    area_cap = _THR.numerator * w * h
+    best = None
+    best_num = best_den = best_diff = 0
+    for cols, rows, tiles, tile_area in _CANDIDATES[tile_cap]:
+        # Exact score as num/den, dropping the factor 1 / (thr.denominator * W * H)
+        # that every candidate shares.
+        ch = cols * h
+        rw = rows * w
+        area_num = min(tile_area, area_cap)
+        if ch < rw:
+            num, den = area_num * ch, rw
+        else:
+            num, den = area_num * rw, ch
         # |cols/rows - W/H| up to the common 1/H factor: |cols*H - rows*W| / rows
-        diff = abs(grid.cols * dims.height_px - grid.rows * dims.width_px)
+        diff = abs(ch - rw)
         if best is None:
             better = True
         else:
             lhs, rhs = num * best_den, best_num * den
             if lhs != rhs:
                 better = lhs > rhs
-            elif grid.tiles != best.tiles:
-                better = grid.tiles < best.tiles
-            elif diff * best.rows != best_diff * grid.rows:
-                better = diff * best.rows < best_diff * grid.rows
+            elif tiles != best[2]:
+                better = tiles < best[2]
+            elif diff * best[1] != best_diff * rows:
+                better = diff * best[1] < best_diff * rows
             else:
-                better = grid.cols < best.cols
+                better = cols < best[0]
         if better:
-            best, best_num, best_den, best_diff = grid, num, den, diff
+            best, best_num, best_den, best_diff = (cols, rows, tiles), num, den, diff
     assert best is not None
-    return best
+    return TileGrid(best[0], best[1])
 
 
 def grid_tokens(grid: TileGrid) -> int:
