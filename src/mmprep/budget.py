@@ -123,7 +123,8 @@ def _discard(sample: Sample, reason: str, l_text: int) -> SamplingPlan:
 def plan(sample: Sample, cfg: BudgetConfig) -> SamplingPlan:
     """Allocate the sample's visual budget; returns a plan or a discard verdict.
 
-    Raises TextOverflowError when the text alone does not fit. Discards (a
+    Raises TextOverflowError when the text alone does not fit, and ValueError
+    when a video is so long that its frame count overflows. Discards (a
     verdict, not an error) happen when any video would fall below the
     configured minimum frame count, or when the visual items cannot fit even
     at minimal degradation.
@@ -144,7 +145,12 @@ def plan(sample: Sample, cfg: BudgetConfig) -> SamplingPlan:
     counts = [0] * len(sample.items)
     n_total = 0
     if temporal:
-        caps = [temporal_cap(it, cfg) for _, it in temporal]
+        try:
+            caps = [temporal_cap(it, cfg) for _, it in temporal]
+        except OverflowError as exc:  # fps_target * duration_s beyond float range
+            raise ValueError(
+                f"sample {sample.id!r}: video too long to plan at fps_target={cfg.fps_target}"
+            ) from exc
         allowance = (budget.l_visual - tok * m) // tok
         n_total = min(sum(caps), allowance)
         if n_total <= 0:

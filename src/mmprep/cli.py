@@ -126,7 +126,7 @@ def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
                     p = _plan_one((sample, cfg))
                     fout.write(budget.dumps_plan(p) + "\n")
                     planned, discarded = planned + p.planned, discarded + (not p.planned)
-        except manifest.ManifestError as exc:
+        except ValueError as exc:  # a ManifestError, or a video too long to plan
             raise ValidationFailure(str(exc)) from exc
     click.echo(f"planned {planned}, discarded {discarded}", err=True)
 
@@ -189,7 +189,8 @@ def stages_cmd(ctx, output_path):
 @cli.command("tile")
 @in_opt
 @out_opt
-@click.option("--tile-cap", type=int, default=12, show_default=True, help="Per-image tile cap.")
+@click.option("--tile-cap", type=click.IntRange(1, tiling.MAX_TILES), default=tiling.MAX_TILES,
+              show_default=True, help="Per-image tile cap.")
 @click.pass_context
 def tile_cmd(ctx, input_path, output_path, tile_cap):
     """Emit tiling geometry for every image in a manifest (one JSON object per image)."""
@@ -212,26 +213,35 @@ def tile_cmd(ctx, input_path, output_path, tile_cap):
             raise ValidationFailure(str(exc)) from exc
 
 
+def _pooled_files(directory, pool, jobs):
+    """(path, video_id, clips) for every feature file, in filename order.
+
+    Each track is pooled as soon as it is read and then dropped. With jobs > 1
+    the pooling runs on worker threads while the next files are read.
+    """
+    def pooled(path, vid, track):
+        return path, vid, curator.clips_from_seconds(vid, track, pool=pool)
+
+    files = curator.iter_feature_dir(directory)
+    if jobs <= 1:
+        return [pooled(*f) for f in files]
+    with ThreadPoolExecutor(max_workers=jobs) as tp:
+        futures = [tp.submit(pooled, *f) for f in files]
+        return [f.result() for f in futures]
+
+
 def _curate_reports(candidates_dir, reference_dir, tau, pool, jobs):
-    ref_tracks = curator.load_feature_dir(reference_dir)
-    ref_clips = [c for vid, track in ref_tracks for c in curator.clips_from_seconds(vid, track, pool=pool)]
-    reference = curator.ReferenceIndex.from_clips(ref_clips)
-
-    cand_tracks = curator.load_feature_dir(candidates_dir)
-
-    def one(args):
-        vid, track = args
-        clips = curator.clips_from_seconds(vid, track, pool=pool)
-        return curator.select_novel(clips, reference, tau)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as tp:
-            groups = list(tp.map(one, cand_tracks))
-    else:
-        groups = [one(item) for item in cand_tracks]
-    reports = [r for group in groups for r in group]
-    reports.sort(key=lambda r: r.video_id)
-    return reports
+    reference = curator.ReferenceIndex.from_clips(
+        c for _, _, clips in _pooled_files(reference_dir, pool, jobs) for c in clips
+    )
+    first_path = {}
+    cand_clips = []
+    for path, vid, clips in _pooled_files(candidates_dir, pool, jobs):
+        if vid in first_path:
+            raise ValueError(f"duplicate candidate video_id {vid!r} in {first_path[vid]} and {path}")
+        first_path[vid] = path
+        cand_clips.extend(clips)
+    return curator.select_novel(cand_clips, reference, tau)
 
 
 @cli.command("curate")
@@ -240,7 +250,8 @@ def _curate_reports(candidates_dir, reference_dir, tau, pool, jobs):
 @click.option("--candidates", "candidates_dir", type=click.Path(file_okay=False), required=True)
 @click.option("--tau", type=float, default=0.5, show_default=True, help="Novelty similarity threshold.")
 @click.option("--pool", type=click.Choice(["mean", "max"]), default="mean", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel candidate workers.")
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Threads pooling feature tracks while files are read.")
 @click.pass_context
 def curate_cmd(ctx, output_path, reference_dir, candidates_dir, tau, pool, jobs):
     """Select novel candidate videos by max clip similarity against a reference set."""

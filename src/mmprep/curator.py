@@ -5,15 +5,20 @@ into fixed-length clips, every clip's vectors are pooled into one feature,
 and the clip's maximum cosine similarity against the whole reference
 collection decides novelty: strictly below the threshold means novel, and a
 video is selected when at least one of its clips is novel.
+
+Curation is one streaming pass: feature files are read one at a time and each
+track is pooled into clip features as soon as it is read, so raw tracks never
+accumulate. The clips of all candidate videos are then scored against the
+reference collection in a single blocked scan.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -144,18 +149,32 @@ def clips_from_seconds(
     clip_len_s: float = CLIP_LEN_S,
     pool: str = "mean",
 ) -> list[ClipFeature]:
-    """Cut a 1-fps feature track into pooled clip features."""
-    track = np.asarray(per_second_vectors, dtype=np.float64)
+    """Cut a 1-fps feature track into pooled clip features.
+
+    Full clips are pooled together through one (clips, seconds, dim) view of
+    the track, accumulating in float64; the tail clip goes through pool_clip.
+    """
+    track = np.asarray(per_second_vectors)
     if track.ndim != 2 or track.shape[0] == 0:
         raise ValueError("per_second_vectors must be a non-empty 2-D array")
-    duration = float(track.shape[0])  # 1 vector per second
-    clips = []
-    for idx, (start, end) in enumerate(segment_clips(duration, clip_len_s)):
-        rows = track[math.floor(start) : math.ceil(end)]
-        clips.append(
-            ClipFeature(video_id=video_id, clip_index=idx, span=(start, end), vector=pool_clip(rows, pool))
-        )
-    return clips
+    if pool not in ("mean", "max"):
+        raise ValueError(f"unknown pooling mode {pool!r}")
+    if clip_len_s <= 0 or not float(clip_len_s).is_integer():
+        raise ValueError("clip_len_s must be a positive whole number of seconds (tracks are 1 fps)")
+    spans = segment_clips(float(track.shape[0]), clip_len_s)  # 1 vector per second
+    length = int(clip_len_s)
+    n_full = track.shape[0] // length
+    full = track[: n_full * length].reshape(n_full, length, track.shape[1])
+    if pool == "mean":
+        vectors = list(full.mean(axis=1, dtype=np.float64))
+    else:
+        vectors = list(full.max(axis=1).astype(np.float64))
+    if len(spans) > n_full:
+        vectors.append(pool_clip(track[n_full * length :], pool))
+    return [
+        ClipFeature(video_id=video_id, clip_index=idx, span=span, vector=vec)
+        for idx, (span, vec) in enumerate(zip(spans, vectors))
+    ]
 
 
 def select_novel(
@@ -163,22 +182,31 @@ def select_novel(
     reference: ReferenceIndex,
     tau: float = DEFAULT_TAU,
 ) -> list[NoveltyReport]:
-    """Per-video novelty verdicts: a clip is novel iff its max similarity < tau."""
+    """Per-video novelty verdicts: a clip is novel iff its max similarity < tau.
+
+    The clips of every video are scored in one smax_many call; reports come
+    out sorted by video_id with each video's clips in clip_index order.
+    """
     if not -1 < tau <= 1:
         raise ValueError("tau must be in (-1, 1]")
     by_video: dict[str, list[ClipFeature]] = {}
     for clip in candidates:
         by_video.setdefault(clip.video_id, []).append(clip)
+    groups = [(vid, sorted(by_video[vid], key=lambda c: c.clip_index)) for vid in sorted(by_video)]
+    if not groups:
+        return []
 
+    smax = reference.smax_many(np.stack([c.vector for _, clips in groups for c in clips]))
     reports = []
-    for video_id in sorted(by_video):
-        clips = sorted(by_video[video_id], key=lambda c: c.clip_index)
-        smax = reference.smax_many(np.stack([c.vector for c in clips]))
-        novel = tuple(c.clip_index for c, s in zip(clips, smax) if s < tau)
+    start = 0
+    for video_id, clips in groups:
+        scores = smax[start : start + len(clips)]
+        start += len(clips)
+        novel = tuple(c.clip_index for c, s in zip(clips, scores) if s < tau)
         reports.append(
             NoveltyReport(
                 video_id=video_id,
-                per_clip_smax=tuple(float(s) for s in smax),
+                per_clip_smax=tuple(float(s) for s in scores),
                 novel_clips=novel,
                 selected=bool(novel),
             )
@@ -190,7 +218,9 @@ def select_novel(
 #
 # Header (UTF-8 JSON, newline-terminated): {"video_id","dim","fps":1,"count"}.
 # Body is either `count*dim` little-endian float32 values (binary flavor) or
-# `count` whitespace-separated text lines (textual flavor); detected by size.
+# `count` whitespace-separated text lines (textual flavor). A body of exactly
+# `count*dim*4` bytes is read as binary, straight from the file into one array;
+# any other length is parsed as text.
 
 
 def write_feature_file(path: str | Path, video_id: str, vectors: np.ndarray, binary: bool = True) -> None:
@@ -212,38 +242,50 @@ def write_feature_file(path: str | Path, video_id: str, vectors: np.ndarray, bin
 def read_feature_file(path: str | Path) -> tuple[str, np.ndarray]:
     """Load a per-second feature track; returns (video_id, count x dim float32)."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        body = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: malformed feature header") from exc
-    for key in ("video_id", "dim", "count"):
-        if key not in header:
-            raise ValueError(f"{path}: feature header missing {key!r}")
-    if header.get("fps", 1) != 1:
-        raise ValueError(f"{path}: unsupported feature fps {header.get('fps')!r} (expected 1)")
-    dim, count = int(header["dim"]), int(header["count"])
-    if dim < 1 or count < 1:
-        raise ValueError(f"{path}: invalid dim/count in header")
-    expected = count * dim * 4
-    if len(body) == expected:
-        arr = np.frombuffer(body, dtype="<f4").reshape(count, dim).copy()
-    else:
-        values = np.array(body.decode("utf-8").split(), dtype=np.float32)
-        if values.size != count * dim:
-            raise ValueError(
-                f"{path}: body has {values.size} values, header promises {count * dim}"
-            )
-        arr = values.reshape(count, dim)
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: malformed feature header") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: malformed feature header")
+        for key in ("video_id", "dim", "count"):
+            if key not in header:
+                raise ValueError(f"{path}: feature header missing {key!r}")
+        if header.get("fps", 1) != 1:
+            raise ValueError(f"{path}: unsupported feature fps {header.get('fps')!r} (expected 1)")
+        dim, count = int(header["dim"]), int(header["count"])
+        if dim < 1 or count < 1:
+            raise ValueError(f"{path}: invalid dim/count in header")
+        n = count * dim
+        if os.fstat(fh.fileno()).st_size - fh.tell() == n * 4:
+            values = np.fromfile(fh, dtype="<f4", count=n)
+        else:
+            try:
+                values = np.array(fh.read().decode("utf-8").split(), dtype=np.float32)
+            except ValueError as exc:  # undecodable bytes or a token that is not a number
+                raise ValueError(f"{path}: body is neither {n * 4} bytes of float32 nor text") from exc
+    if values.size != n:
+        raise ValueError(f"{path}: body has {values.size} values, header promises {n}")
+    arr = values.reshape(count, dim)
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: non-finite feature value (NaN or Inf)")
     return str(header["video_id"]), arr
 
 
-def load_feature_dir(directory: str | Path) -> list[tuple[str, np.ndarray]]:
-    """Read every feature file in a directory, sorted by filename."""
+def iter_feature_dir(directory: str | Path) -> Iterator[tuple[Path, str, np.ndarray]]:
+    """Read a directory's feature files one at a time, in filename order.
+
+    Yields (path, video_id, track); nothing is read ahead, so a caller that
+    drops each track before taking the next holds one track at a time.
+    """
     paths = sorted(p for p in Path(directory).iterdir() if p.is_file())
     if not paths:
         raise ValueError(f"no feature files in {directory}")
-    return [read_feature_file(p) for p in paths]
+    for path in paths:
+        video_id, track = read_feature_file(path)
+        yield path, video_id, track
+
+
+def load_feature_dir(directory: str | Path) -> list[tuple[str, np.ndarray]]:
+    """Read every feature file in a directory, sorted by filename."""
+    return [(video_id, track) for _, video_id, track in iter_feature_dir(directory)]

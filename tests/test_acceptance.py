@@ -66,25 +66,23 @@ def _oracle_grid(width: int, height: int, tile_cap: int = 12) -> tuple[int, int]
 
 
 def test_criterion_1_grid_selection_oracle():
-    start = time.monotonic()
     worked = (
         select_grid(ImageDims(448, 448)) == TileGrid(1, 1)
         and select_grid(ImageDims(896, 448)) == TileGrid(2, 1)
         and select_grid(ImageDims(4000, 3000)) == TileGrid(4, 3)
     )
     rng = random.Random(20250810)
-    mismatches = 0
-    for _ in range(10000):
-        w, h = rng.randint(1, 8192), rng.randint(1, 8192)
-        got = select_grid(ImageDims(w, h))
-        if (got.cols, got.rows) != _oracle_grid(w, h):
-            mismatches += 1
+    dims = [(rng.randint(1, 8192), rng.randint(1, 8192)) for _ in range(10000)]
+    # Only the tiler is timed; the exact Fraction oracle below is far slower.
+    start = time.monotonic()
+    grids = [select_grid(ImageDims(w, h)) for w, h in dims]
     elapsed = time.monotonic() - start
+    mismatches = sum((g.cols, g.rows) != _oracle_grid(w, h) for g, (w, h) in zip(grids, dims))
     report(
         1,
         "tile grid oracle equivalence",
-        worked and mismatches == 0 and elapsed < 10.0,
-        f"10000 dims, {mismatches} mismatches, {elapsed:.1f}s",
+        worked and mismatches == 0 and elapsed < 2.0,
+        f"10000 dims, {mismatches} mismatches, select_grid {elapsed:.2f}s",
     )
 
 

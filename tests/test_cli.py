@@ -87,6 +87,18 @@ def test_plan_non_finite_duration_exit_1(capsys, tmp_path, duration):
     assert out == ""
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_plan_huge_finite_duration_exit_1(capsys, tmp_path, jobs):
+    # 1e308 s is finite, but 2 fps of it is not.
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_video_record("1e308").replace('"x"', '"huge-video"'))
+    code, out, err = run_cli(capsys, ["plan", "--jobs", jobs, "-i", str(bad)])
+    assert code == 1
+    assert "'huge-video'" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("duration", NON_FINITE_DURATIONS)
 def test_validate_manifest_non_finite_duration(capsys, tmp_path, duration):
     bad = tmp_path / "bad.jsonl"
@@ -138,6 +150,16 @@ def test_tile_subcommand_emits_geometry(capsys, tmp_path):
     assert rows[0] == {"id": "img", "grid": [2, 1], "tokens": 768, "canvas": [896, 448]}
     assert rows[1]["grid"] == [4, 3]
     assert rows[1]["tokens"] == 3328
+
+
+@pytest.mark.parametrize("cap", ["0", "13"])
+def test_tile_cap_out_of_range_exit_1(capsys, tmp_path, cap):
+    path = tmp_path / "m.jsonl"
+    write_manifest(path, [make_sample("img", images=[(896, 448)])])
+    code, out, err = run_cli(capsys, ["tile", "--tile-cap", cap, "-i", str(path)])
+    assert code == 1
+    assert "--tile-cap" in err
+    assert out == ""
 
 
 def test_validate_manifest_reports_errors(capsys, tmp_path):
@@ -245,6 +267,29 @@ def test_curate_nan_feature_exit_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "c.feat" in err
+
+
+def test_curate_duplicate_candidate_id_exit_1(capsys, tmp_path):
+    ref_dir = tmp_path / "ref"
+    cand_dir = tmp_path / "cand"
+    ref_dir.mkdir()
+    cand_dir.mkdir()
+    rng = np.random.default_rng(2)
+    # Duplicate ids are allowed among references, not among candidates.
+    for name in ("r1.feat", "r2.feat"):
+        write_feature_file(ref_dir / name, "refvid", rng.normal(size=(20, 4)).astype(np.float32))
+    for name in ("c1.feat", "c2.feat"):
+        write_feature_file(cand_dir / name, "same", rng.normal(size=(20, 4)).astype(np.float32))
+    args = ["curate", "--reference", str(ref_dir), "--candidates", str(cand_dir)]
+    code, out, err = run_cli(capsys, args)
+    assert code == 1
+    assert out == ""
+    assert "'same'" in err and "c1.feat" in err and "c2.feat" in err
+
+    (cand_dir / "c2.feat").unlink()
+    code, out, _ = run_cli(capsys, args)
+    assert code == 0
+    assert [json.loads(l)["video_id"] for l in out.splitlines()] == ["same"]
 
 
 # --- annotate ---------------------------------------------------------------------

@@ -225,6 +225,31 @@ def test_reports_sorted_and_order_independent():
     assert [r.video_id for r in a] == sorted(r.video_id for r in a)
 
 
+def test_batched_select_novel_matches_per_video_scans():
+    rng = np.random.default_rng(9)
+    ref = ReferenceIndex(rng.normal(size=(300, 16)))
+    for trial in range(20):
+        clips = [
+            clip(f"v{v}", j, rng.normal(size=16))
+            for v in range(int(rng.integers(1, 12)))
+            for j in range(int(rng.integers(1, 40)))
+        ]
+        rng.shuffle(clips)
+        tau = float(rng.uniform(0.2, 0.6))
+        reports = select_novel(clips, ref, tau)
+        assert [r.video_id for r in reports] == sorted({c.video_id for c in clips})
+        for r in reports:
+            own = sorted((c for c in clips if c.video_id == r.video_id), key=lambda c: c.clip_index)
+            smax = ref.smax_many(np.stack([c.vector for c in own]))
+            assert np.allclose(r.per_clip_smax, smax, rtol=0, atol=1e-12)
+            assert r.novel_clips == tuple(c.clip_index for c, s in zip(own, r.per_clip_smax) if s < tau)
+            assert r.selected == bool(r.novel_clips)
+
+
+def test_select_novel_no_candidates():
+    assert select_novel([], _axis_reference()) == []
+
+
 def test_tau_domain_validated():
     ref = _axis_reference()
     with pytest.raises(ValueError):
@@ -251,6 +276,27 @@ def test_clip_spans_and_indices():
     clips = clips_from_seconds("vid", track)
     assert [c.clip_index for c in clips] == [0, 1, 2]
     assert clips[-1].span == (20.0, 25.0)
+
+
+@pytest.mark.parametrize("pool", ["mean", "max"])
+@pytest.mark.parametrize("seconds", [30, 34, 7, 1])  # no tail, a tail, shorter than one clip
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vectorized_pooling_matches_per_clip_loop(pool, seconds, dtype):
+    rng = np.random.default_rng(seconds)
+    track = (rng.normal(size=(seconds, 9)) * 100).astype(dtype)
+    clips = clips_from_seconds("vid", track, pool=pool)
+    spans = segment_clips(float(seconds))
+    assert [c.span for c in clips] == spans
+    for c, (start, end) in zip(clips, spans):
+        expected = pool_clip(track[int(start) : int(end)], pool)
+        assert c.vector.dtype == np.float64
+        assert c.vector.tobytes() == expected.tobytes()
+
+
+def test_clip_length_must_be_whole_seconds():
+    with pytest.raises(ValueError, match="whole number"):
+        clips_from_seconds("vid", np.ones((25, 3)), clip_len_s=2.5)
+    assert len(clips_from_seconds("vid", np.ones((25, 3)), clip_len_s=5.0)) == 5
 
 
 # --- feature file IO -----------------------------------------------------------------
@@ -288,6 +334,23 @@ def test_feature_file_count_mismatch(tmp_path):
     header = b'{"video_id": "x", "dim": 4, "fps": 1, "count": 10}\n'
     path.write_bytes(header + b"1.0 2.0 3.0 4.0\n")
     with pytest.raises(ValueError):
+        read_feature_file(path)
+
+
+def test_feature_file_truncated_binary_rejected(tmp_path):
+    path = tmp_path / "cut.feat"
+    write_feature_file(path, "v", np.full((10, 4), 2.25, dtype=np.float32))
+    path.write_bytes(path.read_bytes()[:-6])
+    with pytest.raises(ValueError, match="cut.feat"):
+        read_feature_file(path)
+
+
+def test_feature_file_short_text_rejected(tmp_path):
+    path = tmp_path / "short.feat"
+    write_feature_file(path, "v", np.full((3, 4), 2.25, dtype=np.float32), binary=False)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]))  # header and 2 of the 3 promised rows
+    with pytest.raises(ValueError, match="8 values, header promises 12"):
         read_feature_file(path)
 
 
