@@ -38,6 +38,10 @@ class TextOverflowError(ValueError):
         self.l_max = l_max
 
 
+class PlanError(ValueError):
+    """The sample is valid but cannot be planned (a video too long to count frames for)."""
+
+
 @dataclass(frozen=True)
 class BudgetConfig:
     l_max: int
@@ -123,7 +127,7 @@ def _discard(sample: Sample, reason: str, l_text: int) -> SamplingPlan:
 def plan(sample: Sample, cfg: BudgetConfig) -> SamplingPlan:
     """Allocate the sample's visual budget; returns a plan or a discard verdict.
 
-    Raises TextOverflowError when the text alone does not fit, and ValueError
+    Raises TextOverflowError when the text alone does not fit, and PlanError
     when a video is so long that its frame count overflows. Discards (a
     verdict, not an error) happen when any video would fall below the
     configured minimum frame count, or when the visual items cannot fit even
@@ -148,7 +152,7 @@ def plan(sample: Sample, cfg: BudgetConfig) -> SamplingPlan:
         try:
             caps = [temporal_cap(it, cfg) for _, it in temporal]
         except OverflowError as exc:  # fps_target * duration_s beyond float range
-            raise ValueError(
+            raise PlanError(
                 f"sample {sample.id!r}: video too long to plan at fps_target={cfg.fps_target}"
             ) from exc
         allowance = (budget.l_visual - tok * m) // tok

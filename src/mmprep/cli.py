@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import click
@@ -126,7 +126,7 @@ def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
                     p = _plan_one((sample, cfg))
                     fout.write(budget.dumps_plan(p) + "\n")
                     planned, discarded = planned + p.planned, discarded + (not p.planned)
-        except ValueError as exc:  # a ManifestError, or a video too long to plan
+        except (manifest.ManifestError, budget.PlanError) as exc:
             raise ValidationFailure(str(exc)) from exc
     click.echo(f"planned {planned}, discarded {discarded}", err=True)
 
@@ -213,30 +213,24 @@ def tile_cmd(ctx, input_path, output_path, tile_cap):
             raise ValidationFailure(str(exc)) from exc
 
 
-def _pooled_files(directory, pool, jobs):
+def _pooled_files(directory, pool):
     """(path, video_id, clips) for every feature file, in filename order.
 
-    Each track is pooled as soon as it is read and then dropped. With jobs > 1
-    the pooling runs on worker threads while the next files are read.
+    Each track is pooled as soon as it is read and then dropped.
     """
-    def pooled(path, vid, track):
-        return path, vid, curator.clips_from_seconds(vid, track, pool=pool)
-
-    files = curator.iter_feature_dir(directory)
-    if jobs <= 1:
-        return [pooled(*f) for f in files]
-    with ThreadPoolExecutor(max_workers=jobs) as tp:
-        futures = [tp.submit(pooled, *f) for f in files]
-        return [f.result() for f in futures]
+    return [
+        (path, vid, curator.clips_from_seconds(vid, track, pool=pool))
+        for path, vid, track in curator.iter_feature_dir(directory)
+    ]
 
 
-def _curate_reports(candidates_dir, reference_dir, tau, pool, jobs):
+def _curate_reports(candidates_dir, reference_dir, tau, pool):
     reference = curator.ReferenceIndex.from_clips(
-        c for _, _, clips in _pooled_files(reference_dir, pool, jobs) for c in clips
+        c for _, _, clips in _pooled_files(reference_dir, pool) for c in clips
     )
     first_path = {}
     cand_clips = []
-    for path, vid, clips in _pooled_files(candidates_dir, pool, jobs):
+    for path, vid, clips in _pooled_files(candidates_dir, pool):
         if vid in first_path:
             raise ValueError(f"duplicate candidate video_id {vid!r} in {first_path[vid]} and {path}")
         first_path[vid] = path
@@ -251,13 +245,13 @@ def _curate_reports(candidates_dir, reference_dir, tau, pool, jobs):
 @click.option("--tau", type=float, default=0.5, show_default=True, help="Novelty similarity threshold.")
 @click.option("--pool", type=click.Choice(["mean", "max"]), default="mean", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Threads pooling feature tracks while files are read.")
+              help="Accepted for compatibility and ignored: curate runs as one sequential pass.")
 @click.pass_context
 def curate_cmd(ctx, output_path, reference_dir, candidates_dir, tau, pool, jobs):
     """Select novel candidate videos by max clip similarity against a reference set."""
     _echo_config(ctx)
     try:
-        reports = _curate_reports(candidates_dir, reference_dir, tau, pool, jobs)
+        reports = _curate_reports(candidates_dir, reference_dir, tau, pool)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     with _open_out(output_path) as fout:

@@ -72,16 +72,20 @@ def segment_clips(duration_s: float, clip_len_s: float = CLIP_LEN_S) -> list[tup
 
 
 def pool_clip(vectors: Sequence[np.ndarray] | np.ndarray, mode: str = "mean") -> np.ndarray:
-    """Collapse a clip's per-second vectors into one feature (mean or max per dim)."""
-    arr = np.asarray(vectors, dtype=np.float64)
+    """Collapse a clip's per-second vectors into one float64 feature (mean or max per dim).
+
+    Reduces over the second-to-last axis, so a (clips, seconds, dim) block pools
+    every clip at once; the input is never copied to float64 first.
+    """
+    arr = np.asarray(vectors)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.shape[0] == 0:
+    if arr.shape[-2] == 0:
         raise ValueError("cannot pool an empty clip")
     if mode == "mean":
-        return arr.mean(axis=0)
+        return arr.mean(axis=-2, dtype=np.float64)
     if mode == "max":
-        return arr.max(axis=0)
+        return arr.max(axis=-2).astype(np.float64)
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
@@ -152,23 +156,17 @@ def clips_from_seconds(
     """Cut a 1-fps feature track into pooled clip features.
 
     Full clips are pooled together through one (clips, seconds, dim) view of
-    the track, accumulating in float64; the tail clip goes through pool_clip.
+    the track; the tail clip, if any, is pooled on its own.
     """
     track = np.asarray(per_second_vectors)
     if track.ndim != 2 or track.shape[0] == 0:
         raise ValueError("per_second_vectors must be a non-empty 2-D array")
-    if pool not in ("mean", "max"):
-        raise ValueError(f"unknown pooling mode {pool!r}")
     if clip_len_s <= 0 or not float(clip_len_s).is_integer():
         raise ValueError("clip_len_s must be a positive whole number of seconds (tracks are 1 fps)")
     spans = segment_clips(float(track.shape[0]), clip_len_s)  # 1 vector per second
     length = int(clip_len_s)
     n_full = track.shape[0] // length
-    full = track[: n_full * length].reshape(n_full, length, track.shape[1])
-    if pool == "mean":
-        vectors = list(full.mean(axis=1, dtype=np.float64))
-    else:
-        vectors = list(full.max(axis=1).astype(np.float64))
+    vectors = list(pool_clip(track[: n_full * length].reshape(n_full, length, track.shape[1]), pool))
     if len(spans) > n_full:
         vectors.append(pool_clip(track[n_full * length :], pool))
     return [

@@ -288,9 +288,12 @@ def test_vectorized_pooling_matches_per_clip_loop(pool, seconds, dtype):
     spans = segment_clips(float(seconds))
     assert [c.span for c in clips] == spans
     for c, (start, end) in zip(clips, spans):
-        expected = pool_clip(track[int(start) : int(end)], pool)
+        per_clip = pool_clip(track[int(start) : int(end)], pool)
+        # Reference: widen the clip to float64, then reduce.
+        widened = track[int(start) : int(end)].astype(np.float64)
+        reference = widened.mean(axis=0) if pool == "mean" else widened.max(axis=0)
         assert c.vector.dtype == np.float64
-        assert c.vector.tobytes() == expected.tobytes()
+        assert c.vector.tobytes() == per_clip.tobytes() == reference.tobytes()
 
 
 def test_clip_length_must_be_whole_seconds():
