@@ -6,8 +6,13 @@ one fixes every image at the cheapest tiling and spends the remainder on
 temporal units (video frames at a target FPS, document pages), scaling the
 per-item counts down proportionally when the budget is short. Phase two
 raises the per-image tile cap along a descending ladder as far as the
-leftover budget allows. Samples whose videos cannot reach the minimum frame
+leftover budget allows, reading every image's grid at each rung from one
+tiling.best_grids call. Samples whose videos cannot reach the minimum frame
 count are discarded rather than degraded below usefulness.
+
+A plan record carries every field its cost is made of (l_text, the units per
+item and each image's grid), so total_tokens can be recomputed from it, and
+plan_from_obj(json.loads(dumps_plan(p))) == p.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .manifest import Sample, VisualItem
-from .tiling import TILE_TOKENS, TileGrid, grid_tokens, select_grid
+from .tiling import TILE_TOKENS, TileGrid, best_grids, grid_tokens
+from .tiling import select_grid  # noqa: F401  (bench/worker.py traces budget.select_grid by name)
 
 # Per-image tile caps tried in phase two, largest first; ends at one tile.
 TILE_LADDER = (12, 8, 6, 4, 2, 1)
@@ -166,18 +172,17 @@ def plan(sample: Sample, cfg: BudgetConfig) -> SamplingPlan:
             counts[i] = n
 
     # Phase 2: raise the per-image tile cap as far as the leftover budget allows.
+    # The last rung, one tile per image, always fits: phase 1 reserved it.
     residual = budget.l_visual - tok * n_total
-    tile_cap = TILE_LADDER[-1]
-    image_total = tok * m
-    for t in TILE_LADDER:
-        total_t = sum(grid_tokens(select_grid(it.dims, t)) for _, it in images)
-        if total_t <= residual:
-            tile_cap, image_total = t, total_t
+    ladders = [best_grids(it.dims) for _, it in images]
+    for tile_cap in TILE_LADDER:
+        image_total = sum(grid_tokens(ladder[tile_cap - 1]) for ladder in ladders)
+        if image_total <= residual:
             break
 
     grids: list[TileGrid | None] = [None] * len(sample.items)
-    for i, it in images:
-        grids[i] = select_grid(it.dims, tile_cap)
+    for (i, _), ladder in zip(images, ladders):
+        grids[i] = ladder[tile_cap - 1]
 
     stamps: list[tuple[float, ...]] = [()] * len(sample.items)
     for i, it in temporal:
@@ -204,7 +209,9 @@ def plan_to_obj(p: SamplingPlan) -> dict:
         obj["reason"] = p.reason
     obj["tile_cap"] = p.tile_cap
     obj["n_per_item"] = list(p.temporal_counts)
+    obj["grids"] = [None if g is None else [g.cols, g.rows] for g in p.image_grids]
     obj["timestamps"] = [list(ts) for ts in p.frame_timestamps]
+    obj["l_text"] = p.l_text
     obj["total_tokens"] = p.total_tokens
     return obj
 
@@ -215,8 +222,10 @@ def plan_from_obj(obj: dict) -> SamplingPlan:
         verdict=obj["verdict"],
         reason=obj.get("reason"),
         tile_cap=obj.get("tile_cap"),
+        image_grids=tuple(None if g is None else TileGrid(*g) for g in obj.get("grids", ())),
         temporal_counts=tuple(obj.get("n_per_item", ())),
         frame_timestamps=tuple(tuple(ts) for ts in obj.get("timestamps", ())),
+        l_text=obj.get("l_text", 0),
         total_tokens=obj.get("total_tokens"),
     )
 

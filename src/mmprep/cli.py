@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import click
@@ -91,21 +90,15 @@ out_opt = click.option("--output", "-o", "output_path", default="-", show_defaul
                        help="Output file ('-' for stdout).")
 
 
-def _plan_one(args: tuple[manifest.Sample, budget.BudgetConfig]) -> budget.SamplingPlan:
-    sample, cfg = args
-    try:
-        return budget.plan(sample, cfg)
-    except budget.TextOverflowError:
-        return budget.SamplingPlan(sample_id=sample.id, verdict=budget.DISCARDED, reason="text_overflow")
-
-
 @cli.command("plan")
 @in_opt
 @out_opt
-@click.option("--l-max", type=int, default=32768, show_default=True, help="Sequence token budget.")
-@click.option("--min-frames", type=int, default=8, show_default=True)
-@click.option("--fps-target", type=float, default=2.0, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel planner processes.")
+@click.option("--l-max", type=click.IntRange(min=1), default=32768, show_default=True,
+              help="Sequence token budget.")
+@click.option("--min-frames", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--fps-target", type=click.FloatRange(min=0, min_open=True), default=2.0, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Accepted for compatibility and ignored: plan runs as one streaming pass.")
 @click.pass_context
 def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
     """Allocate token budgets for each manifest sample (one JSON plan per line)."""
@@ -114,18 +107,14 @@ def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
     discarded = planned = 0
     with _open_in(input_path) as fin, _open_out(output_path) as fout:
         try:
-            if jobs > 1:
-                samples = manifest.parse_manifest(fin)
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    plans = pool.map(_plan_one, ((s, cfg) for s in samples), chunksize=64)
-                    for p in plans:
-                        fout.write(budget.dumps_plan(p) + "\n")
-                        planned, discarded = planned + p.planned, discarded + (not p.planned)
-            else:
-                for sample in manifest.iter_manifest(fin):
-                    p = _plan_one((sample, cfg))
-                    fout.write(budget.dumps_plan(p) + "\n")
-                    planned, discarded = planned + p.planned, discarded + (not p.planned)
+            for sample in manifest.iter_manifest(fin):
+                try:
+                    p = budget.plan(sample, cfg)
+                except budget.TextOverflowError:
+                    p = budget.SamplingPlan(sample_id=sample.id, verdict=budget.DISCARDED,
+                                            reason="text_overflow", l_text=sample.text_tokens)
+                fout.write(budget.dumps_plan(p) + "\n")
+                planned, discarded = planned + p.planned, discarded + (not p.planned)
         except (manifest.ManifestError, budget.PlanError) as exc:
             raise ValidationFailure(str(exc)) from exc
     click.echo(f"planned {planned}, discarded {discarded}", err=True)
@@ -148,7 +137,7 @@ def pack_cmd(ctx, input_path, output_path, l_max):
                 continue
             try:
                 p = budget.plan_from_obj(json.loads(text))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationFailure(f"malformed plan at line {line_no}: {exc}") from exc
             if p.planned:
                 plans.append(p)
@@ -242,7 +231,8 @@ def _curate_reports(candidates_dir, reference_dir, tau, pool):
 @out_opt
 @click.option("--reference", "reference_dir", type=click.Path(file_okay=False), required=True)
 @click.option("--candidates", "candidates_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--tau", type=float, default=0.5, show_default=True, help="Novelty similarity threshold.")
+@click.option("--tau", type=click.FloatRange(-1, 1, min_open=True), default=0.5, show_default=True,
+              help="Novelty similarity threshold.")
 @click.option("--pool", type=click.Choice(["mean", "max"]), default="mean", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Accepted for compatibility and ignored: curate runs as one sequential pass.")
@@ -305,6 +295,23 @@ def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
         ctx.exit(EXIT_PARTIAL)
 
 
+def _plan_defect(p: budget.SamplingPlan, l_max: int) -> tuple[str, str] | None:
+    """(field, message) for the first defect of a plan record; its cost is recomputed from its fields."""
+    if p.verdict not in (budget.PLANNED, budget.DISCARDED):
+        return "verdict", f"unknown verdict {p.verdict!r}"
+    if not p.planned:
+        return None
+    if len(p.image_grids) != len(p.temporal_counts):
+        return "grids", f"plan {p.sample_id!r}: grids do not align with n_per_item"
+    cost = (p.l_text + tiling.TILE_TOKENS * sum(p.temporal_counts)
+            + sum(tiling.grid_tokens(g) for g in p.image_grids if g is not None))
+    if p.total_tokens != cost:
+        return "total_tokens", f"plan {p.sample_id!r}: total_tokens={p.total_tokens} but its fields cost {cost}"
+    if cost > l_max:
+        return "total_tokens", f"plan {p.sample_id!r} exceeds l_max={l_max}"
+    return None
+
+
 @cli.command("validate")
 @in_opt
 @out_opt
@@ -329,15 +336,11 @@ def validate_cmd(ctx, input_path, output_path, kind, l_max):
                     continue
                 count += 1
                 try:
-                    p = budget.plan_from_obj(json.loads(text))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    errors.append({"line": line_no, "field": "record", "error": f"malformed plan: {exc}"})
-                    continue
-                if p.verdict not in (budget.PLANNED, budget.DISCARDED):
-                    errors.append({"line": line_no, "field": "verdict", "error": f"unknown verdict {p.verdict!r}"})
-                elif p.planned and (p.total_tokens is None or p.total_tokens > l_max):
-                    errors.append({"line": line_no, "field": "total_tokens",
-                                   "error": f"plan {p.sample_id!r} exceeds l_max={l_max}"})
+                    defect = _plan_defect(budget.plan_from_obj(json.loads(text)), l_max)
+                except (ValueError, KeyError, TypeError) as exc:
+                    defect = "record", f"malformed plan: {exc}"
+                if defect:
+                    errors.append({"line": line_no, "field": defect[0], "error": defect[1]})
             click.echo(f"{count} plans checked, {len(errors)} errors", err=True)
     with _open_out(output_path) as fout:
         for e in errors:

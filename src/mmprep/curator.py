@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 
-CLIP_LEN_S = 10.0
+CLIP_SECONDS = 10  # tracks are 1 fps, so a clip is this many vectors
 MIN_TAIL_S = 1.0
 DEFAULT_TAU = 0.5
 
@@ -57,15 +57,13 @@ class NoveltyReport:
         }
 
 
-def segment_clips(duration_s: float, clip_len_s: float = CLIP_LEN_S) -> list[tuple[float, float]]:
-    """Consecutive fixed-length spans; a partial tail survives only if >= 1 s long."""
+def segment_clips(duration_s: float) -> list[tuple[float, float]]:
+    """Consecutive CLIP_SECONDS-long spans; a partial tail survives only if >= 1 s long."""
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
-    if clip_len_s <= 0:
-        raise ValueError("clip_len_s must be positive")
-    n_full = int(duration_s // clip_len_s)
-    spans = [(k * clip_len_s, (k + 1) * clip_len_s) for k in range(n_full)]
-    tail_start = n_full * clip_len_s
+    n_full = int(duration_s // CLIP_SECONDS)
+    spans = [(float(k * CLIP_SECONDS), float((k + 1) * CLIP_SECONDS)) for k in range(n_full)]
+    tail_start = float(n_full * CLIP_SECONDS)
     if duration_s - tail_start >= MIN_TAIL_S:
         spans.append((tail_start, duration_s))
     return spans
@@ -143,14 +141,9 @@ class ReferenceIndex:
         return kernels.smax(cand, self._matrix)
 
 
-def max_similarity(candidate: ClipFeature, reference: ReferenceIndex) -> float:
-    return float(reference.smax_many(candidate.vector)[0])
-
-
 def clips_from_seconds(
     video_id: str,
     per_second_vectors: np.ndarray,
-    clip_len_s: float = CLIP_LEN_S,
     pool: str = "mean",
 ) -> list[ClipFeature]:
     """Cut a 1-fps feature track into pooled clip features.
@@ -161,14 +154,12 @@ def clips_from_seconds(
     track = np.asarray(per_second_vectors)
     if track.ndim != 2 or track.shape[0] == 0:
         raise ValueError("per_second_vectors must be a non-empty 2-D array")
-    if clip_len_s <= 0 or not float(clip_len_s).is_integer():
-        raise ValueError("clip_len_s must be a positive whole number of seconds (tracks are 1 fps)")
-    spans = segment_clips(float(track.shape[0]), clip_len_s)  # 1 vector per second
-    length = int(clip_len_s)
-    n_full = track.shape[0] // length
-    vectors = list(pool_clip(track[: n_full * length].reshape(n_full, length, track.shape[1]), pool))
+    spans = segment_clips(float(track.shape[0]))  # 1 vector per second
+    n_full = track.shape[0] // CLIP_SECONDS
+    full = n_full * CLIP_SECONDS
+    vectors = list(pool_clip(track[:full].reshape(n_full, CLIP_SECONDS, track.shape[1]), pool))
     if len(spans) > n_full:
-        vectors.append(pool_clip(track[n_full * length :], pool))
+        vectors.append(pool_clip(track[full:], pool))
     return [
         ClipFeature(video_id=video_id, clip_index=idx, span=span, vector=vec)
         for idx, (span, vec) in enumerate(zip(spans, vectors))

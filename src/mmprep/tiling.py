@@ -5,8 +5,11 @@ An input image of W x H pixels is resized onto a cols x rows canvas of
 of the original area as possible (capped at 60%) while staying close to the
 original aspect ratio; the two factors multiply into the selection score.
 Grid choice drives the token cost of the image: 256 tokens per tile, plus
-one thumbnail tile when the grid has more than one tile. The constants below
-are the source paper's values; every caller shares them.
+one thumbnail tile when the grid has more than one tile. best_grids scores
+the 35 candidate grids once and returns the best grid under every tile cap
+from 1 to 12, so a planner that tries several caps searches once per image;
+select_grid is a lookup into it. The constants below are the source paper's
+values; every caller shares them.
 """
 
 from __future__ import annotations
@@ -58,77 +61,69 @@ def candidate_grids(max_tiles: int) -> list[TileGrid]:
     ]
 
 
-def score_grid(grid: TileGrid, dims: ImageDims) -> float:
-    """Selection score: min(area ratio, threshold) * aspect alignment, in [0, threshold]."""
-    area_ratio = grid.tiles * TILE_SIZE_PX**2 / (dims.width_px * dims.height_px)
-    grid_aspect = grid.cols / grid.rows
-    orig_aspect = dims.width_px / dims.height_px
-    return min(area_ratio, AREA_THRESHOLD) * min(grid_aspect / orig_aspect, orig_aspect / grid_aspect)
+# The candidates of the largest cap, one tuple per tile count 1..MAX_TILES, each
+# candidate as (grid, cols, rows, tiles, capped-area numerator of the grid
+# before the min with the image's area), in candidate_grids order.
+_BY_TILES = tuple(
+    tuple((g, g.cols, g.rows, t, t * TILE_SIZE_PX**2 * _THR.denominator) for g in candidate_grids(t) if g.tiles == t)
+    for t in range(1, MAX_TILES + 1)
+)
 
 
-# Per tile cap, the candidates as (cols, rows, tiles, capped-area numerator of
-# one grid before the min with the image's area) in candidate_grids order.
-_CANDIDATES = {
-    cap: tuple(
-        (g.cols, g.rows, g.tiles, g.tiles * TILE_SIZE_PX**2 * _THR.denominator) for g in candidate_grids(cap)
-    )
-    for cap in range(1, MAX_TILES + 1)
-}
-
-
-def select_grid(dims: ImageDims, tile_cap: int = MAX_TILES) -> TileGrid:
-    """Pick the best grid among candidates with at most tile_cap tiles.
+def best_grids(dims: ImageDims) -> tuple[TileGrid, ...]:
+    """The best grid for every tile cap: entry cap-1 is the pick among grids of <= cap tiles.
 
     Maximizes the selection score with exact integer arithmetic (no float
     ties). Ties break toward fewest tiles, then smallest aspect-ratio
-    distance to the original, then smallest column count.
+    distance to the original, then smallest column count. That order is
+    strict and total, so one pass in tile-count order, recording the running
+    best after each tile count, answers every cap at once.
     """
-    if not 1 <= tile_cap <= MAX_TILES:
-        raise ValueError(f"tile_cap must be in [1, {MAX_TILES}], got {tile_cap}")
-
     w, h = dims.width_px, dims.height_px
     area_cap = _THR.numerator * w * h
-    best = None
-    best_num = best_den = best_diff = 0
-    for cols, rows, tiles, tile_area in _CANDIDATES[tile_cap]:
-        # Exact score as num/den, dropping the factor 1 / (thr.denominator * W * H)
-        # that every candidate shares.
-        ch = cols * h
-        rw = rows * w
-        area_num = min(tile_area, area_cap)
-        if ch < rw:
-            num, den = area_num * ch, rw
-        else:
-            num, den = area_num * rw, ch
-        # |cols/rows - W/H| up to the common 1/H factor: |cols*H - rows*W| / rows
-        diff = abs(ch - rw)
-        if best is None:
-            better = True
-        else:
+    out = []
+    # Every score is positive, so the 0/1 start loses to the first candidate.
+    best, best_cols, best_rows, best_tiles, best_num, best_den, best_diff = None, 0, 0, 0, 0, 1, 0
+    for group in _BY_TILES:
+        for grid, cols, rows, tiles, tile_area in group:
+            # Exact score as num/den, dropping the factor 1 / (thr.denominator * W * H)
+            # that every candidate shares.
+            ch = cols * h
+            rw = rows * w
+            area_num = min(tile_area, area_cap)
+            if ch < rw:
+                num, den = area_num * ch, rw
+            else:
+                num, den = area_num * rw, ch
+            # |cols/rows - W/H| up to the common 1/H factor: |cols*H - rows*W| / rows
+            diff = abs(ch - rw)
             lhs, rhs = num * best_den, best_num * den
             if lhs != rhs:
                 better = lhs > rhs
-            elif tiles != best[2]:
-                better = tiles < best[2]
-            elif diff * best[1] != best_diff * rows:
-                better = diff * best[1] < best_diff * rows
+            elif tiles != best_tiles:
+                better = False  # tile-count order: the running best has fewer tiles
+            elif diff * best_rows != best_diff * rows:
+                better = diff * best_rows < best_diff * rows
             else:
-                better = cols < best[0]
-        if better:
-            best, best_num, best_den, best_diff = (cols, rows, tiles), num, den, diff
-    assert best is not None
-    return TileGrid(best[0], best[1])
+                better = cols < best_cols
+            if better:
+                best, best_cols, best_rows, best_tiles = grid, cols, rows, tiles
+                best_num, best_den, best_diff = num, den, diff
+        out.append(best)
+    return tuple(out)
+
+
+def select_grid(dims: ImageDims, tile_cap: int = MAX_TILES) -> TileGrid:
+    """Pick the best grid among candidates with at most tile_cap tiles (see best_grids)."""
+    if not 1 <= tile_cap <= MAX_TILES:
+        raise ValueError(f"tile_cap must be in [1, {MAX_TILES}], got {tile_cap}")
+    return best_grids(dims)[tile_cap - 1]
 
 
 def grid_tokens(grid: TileGrid) -> int:
     """Token cost of a chosen grid: k tiles plus a thumbnail tile when k > 1."""
     k = grid.tiles
     return TILE_TOKENS if k == 1 else (k + 1) * TILE_TOKENS
-
-
-def image_tokens(dims: ImageDims, tile_cap: int) -> int:
-    """Token cost of an image tiled under the given per-image tile cap."""
-    return grid_tokens(select_grid(dims, tile_cap))
 
 
 def tile_layout(dims: ImageDims, grid: TileGrid) -> TileLayout:

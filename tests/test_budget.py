@@ -1,12 +1,18 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mmprep import cli
 from mmprep.budget import (
     TILE_LADDER,
     BudgetConfig,
     Budget,
+    PlanError,
     SamplingPlan,
     TextOverflowError,
     compute_budget,
@@ -16,8 +22,8 @@ from mmprep.budget import (
     plan_from_obj,
     temporal_cap,
 )
-from mmprep.manifest import document_item, image_item, video_item
-from mmprep.tiling import grid_tokens, select_grid
+from mmprep.manifest import Sample, document_item, image_item, video_item
+from mmprep.tiling import best_grids, grid_tokens, select_grid
 from tests.conftest import make_sample, random_sample
 
 
@@ -152,13 +158,13 @@ def test_plan_deterministic_serialization():
 
 def test_plan_json_round_trip():
     cfg = BudgetConfig(l_max=32768)
-    p = plan(make_sample("v", videos=[100.0], docs=[5], text_tokens=768), cfg)
-    q = plan_from_obj(json.loads(dumps_plan(p)))
-    assert q.sample_id == p.sample_id
-    assert q.verdict == p.verdict
-    assert q.tile_cap == p.tile_cap
-    assert q.temporal_counts == p.temporal_counts
-    assert q.total_tokens == p.total_tokens
+    for sample in (
+        make_sample("v", videos=[100.0], docs=[5], text_tokens=768),
+        make_sample("i", images=[(4000, 3000), (896, 448)], videos=[30.0], text_tokens=300),
+        make_sample("x", videos=[50.0], text_tokens=31000),  # discarded
+    ):
+        p = plan(sample, cfg)
+        assert plan_from_obj(json.loads(dumps_plan(p))) == p
 
 
 # --- timestamps ----------------------------------------------------------------
@@ -264,3 +270,61 @@ def test_monotone_in_l_max():
                 assert n >= prev_n
                 assert p.tile_cap >= prev_t
             prev_n, prev_t = n, p.tile_cap
+
+
+# --- hypothesis: any valid config, emitted records only ----------------------------
+
+
+_configs = st.builds(
+    BudgetConfig,
+    l_max=st.integers(1, 70000),
+    min_frames=st.integers(1, 64),
+    fps_target=st.floats(min_value=0, max_value=1e300, exclude_min=True, allow_nan=False),
+)
+_items = st.lists(
+    st.one_of(
+        st.builds(image_item, st.integers(1, 8192), st.integers(1, 8192)),
+        st.builds(video_item, st.floats(0.1, 7200.0)),
+        st.builds(document_item, st.integers(1, 100)),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_configs, items=_items, text_share=st.floats(0.0, 1.2))
+def test_emitted_plan_records_recompute(cfg, items, text_share):
+    sample = Sample(id="h", items=tuple(items), text_tokens=int(text_share * cfg.l_max))
+    try:
+        p = plan(sample, cfg)
+    except TextOverflowError:
+        assert sample.text_tokens >= cfg.l_max
+        return
+    except PlanError:
+        assert any(it.kind == "video" and cfg.fps_target * it.duration_s == float("inf") for it in items)
+        return
+    line = dumps_plan(p)
+    assert plan_from_obj(json.loads(line)) == p
+    rec = json.loads(line)
+    if p.planned:
+        grids = rec["grids"]
+        assert len(grids) == len(rec["n_per_item"]) == len(items)
+        image_cost = 0
+        for item, g, n in zip(items, grids, rec["n_per_item"]):
+            if item.kind != "image":
+                assert g is None
+                continue
+            assert n == 0 and g[0] * g[1] <= rec["tile_cap"]
+            expected = best_grids(item.dims)[rec["tile_cap"] - 1]
+            assert g == [expected.cols, expected.rows]
+            image_cost += grid_tokens(expected)
+        cost = rec["l_text"] + 256 * sum(rec["n_per_item"]) + image_cost
+        assert rec["l_text"] == sample.text_tokens
+        assert cost == rec["total_tokens"] <= cfg.l_max
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plans.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        code = cli.main(["validate", "--kind", "plans", "--l-max", str(cfg.l_max), "-i", str(path),
+                         "-o", str(Path(tmp) / "errors.jsonl")])
+        assert code == 0
+        assert (Path(tmp) / "errors.jsonl").read_text() == ""

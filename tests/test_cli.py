@@ -59,6 +59,15 @@ def test_plan_parallel_jobs_preserve_order(capsys, small_manifest):
     assert parallel == serial
 
 
+@pytest.mark.parametrize("option", ["--l-max", "--min-frames", "--fps-target"])
+def test_plan_config_out_of_range_exit_1(capsys, small_manifest, option):
+    code, out, err = run_cli(capsys, ["plan", option, "0", "-i", str(small_manifest)])
+    assert code == 1
+    assert option in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_plan_validation_error_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "x", "items": [{"kind": "video", "duration_s": -3, "uri": ""}], '
@@ -179,6 +188,36 @@ def test_validate_clean_manifest_exit_0(capsys, small_manifest):
     assert out == ""
 
 
+def test_validate_emitted_plans_clean(capsys, small_manifest, tmp_path):
+    plans = tmp_path / "p.jsonl"
+    assert run_cli(capsys, ["plan", "-i", str(small_manifest), "-o", str(plans)])[0] == 0
+    code, out, err = run_cli(capsys, ["validate", "--kind", "plans", "-i", str(plans)])
+    assert code == 0
+    assert out == ""
+    assert "4 plans checked, 0 errors" in err
+
+
+def test_validate_plans_recomputes_total_tokens(capsys, tmp_path):
+    rec = {"id": "y", "verdict": "planned", "tile_cap": 12, "n_per_item": [0, 3], "grids": [[2, 1], None],
+           "timestamps": [[], []], "l_text": 100, "total_tokens": 100 + 768 + 3 * 256}
+    plans = tmp_path / "p.jsonl"
+    lines = [rec, {**rec, "total_tokens": rec["total_tokens"] - 1}, {**rec, "grids": [[2, 1]]}]
+    plans.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    code, out, _ = run_cli(capsys, ["validate", "--kind", "plans", "-i", str(plans)])
+    assert code == 1
+    errors = [json.loads(l) for l in out.splitlines()]
+    assert [(e["line"], e["field"]) for e in errors] == [(2, "total_tokens"), (3, "grids")]
+    assert "cost 1636" in errors[0]["error"]
+
+
+def test_pack_rejects_malformed_grid(capsys, tmp_path):
+    plans = tmp_path / "p.jsonl"
+    plans.write_text(json.dumps({"id": "z", "verdict": "planned", "grids": [[0, 1]], "total_tokens": 1}) + "\n")
+    code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
+    assert code == 1
+    assert "malformed plan at line 1" in err
+
+
 def test_validate_plans_kind(capsys, tmp_path):
     plans = tmp_path / "p.jsonl"
     plans.write_text(
@@ -252,6 +291,14 @@ def test_curate_jobs_flag_same_output(capsys, tmp_path):
     code, parallel, _ = run_cli(capsys, args + ["--jobs", "3"])
     assert code == 0
     assert parallel == serial
+
+
+def test_curate_tau_out_of_range_rejected_before_reading(capsys, tmp_path):
+    missing = str(tmp_path / "missing")
+    code, out, err = run_cli(capsys, ["curate", "--tau", "2", "--reference", missing, "--candidates", missing])
+    assert code == 1
+    assert "--tau" in err
+    assert out == ""
 
 
 def test_curate_nan_feature_exit_1(capsys, tmp_path):

@@ -8,9 +8,9 @@ from mmprep.tiling import (
     AREA_THRESHOLD,
     TILE_SIZE_PX,
     TileGrid,
+    best_grids,
     candidate_grids,
-    image_tokens,
-    score_grid,
+    grid_tokens,
     select_grid,
     tile_layout,
 )
@@ -49,14 +49,16 @@ def test_candidate_grids_count_at_12():
 
 
 def test_score_matches_hand_computed_values():
-    assert score_grid(TileGrid(2, 1), ImageDims(896, 448)) == pytest.approx(0.6)
-    assert score_grid(TileGrid(1, 1), ImageDims(896, 448)) == pytest.approx(0.25)
+    # On 896x448, 2x1 scores 0.6 (area capped, aspect exact), 1x1 scores 0.25
+    # and 1x2 scores 0.15: 2x1 wins once the cap allows two tiles.
+    assert select_grid(ImageDims(896, 448), tile_cap=1) == TileGrid(1, 1)
+    assert select_grid(ImageDims(896, 448), tile_cap=2) == TileGrid(2, 1)
 
 
 def test_score_saturates_at_threshold_for_matching_aspect():
-    # 2x1 on 896x448: area ratio 1.0 >= 0.6 and aspect exact -> exactly the cap
-    assert score_grid(TileGrid(2, 1), ImageDims(896, 448)) == AREA_THRESHOLD
-    assert score_grid(TileGrid(4, 2), ImageDims(896, 448)) == AREA_THRESHOLD
+    # 2x1 and 4x2 on 896x448 both score exactly the threshold; the tie goes
+    # to the grid with fewer tiles under every cap that allows both.
+    assert all(g == TileGrid(2, 1) for g in best_grids(ImageDims(896, 448))[1:])
 
 
 def test_worked_example_grids():
@@ -66,8 +68,9 @@ def test_worked_example_grids():
 
 
 def test_4000x3000_beats_3x3():
-    assert score_grid(TileGrid(4, 3), ImageDims(4000, 3000)) == pytest.approx(0.2007, abs=1e-4)
-    assert score_grid(TileGrid(3, 3), ImageDims(4000, 3000)) == pytest.approx(0.1129, abs=1e-4)
+    # 4x3 scores ~0.2007 against ~0.1129 for 3x3, which wins only while 4x3 is capped out.
+    assert select_grid(ImageDims(4000, 3000), tile_cap=12) == TileGrid(4, 3)
+    assert select_grid(ImageDims(4000, 3000), tile_cap=11) == TileGrid(3, 3)
 
 
 def test_select_respects_tile_cap():
@@ -92,13 +95,16 @@ def test_oracle_equivalence_randomized():
         assert (got.cols, got.rows) == oracle_select(w, h), (w, h)
 
 
-def test_score_bounds_randomized():
-    rng = random.Random(7)
-    for _ in range(500):
-        w, h = rng.randint(1, 8192), rng.randint(1, 8192)
-        g = rng.choice(candidate_grids(12))
-        s = score_grid(g, ImageDims(w, h))
-        assert 0 < s <= AREA_THRESHOLD + 1e-12
+def test_best_grids_matches_oracle_at_every_cap():
+    rng = random.Random(606)
+    dims = [(rng.randint(1, 8192), rng.randint(1, 8192)) for _ in range(60)] + [(1, 8192), (8192, 1), (448, 448)]
+    for w, h in dims:
+        grids = best_grids(ImageDims(w, h))
+        assert len(grids) == 12
+        for cap, g in enumerate(grids, start=1):
+            assert g.tiles <= cap
+            assert (g.cols, g.rows) == oracle_select(w, h, tile_cap=cap), (w, h, cap)
+            assert select_grid(ImageDims(w, h), cap) == g
 
 
 def test_degenerate_strip_dims():
@@ -112,20 +118,20 @@ def test_degenerate_strip_dims():
 
 
 def test_tokens_single_tile_has_no_thumbnail():
-    assert image_tokens(ImageDims(5000, 5000), 1) == 256
-    assert image_tokens(ImageDims(30, 77), 1) == 256
+    assert grid_tokens(select_grid(ImageDims(5000, 5000), 1)) == 256
+    assert grid_tokens(select_grid(ImageDims(30, 77), 1)) == 256
 
 
 def test_tokens_worked_examples():
-    assert image_tokens(ImageDims(896, 448), 12) == 768  # 2x1 -> (2+1)*256
-    assert image_tokens(ImageDims(4000, 3000), 12) == 3328  # 4x3 -> 13*256
+    assert grid_tokens(select_grid(ImageDims(896, 448), 12)) == 768  # 2x1 -> (2+1)*256
+    assert grid_tokens(select_grid(ImageDims(4000, 3000), 12)) == 3328  # 4x3 -> 13*256
 
 
 def test_tokens_monotone_in_tile_cap():
     rng = random.Random(99)
     for _ in range(300):
         w, h = rng.randint(1, 8192), rng.randint(1, 8192)
-        costs = [image_tokens(ImageDims(w, h), cap) for cap in range(1, 13)]
+        costs = [grid_tokens(g) for g in best_grids(ImageDims(w, h))]
         assert costs == sorted(costs), (w, h, costs)
 
 
