@@ -7,7 +7,7 @@ temporal units (video frames at a target FPS, document pages), scaling the
 per-item counts down proportionally when the budget is short. Phase two
 raises the per-image tile cap along a descending ladder as far as the
 leftover budget allows, reading every image's grid at each rung from one
-tiling.best_grids call. Samples whose videos cannot reach the minimum frame
+tiling.best_grids lookup. Samples whose videos cannot reach the minimum frame
 count are discarded rather than degraded below usefulness.
 
 A plan record carries every field its cost is made of (l_text, the units per
@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .manifest import Sample, VisualItem
+from .manifest import ImageDims, Sample, VisualItem
 from .tiling import TILE_TOKENS, TileGrid, best_grids, grid_tokens
 from .tiling import select_grid  # noqa: F401  (bench/worker.py traces budget.select_grid by name)
 
@@ -57,8 +58,8 @@ class BudgetConfig:
     def __post_init__(self):
         if self.l_max <= 0:
             raise ValueError("l_max must be positive")
-        if self.min_frames < 1 or self.fps_target <= 0:
-            raise ValueError("min_frames and fps_target must be positive")
+        if self.min_frames < 1 or not (math.isfinite(self.fps_target) and self.fps_target > 0):
+            raise ValueError("min_frames must be positive and fps_target positive and finite")
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,12 @@ def _discard(sample: Sample, reason: str, l_text: int) -> SamplingPlan:
     return SamplingPlan(sample_id=sample.id, verdict=DISCARDED, reason=reason, l_text=l_text)
 
 
-def plan(sample: Sample, cfg: BudgetConfig) -> SamplingPlan:
+def plan(sample: Sample, cfg: BudgetConfig,
+         grids_of: Callable[[ImageDims], tuple[TileGrid, ...]] = best_grids) -> SamplingPlan:
     """Allocate the sample's visual budget; returns a plan or a discard verdict.
 
+    grids_of gives an image's best grid under every tile cap (best_grids, or
+    a memo of it that a caller shares across the samples of one run).
     Raises TextOverflowError when the text alone does not fit, and PlanError
     when a video is so long that its frame count overflows. Discards (a
     verdict, not an error) happen when any video would fall below the
@@ -174,7 +178,7 @@ def plan(sample: Sample, cfg: BudgetConfig) -> SamplingPlan:
     # Phase 2: raise the per-image tile cap as far as the leftover budget allows.
     # The last rung, one tile per image, always fits: phase 1 reserved it.
     residual = budget.l_visual - tok * n_total
-    ladders = [best_grids(it.dims) for _, it in images]
+    ladders = [grids_of(it.dims) for _, it in images]
     for tile_cap in TILE_LADDER:
         image_total = sum(grid_tokens(ladder[tile_cap - 1]) for ladder in ladders)
         if image_total <= residual:

@@ -11,8 +11,10 @@ failures.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import math
 import sys
 from contextlib import contextmanager
 
@@ -31,6 +33,31 @@ EXIT_PARTIAL = 3
 
 class ValidationFailure(click.ClickException):
     exit_code = EXIT_VALIDATION
+
+
+class FiniteFloatRange(click.FloatRange):
+    """A FloatRange that also rejects nan and +-inf (NaN passes every range comparison)."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
+# Distinct image sizes one command remembers grids for; an entry, key included,
+# is about 0.4 kB, so a full memo holds about 1.6 MB.
+GRID_MEMO_SIZE = 4096
+
+
+def _grid_memo():
+    """tiling.best_grids memoized by image dims, for one command invocation only.
+
+    Image sizes repeat within a manifest, so a run looks each size up once. The
+    memo is made per command, never at module level: a cache that outlived one
+    command would carry grids into the next command in the same process.
+    """
+    return functools.lru_cache(maxsize=GRID_MEMO_SIZE)(tiling.best_grids)
 
 
 def _echo_config(ctx: click.Context) -> None:
@@ -96,7 +123,7 @@ out_opt = click.option("--output", "-o", "output_path", default="-", show_defaul
 @click.option("--l-max", type=click.IntRange(min=1), default=32768, show_default=True,
               help="Sequence token budget.")
 @click.option("--min-frames", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--fps-target", type=click.FloatRange(min=0, min_open=True), default=2.0, show_default=True)
+@click.option("--fps-target", type=FiniteFloatRange(min=0, min_open=True), default=2.0, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Accepted for compatibility and ignored: plan runs as one streaming pass.")
 @click.pass_context
@@ -104,12 +131,13 @@ def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
     """Allocate token budgets for each manifest sample (one JSON plan per line)."""
     _echo_config(ctx)
     cfg = budget.BudgetConfig(l_max=l_max, min_frames=min_frames, fps_target=fps_target)
+    grids_of = _grid_memo()
     discarded = planned = 0
     with _open_in(input_path) as fin, _open_out(output_path) as fout:
         try:
             for sample in manifest.iter_manifest(fin):
                 try:
-                    p = budget.plan(sample, cfg)
+                    p = budget.plan(sample, cfg, grids_of)
                 except budget.TextOverflowError:
                     p = budget.SamplingPlan(sample_id=sample.id, verdict=budget.DISCARDED,
                                             reason="text_overflow", l_text=sample.text_tokens)
@@ -123,7 +151,8 @@ def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
 @cli.command("pack")
 @in_opt
 @out_opt
-@click.option("--l-max", type=int, default=32768, show_default=True, help="Pack token capacity.")
+@click.option("--l-max", type=click.IntRange(min=1), default=32768, show_default=True,
+              help="Pack token capacity.")
 @click.pass_context
 def pack_cmd(ctx, input_path, output_path, l_max):
     """Pack planned samples into fixed-capacity training sequences."""
@@ -184,19 +213,19 @@ def stages_cmd(ctx, output_path):
 def tile_cmd(ctx, input_path, output_path, tile_cap):
     """Emit tiling geometry for every image in a manifest (one JSON object per image)."""
     _echo_config(ctx)
+    grids_of = _grid_memo()
     with _open_in(input_path) as fin, _open_out(output_path) as fout:
         try:
             for sample in manifest.iter_manifest(fin):
                 for item in sample.items:
                     if item.kind != "image":
                         continue
-                    grid = tiling.select_grid(item.dims, tile_cap)
-                    layout = tiling.tile_layout(item.dims, grid)
+                    grid = grids_of(item.dims)[tile_cap - 1]
                     fout.write(json.dumps({
                         "id": sample.id,
                         "grid": [grid.cols, grid.rows],
                         "tokens": tiling.grid_tokens(grid),
-                        "canvas": [layout.canvas_w, layout.canvas_h],
+                        "canvas": [grid.cols * tiling.TILE_SIZE_PX, grid.rows * tiling.TILE_SIZE_PX],
                     }) + "\n")
         except manifest.ManifestError as exc:
             raise ValidationFailure(str(exc)) from exc
@@ -231,7 +260,7 @@ def _curate_reports(candidates_dir, reference_dir, tau, pool):
 @out_opt
 @click.option("--reference", "reference_dir", type=click.Path(file_okay=False), required=True)
 @click.option("--candidates", "candidates_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--tau", type=click.FloatRange(-1, 1, min_open=True), default=0.5, show_default=True,
+@click.option("--tau", type=FiniteFloatRange(-1, 1, min_open=True), default=0.5, show_default=True,
               help="Novelty similarity threshold.")
 @click.option("--pool", type=click.Choice(["mean", "max"]), default="mean", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
@@ -316,7 +345,7 @@ def _plan_defect(p: budget.SamplingPlan, l_max: int) -> tuple[str, str] | None:
 @in_opt
 @out_opt
 @click.option("--kind", type=click.Choice(["manifest", "plans"]), default="manifest", show_default=True)
-@click.option("--l-max", type=int, default=32768, show_default=True,
+@click.option("--l-max", type=click.IntRange(min=1), default=32768, show_default=True,
               help="Budget bound checked for plan records.")
 @click.pass_context
 def validate_cmd(ctx, input_path, output_path, kind, l_max):

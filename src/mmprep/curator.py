@@ -205,20 +205,33 @@ def select_novel(
 
 # --- feature file format: one header line, then count x dim vectors ---------
 #
-# Header (UTF-8 JSON, newline-terminated): {"video_id","dim","fps":1,"count"}.
-# Body is either `count*dim` little-endian float32 values (binary flavor) or
-# `count` whitespace-separated text lines (textual flavor). A body of exactly
-# `count*dim*4` bytes is read as binary, straight from the file into one array;
-# any other length is parsed as text.
+# Header (UTF-8 JSON, newline-terminated): {"video_id","dim","fps":1,"count",
+# "encoding"}. With "encoding": "f32le" the body is `count*dim` little-endian
+# float32 values, read straight from the file into one array; with "text" it
+# is `count` whitespace-separated text lines. write_feature_file always writes
+# the field and the reader trusts it. A header without it is decided by size:
+# a body of exactly `count*dim*4` bytes is binary, unless every byte of it could
+# belong to a text body, which is ambiguous and rejected; any other length is
+# parsed as text.
+
+ENCODINGS = ("f32le", "text")
+# Every byte a text body can hold: separators, digits and the characters of
+# float literals, nan and inf included.
+_TEXT_BYTES = b" \t\n\r\v\f0123456789+-.eEaAfFiInNtTyY"
+
+
+def _is_text(data: bytes) -> bool:
+    return not data.translate(None, _TEXT_BYTES)
 
 
 def write_feature_file(path: str | Path, video_id: str, vectors: np.ndarray, binary: bool = True) -> None:
     arr = np.asarray(vectors, dtype=np.float32)
     if arr.ndim != 2:
         raise ValueError("vectors must be 2-D (count x dim)")
-    header = json.dumps(
-        {"video_id": video_id, "dim": int(arr.shape[1]), "fps": 1, "count": int(arr.shape[0])}
-    )
+    header = json.dumps({
+        "video_id": video_id, "dim": int(arr.shape[1]), "fps": 1, "count": int(arr.shape[0]),
+        "encoding": "f32le" if binary else "text",
+    })
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         if binary:
@@ -242,17 +255,28 @@ def read_feature_file(path: str | Path) -> tuple[str, np.ndarray]:
                 raise ValueError(f"{path}: feature header missing {key!r}")
         if header.get("fps", 1) != 1:
             raise ValueError(f"{path}: unsupported feature fps {header.get('fps')!r} (expected 1)")
+        declared = header.get("encoding")
+        if declared is not None and declared not in ENCODINGS:
+            raise ValueError(f"{path}: unknown feature encoding {declared!r} (expected one of {ENCODINGS})")
         dim, count = int(header["dim"]), int(header["count"])
         if dim < 1 or count < 1:
             raise ValueError(f"{path}: invalid dim/count in header")
         n = count * dim
-        if os.fstat(fh.fileno()).st_size - fh.tell() == n * 4:
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared == "f32le" or (declared is None and size == n * 4):
+            if size != n * 4:
+                raise ValueError(f"{path}: f32le body is {size} bytes, header promises {n * 4}")
             values = np.fromfile(fh, dtype="<f4", count=n)
+            # The prefix test settles almost every binary body without a full scan.
+            if declared is None and _is_text(values[:16].tobytes()) and _is_text(values.tobytes()):
+                raise ValueError(f"{path}: body of {size} bytes reads as float32 and as text; "
+                                 "declare its encoding in the header")
         else:
             try:
                 values = np.array(fh.read().decode("utf-8").split(), dtype=np.float32)
             except ValueError as exc:  # undecodable bytes or a token that is not a number
-                raise ValueError(f"{path}: body is neither {n * 4} bytes of float32 nor text") from exc
+                expected = "text" if declared else f"{n * 4} bytes of float32 or text"
+                raise ValueError(f"{path}: body is not {expected}") from exc
     if values.size != n:
         raise ValueError(f"{path}: body has {values.size} values, header promises {n}")
     arr = values.reshape(count, dim)

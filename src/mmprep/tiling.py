@@ -5,11 +5,13 @@ An input image of W x H pixels is resized onto a cols x rows canvas of
 of the original area as possible (capped at 60%) while staying close to the
 original aspect ratio; the two factors multiply into the selection score.
 Grid choice drives the token cost of the image: 256 tokens per tile, plus
-one thumbnail tile when the grid has more than one tile. best_grids scores
-the 35 candidate grids once and returns the best grid under every tile cap
-from 1 to 12, so a planner that tries several caps searches once per image;
-select_grid is a lookup into it. The constants below are the source paper's
-values; every caller shares them.
+one thumbnail tile when the grid has more than one tile. best_grids returns
+the best grid under every tile cap from 1 to 12 in one pass over the tile
+counts: all grids of one tile count share the area factor, so each count is
+decided between the two grids whose cols/rows bracket W/H, and a running best
+over counts 1..12 gives every cap. A planner that tries several caps thus
+searches once per image; select_grid is a lookup into it. The constants
+below are the source paper's values; every caller shares them.
 """
 
 from __future__ import annotations
@@ -43,13 +45,6 @@ class TileGrid:
         return self.cols * self.rows
 
 
-@dataclass(frozen=True)
-class TileLayout:
-    canvas_w: int
-    canvas_h: int
-    rects: tuple[tuple[int, int, int, int], ...]
-
-
 def candidate_grids(max_tiles: int) -> list[TileGrid]:
     """All cols x rows grids with cols*rows <= max_tiles, lexicographic order."""
     if max_tiles < 1:
@@ -61,12 +56,10 @@ def candidate_grids(max_tiles: int) -> list[TileGrid]:
     ]
 
 
-# The candidates of the largest cap, one tuple per tile count 1..MAX_TILES, each
-# candidate as (grid, cols, rows, tiles, capped-area numerator of the grid
-# before the min with the image's area), in candidate_grids order.
-_BY_TILES = tuple(
-    tuple((g, g.cols, g.rows, t, t * TILE_SIZE_PX**2 * _THR.denominator) for g in candidate_grids(t) if g.tiles == t)
-    for t in range(1, MAX_TILES + 1)
+# The grids of each tile count 1..MAX_TILES as (grid, cols, rows), in increasing
+# cols and so in increasing cols/rows.
+_GRIDS_BY_TILES = tuple(
+    tuple((g, g.cols, g.rows) for g in candidate_grids(t) if g.tiles == t) for t in range(1, MAX_TILES + 1)
 )
 
 
@@ -75,40 +68,52 @@ def best_grids(dims: ImageDims) -> tuple[TileGrid, ...]:
 
     Maximizes the selection score with exact integer arithmetic (no float
     ties). Ties break toward fewest tiles, then smallest aspect-ratio
-    distance to the original, then smallest column count. That order is
-    strict and total, so one pass in tile-count order, recording the running
-    best after each tile count, answers every cap at once.
+    distance to the original, then smallest column count; only the first
+    rule ever decides (see the tie note below). Grids of one tile count share
+    the area factor, and the aspect factor only falls as cols/rows moves away
+    from W/H, so each tile count is won by one of the two grids whose ratios
+    bracket W/H. One pass over the tile counts, keeping the running best,
+    answers every cap at once.
     """
     w, h = dims.width_px, dims.height_px
     area_cap = _THR.numerator * w * h
+    tile_area = TILE_SIZE_PX**2 * _THR.denominator
     out = []
-    # Every score is positive, so the 0/1 start loses to the first candidate.
-    best, best_cols, best_rows, best_tiles, best_num, best_den, best_diff = None, 0, 0, 0, 0, 1, 0
-    for group in _BY_TILES:
-        for grid, cols, rows, tiles, tile_area in group:
-            # Exact score as num/den, dropping the factor 1 / (thr.denominator * W * H)
-            # that every candidate shares.
-            ch = cols * h
-            rw = rows * w
-            area_num = min(tile_area, area_cap)
-            if ch < rw:
-                num, den = area_num * ch, rw
+    # Every score is positive, so the 0/1 start loses to the first tile count.
+    best, best_num, best_den = None, 0, 1
+    for tiles, group in enumerate(_GRIDS_BY_TILES, start=1):
+        # lo: the last grid with cols/rows <= W/H (cols*H <= rows*W); hi: the grid after it.
+        lo = hi = None
+        for cand in group:
+            if cand[1] * h <= cand[2] * w:
+                lo = cand
             else:
-                num, den = area_num * rw, ch
-            # |cols/rows - W/H| up to the common 1/H factor: |cols*H - rows*W| / rows
-            diff = abs(ch - rw)
-            lhs, rhs = num * best_den, best_num * den
-            if lhs != rhs:
-                better = lhs > rhs
-            elif tiles != best_tiles:
-                better = False  # tile-count order: the running best has fewer tiles
-            elif diff * best_rows != best_diff * rows:
-                better = diff * best_rows < best_diff * rows
-            else:
-                better = cols < best_cols
-            if better:
-                best, best_cols, best_rows, best_tiles = grid, cols, rows, tiles
-                best_num, best_den, best_diff = num, den, diff
+                hi = cand
+                break
+        if hi is None:
+            grid, cols, rows = lo
+        elif lo is None:
+            grid, cols, rows = hi
+        else:
+            # Aspect factors lo_c*H/(lo_r*W) against hi_r*W/(hi_c*H). They tie only
+            # at W/H = lo_c*hi_c/tiles, which the grid lo_c x hi_r of fewer tiles
+            # matches exactly; it scores at least as high, so a tie never decides
+            # the ladder and either grid may stand for this tile count.
+            _, lo_c, lo_r = lo
+            _, hi_c, hi_r = hi
+            grid, cols, rows = lo if lo_c * hi_c * h * h >= lo_r * hi_r * w * w else hi
+        # Exact score as num/den, dropping the factor 1 / (thr.denominator * W * H)
+        # that every grid shares; a tie keeps the running best, which has fewer tiles.
+        ch, rw = cols * h, rows * w
+        area_num = tiles * tile_area
+        if area_num > area_cap:
+            area_num = area_cap
+        if ch < rw:
+            num, den = area_num * ch, rw
+        else:
+            num, den = area_num * rw, ch
+        if num * best_den > best_num * den:
+            best, best_num, best_den = grid, num, den
         out.append(best)
     return tuple(out)
 
@@ -124,14 +129,3 @@ def grid_tokens(grid: TileGrid) -> int:
     """Token cost of a chosen grid: k tiles plus a thumbnail tile when k > 1."""
     k = grid.tiles
     return TILE_TOKENS if k == 1 else (k + 1) * TILE_TOKENS
-
-
-def tile_layout(dims: ImageDims, grid: TileGrid) -> TileLayout:
-    """Row-major crop boxes on the resize canvas; the caller resizes dims to the canvas."""
-    s = TILE_SIZE_PX
-    rects = tuple(
-        (c * s, r * s, (c + 1) * s, (r + 1) * s)
-        for r in range(grid.rows)
-        for c in range(grid.cols)
-    )
-    return TileLayout(canvas_w=grid.cols * s, canvas_h=grid.rows * s, rects=rects)

@@ -44,6 +44,12 @@ def test_budget_text_overflow():
         compute_budget(make_sample(text_tokens=4096), BudgetConfig(l_max=4096))
 
 
+@pytest.mark.parametrize("fps_target", [0.0, -1.0, float("nan"), float("inf")])
+def test_budget_config_rejects_bad_fps_target(fps_target):
+    with pytest.raises(ValueError):
+        BudgetConfig(l_max=1024, fps_target=fps_target)
+
+
 def test_temporal_cap_video_2fps():
     cfg = BudgetConfig(l_max=1024)
     assert temporal_cap(video_item(100.0), cfg) == 200

@@ -1,11 +1,12 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
-from mmprep import cli
+from mmprep import cli, tiling
 from mmprep.curator import write_feature_file
-from mmprep.manifest import dumps_sample
+from mmprep.manifest import ImageDims, dumps_sample
 from tests.conftest import MockLlm, make_sample
 
 
@@ -61,11 +62,12 @@ def test_plan_parallel_jobs_preserve_order(capsys, small_manifest):
 
 @pytest.mark.parametrize("option", ["--l-max", "--min-frames", "--fps-target"])
 def test_plan_config_out_of_range_exit_1(capsys, small_manifest, option):
-    code, out, err = run_cli(capsys, ["plan", option, "0", "-i", str(small_manifest)])
-    assert code == 1
-    assert option in err
-    assert "Traceback" not in err
-    assert out == ""
+    for value in ("0", "nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, ["plan", option, value, "-i", str(small_manifest)])
+        assert code == 1, value
+        assert option in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 def test_plan_validation_error_exit_1(capsys, tmp_path):
@@ -141,6 +143,16 @@ def test_plan_pack_round_trip(capsys, small_manifest, tmp_path):
     assert all(p["total_tokens"] <= 32768 for p in packs)
 
 
+def test_pack_and_validate_reject_non_positive_l_max(capsys, tmp_path):
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text("")
+    for command in (["pack"], ["validate", "--kind", "plans"]):
+        code, out, err = run_cli(capsys, command + ["--l-max", "0", "-i", str(plans)])
+        assert code == 1, command
+        assert "--l-max" in err
+        assert out == ""
+
+
 def test_pack_rejects_oversized_plan(capsys, tmp_path):
     plans = tmp_path / "plans.jsonl"
     plans.write_text(json.dumps({"id": "big", "verdict": "planned", "tile_cap": 1,
@@ -159,6 +171,51 @@ def test_tile_subcommand_emits_geometry(capsys, tmp_path):
     assert rows[0] == {"id": "img", "grid": [2, 1], "tokens": 768, "canvas": [896, 448]}
     assert rows[1]["grid"] == [4, 3]
     assert rows[1]["tokens"] == 3328
+
+
+def test_tile_canvas_is_grid_of_448px_tiles(capsys, tmp_path):
+    rng = random.Random(3)
+    dims = [(896, 448), (123, 7)] + [(rng.randint(1, 8192), rng.randint(1, 8192)) for _ in range(50)]
+    path = tmp_path / "m.jsonl"
+    write_manifest(path, [make_sample("img", images=dims)])
+    for cap in (1, 2, 12):
+        code, out, _ = run_cli(capsys, ["tile", "--tile-cap", str(cap), "-i", str(path)])
+        assert code == 0
+        rows = [json.loads(l) for l in out.splitlines()]
+        assert len(rows) == len(dims)
+        for (w, h), row in zip(dims, rows):
+            grid = tiling.select_grid(ImageDims(w, h), cap)
+            assert row["grid"] == [grid.cols, grid.rows]
+            assert row["canvas"] == [grid.cols * 448, grid.rows * 448]
+            assert row["tokens"] == tiling.grid_tokens(grid)
+        if cap == 1:
+            assert rows[1]["canvas"] == [448, 448]
+        if cap >= 2:
+            assert rows[0]["canvas"] == [896, 448]
+
+
+def test_plan_and_tile_look_up_each_image_size_once_per_run(capsys, tmp_path, monkeypatch):
+    sizes = [(896, 448), (4000, 3000), (123, 7)]
+    samples = [make_sample(f"s{i}", images=[sizes[i % 3], sizes[(i + 1) % 3]], text_tokens=100 * i)
+               for i in range(6)]
+    path = tmp_path / "m.jsonl"
+    write_manifest(path, samples)
+    looked_up = []
+    original = tiling.best_grids
+
+    def counting(dims):
+        looked_up.append((dims.width_px, dims.height_px))
+        return original(dims)
+
+    monkeypatch.setattr(tiling, "best_grids", counting)
+    outputs = []
+    for argv in (["plan"], ["plan"], ["tile"]):
+        looked_up.clear()
+        code, out, _ = run_cli(capsys, argv + ["-i", str(path)])
+        assert code == 0
+        assert sorted(looked_up) == sorted(sizes), argv
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("cap", ["0", "13"])
@@ -295,10 +352,11 @@ def test_curate_jobs_flag_same_output(capsys, tmp_path):
 
 def test_curate_tau_out_of_range_rejected_before_reading(capsys, tmp_path):
     missing = str(tmp_path / "missing")
-    code, out, err = run_cli(capsys, ["curate", "--tau", "2", "--reference", missing, "--candidates", missing])
-    assert code == 1
-    assert "--tau" in err
-    assert out == ""
+    for tau in ("2", "nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, ["curate", "--tau", tau, "--reference", missing, "--candidates", missing])
+        assert code == 1, tau
+        assert "--tau" in err
+        assert out == ""
 
 
 def test_curate_nan_feature_exit_1(capsys, tmp_path):
@@ -314,6 +372,21 @@ def test_curate_nan_feature_exit_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "c.feat" in err
+
+
+def test_curate_declared_encoding_mismatch_exit_1(capsys, tmp_path):
+    ref_dir = tmp_path / "ref"
+    cand_dir = tmp_path / "cand"
+    ref_dir.mkdir()
+    cand_dir.mkdir()
+    write_feature_file(ref_dir / "r.feat", "refvid", np.ones((20, 4), dtype=np.float32))
+    write_feature_file(cand_dir / "c.feat", "candvid", np.full((20, 4), 2.25, dtype=np.float32), binary=False)
+    text = (cand_dir / "c.feat").read_bytes()
+    (cand_dir / "c.feat").write_bytes(text.replace(b'"encoding": "text"', b'"encoding": "f32le"', 1))
+    code, out, err = run_cli(capsys, ["curate", "--reference", str(ref_dir), "--candidates", str(cand_dir)])
+    assert code == 1
+    assert out == ""
+    assert "c.feat" in err and "f32le" in err
 
 
 def test_curate_duplicate_candidate_id_exit_1(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -353,13 +355,51 @@ def test_feature_file_short_text_rejected(tmp_path):
 @pytest.mark.parametrize("binary", [True, False])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_feature_file_non_finite_rejected(tmp_path, binary, bad):
-    # "2.25 " is 5 bytes; with "1.0 " the text body would be count*dim*4 bytes
-    # long and the reader would take it for the binary encoding.
     vecs = np.full((3, 4), 2.25, dtype=np.float32)
     vecs[1, 2] = bad
     path = tmp_path / "bad.feat"
     write_feature_file(path, "v", vecs, binary=binary)
     with pytest.raises(ValueError, match="bad.feat"):
+        read_feature_file(path)
+
+
+def test_feature_file_text_of_binary_size_round_trips(tmp_path):
+    # Every value written as "1.0 " is 4 bytes, a float32's size: only the
+    # declared encoding tells this body from a binary one.
+    path = tmp_path / "ones.feat"
+    write_feature_file(path, "v", np.ones((3, 4)), binary=False)
+    assert json.loads(path.read_bytes().splitlines()[0])["encoding"] == "text"
+    assert len(path.read_bytes().split(b"\n", 1)[1]) == 3 * 4 * 4
+    _, loaded = read_feature_file(path)
+    assert np.array_equal(loaded, np.ones((3, 4), dtype=np.float32))
+
+
+def _feature_bytes(header: dict, body: bytes) -> bytes:
+    return json.dumps({"video_id": "v", "dim": 4, "fps": 1, "count": 3, **header}).encode() + b"\n" + body
+
+
+@pytest.mark.parametrize("encoding, body", [
+    ("f32le", b"2.25 2.25 2.25 2.25\n" * 3),  # text under a binary declaration
+    ("text", np.full((3, 4), 2.25, dtype="<f4").tobytes()),  # binary under a text declaration
+    ("f16", np.full((3, 4), 2.25, dtype="<f2").tobytes()),  # unknown encoding
+], ids=["f32le-text-body", "text-binary-body", "unknown"])
+def test_feature_file_declared_encoding_enforced(tmp_path, encoding, body):
+    path = tmp_path / "declared.feat"
+    path.write_bytes(_feature_bytes({"encoding": encoding}, body))
+    with pytest.raises(ValueError, match="declared.feat"):
+        read_feature_file(path)
+
+
+def test_feature_file_without_encoding_decided_by_size(tmp_path):
+    path = tmp_path / "old.feat"
+    vecs = np.random.default_rng(9).normal(size=(3, 4)).astype("<f4")
+    path.write_bytes(_feature_bytes({}, vecs.tobytes()))
+    assert np.array_equal(read_feature_file(path)[1], vecs)
+    path.write_bytes(_feature_bytes({}, b"2.25 2.25 2.25 2.25\n" * 3))
+    assert np.array_equal(read_feature_file(path)[1], np.full((3, 4), 2.25, dtype=np.float32))
+    # A text body of exactly count*dim*4 bytes could be either: rejected, not guessed.
+    path.write_bytes(_feature_bytes({}, b"1.0 1.0 1.0 1.0\n" * 3))
+    with pytest.raises(ValueError, match="old.feat"):
         read_feature_file(path)
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmprep.manifest import ImageDims
 from mmprep.tiling import (
@@ -12,7 +14,6 @@ from mmprep.tiling import (
     candidate_grids,
     grid_tokens,
     select_grid,
-    tile_layout,
 )
 
 
@@ -107,6 +108,19 @@ def test_best_grids_matches_oracle_at_every_cap():
             assert select_grid(ImageDims(w, h), cap) == g
 
 
+_sides = st.integers(1, 10**6)
+_strip = st.tuples(st.integers(1, 40), _sides)
+_dims = st.one_of(st.tuples(_sides, _sides), _strip, _strip.map(lambda d: d[::-1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dims=_dims)
+def test_best_grids_property_matches_oracle_at_every_cap(dims):
+    w, h = dims
+    grids = best_grids(ImageDims(w, h))
+    assert [(g.cols, g.rows) for g in grids] == [oracle_select(w, h, tile_cap=cap) for cap in range(1, 13)]
+
+
 def test_degenerate_strip_dims():
     g = select_grid(ImageDims(1, 8192))
     assert (g.cols, g.rows) == oracle_select(1, 8192)
@@ -133,38 +147,6 @@ def test_tokens_monotone_in_tile_cap():
         w, h = rng.randint(1, 8192), rng.randint(1, 8192)
         costs = [grid_tokens(g) for g in best_grids(ImageDims(w, h))]
         assert costs == sorted(costs), (w, h, costs)
-
-
-# --- layout -------------------------------------------------------------------
-
-
-def test_layout_2x1_covers_canvas():
-    layout = tile_layout(ImageDims(896, 448), TileGrid(2, 1))
-    assert (layout.canvas_w, layout.canvas_h) == (896, 448)
-    assert layout.rects == ((0, 0, 448, 448), (448, 0, 896, 448))
-
-
-def test_layout_1x1_is_single_tile():
-    layout = tile_layout(ImageDims(123, 7), TileGrid(1, 1))
-    assert layout.rects == ((0, 0, 448, 448),)
-
-
-def test_layout_partition_exact():
-    rng = random.Random(3)
-    for _ in range(50):
-        grid = rng.choice(candidate_grids(12))
-        layout = tile_layout(ImageDims(1000, 1000), grid)
-        assert len(layout.rects) == grid.tiles
-        area = 0
-        seen = set()
-        for x0, y0, x1, y1 in layout.rects:
-            assert 0 <= x0 < x1 <= layout.canvas_w
-            assert 0 <= y0 < y1 <= layout.canvas_h
-            assert (x1 - x0) == (y1 - y0) == 448
-            assert (x0, y0) not in seen
-            seen.add((x0, y0))
-            area += (x1 - x0) * (y1 - y0)
-        assert area == layout.canvas_w * layout.canvas_h
 
 
 def test_scale_invariance_in_capped_regime():
