@@ -1,5 +1,4 @@
 import json
-import random
 
 import numpy as np
 import pytest
@@ -171,27 +170,6 @@ def test_tile_subcommand_emits_geometry(capsys, tmp_path):
     assert rows[0] == {"id": "img", "grid": [2, 1], "tokens": 768, "canvas": [896, 448]}
     assert rows[1]["grid"] == [4, 3]
     assert rows[1]["tokens"] == 3328
-
-
-def test_tile_canvas_is_grid_of_448px_tiles(capsys, tmp_path):
-    rng = random.Random(3)
-    dims = [(896, 448), (123, 7)] + [(rng.randint(1, 8192), rng.randint(1, 8192)) for _ in range(50)]
-    path = tmp_path / "m.jsonl"
-    write_manifest(path, [make_sample("img", images=dims)])
-    for cap in (1, 2, 12):
-        code, out, _ = run_cli(capsys, ["tile", "--tile-cap", str(cap), "-i", str(path)])
-        assert code == 0
-        rows = [json.loads(l) for l in out.splitlines()]
-        assert len(rows) == len(dims)
-        for (w, h), row in zip(dims, rows):
-            grid = tiling.select_grid(ImageDims(w, h), cap)
-            assert row["grid"] == [grid.cols, grid.rows]
-            assert row["canvas"] == [grid.cols * 448, grid.rows * 448]
-            assert row["tokens"] == tiling.grid_tokens(grid)
-        if cap == 1:
-            assert rows[1]["canvas"] == [448, 448]
-        if cap >= 2:
-            assert rows[0]["canvas"] == [896, 448]
 
 
 def test_plan_and_tile_look_up_each_image_size_once_per_run(capsys, tmp_path, monkeypatch):

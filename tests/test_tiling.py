@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmprep.manifest import ImageDims
+from mmprep import cli
+from mmprep.manifest import ImageDims, dumps_sample
 from mmprep.tiling import (
     AREA_THRESHOLD,
     TILE_SIZE_PX,
@@ -15,6 +17,7 @@ from mmprep.tiling import (
     grid_tokens,
     select_grid,
 )
+from tests.conftest import make_sample
 
 
 def oracle_select(width, height, tile_cap=12):
@@ -126,6 +129,44 @@ def test_degenerate_strip_dims():
     assert (g.cols, g.rows) == oracle_select(1, 8192)
     g = select_grid(ImageDims(8192, 1))
     assert (g.cols, g.rows) == oracle_select(8192, 1)
+
+
+# --- layout -------------------------------------------------------------------
+
+
+def tile_rows(capsys, tmp_path, dims, cap):
+    """Rows the `tile` command writes for one sample holding images of `dims`."""
+    path = tmp_path / "m.jsonl"
+    path.write_text(dumps_sample(make_sample("img", images=dims)) + "\n", encoding="utf-8")
+    assert cli.main(["tile", "--tile-cap", str(cap), "-i", str(path)]) == 0
+    rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert len(rows) == len(dims)
+    return rows
+
+
+def test_layout_2x1_covers_canvas(capsys, tmp_path):
+    for cap in (2, 12):
+        (row,) = tile_rows(capsys, tmp_path, [(896, 448)], cap)
+        assert row["grid"] == [2, 1]
+        assert row["canvas"] == [896, 448]
+
+
+def test_layout_1x1_is_single_tile(capsys, tmp_path):
+    (row,) = tile_rows(capsys, tmp_path, [(123, 7)], 1)
+    assert row["grid"] == [1, 1]
+    assert row["canvas"] == [448, 448]
+    assert row["tokens"] == 256
+
+
+def test_layout_partition_exact(capsys, tmp_path):
+    rng = random.Random(3)
+    dims = [(rng.randint(1, 8192), rng.randint(1, 8192)) for _ in range(50)]
+    for cap in (1, 2, 12):
+        for (w, h), row in zip(dims, tile_rows(capsys, tmp_path, dims, cap)):
+            grid = select_grid(ImageDims(w, h), cap)
+            assert row["grid"] == [grid.cols, grid.rows]
+            assert row["canvas"] == [grid.cols * TILE_SIZE_PX, grid.rows * TILE_SIZE_PX]
+            assert row["tokens"] == grid_tokens(grid)
 
 
 # --- tokens -------------------------------------------------------------------
