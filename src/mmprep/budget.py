@@ -12,15 +12,19 @@ count are discarded rather than degraded below usefulness.
 
 A plan record carries every field its cost is made of (l_text, the units per
 item and each image's grid), so total_tokens can be recomputed from it, and
-plan_from_obj(json.loads(dumps_plan(p))) == p.
+plan_from_obj(json.loads(dumps_plan(p))) == p. Budget and SamplingPlan are
+immutable NamedTuples, cheap to build once per sample. dumps_plan writes the
+record line directly, byte for byte what json.dumps(..., ensure_ascii=False)
+writes for the record's dict; a record itself never goes to json.dumps, which
+would write it as an array.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from json.encoder import encode_basestring as _json_str
+from typing import Callable, NamedTuple
 
 from .manifest import ImageDims, Sample, VisualItem
 from .tiling import TILE_TOKENS, TileGrid, best_grids, grid_tokens
@@ -62,14 +66,12 @@ class BudgetConfig:
             raise ValueError("min_frames must be positive and fps_target positive and finite")
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     l_text: int
     l_visual: int
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(NamedTuple):
     sample_id: str
     verdict: str
     reason: str | None = None
@@ -89,7 +91,7 @@ def compute_budget(sample: Sample, cfg: BudgetConfig) -> Budget:
     """Split the sequence budget: full text first, remainder for visual content."""
     if sample.text_tokens >= cfg.l_max:
         raise TextOverflowError(sample.id, sample.text_tokens, cfg.l_max)
-    return Budget(l_text=sample.text_tokens, l_visual=cfg.l_max - sample.text_tokens)
+    return Budget(sample.text_tokens, cfg.l_max - sample.text_tokens)
 
 
 def temporal_cap(item: VisualItem, cfg: BudgetConfig) -> int:
@@ -108,7 +110,7 @@ def frame_timestamps(duration_s: float, n: int) -> tuple[float, ...]:
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     step = duration_s / n
-    return tuple((k + 0.5) * step for k in range(n))
+    return tuple([(k + 0.5) * step for k in range(n)])
 
 
 def _largest_remainder_split(total: int, caps: list[int]) -> list[int]:
@@ -128,7 +130,7 @@ def _largest_remainder_split(total: int, caps: list[int]) -> list[int]:
 
 
 def _discard(sample: Sample, reason: str, l_text: int) -> SamplingPlan:
-    return SamplingPlan(sample_id=sample.id, verdict=DISCARDED, reason=reason, l_text=l_text)
+    return SamplingPlan(sample.id, DISCARDED, reason, l_text=l_text)
 
 
 def plan(sample: Sample, cfg: BudgetConfig,
@@ -207,32 +209,41 @@ def plan(sample: Sample, cfg: BudgetConfig,
     )
 
 
-def plan_to_obj(p: SamplingPlan) -> dict:
-    obj: dict = {"id": p.sample_id, "verdict": p.verdict}
-    if p.reason is not None:
-        obj["reason"] = p.reason
-    obj["tile_cap"] = p.tile_cap
-    obj["n_per_item"] = list(p.temporal_counts)
-    obj["grids"] = [None if g is None else [g.cols, g.rows] for g in p.image_grids]
-    obj["timestamps"] = [list(ts) for ts in p.frame_timestamps]
-    obj["l_text"] = p.l_text
-    obj["total_tokens"] = p.total_tokens
-    return obj
-
-
 def plan_from_obj(obj: dict) -> SamplingPlan:
     return SamplingPlan(
-        sample_id=obj["id"],
-        verdict=obj["verdict"],
-        reason=obj.get("reason"),
-        tile_cap=obj.get("tile_cap"),
-        image_grids=tuple(None if g is None else TileGrid(*g) for g in obj.get("grids", ())),
-        temporal_counts=tuple(obj.get("n_per_item", ())),
-        frame_timestamps=tuple(tuple(ts) for ts in obj.get("timestamps", ())),
-        l_text=obj.get("l_text", 0),
-        total_tokens=obj.get("total_tokens"),
+        obj["id"],
+        obj["verdict"],
+        obj.get("reason"),
+        obj.get("tile_cap"),
+        tuple([None if g is None else TileGrid(*g) for g in obj.get("grids", ())]),
+        tuple(obj.get("n_per_item", ())),
+        tuple(map(tuple, obj.get("timestamps", ()))),
+        obj.get("l_text", 0),
+        obj.get("total_tokens"),
     )
 
 
+def _json_int(x: int | None) -> str:
+    return "null" if x is None else repr(x)
+
+
+def _json_numbers(xs: tuple[int, ...] | tuple[float, ...]) -> str:
+    return f"[{', '.join(map(repr, xs))}]"
+
+
 def dumps_plan(p: SamplingPlan) -> str:
-    return json.dumps(plan_to_obj(p), ensure_ascii=False)
+    """The plan's record line, written directly from its fields.
+
+    It is byte for byte json.dumps(d, ensure_ascii=False) of the dict d with keys
+    "id", "verdict", "reason" (only when set), "tile_cap", "n_per_item", "grids",
+    "timestamps", "l_text" and "total_tokens". Timestamps must be finite, as plan
+    makes them: repr would write nan and inf where JSON has no such numbers.
+    """
+    reason = "" if p.reason is None else f'"reason": {_json_str(p.reason)}, '
+    grids = ", ".join("null" if g is None else f"[{g.cols!r}, {g.rows!r}]" for g in p.image_grids)
+    stamps = ", ".join(map(_json_numbers, p.frame_timestamps))
+    return (
+        f'{{"id": {_json_str(p.sample_id)}, "verdict": {_json_str(p.verdict)}, {reason}'
+        f'"tile_cap": {_json_int(p.tile_cap)}, "n_per_item": {_json_numbers(p.temporal_counts)}, "grids": [{grids}], '
+        f'"timestamps": [{stamps}], "l_text": {p.l_text!r}, "total_tokens": {_json_int(p.total_tokens)}}}'
+    )

@@ -169,6 +169,9 @@ def pack_cmd(ctx, input_path, output_path, l_max):
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationFailure(f"malformed plan at line {line_no}: {exc}") from exc
             if p.planned:
+                if type(p.total_tokens) is not int or p.total_tokens < 0:  # bools are not ints here
+                    raise ValidationFailure(f"malformed plan at line {line_no}: total_tokens must be "
+                                            f"a non-negative integer, got {p.total_tokens!r}")
                 plans.append(p)
             else:
                 skipped += 1
@@ -290,10 +293,11 @@ def _make_client(endpoint: str, model: str, rpm: float | None) -> annot.LlmClien
 @out_opt
 @click.option("--endpoint", required=True, help="Generation endpoint URL.")
 @click.option("--model", default="gpt-4o", show_default=True)
-@click.option("--temperature", type=float, default=0.2, show_default=True)
-@click.option("--max-in-flight", type=int, default=4, show_default=True)
-@click.option("--retry-budget", type=int, default=3, show_default=True)
-@click.option("--rpm", type=float, default=None, help="Request rate limit per minute.")
+@click.option("--temperature", type=FiniteFloatRange(min=0), default=0.2, show_default=True)
+@click.option("--max-in-flight", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--retry-budget", type=click.IntRange(min=0), default=3, show_default=True)
+@click.option("--rpm", type=FiniteFloatRange(min=0, min_open=True), default=None,
+              help="Request rate limit per minute.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.pass_context
 def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,

@@ -4,6 +4,12 @@ A manifest line is one JSON object describing a training sample: an id, an
 ordered list of visual items (images, videos, multi-page documents), a fixed
 text token count, and provenance tags. Token counting happens upstream; this
 module only validates and carries the numbers.
+
+VisualItem and Sample are immutable, hashable NamedTuples whose constructors
+check their fields. parse_record checks each field of a line once, as it reads
+it, and builds the records without repeating those checks. Records reach JSON
+only through sample_to_obj/dumps_sample: json.dumps would write a NamedTuple
+as an array.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 KINDS = ("image", "video", "document")
 
@@ -39,25 +45,34 @@ class ImageDims:
             raise ValueError(f"image dims must be positive, got {self.width_px}x{self.height_px}")
 
 
-@dataclass(frozen=True)
-class VisualItem:
-    """One visual element of a sample; exactly the fields for its kind are set."""
-
+class _VisualItemFields(NamedTuple):
     kind: str
     uri: str = ""
     dims: ImageDims | None = None
     duration_s: float | None = None
     pages: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "image" and self.dims is None:
+
+class VisualItem(_VisualItemFields):
+    """One visual element of a sample; exactly the fields for its kind are set."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, uri: str = "", dims: ImageDims | None = None,
+                duration_s: float | None = None, pages: int | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if kind == "image" and dims is None:
             raise ValueError("image item requires dims")
-        if self.kind == "video" and (self.duration_s is None or self.duration_s <= 0):
+        if kind == "video" and (duration_s is None or duration_s <= 0):
             raise ValueError("video item requires duration_s > 0")
-        if self.kind == "document" and (self.pages is None or self.pages < 1):
+        if kind == "document" and (pages is None or pages < 1):
             raise ValueError("document item requires pages >= 1")
+        return super().__new__(cls, kind, uri, dims, duration_s, pages)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its result too
+        return cls(*iterable)
 
 
 def image_item(width: int, height: int, uri: str = "") -> VisualItem:
@@ -72,46 +87,64 @@ def document_item(pages: int, uri: str = "") -> VisualItem:
     return VisualItem(kind="document", uri=uri, pages=pages)
 
 
-@dataclass(frozen=True)
-class Sample:
+class _SampleFields(NamedTuple):
     id: str
     items: tuple[VisualItem, ...]
     text_tokens: int
     tags: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.text_tokens < 0:
+
+class Sample(_SampleFields):
+    __slots__ = ()
+
+    def __new__(cls, id: str, items: tuple[VisualItem, ...], text_tokens: int, tags: tuple[str, ...] = ()):
+        if text_tokens < 0:
             raise ValueError("text_tokens must be non-negative")
+        return super().__new__(cls, id, items, text_tokens, tags)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its result too
+        return cls(*iterable)
 
 
-def _require(cond: bool, message: str, line: int, fieldname: str) -> None:
-    if not cond:
-        raise ManifestError(message, line, fieldname)
+# The parser checks every field itself, once, and then builds the record with
+# tuple.__new__, skipping the constructor's second pass over the same checks.
+# json.loads gives plain dict, list, str, int, float, bool and None, so the
+# type(x) is int tests below also reject bools.
+_record = tuple.__new__
 
 
 def _parse_item(obj: dict, line: int) -> VisualItem:
-    _require(isinstance(obj, dict), "malformed item", line, "items")
+    if type(obj) is not dict:
+        raise ManifestError("malformed item", line, "items")
     kind = obj.get("kind")
     uri = obj.get("uri", "")
-    _require(isinstance(uri, str), "invalid uri", line, "uri")
+    if type(uri) is not str:
+        raise ManifestError("invalid uri", line, "uri")
     if kind == "image":
         w, h = obj.get("width"), obj.get("height")
-        _require(isinstance(w, int) and not isinstance(w, bool) and w >= 1, "invalid width", line, "width")
-        _require(isinstance(h, int) and not isinstance(h, bool) and h >= 1, "invalid height", line, "height")
-        return image_item(w, h, uri)
+        if type(w) is not int or w < 1:
+            raise ManifestError("invalid width", line, "width")
+        if type(h) is not int or h < 1:
+            raise ManifestError("invalid height", line, "height")
+        return _record(VisualItem, ("image", uri, ImageDims(w, h), None, None))
     if kind == "video":
         d = obj.get("duration_s")
-        _require(isinstance(d, (int, float)) and not isinstance(d, bool), "invalid duration", line, "duration_s")
-        try:
-            d = float(d)
-        except OverflowError:  # an integer beyond float range
-            d = math.inf
-        _require(math.isfinite(d) and d > 0, "invalid duration", line, "duration_s")
-        return video_item(d, uri)
+        if type(d) is int:
+            try:
+                d = float(d)
+            except OverflowError:  # an integer beyond float range
+                d = math.inf
+        elif type(d) is not float:
+            raise ManifestError("invalid duration", line, "duration_s")
+        if not (math.isfinite(d) and d > 0):
+            raise ManifestError("invalid duration", line, "duration_s")
+        return _record(VisualItem, ("video", uri, None, d, None))
     if kind == "document":
         p = obj.get("pages")
-        _require(isinstance(p, int) and not isinstance(p, bool) and p >= 1, "invalid pages", line, "pages")
-        return document_item(p, uri)
+        if type(p) is not int or p < 1:
+            raise ManifestError("invalid pages", line, "pages")
+        return _record(VisualItem, ("document", uri, None, None, p))
     raise ManifestError(f"unknown kind {kind!r}", line, "kind")
 
 
@@ -121,23 +154,26 @@ def parse_record(text: str, line: int, seen_ids: set[str] | None = None) -> Samp
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"malformed record ({exc.msg})", line, "record") from exc
-    _require(isinstance(obj, dict), "malformed record (not an object)", line, "record")
+    if type(obj) is not dict:
+        raise ManifestError("malformed record (not an object)", line, "record")
     sid = obj.get("id")
-    _require(isinstance(sid, str) and sid != "", "invalid id", line, "id")
+    if type(sid) is not str or sid == "":
+        raise ManifestError("invalid id", line, "id")
     if seen_ids is not None:
-        _require(sid not in seen_ids, f"duplicate id {sid!r}", line, "id")
+        if sid in seen_ids:
+            raise ManifestError(f"duplicate id {sid!r}", line, "id")
         seen_ids.add(sid)
     tt = obj.get("text_tokens")
-    _require(isinstance(tt, int) and not isinstance(tt, bool) and tt >= 0, "invalid text_tokens", line, "text_tokens")
+    if type(tt) is not int or tt < 0:
+        raise ManifestError("invalid text_tokens", line, "text_tokens")
     raw_items = obj.get("items", [])
-    _require(isinstance(raw_items, list), "invalid items", line, "items")
-    items = tuple(_parse_item(it, line) for it in raw_items)
+    if type(raw_items) is not list:
+        raise ManifestError("invalid items", line, "items")
+    items = tuple([_parse_item(it, line) for it in raw_items])
     tags = obj.get("tags", [])
-    _require(
-        isinstance(tags, list) and all(isinstance(t, str) for t in tags),
-        "invalid tags", line, "tags",
-    )
-    return Sample(id=sid, items=items, text_tokens=tt, tags=tuple(tags))
+    if type(tags) is not list or not all(type(t) is str for t in tags):
+        raise ManifestError("invalid tags", line, "tags")
+    return _record(Sample, (sid, items, tt, tuple(tags)))
 
 
 def iter_manifest(stream: IO[str] | Iterable[str]) -> Iterator[Sample]:

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import tempfile
 from pathlib import Path
@@ -22,8 +23,8 @@ from mmprep.budget import (
     plan_from_obj,
     temporal_cap,
 )
-from mmprep.manifest import Sample, document_item, image_item, video_item
-from mmprep.tiling import best_grids, grid_tokens, select_grid
+from mmprep.manifest import Sample, document_item, dumps_sample, image_item, parse_record, video_item
+from mmprep.tiling import TileGrid, best_grids, grid_tokens, select_grid
 from tests.conftest import make_sample, random_sample
 
 
@@ -171,6 +172,71 @@ def test_plan_json_round_trip():
     ):
         p = plan(sample, cfg)
         assert plan_from_obj(json.loads(dumps_plan(p))) == p
+
+
+# --- records and the plan-record writer --------------------------------------------
+
+
+def test_records_are_immutable_hashable_and_round_trip():
+    cfg = BudgetConfig(l_max=32768)
+    sample = make_sample("r", images=[(896, 448)], videos=[10.0], docs=[3], text_tokens=5)
+    b, p = compute_budget(sample, cfg), plan(sample, cfg)
+    for record in (sample, *sample.items, b, p):
+        with pytest.raises(AttributeError):
+            setattr(record, type(record)._fields[0], "changed")
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert hash(record) == hash(type(record)(*record))
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert type(record)(**record._asdict()) == record
+    assert parse_record(dumps_sample(sample), 1) == sample
+    assert plan_from_obj(json.loads(dumps_plan(p))) == p
+    assert len({sample, parse_record(dumps_sample(sample), 1)}) == 1
+
+
+def _plan_dict(p: SamplingPlan) -> dict:
+    """The record dict dumps_plan writes, built independently of it."""
+    d = {"id": p.sample_id, "verdict": p.verdict}
+    if p.reason is not None:
+        d["reason"] = p.reason
+    d["tile_cap"] = p.tile_cap
+    d["n_per_item"] = list(p.temporal_counts)
+    d["grids"] = [None if g is None else [g.cols, g.rows] for g in p.image_grids]
+    d["timestamps"] = [list(ts) for ts in p.frame_timestamps]
+    d["l_text"] = p.l_text
+    d["total_tokens"] = p.total_tokens
+    return d
+
+
+_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x85\u2028\u00e9\u6f22\U0001f600'),
+                          st.characters()), max_size=12)
+_ints = st.integers(-(2**70), 2**70)
+_stamps = st.one_of(
+    st.just(()),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).map(tuple),
+    st.lists(st.floats(0, 7200), min_size=200, max_size=400).map(tuple),
+)
+_plans = st.builds(
+    SamplingPlan,
+    sample_id=_text,
+    verdict=st.one_of(st.sampled_from(["planned", "discarded"]), _text),
+    reason=st.none() | _text,
+    tile_cap=st.none() | _ints,
+    image_grids=st.lists(st.none() | st.builds(TileGrid, st.integers(1, 12), st.integers(1, 12)),
+                         max_size=5).map(tuple),
+    temporal_counts=st.lists(_ints, max_size=5).map(tuple),
+    frame_timestamps=st.lists(_stamps, max_size=4).map(tuple),
+    l_text=_ints,
+    total_tokens=st.none() | _ints,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_plans)
+def test_dumps_plan_writes_what_json_dumps_writes(p):
+    line = dumps_plan(p)
+    assert line == json.dumps(_plan_dict(p), ensure_ascii=False)
+    assert plan_from_obj(json.loads(line)) == p
 
 
 # --- timestamps ----------------------------------------------------------------

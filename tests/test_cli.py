@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +257,19 @@ def test_pack_rejects_malformed_grid(capsys, tmp_path):
     assert "malformed plan at line 1" in err
 
 
+@pytest.mark.parametrize("total", [{"total_tokens": "100"}, {}, {"total_tokens": -5}, {"total_tokens": True}],
+                         ids=["string", "missing", "negative", "bool"])
+def test_pack_rejects_malformed_total_tokens(capsys, tmp_path, total):
+    plans = tmp_path / "p.jsonl"
+    good = {"id": "ok", "verdict": "planned", "total_tokens": 10}
+    plans.write_text(json.dumps(good) + "\n" + json.dumps({"id": "z", "verdict": "planned", **total}) + "\n")
+    code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
+    assert code == 1
+    assert "malformed plan at line 2" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_validate_plans_kind(capsys, tmp_path):
     plans = tmp_path / "p.jsonl"
     plans.write_text(
@@ -430,6 +447,41 @@ def test_annotate_partial_failure_exit_3(capsys, tmp_path, monkeypatch):
     assert len(records) == 2
     failed = [r for r in records if r["status"] == "failed"]
     assert failed[0]["video_id"] == "solo"
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--rpm", "-5"), ("--rpm", "0"), ("--rpm", "nan"), ("--rpm", "inf"),
+    ("--temperature", "nan"), ("--temperature", "-0.5"),
+    ("--max-in-flight", "0"), ("--max-in-flight", "-3"),
+    ("--retry-budget", "-1"),
+])
+def test_annotate_option_out_of_range_exit_1(capsys, tmp_path, option, value):
+    # The job file does not exist and port 9 on localhost serves nothing: only a
+    # usage error, raised before either is touched, gives exit 1 here.
+    out_path = tmp_path / "out.jsonl"
+    code, out, err = run_cli(capsys, ["annotate", "-i", str(tmp_path / "missing.jsonl"), "-o", str(out_path),
+                                      "--endpoint", "http://127.0.0.1:9/generate", option, value])
+    assert code == 1
+    assert option in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_python_m_mmprep_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "mmprep", *args], env=env, stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=60)
+
+    stages = run("stages")
+    assert stages.returncode == 0
+    assert [s["name"] for s in json.loads(stages.stdout)][0] == "Stage-1"
+    bad = run("pack", "--l-max", "0")
+    assert bad.returncode == 1
+    assert "--l-max" in bad.stderr
 
 
 # --- config layering -----------------------------------------------------------------

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmprep.manifest import (
+    ImageDims,
     ManifestError,
+    Sample,
+    VisualItem,
     dumps_sample,
     iter_manifest,
     manifest_stats,
     parse_manifest,
+    parse_record,
     sample_to_obj,
     scan_manifest,
+    video_item,
 )
 
 
@@ -61,6 +66,87 @@ def test_unknown_kind_rejected():
     with pytest.raises(ManifestError) as exc:
         parse_manifest(io.StringIO(line))
     assert exc.value.field == "kind"
+
+
+_GOOD = {"id": "a", "items": [], "text_tokens": 0, "tags": []}
+
+
+def _item(**fields):
+    return {**_GOOD, "items": [{"uri": "u", **fields}]}
+
+
+@pytest.mark.parametrize("line,field,message", [
+    ("[1]", "record", "malformed record (not an object)"),
+    (json.dumps({**_GOOD, "id": ""}), "id", "invalid id"),
+    (json.dumps({**_GOOD, "id": 7}), "id", "invalid id"),
+    (json.dumps({**_GOOD, "id": 7, "text_tokens": -1}), "id", "invalid id"),  # fields are checked in order
+    (json.dumps({**_GOOD, "text_tokens": True}), "text_tokens", "invalid text_tokens"),
+    (json.dumps({**_GOOD, "text_tokens": 1.0}), "text_tokens", "invalid text_tokens"),
+    (json.dumps({**_GOOD, "text_tokens": -1, "items": 3}), "text_tokens", "invalid text_tokens"),
+    (json.dumps({k: v for k, v in _GOOD.items() if k != "text_tokens"}), "text_tokens", "invalid text_tokens"),
+    (json.dumps({**_GOOD, "items": {}, "tags": 3}), "items", "invalid items"),
+    (json.dumps({**_GOOD, "items": [5]}), "items", "malformed item"),
+    (json.dumps(_item(kind="image", width=4, height=4, uri=5)), "uri", "invalid uri"),
+    (json.dumps(_item(kind="image", width=True, height=4)), "width", "invalid width"),
+    (json.dumps(_item(kind="image", width=0, height=0)), "width", "invalid width"),
+    (json.dumps(_item(kind="image", width=4)), "height", "invalid height"),
+    (json.dumps(_item(kind="image", width=4, height=2.0)), "height", "invalid height"),
+    (json.dumps(_item(kind="video", duration_s="3")), "duration_s", "invalid duration"),
+    (json.dumps(_item(kind="video", duration_s=True)), "duration_s", "invalid duration"),
+    (json.dumps(_item(kind="video", duration_s=0)), "duration_s", "invalid duration"),
+    (json.dumps(_item(kind="video", duration_s=10**400)), "duration_s", "invalid duration"),
+    (json.dumps(_item(kind="video", duration_s=float("nan"))), "duration_s", "invalid duration"),
+    (json.dumps(_item(kind="video", duration_s=float("inf"))), "duration_s", "invalid duration"),
+    (json.dumps(_item(kind="document", pages=0)), "pages", "invalid pages"),
+    (json.dumps(_item(kind="document", pages=2.0)), "pages", "invalid pages"),
+    (json.dumps(_item(kind="document", pages=False)), "pages", "invalid pages"),
+    (json.dumps(_item(kind="audio")), "kind", "unknown kind 'audio'"),
+    (json.dumps(_item(kind=None)), "kind", "unknown kind None"),
+    (json.dumps({**_GOOD, "tags": "x"}), "tags", "invalid tags"),
+    (json.dumps({**_GOOD, "tags": ["x", 1]}), "tags", "invalid tags"),
+])
+def test_parse_record_rejects_each_field(line, field, message):
+    with pytest.raises(ManifestError) as exc:
+        parse_record(line, 3)
+    assert str(exc.value) == f"{message} at line 3"
+    assert (exc.value.line, exc.value.field) == (3, field)
+
+
+def test_parse_record_types():
+    s = parse_record(json.dumps(_item(kind="video", duration_s=12)), 1)
+    assert type(s) is Sample and type(s.items[0]) is VisualItem
+    assert s.items[0].duration_s == 12.0 and type(s.items[0].duration_s) is float
+    assert s.tags == () and type(s.tags) is tuple
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "audio"},
+    {"kind": "image"},
+    {"kind": "video"},
+    {"kind": "video", "duration_s": 0.0},
+    {"kind": "video", "duration_s": -1.0},
+    {"kind": "document"},
+    {"kind": "document", "pages": 0},
+])
+def test_visual_item_constructor_rejects(fields):
+    with pytest.raises(ValueError):
+        VisualItem(**fields)
+    with pytest.raises(ValueError):
+        VisualItem(*fields.values())
+
+
+def test_records_replace_runs_constructor_checks():
+    item = video_item(10.0)
+    with pytest.raises(ValueError):
+        item._replace(duration_s=-1.0)
+    with pytest.raises(ValueError):
+        item._replace(kind="image")
+    with pytest.raises(ValueError):
+        Sample(id="s", items=(), text_tokens=-1)
+    with pytest.raises(ValueError):
+        Sample("s", (item,), 3)._replace(text_tokens=-1)
+    assert VisualItem("image", dims=ImageDims(2, 3)).dims == ImageDims(2, 3)
+    assert item._replace(uri="x") == VisualItem(kind="video", uri="x", duration_s=10.0)
 
 
 def test_malformed_json_names_line():
