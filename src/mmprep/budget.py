@@ -3,12 +3,14 @@
 Text is never truncated: the text token count is subtracted from the sequence
 budget first, and the remaining visual budget is filled in two phases. Phase
 one fixes every image at the cheapest tiling and spends the remainder on
-temporal units (video frames at a target FPS, document pages), scaling the
-per-item counts down proportionally when the budget is short. Phase two
+temporal units (video frames at a target FPS, document pages): every temporal
+item gets one unit, and the rest is split in proportion to what each item can
+still take, scaling the counts down when the budget is short. Phase two
 raises the per-image tile cap along a descending ladder as far as the
 leftover budget allows, reading every image's grid at each rung from one
 tiling.best_grids lookup. Samples whose videos cannot reach the minimum frame
-count are discarded rather than degraded below usefulness.
+count, or whose budget cannot give every temporal item one unit, are
+discarded rather than degraded below usefulness.
 
 A plan record carries every field its cost is made of (l_text, the units per
 item and each image's grid), so total_tokens can be recomputed from it, and
@@ -143,7 +145,7 @@ def plan(sample: Sample, cfg: BudgetConfig,
     when a video is so long that its frame count overflows. Discards (a
     verdict, not an error) happen when any video would fall below the
     configured minimum frame count, or when the visual items cannot fit even
-    at minimal degradation.
+    at minimal degradation (one tile per image, one unit per temporal item).
     """
     budget = compute_budget(sample, cfg)
     tok = TILE_TOKENS  # one frame, page or image tile
@@ -162,20 +164,21 @@ def plan(sample: Sample, cfg: BudgetConfig,
     n_total = 0
     if temporal:
         try:
-            caps = [temporal_cap(it, cfg) for _, it in temporal]
+            # Every temporal item gets one unit; spare is what each can take beyond it.
+            spare = [temporal_cap(it, cfg) - 1 for _, it in temporal]
         except OverflowError as exc:  # fps_target * duration_s beyond float range
             raise PlanError(
                 f"sample {sample.id!r}: video too long to plan at fps_target={cfg.fps_target}"
             ) from exc
-        allowance = (budget.l_visual - tok * m) // tok
-        n_total = min(sum(caps), allowance)
-        if n_total <= 0:
+        allowance = (budget.l_visual - tok * m) // tok - len(temporal)
+        if allowance < 0:
             return _discard(sample, "insufficient_budget", budget.l_text)
-        split = _largest_remainder_split(n_total, caps)
-        for (i, it), n in zip(temporal, split):
-            if it.kind == "video" and n < cfg.min_frames:
+        extra = min(sum(spare), allowance)
+        n_total = len(temporal) + extra
+        for (i, it), n in zip(temporal, _largest_remainder_split(extra, spare)):
+            if it.kind == "video" and n + 1 < cfg.min_frames:
                 return _discard(sample, "insufficient_budget", budget.l_text)
-            counts[i] = n
+            counts[i] = n + 1
 
     # Phase 2: raise the per-image tile cap as far as the leftover budget allows.
     # The last rung, one tile per image, always fits: phase 1 reserved it.

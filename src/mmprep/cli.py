@@ -169,9 +169,9 @@ def pack_cmd(ctx, input_path, output_path, l_max):
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationFailure(f"malformed plan at line {line_no}: {exc}") from exc
             if p.planned:
-                if type(p.total_tokens) is not int or p.total_tokens < 0:  # bools are not ints here
-                    raise ValidationFailure(f"malformed plan at line {line_no}: total_tokens must be "
-                                            f"a non-negative integer, got {p.total_tokens!r}")
+                defect = _count_defect(p)
+                if defect:
+                    raise ValidationFailure(f"malformed plan at line {line_no}: {defect[1]}")
                 plans.append(p)
             else:
                 skipped += 1
@@ -328,12 +328,25 @@ def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
         ctx.exit(EXIT_PARTIAL)
 
 
+def _count_defect(p: budget.SamplingPlan) -> tuple[str, str] | None:
+    """(field, message) when a planned record's l_text, n_per_item or total_tokens is not a count."""
+    for field, values in (("l_text", (p.l_text,)), ("n_per_item", p.temporal_counts),
+                          ("total_tokens", (p.total_tokens,))):
+        for v in values:
+            if type(v) is not int or v < 0:  # bools are not counts
+                return field, f"plan {p.sample_id!r}: {field} holds {v!r}, not a non-negative integer"
+    return None
+
+
 def _plan_defect(p: budget.SamplingPlan, l_max: int) -> tuple[str, str] | None:
     """(field, message) for the first defect of a plan record; its cost is recomputed from its fields."""
     if p.verdict not in (budget.PLANNED, budget.DISCARDED):
         return "verdict", f"unknown verdict {p.verdict!r}"
     if not p.planned:
         return None
+    defect = _count_defect(p)
+    if defect:
+        return defect
     if len(p.image_grids) != len(p.temporal_counts):
         return "grids", f"plan {p.sample_id!r}: grids do not align with n_per_item"
     cost = (p.l_text + tiling.TILE_TOKENS * sum(p.temporal_counts)

@@ -9,7 +9,9 @@ video is selected when at least one of its clips is novel.
 Curation is one streaming pass: feature files are read one at a time and each
 track is pooled into clip features as soon as it is read, so raw tracks never
 accumulate. The clips of all candidate videos are then scored against the
-reference collection in a single blocked scan.
+reference collection in a single blocked scan. The reference and candidate
+matrices are each stacked once from the clip vectors and normalized in place,
+so neither is ever held twice.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.float64)
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """L2 norm of every row, after checking the matrix is 2-D, finite and has no zero row."""
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix of row vectors")
     if not np.isfinite(m).all():
@@ -108,14 +110,38 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("zero vector in feature matrix")
-    return m / norms[:, None]
+    return norms
+
+
+def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """A unit-row copy of the matrix; the caller's array is never written."""
+    m = np.asarray(matrix, dtype=np.float64)
+    return m / _row_norms(m)[:, None]
+
+
+def _normalized_stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack vectors into a fresh float64 matrix and scale its rows to unit length in place.
+
+    Bit for bit _normalize_rows(np.stack(vectors)), without a second matrix-sized copy.
+    """
+    m = np.stack(vectors).astype(np.float64, copy=False)
+    m /= _row_norms(m)[:, None]
+    return m
 
 
 class ReferenceIndex:
-    """Immutable normalized matrix of reference clip features; safe to share."""
+    """Immutable normalized matrix of reference clip features; safe to share.
+
+    ReferenceIndex(matrix) normalizes a copy of the caller's matrix;
+    from_clips stacks the clip vectors into a matrix of its own and
+    normalizes that in place.
+    """
 
     def __init__(self, matrix: np.ndarray):
-        self._matrix = _normalize_rows(matrix)
+        self._own(_normalize_rows(matrix))
+
+    def _own(self, unit_rows: np.ndarray) -> None:
+        self._matrix = unit_rows
         self._matrix.setflags(write=False)
 
     @classmethod
@@ -123,7 +149,9 @@ class ReferenceIndex:
         vectors = [c.vector for c in clips]
         if not vectors:
             raise ValueError("reference set is empty")
-        return cls(np.stack(vectors))
+        index = cls.__new__(cls)
+        index._own(_normalized_stack(vectors))
+        return index
 
     @property
     def count(self) -> int:
@@ -135,7 +163,10 @@ class ReferenceIndex:
 
     def smax_many(self, vectors: np.ndarray) -> np.ndarray:
         """Max cosine of each row vector against the whole reference set."""
-        cand = _normalize_rows(np.atleast_2d(np.asarray(vectors, dtype=np.float64)))
+        return self._smax(_normalize_rows(np.atleast_2d(np.asarray(vectors, dtype=np.float64))))
+
+    def _smax(self, cand: np.ndarray) -> np.ndarray:
+        # cand holds unit rows already.
         if cand.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: {cand.shape[1]} vs reference {self.dim}")
         return kernels.smax(cand, self._matrix)
@@ -173,8 +204,9 @@ def select_novel(
 ) -> list[NoveltyReport]:
     """Per-video novelty verdicts: a clip is novel iff its max similarity < tau.
 
-    The clips of every video are scored in one smax_many call; reports come
-    out sorted by video_id with each video's clips in clip_index order.
+    The clips of every video are stacked into one matrix, normalized in place
+    and scored in one kernels.smax call; reports come out sorted by video_id
+    with each video's clips in clip_index order.
     """
     if not -1 < tau <= 1:
         raise ValueError("tau must be in (-1, 1]")
@@ -185,7 +217,7 @@ def select_novel(
     if not groups:
         return []
 
-    smax = reference.smax_many(np.stack([c.vector for _, clips in groups for c in clips]))
+    smax = reference._smax(_normalized_stack([c.vector for _, clips in groups for c in clips]))
     reports = []
     start = 0
     for video_id, clips in groups:

@@ -3,8 +3,8 @@
 bench/worker.py's install() looks those attributes up when it starts, so a
 refactor that renames or drops one breaks `bench/run.py --trace 1` with an
 AttributeError, and one that stops calling a wrapped name reads 0 in that
-layer's metrics. These tests install the tracer, run `plan` and `pack` under
-it, and restore it, to catch both.
+layer's metrics. These tests install the tracer, run `plan`, `pack` and
+`curate` under it, and restore it, to catch both.
 """
 
 import importlib.util
@@ -12,8 +12,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from mmprep import budget, tiling
 from mmprep.budget import BudgetConfig
+from mmprep.curator import write_feature_file
 from mmprep.manifest import dumps_sample
 from tests.conftest import make_sample
 
@@ -72,3 +75,34 @@ def test_traced_plan_and_pack_record_every_layer(monkeypatch, tmp_path):
     assert m["manifest.samples"] == len(samples) and m["budget.plan_calls"] == len(samples)
     assert m["manifest.parse_s"] > 0 and m["budget.plan_s"] > 0 and m["composer.pack_s"] > 0
     assert 0 < m["cli.plan_io_s"] < m["cli.plan_s"]
+
+
+def test_traced_curate_records_every_layer(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    worker = _load_worker()
+    rng = np.random.default_rng(11)
+    for sub, n in (("ref", 3), ("cand", 2)):
+        (tmp_path / sub).mkdir()
+        for k in range(n):
+            track = rng.normal(size=(25 + 10 * k, 16)).astype(np.float32)
+            write_feature_file(tmp_path / sub / f"{k}.feat", f"{sub}{k}", track, binary=k % 2 == 0)
+    out = tmp_path / "curate.jsonl"
+    tracer = worker.Tracer()
+    worker.install(tracer)
+    try:
+        rc, _ = worker.cli_op("curate", ["curate", "--reference", tmp_path / "ref",
+                                         "--candidates", tmp_path / "cand", "-o", out], out).run(tracer)
+    finally:
+        tracer.restore()
+    assert rc == 0 and len(out.read_text().splitlines()) == 2
+    names = Counter(s.name for s in tracer.spans)
+    assert names["curator.read_feature_file"] == 5
+    assert names["curator.clips_from_seconds"] == 5
+    assert names["curator.index_build"] == names["curator.select_novel"] == names["kernels.smax"] == 1
+    counts = {name: n for (_, name), n in tracer.counts.items()}
+    m = worker.span_metrics(tracer.spans, counts, images=0)
+    assert m["kernels.smax_calls"] == 1 and m["kernels.rows_per_call_mean"] == 3 + 4  # clips of 25 s and 35 s tracks
+    for name in ("curator.read_s", "curator.pool_s", "curator.index_build_s", "curator.select_s",
+                 "kernels.smax_s", "kernels.gflop", "curator.read_bytes"):
+        assert m[name] > 0, name
+    assert m["curator.self_s"] < m["curator.select_s"]  # the kernel's span sits under select_novel

@@ -56,6 +56,20 @@ def test_plan_emits_one_line_per_sample(capsys, small_manifest):
     assert "config" in err  # effective config echoed to stderr
 
 
+def test_plan_gives_every_temporal_item_a_unit(capsys, tmp_path):
+    # 10 units of budget for a 1000 s video and a 1-page document: a split in
+    # proportion to the caps alone gave [10, 0], planning the document at 0 pages.
+    path = tmp_path / "m.jsonl"
+    write_manifest(path, [make_sample("vd", videos=[1000.0], docs=[1]),
+                          make_sample("short", videos=[1000.0], docs=[1, 1], text_tokens=2561 - 2 * 256)])
+    code, out, _ = run_cli(capsys, ["plan", "--l-max", "2561", "--min-frames", "1", "-i", str(path)])
+    assert code == 0
+    planned, short = map(json.loads, out.splitlines())
+    assert planned["verdict"] == "planned" and planned["n_per_item"] == [9, 1]
+    assert planned["total_tokens"] == 10 * 256
+    assert (short["verdict"], short["reason"]) == ("discarded", "insufficient_budget")
+
+
 def test_plan_parallel_jobs_preserve_order(capsys, small_manifest):
     _, serial, _ = run_cli(capsys, ["plan", "-i", str(small_manifest)])
     code, parallel, _ = run_cli(capsys, ["plan", "-i", str(small_manifest), "--jobs", "2"])
@@ -268,6 +282,24 @@ def test_pack_rejects_malformed_total_tokens(capsys, tmp_path, total):
     assert "malformed plan at line 2" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("rec, field", [
+    ({"id": "x", "verdict": "planned", "l_text": -5, "total_tokens": -5}, "l_text"),
+    ({"id": "y", "verdict": "planned", "n_per_item": [-1], "grids": [None], "l_text": 300, "total_tokens": 44},
+     "n_per_item"),
+    ({"id": "z", "verdict": "planned", "l_text": True, "total_tokens": True}, "l_text"),
+], ids=["negative_l_text", "negative_units", "bool_fields"])
+def test_validate_and_pack_reject_negative_or_bool_plan_fields(capsys, tmp_path, rec, field):
+    # Each record's total_tokens equals the cost of its fields, so only the field checks catch it.
+    plans = tmp_path / "p.jsonl"
+    plans.write_text(json.dumps(rec) + "\n")
+    code, out, _ = run_cli(capsys, ["validate", "--kind", "plans", "-i", str(plans)])
+    assert code == 1
+    assert [(e["line"], e["field"]) for e in map(json.loads, out.splitlines())] == [(1, field)]
+    code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
+    assert code == 1 and out == ""
+    assert "malformed plan at line 1" in err and field in err
 
 
 def test_validate_plans_kind(capsys, tmp_path):

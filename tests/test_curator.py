@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,73 @@ def test_blocked_numpy_equals_unblocked():
     a = kernels.smax(cn, rn, block=16)
     b = kernels.smax(cn, rn, block=10**6)
     assert np.array_equal(a, b)
+
+
+def _unit_rows(rng, rows, dim):
+    m = rng.normal(size=(rows, dim))
+    return m / np.linalg.norm(m, axis=1)[:, None]
+
+
+def _traced_peak(fn):
+    """(fn(), peak bytes numpy and Python allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_smax_working_memory_is_one_tile():
+    rng = np.random.default_rng(8)
+    cand, ref = _unit_rows(rng, 3000, 64), _unit_rows(rng, 20000, 64)
+    out, peak = _traced_peak(lambda: kernels.smax(cand, ref))
+    assert peak <= 8 * 2**20 + out.nbytes + 64 * 1024  # the 8 MiB tile, the output, small buffers
+    # One candidate block against 349-row reference blocks gives the same maxima.
+    assert np.allclose(out, kernels.smax(cand, ref, block=10**6), rtol=0, atol=1e-12)
+
+
+def test_smax_huge_block_keeps_tall_reference_blocks():
+    # The reference block is sized from min(block, rows), not from block itself.
+    rng = np.random.default_rng(9)
+    cand, ref = _unit_rows(rng, 5, 4), _unit_rows(rng, 3000, 4)
+    out, peak = _traced_peak(lambda: kernels.smax(cand, ref, block=10**9))
+    assert 5 * 3000 * 8 <= peak <= 5 * 3000 * 8 + 4096  # one 5 x 3000 tile
+    assert np.allclose(out, [np.max(ref @ c) for c in cand], rtol=0, atol=1e-12)
+
+
+def test_reference_index_never_writes_callers_matrix():
+    m = np.random.default_rng(10).normal(size=(50, 8))
+    saved = m.copy()
+    index = ReferenceIndex(m)
+    assert np.array_equal(m, saved)
+    assert index.smax_many(m[:3]) == pytest.approx([1.0, 1.0, 1.0])
+
+
+def test_from_clips_matrix_is_bitwise_the_stacked_index():
+    track = np.random.default_rng(12).normal(size=(95, 16)).astype(np.float32)
+    clips = clips_from_seconds("v", track)
+    built = ReferenceIndex.from_clips(clips)._matrix
+    stacked = ReferenceIndex(np.stack([c.vector for c in clips]))._matrix
+    assert built.dtype == stacked.dtype == np.float64 and built.shape == stacked.shape
+    assert built.tobytes() == stacked.tobytes()
+    assert not built.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_from_clips_and_select_novel_check_every_row(bad):
+    vectors = [np.ones(4), np.full(4, bad)]
+    clips = [clip("v", i, v) for i, v in enumerate(vectors)]
+    with pytest.raises(ValueError):
+        ReferenceIndex.from_clips(clips)
+    with pytest.raises(ValueError):
+        select_novel(clips, ReferenceIndex(np.ones((1, 4))))
+
+
+def test_select_novel_dimension_mismatch_rejected():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        select_novel([clip("v", 0, np.ones(5))], ReferenceIndex(np.ones((2, 4))))
 
 
 def test_empty_reference_rejected():
