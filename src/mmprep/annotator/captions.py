@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 MAX_CAPTION_FRAMES = 50
@@ -93,19 +94,24 @@ def parse_caption_response(text: str) -> CaptionPair:
     return CaptionPair(brief=obj["Brief Caption"], detailed=obj["Detailed Caption"])
 
 
-def aggregate_chapter_captions(chapters: list[tuple[Chapter, CaptionPair]]) -> str:
-    """Timestamped one-line-per-chapter digest feeding whole-video QA generation.
+def check_chapters(chapters: Sequence[Chapter]) -> None:
+    """Raise ValueError unless there are at least two chapters, sorted and non-overlapping.
 
-    Requires at least two chapters, sorted and non-overlapping; videos with a
-    single chapter carry no story structure and are filtered upstream.
+    Videos with a single chapter carry no story structure.
     """
     if len(chapters) < 2:
         raise ValueError("insufficient chapters: need at least two")
-    prev_end = None
-    for ch, _ in chapters:
-        if prev_end is not None and ch.span[0] < prev_end:
+    for prev, ch in zip(chapters, chapters[1:]):
+        if ch.span[0] < prev.span[1]:
             raise ValueError("chapters must be sorted and non-overlapping")
-        prev_end = ch.span[1]
+
+
+def aggregate_chapter_captions(chapters: list[tuple[Chapter, CaptionPair]]) -> str:
+    """Timestamped one-line-per-chapter digest feeding whole-video QA generation.
+
+    The chapters must pass check_chapters.
+    """
+    check_chapters([ch for ch, _ in chapters])
     return "\n".join(
         f"{format_seconds(ch.span[0])} ~ {format_seconds(ch.span[1])}: {pair.detailed}"
         for ch, pair in chapters

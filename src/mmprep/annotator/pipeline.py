@@ -26,10 +26,10 @@ from .captions import (
     ResponseParseError,
     aggregate_chapter_captions,
     caption_frames_plan,
+    check_chapters,
     parse_caption_response,
 )
 from .prompts import (
-    render_caption_prompt,
     render_caption_retry_prompt,
     render_clip_qa_prompt,
     render_video_qa_prompt,
@@ -74,7 +74,6 @@ class RetryPolicy:
     backoff_cap_s: float = 30.0
     max_in_flight: int = 4
     temperature: float = 0.2
-    max_output_tokens: int = 2048
     seed: int = 0
     sleep: Callable[[float], None] = time.sleep
 
@@ -245,231 +244,152 @@ class _StageFailure(Exception):
 
 
 @dataclass
-class _JobState:
-    retries: int = 0
-
-
-@dataclass
 class PipelineResult:
     records: list[dict] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
 
     @property
-    def ok_count(self) -> int:
-        return len(self.records) - len(self.failures)
+    def failures(self) -> list[dict]:
+        return [r for r in self.records if r["status"] != "ok"]
 
 
-def _frame_refs(uri: str, timestamps: tuple[float, ...]) -> tuple[str, ...]:
-    # Media-fragment style frame locators, in temporal order.
-    return tuple(f"{uri}#t={ts:.3f}" for ts in timestamps)
-
-
-def _call(
-    client: LlmClient,
-    request: LlmRequest,
-    policy: RetryPolicy,
-    stage: str,
-    state: _JobState,
-    parser: Callable[[str], object],
-):
-    last_reason = ""
-    for attempt in range(policy.max_retries + 1):
-        if attempt > 0:
-            policy.sleep(policy.backoff(attempt - 1))
-            state.retries += 1
-        try:
-            response = client.submit(request)
-        except TransientLlmError as exc:
-            last_reason = str(exc)
-            continue
-        except LlmError as exc:
-            raise _StageFailure(stage, str(exc)) from exc
-        try:
-            return parser(response.text)
-        except ResponseParseError as exc:
-            last_reason = str(exc)
-            continue
-    raise _StageFailure(stage, f"retries exhausted: {last_reason}")
-
-
-def _caption_segment(
-    client: LlmClient,
-    job: AnnotationJob,
-    title: str,
-    span: tuple[float, float],
-    policy: RetryPolicy,
-    state: _JobState,
-    banned_terms: tuple[str, ...] = (),
-) -> CaptionPair:
-    if banned_terms:
-        prompt = render_caption_retry_prompt(title, banned_terms)
-    else:
-        prompt = render_caption_prompt(title)
-    frames = caption_frames_plan(Chapter(title=title, span=span))
-    request = LlmRequest(
-        prompt=prompt,
-        image_refs=_frame_refs(job.uri, frames),
-        temperature=policy.temperature,
-        max_output_tokens=policy.max_output_tokens,
-    )
-    return _call(client, request, policy, "caption", state, parse_caption_response)
-
-
-def _run_story_job(client: LlmClient, job: AnnotationJob, policy: RetryPolicy, state: _JobState) -> dict:
-    if len(job.chapters) < 2:
-        raise _StageFailure("validate", "insufficient chapters: need at least two")
-    prev_end = None
-    for ch in job.chapters:
-        if prev_end is not None and ch.span[0] < prev_end:
-            raise _StageFailure("validate", "chapters must be sorted and non-overlapping")
-        prev_end = ch.span[1]
-
-    captioned = [
-        (ch, _caption_segment(client, job, ch.title, ch.span, policy, state))
-        for ch in job.chapters
-    ]
-    digest = aggregate_chapter_captions(captioned)
-    types = sample_question_types(QUESTION_TYPES, QA_TYPES_PER_REQUEST, policy.seed + job.index)
-    span = (job.chapters[0].span[0], job.chapters[-1].span[1])
-    request = LlmRequest(
-        prompt=render_video_qa_prompt(digest, types),
-        temperature=policy.temperature,
-        max_output_tokens=policy.max_output_tokens,
-    )
-    qa: list[ClipQA] = _call(
-        client, request, policy, "qa", state, lambda t: parse_qa_response(t, types, span)
-    )
-    return {
-        "video_id": job.video_id,
-        "kind": STORY,
-        "captions": [
-            {"title": ch.title, "start": ch.span[0], "end": ch.span[1], "brief": p.brief, "detailed": p.detailed}
-            for ch, p in captioned
-        ],
-        "qa": [
-            {"type": q.qtype, "q": q.question, "a": q.answer, "anchored_q": None} for q in qa
-        ],
-        "status": "ok",
-    }
-
-
-def _anchor_all(
-    client: LlmClient,
-    job: AnnotationJob,
-    title: str,
-    span: tuple[float, float],
-    qa_items: list[ClipQA],
-    pair: CaptionPair,
-    policy: RetryPolicy,
-    state: _JobState,
-) -> tuple[CaptionPair, list[tuple[ClipQA, str]], int]:
-    """Anchor every QA against the brief caption, regenerating it on leaks.
-
-    Returns the final caption pair, (qa, anchored_question) pairs, and the
-    count of QA dropped because the leak persisted through retries.
-    """
-    for _ in range(policy.max_retries + 1):
-        leaked = [q for q in qa_items if _leaks(q, pair.brief)]
-        if not leaked:
-            break
-        new_pair = _caption_segment(
-            client, job, title, span, policy, state,
-            banned_terms=tuple(q.answer for q in leaked),
-        )
-        if new_pair == pair:
-            # Endpoint is not changing its caption; no point burning retries.
-            break
-        pair = new_pair
-
-    anchored: list[tuple[ClipQA, str]] = []
-    dropped = 0
-    for q in qa_items:
-        try:
-            anchored.append((q, anchor(q, pair.brief).question_anchored))
-        except AnchorLeakError:
-            dropped += 1
-    return pair, anchored, dropped
-
-
-def _leaks(qa: ClipQA, brief: str) -> bool:
+def _anchored(qa: ClipQA, brief: str) -> str | None:
+    """The anchored question, or None when the answer leaks into the brief caption."""
     try:
-        anchor(qa, brief)
-        return False
+        return anchor(qa, brief).question_anchored
     except AnchorLeakError:
-        return True
+        return None
 
 
-def _run_clip_job(client: LlmClient, job: AnnotationJob, policy: RetryPolicy, state: _JobState) -> dict:
-    captions = []
-    qa_out = []
-    dropped = 0
-    for i, span in enumerate(job.clips):
-        title = job.clip_titles[i] if i < len(job.clip_titles) else f"clip {i}"
-        pair = _caption_segment(client, job, title, span, policy, state)
-        types = sample_question_types(
-            QUESTION_TYPES, QA_TYPES_PER_REQUEST, policy.seed + job.index * 1009 + i
-        )
+class _JobRun:
+    """One job's requests against the endpoint, counting the retries they take."""
+
+    def __init__(self, client: LlmClient, job: AnnotationJob, policy: RetryPolicy):
+        self.client = client
+        self.job = job
+        self.policy = policy
+        self.retries = 0
+
+    def call(self, stage: str, prompt: str, frames: tuple[float, ...], parser: Callable[[str], object]):
+        # Frames are sent as media-fragment locators, in temporal order.
         request = LlmRequest(
-            prompt=render_clip_qa_prompt(pair.detailed, pair.brief, types),
-            image_refs=_frame_refs(job.uri, caption_frames_plan(Chapter(title=title, span=span))),
-            temperature=policy.temperature,
-            max_output_tokens=policy.max_output_tokens,
+            prompt=prompt,
+            image_refs=tuple(f"{self.job.uri}#t={ts:.3f}" for ts in frames),
+            temperature=self.policy.temperature,
         )
-        qa_items: list[ClipQA] = _call(
-            client, request, policy, "qa", state, lambda t: parse_qa_response(t, types, span)
+        last_reason = ""
+        for attempt in range(self.policy.max_retries + 1):
+            if attempt > 0:
+                self.policy.sleep(self.policy.backoff(attempt - 1))
+                self.retries += 1
+            try:
+                response = self.client.submit(request)
+            except TransientLlmError as exc:
+                last_reason = str(exc)
+                continue
+            except LlmError as exc:
+                raise _StageFailure(stage, str(exc)) from exc
+            try:
+                return parser(response.text)
+            except ResponseParseError as exc:
+                last_reason = str(exc)
+        raise _StageFailure(stage, f"retries exhausted: {last_reason}")
+
+    def caption(self, title: str, frames: tuple[float, ...], banned_terms: tuple[str, ...] = ()) -> CaptionPair:
+        prompt = render_caption_retry_prompt(title, banned_terms)
+        return self.call("caption", prompt, frames, parse_caption_response)
+
+    def story(self) -> dict:
+        job = self.job
+        try:
+            check_chapters(job.chapters)
+        except ValueError as exc:
+            raise _StageFailure("validate", str(exc)) from exc
+        captioned = [(ch, self.caption(ch.title, caption_frames_plan(ch))) for ch in job.chapters]
+        digest = aggregate_chapter_captions(captioned)
+        types = sample_question_types(QUESTION_TYPES, QA_TYPES_PER_REQUEST, self.policy.seed + job.index)
+        span = (job.chapters[0].span[0], job.chapters[-1].span[1])
+        qa: list[ClipQA] = self.call(
+            "qa", render_video_qa_prompt(digest, types), (), lambda t: parse_qa_response(t, types, span)
         )
-        pair, anchored, clip_dropped = _anchor_all(
-            client, job, title, span, qa_items, pair, policy, state
-        )
-        dropped += clip_dropped
-        captions.append(
-            {"start": span[0], "end": span[1], "brief": pair.brief, "detailed": pair.detailed}
-        )
-        qa_out.extend(
-            {"type": q.qtype, "q": q.question, "a": q.answer, "anchored_q": aq}
-            for q, aq in anchored
-        )
-    record = {
-        "video_id": job.video_id,
-        "kind": CLIP,
-        "captions": captions,
-        "qa": qa_out,
-        "status": "ok",
-    }
-    if dropped:
-        record["anchor_dropped"] = dropped
-    return record
+        return {
+            "video_id": job.video_id,
+            "kind": STORY,
+            "captions": [
+                {"title": ch.title, "start": ch.span[0], "end": ch.span[1], "brief": p.brief, "detailed": p.detailed}
+                for ch, p in captioned
+            ],
+            "qa": [
+                {"type": q.qtype, "q": q.question, "a": q.answer, "anchored_q": None} for q in qa
+            ],
+            "status": "ok",
+        }
+
+    def clip(self) -> dict:
+        job = self.job
+        captions = []
+        qa_out = []
+        dropped = 0
+        for i, span in enumerate(job.clips):
+            title = job.clip_titles[i] if i < len(job.clip_titles) else f"clip {i}"
+            frames = caption_frames_plan(Chapter(title=title, span=span))
+            pair = self.caption(title, frames)
+            types = sample_question_types(
+                QUESTION_TYPES, QA_TYPES_PER_REQUEST, self.policy.seed + job.index * 1009 + i
+            )
+            qa_items: list[ClipQA] = self.call(
+                "qa", render_clip_qa_prompt(pair.detailed, pair.brief, types), frames,
+                lambda t: parse_qa_response(t, types, span),
+            )
+            # Regenerate the brief caption while answers leak into it, unless
+            # the endpoint stops changing it; questions still leaking are dropped.
+            for _ in range(self.policy.max_retries + 1):
+                leaked = tuple(q.answer for q in qa_items if _anchored(q, pair.brief) is None)
+                if not leaked:
+                    break
+                new_pair = self.caption(title, frames, banned_terms=leaked)
+                if new_pair == pair:
+                    break
+                pair = new_pair
+            anchored = [(q, _anchored(q, pair.brief)) for q in qa_items]
+            dropped += sum(aq is None for _, aq in anchored)
+            captions.append(
+                {"start": span[0], "end": span[1], "brief": pair.brief, "detailed": pair.detailed}
+            )
+            qa_out.extend(
+                {"type": q.qtype, "q": q.question, "a": q.answer, "anchored_q": aq}
+                for q, aq in anchored if aq is not None
+            )
+        record = {
+            "video_id": job.video_id,
+            "kind": CLIP,
+            "captions": captions,
+            "qa": qa_out,
+            "status": "ok",
+        }
+        if dropped:
+            record["anchor_dropped"] = dropped
+        return record
 
 
 def run_job(client: LlmClient, job: AnnotationJob, policy: RetryPolicy) -> dict:
     """Run one job to completion; always returns a record, never raises."""
-    state = _JobState()
+    run = _JobRun(client, job, policy)
     try:
-        if job.kind == STORY:
-            record = _run_story_job(client, job, policy, state)
-        else:
-            record = _run_clip_job(client, job, policy, state)
-    except _StageFailure as exc:
-        record = {
-            "video_id": job.video_id,
-            "kind": job.kind,
-            "captions": [],
-            "qa": [],
-            "status": "failed",
-            "stage": exc.stage,
-            "reason": exc.reason,
-        }
+        record = run.story() if job.kind == STORY else run.clip()
     except Exception as exc:  # defensive: a bad job must not sink the batch
+        failure = exc if isinstance(exc, _StageFailure) else _StageFailure(
+            "internal", f"{type(exc).__name__}: {exc}"
+        )
         record = {
             "video_id": job.video_id,
             "kind": job.kind,
             "captions": [],
             "qa": [],
             "status": "failed",
-            "stage": "internal",
-            "reason": f"{type(exc).__name__}: {exc}",
+            "stage": failure.stage,
+            "reason": failure.reason,
         }
-    record["retry_count"] = state.retries
+    record["retry_count"] = run.retries
     return record
 
 
@@ -481,25 +401,14 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run all jobs with bounded concurrency; one record per job, no silent loss.
 
-    on_record is invoked once per finished job under a lock (append-only
-    sink); completion order across jobs is not guaranteed.
+    Up to policy.max_in_flight jobs run at once on worker threads. Records are
+    collected, and on_record is called, on the calling thread in job order, so
+    a finished job's record waits for every earlier job to finish.
     """
     result = PipelineResult()
-    lock = threading.Lock()
-
-    def finish(record: dict) -> None:
-        with lock:
+    with ThreadPoolExecutor(max_workers=max(1, policy.max_in_flight)) as pool:
+        for record in pool.map(lambda job: run_job(client, job, policy), jobs):
             result.records.append(record)
-            if record["status"] != "ok":
-                result.failures.append(record)
             if on_record is not None:
                 on_record(record)
-
-    if policy.max_in_flight <= 1:
-        for job in jobs:
-            finish(run_job(client, job, policy))
-    else:
-        with ThreadPoolExecutor(max_workers=policy.max_in_flight) as pool:
-            for record in pool.map(lambda j: run_job(client, j, policy), jobs):
-                finish(record)
     return result

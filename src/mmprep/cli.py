@@ -168,10 +168,10 @@ def pack_cmd(ctx, input_path, output_path, l_max):
                 p = budget.plan_from_obj(json.loads(text))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationFailure(f"malformed plan at line {line_no}: {exc}") from exc
+            defect = _record_defect(p) or (_count_defect(p) if p.planned else None)
+            if defect:
+                raise ValidationFailure(f"malformed plan at line {line_no}: {defect[1]}")
             if p.planned:
-                defect = _count_defect(p)
-                if defect:
-                    raise ValidationFailure(f"malformed plan at line {line_no}: {defect[1]}")
                 plans.append(p)
             else:
                 skipped += 1
@@ -316,16 +316,26 @@ def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
         temperature=temperature,
         seed=seed,
     )
-    # Append so an interrupted run can be resumed without clobbering records.
+    # Append, so an earlier run's records are kept. A rerun repeats every job:
+    # nothing is skipped on resume yet.
     with _open_out(output_path, mode="a") as fout:
         result = annot.run_pipeline(
             jobs, client, policy,
             on_record=lambda rec: (fout.write(json.dumps(rec, ensure_ascii=False) + "\n"), fout.flush()),
         )
-    ok = len(result.records) - len(result.failures)
-    click.echo(f"{ok}/{len(result.records)} jobs annotated, {len(result.failures)} failed", err=True)
-    if result.failures:
+    failed = len(result.failures)
+    click.echo(f"{len(result.records) - failed}/{len(result.records)} jobs annotated, {failed} failed", err=True)
+    if failed:
         ctx.exit(EXIT_PARTIAL)
+
+
+def _record_defect(p: budget.SamplingPlan) -> tuple[str, str] | None:
+    """(field, message) when a record's id is not a non-empty string or its verdict is unknown."""
+    if type(p.sample_id) is not str or p.sample_id == "":
+        return "id", f"plan id {p.sample_id!r} is not a non-empty string"
+    if p.verdict not in (budget.PLANNED, budget.DISCARDED):
+        return "verdict", f"plan {p.sample_id!r}: unknown verdict {p.verdict!r}"
+    return None
 
 
 def _count_defect(p: budget.SamplingPlan) -> tuple[str, str] | None:
@@ -338,17 +348,42 @@ def _count_defect(p: budget.SamplingPlan) -> tuple[str, str] | None:
     return None
 
 
-def _plan_defect(p: budget.SamplingPlan, l_max: int) -> tuple[str, str] | None:
-    """(field, message) for the first defect of a plan record; its cost is recomputed from its fields."""
-    if p.verdict not in (budget.PLANNED, budget.DISCARDED):
-        return "verdict", f"unknown verdict {p.verdict!r}"
-    if not p.planned:
-        return None
+def _is_grid(g) -> bool:
+    """A [cols, rows] pair of positive ints, as plan writes a grid (bools are not ints here)."""
+    return type(g) is list and len(g) == 2 and all(type(c) is int and c >= 1 for c in g)
+
+
+def _plan_defect(obj, l_max: int) -> tuple[str, str] | None:
+    """(field, message) for the first defect of a JSON plan record.
+
+    Beyond what pack checks, the record's fields must be ones plan could write,
+    and its cost is recomputed from them.
+    """
+    if type(obj) is not dict:
+        return "record", "malformed plan: record is not a JSON object"
+    grids = obj.get("grids", [])
+    if type(grids) is not list or not all(g is None or _is_grid(g) for g in grids):
+        return "grids", f"plan {obj.get('id')!r}: grids must hold null or [cols, rows] pairs of positive integers"
+    p = budget.plan_from_obj(obj)
+    defect = _record_defect(p)
+    if defect or not p.planned:
+        return defect
     defect = _count_defect(p)
     if defect:
         return defect
     if len(p.image_grids) != len(p.temporal_counts):
         return "grids", f"plan {p.sample_id!r}: grids do not align with n_per_item"
+    if any((g is None) == (n == 0) for g, n in zip(p.image_grids, p.temporal_counts)):
+        return "grids", f"plan {p.sample_id!r}: an item must have a grid exactly when it has 0 units"
+    tiles = [g.tiles for g in p.image_grids if g is not None]
+    if tiles and not (type(p.tile_cap) is int and 1 <= p.tile_cap <= tiling.MAX_TILES):
+        return "tile_cap", f"plan {p.sample_id!r}: tile_cap {p.tile_cap!r} is not an integer in 1..{tiling.MAX_TILES}"
+    if tiles and max(tiles) > p.tile_cap:
+        return "grids", f"plan {p.sample_id!r}: a grid of {max(tiles)} tiles exceeds tile_cap={p.tile_cap}"
+    if len(p.frame_timestamps) != len(p.temporal_counts) or any(
+        len(ts) not in (0, n) for ts, n in zip(p.frame_timestamps, p.temporal_counts)
+    ):
+        return "timestamps", f"plan {p.sample_id!r}: each timestamps entry must hold 0 or n_per_item values"
     cost = (p.l_text + tiling.TILE_TOKENS * sum(p.temporal_counts)
             + sum(tiling.grid_tokens(g) for g in p.image_grids if g is not None))
     if p.total_tokens != cost:
@@ -382,7 +417,7 @@ def validate_cmd(ctx, input_path, output_path, kind, l_max):
                     continue
                 count += 1
                 try:
-                    defect = _plan_defect(budget.plan_from_obj(json.loads(text)), l_max)
+                    defect = _plan_defect(json.loads(text), l_max)
                 except (ValueError, KeyError, TypeError) as exc:
                     defect = "record", f"malformed plan: {exc}"
                 if defect:

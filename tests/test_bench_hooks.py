@@ -3,8 +3,8 @@
 bench/worker.py's install() looks those attributes up when it starts, so a
 refactor that renames or drops one breaks `bench/run.py --trace 1` with an
 AttributeError, and one that stops calling a wrapped name reads 0 in that
-layer's metrics. These tests install the tracer, run `plan`, `pack` and
-`curate` under it, and restore it, to catch both.
+layer's metrics. These tests install the tracer, run `plan`, `pack`,
+`curate` and the annotation pipeline under it, and restore it, to catch both.
 """
 
 import importlib.util
@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from mmprep import budget, tiling
+from mmprep.annotator.captions import Chapter
+from mmprep.annotator.pipeline import AnnotationJob, RetryPolicy, run_pipeline
 from mmprep.budget import BudgetConfig
 from mmprep.curator import write_feature_file
 from mmprep.manifest import dumps_sample
-from tests.conftest import make_sample
+from tests.conftest import MockLlm, make_sample
 
 WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 
@@ -106,3 +108,20 @@ def test_traced_curate_records_every_layer(monkeypatch, tmp_path):
                  "kernels.smax_s", "kernels.gflop", "curator.read_bytes"):
         assert m[name] > 0, name
     assert m["curator.self_s"] < m["curator.select_s"]  # the kernel's span sits under select_novel
+
+
+def test_traced_annotate_records_one_span_per_job(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    worker = _load_worker()
+    chapters = (Chapter("a", (0.0, 10.0)), Chapter("b", (10.0, 20.0)))
+    jobs = [AnnotationJob(0, "s", "vid://s", chapters=chapters),
+            AnnotationJob(1, "c", "vid://c", clips=((0.0, 10.0),), clip_titles=("clip 0",)),
+            AnnotationJob(2, "bad", "vid://bad", chapters=chapters[:1])]
+    tracer = worker.Tracer()
+    worker.install(tracer)
+    try:
+        result = run_pipeline(jobs, MockLlm(), RetryPolicy(max_in_flight=worker.MAX_IN_FLIGHT, sleep=lambda _: None))
+    finally:
+        tracer.restore()
+    assert [r["status"] for r in result.records] == ["ok", "ok", "failed"]
+    assert Counter(s.name for s in tracer.spans)["annotator.run_job"] == len(jobs)

@@ -302,6 +302,59 @@ def test_validate_and_pack_reject_negative_or_bool_plan_fields(capsys, tmp_path,
     assert "malformed plan at line 1" in err and field in err
 
 
+def _planned(**fields):
+    return {"id": "p", "verdict": "planned", "tile_cap": 12, "n_per_item": [0], "grids": [[1, 1]],
+            "timestamps": [[]], "l_text": 0, **fields}
+
+
+# Each record's total_tokens equals the cost of its fields, so only the field checks catch it.
+@pytest.mark.parametrize("rec, field", [
+    (_planned(grids=[[True, 2]], total_tokens=768), "grids"),
+    (_planned(grids=[[1.5, 2]], total_tokens=1024), "grids"),
+    (_planned(grids=[[1, 2, 3]], total_tokens=5), "grids"),
+    (_planned(tile_cap=1, grids=[[4, 3]], total_tokens=3328), "grids"),
+    (_planned(tile_cap=13, grids=[[4, 3]], total_tokens=3328), "tile_cap"),
+    (_planned(n_per_item=[1], grids=[None], timestamps=[[5.0, 9.0, -1.0]], total_tokens=256), "timestamps"),
+    (_planned(n_per_item=[0], grids=[None], l_text=5, total_tokens=5), "grids"),
+    (_planned(verdict="Planned", n_per_item=[1], grids=[None], timestamps=[[1.0]], l_text=5, total_tokens=261),
+     "verdict"),
+    (_planned(id=5, total_tokens=256), "id"),
+    (["x"], "record"),
+], ids=["bool_cell", "float_cell", "triple", "grid_over_cap", "cap_out_of_range", "timestamps_count",
+        "no_units_no_grid", "unknown_verdict", "int_id", "not_object"])
+def test_validate_plans_rejects_fields_plan_never_writes(capsys, tmp_path, rec, field):
+    plans = tmp_path / "p.jsonl"
+    plans.write_text(json.dumps(rec) + "\n")
+    code, out, err = run_cli(capsys, ["validate", "--kind", "plans", "-i", str(plans)])
+    assert code == 1
+    errors = [json.loads(l) for l in out.splitlines()]
+    assert [(e["line"], e["field"]) for e in errors] == [(1, field)]
+    assert "TileGrid" not in errors[0]["error"] and "indices" not in errors[0]["error"]
+    assert "1 plans checked, 1 errors" in err
+
+
+@pytest.mark.parametrize("rec, field", [
+    (_planned(verdict="Planned", n_per_item=[1], grids=[None], timestamps=[[1.0]], l_text=5, total_tokens=261),
+     "verdict"),
+    ({"id": 5, "verdict": "planned", "total_tokens": 0}, "id"),
+], ids=["unknown_verdict", "int_id"])
+def test_pack_rejects_unknown_verdict_and_non_string_id(capsys, tmp_path, rec, field):
+    plans = tmp_path / "p.jsonl"
+    plans.write_text(json.dumps(_planned(id="ok", total_tokens=256)) + "\n" + json.dumps(rec) + "\n")
+    code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
+    assert code == 1 and out == ""
+    assert "malformed plan at line 2" in err and field in err
+
+
+def test_validate_plans_accepts_document_shaped_record(capsys, tmp_path):
+    # Three units and no timestamps is exactly a 3-page document; only the manifest tells it from a video.
+    plans = tmp_path / "p.jsonl"
+    plans.write_text(json.dumps(_planned(n_per_item=[3], grids=[None], total_tokens=768)) + "\n")
+    code, out, err = run_cli(capsys, ["validate", "--kind", "plans", "-i", str(plans)])
+    assert (code, out) == (0, "")
+    assert "1 plans checked, 0 errors" in err
+
+
 def test_validate_plans_kind(capsys, tmp_path):
     plans = tmp_path / "p.jsonl"
     plans.write_text(

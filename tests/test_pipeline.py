@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -93,6 +94,15 @@ def test_story_job_single_chapter_fails_validation(mock_llm):
     assert record["status"] == "failed"
     assert record["stage"] == "validate"
     assert "insufficient chapters" in record["reason"]
+    assert mock_llm.calls == 0
+
+
+def test_story_job_overlapping_chapters_fail_validation(mock_llm):
+    chapters = (Chapter(title="a", span=(0.0, 10.0)), Chapter(title="b", span=(5.0, 15.0)))
+    job = AnnotationJob(index=0, video_id="v", uri="vid://v", chapters=chapters)
+    record = run_job(mock_llm, job, NO_SLEEP)
+    assert (record["status"], record["stage"]) == ("failed", "validate")
+    assert record["reason"] == "chapters must be sorted and non-overlapping"
     assert mock_llm.calls == 0
 
 
@@ -198,6 +208,28 @@ def test_on_record_sink_sees_every_job(mock_llm):
     jobs = [clip_job(i, f"c{i}") for i in range(4)]
     run_pipeline(jobs, mock_llm, NO_SLEEP, on_record=sunk.append)
     assert len(sunk) == 4
+
+
+class SlowFirstJob(MockLlm):
+    """Holds every request of job c0 back, so later jobs finish before it."""
+
+    def submit(self, request):
+        if request.image_refs and request.image_refs[0].startswith("vid://c0#"):
+            time.sleep(0.05)
+        return super().submit(request)
+
+
+@pytest.mark.parametrize("in_flight", [1, 4])
+def test_on_record_sees_records_in_job_order(in_flight):
+    client = SlowFirstJob()
+    jobs = [clip_job(i, f"c{i}") for i in range(4)]
+    sunk = []
+    result = run_pipeline(jobs, client, RetryPolicy(max_in_flight=in_flight, sleep=lambda _: None),
+                          on_record=sunk.append)
+    assert [r["video_id"] for r in sunk] == ["c0", "c1", "c2", "c3"]
+    assert result.records == sunk
+    if in_flight > 1:  # c0 was the last job to finish, yet its record came first
+        assert client.requests[-1].image_refs[0].startswith("vid://c0#")
 
 
 def test_question_type_selection_deterministic_per_job():
