@@ -97,9 +97,13 @@ def compute_budget(sample: Sample, cfg: BudgetConfig) -> Budget:
 
 
 def temporal_cap(item: VisualItem, cfg: BudgetConfig) -> int:
-    """Most temporal units an item can contribute: FPS-target frames or page count."""
+    """Most temporal units an item can contribute: FPS-target frames or page count.
+
+    A video can always contribute one frame, even when fps_target * duration_s
+    underflows to 0.
+    """
     if item.kind == "video":
-        return math.ceil(cfg.fps_target * item.duration_s)
+        return max(1, math.ceil(cfg.fps_target * item.duration_s))
     if item.kind == "document":
         return item.pages
     raise ValueError("temporal_cap is defined for video and document items only")

@@ -20,8 +20,9 @@ from contextlib import contextmanager
 
 import click
 
-from . import budget, composer, curator, manifest, tiling
-from .annotator import pipeline as annot
+# curator (numpy) and the annotator (urllib, http.client) are imported inside
+# the functions of `curate` and `annotate`: the other commands never load them.
+from . import budget, composer, manifest, tiling
 
 logger = logging.getLogger("mmprep")
 
@@ -67,11 +68,16 @@ def _echo_config(ctx: click.Context) -> None:
 
 @contextmanager
 def _open_in(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+    """The input as UTF-8 text; a byte sequence that is not UTF-8 is a validation error."""
+    try:
+        if path == "-":
+            yield sys.stdin
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                yield fh
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise ValidationFailure(f"input {name} is not UTF-8: {exc}") from exc
 
 
 @contextmanager
@@ -83,13 +89,20 @@ def _open_out(path: str, mode: str = "w"):
             yield fh
 
 
-def _load_config_map(path: str | None) -> dict:
+def _load_config_map(path: str | None, commands) -> dict:
+    """The config file's option defaults, keyed by subcommand name and then option name."""
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValidationFailure(f"config file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationFailure(f"config file {path} must hold a JSON object")
+    for name in commands:
+        if name in raw and not isinstance(raw[name], dict):
+            raise ValidationFailure(f"config file {path}: {name!r} must hold a JSON object of option defaults")
 
     def norm(obj):
         if isinstance(obj, dict):
@@ -108,7 +121,7 @@ def _load_config_map(path: str | None) -> dict:
 def cli(ctx: click.Context, config_path: str | None, log_level: str):
     """Planning and curation toolkit for long-context multimodal training data."""
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, log_level.upper()))
-    ctx.default_map = _load_config_map(config_path)
+    ctx.default_map = _load_config_map(config_path, ctx.command.commands)
 
 
 in_opt = click.option("--input", "-i", "input_path", default="-", show_default=True,
@@ -239,6 +252,8 @@ def _pooled_files(directory, pool):
 
     Each track is pooled as soon as it is read and then dropped.
     """
+    from . import curator
+
     return [
         (path, vid, curator.clips_from_seconds(vid, track, pool=pool))
         for path, vid, track in curator.iter_feature_dir(directory)
@@ -246,6 +261,8 @@ def _pooled_files(directory, pool):
 
 
 def _curate_reports(candidates_dir, reference_dir, tau, pool):
+    from . import curator
+
     reference = curator.ReferenceIndex.from_clips(
         c for _, _, clips in _pooled_files(reference_dir, pool) for c in clips
     )
@@ -283,7 +300,10 @@ def curate_cmd(ctx, output_path, reference_dir, candidates_dir, tau, pool, jobs)
     click.echo(f"{selected}/{len(reports)} candidate videos selected at tau={tau}", err=True)
 
 
-def _make_client(endpoint: str, model: str, rpm: float | None) -> annot.LlmClient:
+def _make_client(endpoint: str, model: str, rpm: float | None):
+    """The annotator's HttpClient for the endpoint, rate-limited when rpm is set."""
+    from .annotator import pipeline as annot
+
     limiter = annot.RateLimiter(rpm) if rpm else None
     return annot.HttpClient(endpoint, model, rate_limiter=limiter)
 
@@ -303,6 +323,8 @@ def _make_client(endpoint: str, model: str, rpm: float | None) -> annot.LlmClien
 def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
                  max_in_flight, retry_budget, rpm, seed):
     """Run the caption/QA/anchor pipeline over a job file."""
+    from .annotator import pipeline as annot
+
     _echo_config(ctx)
     with _open_in(input_path) as fin:
         try:

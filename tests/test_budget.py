@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mmprep import cli
@@ -55,6 +55,8 @@ def test_temporal_cap_video_2fps():
     cfg = BudgetConfig(l_max=1024)
     assert temporal_cap(video_item(100.0), cfg) == 200
     assert temporal_cap(video_item(0.4), cfg) == 1
+    # 5e-324 * 0.5 underflows to 0 frames; a video still takes one.
+    assert temporal_cap(video_item(0.5), BudgetConfig(l_max=768, fps_target=5e-324)) == 1
 
 
 def test_temporal_cap_document_pages():
@@ -365,6 +367,8 @@ _items = st.lists(
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=_configs, items=_items, text_share=st.floats(0.0, 1.2))
+@example(cfg=BudgetConfig(l_max=768, min_frames=1, fps_target=5e-324),
+         items=[video_item(0.5), document_item(4)], text_share=0.0)
 def test_emitted_plan_records_recompute(cfg, items, text_share):
     sample = Sample(id="h", items=tuple(items), text_tokens=int(text_share * cfg.l_max))
     try:

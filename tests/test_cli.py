@@ -70,6 +70,17 @@ def test_plan_gives_every_temporal_item_a_unit(capsys, tmp_path):
     assert (short["verdict"], short["reason"]) == ("discarded", "insufficient_budget")
 
 
+def test_plan_underflowing_frame_count_exit_0(capsys, tmp_path):
+    # 5e-324 fps of a 0.5 s video underflows to 0 frames; the video still gets one.
+    path = tmp_path / "m.jsonl"
+    write_manifest(path, [make_sample("u", videos=[0.5], docs=[4])])
+    code, out, err = run_cli(capsys, ["plan", "--fps-target", "5e-324", "--min-frames", "1",
+                                      "--l-max", "768", "-i", str(path)])
+    assert code == 0, err
+    rec = json.loads(out)
+    assert (rec["verdict"], rec["n_per_item"], rec["total_tokens"]) == ("planned", [1, 2], 768)
+
+
 def test_plan_parallel_jobs_preserve_order(capsys, small_manifest):
     _, serial, _ = run_cli(capsys, ["plan", "-i", str(small_manifest)])
     code, parallel, _ = run_cli(capsys, ["plan", "-i", str(small_manifest), "--jobs", "2"])
@@ -140,6 +151,19 @@ def test_validate_manifest_non_finite_duration(capsys, tmp_path, duration):
 def test_missing_input_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["plan", "-i", str(tmp_path / "nope.jsonl")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan"], ["pack"], ["tile"], ["validate", "--kind", "manifest"], ["validate", "--kind", "plans"],
+    ["annotate", "--endpoint", "http://127.0.0.1:9/generate"],
+], ids=["plan", "pack", "tile", "validate-manifest", "validate-plans", "annotate"])
+def test_non_utf8_input_exit_1(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'\xff\xfe{"id": "x"}\n')
+    code, _, err = run_cli(capsys, [*argv, "-i", str(bad), "-o", str(tmp_path / "out.jsonl")])
+    assert code == 1
+    assert f"input {bad} is not UTF-8" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_usage_exit_1(capsys):
@@ -553,13 +577,17 @@ def test_annotate_option_out_of_range_exit_1(capsys, tmp_path, option, value):
     assert not out_path.exists()
 
 
-def test_python_m_mmprep_runs_the_cli():
+def _fresh_python(*args):
+    """A fresh interpreter, with this checkout's src/ on its path, run on args."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
 
+
+def test_python_m_mmprep_runs_the_cli():
     def run(*args):
-        return subprocess.run([sys.executable, "-m", "mmprep", *args], env=env, stdin=subprocess.DEVNULL,
-                              capture_output=True, text=True, timeout=60)
+        return _fresh_python("-m", "mmprep", *args)
 
     stages = run("stages")
     assert stages.returncode == 0
@@ -567,6 +595,31 @@ def test_python_m_mmprep_runs_the_cli():
     bad = run("pack", "--l-max", "0")
     assert bad.returncode == 1
     assert "--l-max" in bad.stderr
+
+
+# Runs cli.main on argv, then fails naming any heavy module the command loaded.
+_IMPORT_PROBE = """
+import sys
+from mmprep import cli
+rc = cli.main(sys.argv[1:])
+heavy = ("numpy", "mmprep.curator", "mmprep.annotator", "urllib.request", "http.client")
+loaded = [m for m in heavy if m in sys.modules]
+sys.exit(f"loaded {loaded}" if loaded else rc)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "-i", "{manifest}"], ["pack", "-i", "{plans}"], ["tile", "-i", "{manifest}"], ["stages"],
+    ["validate", "--kind", "manifest", "-i", "{manifest}"], ["validate", "--kind", "plans", "-i", "{plans}"],
+], ids=["plan", "pack", "tile", "stages", "validate-manifest", "validate-plans"])
+def test_commands_other_than_curate_and_annotate_load_neither(small_manifest, tmp_path, argv):
+    # numpy is curate's alone and the HTTP client annotate's alone; a fresh
+    # interpreter that runs any other command must not pay to import them.
+    plans = tmp_path / "plans.jsonl"
+    assert cli.main(["plan", "-i", str(small_manifest), "-o", str(plans)]) == 0
+    argv = [a.format(manifest=small_manifest, plans=plans) for a in argv]
+    proc = _fresh_python("-c", _IMPORT_PROBE, *argv, "-o", str(tmp_path / "out.jsonl"))
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- config layering -----------------------------------------------------------------
@@ -604,3 +657,16 @@ def test_env_overrides_config_but_not_flag(capsys, small_manifest, tmp_path, mon
         capsys, ["--config", str(cfg), "plan", "-i", str(small_manifest), "--l-max", "32768"]
     )
     assert json.loads(out.splitlines()[0])["total_tokens"] == 32768
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{not json", "is not UTF-8 JSON"),
+    ('{"stages": 3}', "'stages' must hold a JSON object"),
+], ids=["not-json", "command-not-object"])
+def test_bad_config_file_exit_1(capsys, tmp_path, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["--config", str(cfg), "stages"])
+    assert code == 1
+    assert f"config file {cfg}" in err and message in err
+    assert out == ""
