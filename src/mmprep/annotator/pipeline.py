@@ -207,6 +207,8 @@ def parse_jobs(stream: IO[str] | Iterable[str]) -> list[AnnotationJob]:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise JobFileError(f"malformed job record ({exc.msg})", line_no) from exc
+        except RecursionError as exc:
+            raise JobFileError("malformed job record (nested too deeply)", line_no) from exc
         if not isinstance(obj, dict) or not isinstance(obj.get("video_id"), str):
             raise JobFileError("job record needs a video_id", line_no)
         uri = obj.get("uri", "")

@@ -14,7 +14,8 @@ discarded rather than degraded below usefulness.
 
 A plan record carries every field its cost is made of (l_text, the units per
 item and each image's grid), so total_tokens can be recomputed from it, and
-plan_from_obj(json.loads(dumps_plan(p))) == p. Budget and SamplingPlan are
+read_plan(dumps_plan(p)) == p; read_plan is the one place a record line is
+read, and it checks each field's shape as it goes. Budget and SamplingPlan are
 immutable NamedTuples, cheap to build once per sample. dumps_plan writes the
 record line directly, byte for byte what json.dumps(..., ensure_ascii=False)
 writes for the record's dict; a record itself never goes to json.dumps, which
@@ -23,6 +24,7 @@ would write it as an array.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
@@ -216,18 +218,79 @@ def plan(sample: Sample, cfg: BudgetConfig,
     )
 
 
-def plan_from_obj(obj: dict) -> SamplingPlan:
-    return SamplingPlan(
-        obj["id"],
-        obj["verdict"],
-        obj.get("reason"),
-        obj.get("tile_cap"),
-        tuple([None if g is None else TileGrid(*g) for g in obj.get("grids", ())]),
-        tuple(obj.get("n_per_item", ())),
-        tuple(map(tuple, obj.get("timestamps", ()))),
-        obj.get("l_text", 0),
-        obj.get("total_tokens"),
-    )
+class PlanRecordError(ValueError):
+    """A plan record that plan could not have written; field names what is wrong."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0  # json.loads gives bool for true/false, so bools fail
+
+
+def _finite_numbers(xs) -> bool:
+    """Whether xs is a list of finite numbers: one fsum call, value by value only if the sum overflows."""
+    if type(xs) is not list:
+        return False
+    try:
+        return math.isfinite(math.fsum(xs))  # nan or inf in, nan or inf out
+    except (TypeError, ValueError):  # a non-number, or inf and -inf together
+        return False
+    except OverflowError:  # finite values whose sum leaves float range, or an int beyond it
+        try:
+            return all(map(math.isfinite, xs))
+        except (TypeError, OverflowError):
+            return False
+
+
+def _read_grid(g, sample_id: str) -> TileGrid:
+    if type(g) is list and len(g) == 2 and type(g[0]) is int and type(g[1]) is int and g[0] >= 1 and g[1] >= 1:
+        return TileGrid(*g)
+    raise PlanRecordError("grids", f"plan {sample_id!r}: grids must hold null or [cols, rows] of positive integers")
+
+
+def read_plan(line: str) -> SamplingPlan:
+    """Parse one plan record line into a SamplingPlan, checking each field's shape once.
+
+    A record without grids, n_per_item, timestamps or l_text reads them as
+    empty or 0, so records written before those fields existed still read.
+    Whether the fields agree with each other and with a budget is left to the
+    caller. Raises PlanRecordError naming the first malformed field.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise PlanRecordError("record", f"record is not JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise PlanRecordError("record", "record is not JSON (nested too deeply)") from exc
+    if type(obj) is not dict:
+        raise PlanRecordError("record", "record is not a JSON object")
+    sid = obj.get("id")
+    if type(sid) is not str or sid == "":
+        raise PlanRecordError("id", f"plan id {sid!r} is not a non-empty string")
+    verdict, reason, tile_cap = obj.get("verdict"), obj.get("reason"), obj.get("tile_cap")
+    l_text, counts, total = obj.get("l_text", 0), obj.get("n_per_item", []), obj.get("total_tokens")
+    grids, stamps = obj.get("grids", []), obj.get("timestamps", [])
+    if verdict not in (PLANNED, DISCARDED):
+        raise PlanRecordError("verdict", f"plan {sid!r}: unknown verdict {verdict!r}")
+    if reason is not None and type(reason) is not str:
+        raise PlanRecordError("reason", f"plan {sid!r}: reason {reason!r} is not a string")
+    if tile_cap is not None and type(tile_cap) is not int:
+        raise PlanRecordError("tile_cap", f"plan {sid!r}: tile_cap {tile_cap!r} is not an integer")
+    if not _is_count(l_text):
+        raise PlanRecordError("l_text", f"plan {sid!r}: l_text {l_text!r} is not a non-negative integer")
+    if type(counts) is not list or not all(map(_is_count, counts)):
+        raise PlanRecordError("n_per_item", f"plan {sid!r}: n_per_item must hold non-negative integers")
+    if not (_is_count(total) or (total is None and verdict == DISCARDED)):
+        raise PlanRecordError("total_tokens", f"plan {sid!r}: total_tokens {total!r} is not a non-negative integer")
+    if type(grids) is not list:
+        raise PlanRecordError("grids", f"plan {sid!r}: grids must be a list")
+    grids = tuple([g if g is None else _read_grid(g, sid) for g in grids])
+    if type(stamps) is not list or not all(map(_finite_numbers, stamps)):
+        raise PlanRecordError("timestamps", f"plan {sid!r}: timestamps must hold lists of finite numbers")
+    return SamplingPlan(sid, verdict, reason, tile_cap, grids, tuple(counts), tuple(map(tuple, stamps)), l_text, total)
 
 
 def _json_int(x: int | None) -> str:

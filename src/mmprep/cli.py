@@ -12,6 +12,7 @@ failures.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import logging
 import math
@@ -71,7 +72,13 @@ def _open_in(path: str):
     """The input as UTF-8 text; a byte sequence that is not UTF-8 is a validation error."""
     try:
         if path == "-":
-            yield sys.stdin
+            # sys.stdin decodes with the locale's error handler, which under the C
+            # and UTF-8 locales passes undecodable bytes through as surrogates.
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            try:
+                yield fh
+            finally:
+                fh.detach()  # leaves sys.stdin's buffer open
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 yield fh
@@ -90,26 +97,34 @@ def _open_out(path: str, mode: str = "w"):
 
 
 def _load_config_map(path: str | None, commands) -> dict:
-    """The config file's option defaults, keyed by subcommand name and then option name."""
+    """The config file's option defaults, keyed by subcommand name and then option name.
+
+    A key that names no subcommand, or no parameter of its subcommand, is a
+    validation error: click would ignore it without a word.
+    """
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
             raise ValidationFailure(f"config file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationFailure(f"config file {path} must hold a JSON object")
-    for name in commands:
-        if name in raw and not isinstance(raw[name], dict):
+    config = {}
+    for name, options in raw.items():
+        if name not in commands:
+            raise ValidationFailure(f"config file {path}: {name!r} names no subcommand")
+        if not isinstance(options, dict):
             raise ValidationFailure(f"config file {path}: {name!r} must hold a JSON object of option defaults")
-
-    def norm(obj):
-        if isinstance(obj, dict):
-            return {str(k).replace("-", "_"): norm(v) for k, v in obj.items()}
-        return obj
-
-    return norm(raw)
+        params = {p.name for p in commands[name].params}
+        config[name] = {}
+        for key, value in options.items():
+            option = key.replace("-", "_")
+            if option not in params:
+                raise ValidationFailure(f"config file {path}: {name!r} has no option {key!r}")
+            config[name][option] = value
+    return config
 
 
 @click.group()
@@ -178,12 +193,9 @@ def pack_cmd(ctx, input_path, output_path, l_max):
             if not text:
                 continue
             try:
-                p = budget.plan_from_obj(json.loads(text))
-            except (ValueError, KeyError, TypeError) as exc:
+                p = budget.read_plan(text)
+            except budget.PlanRecordError as exc:
                 raise ValidationFailure(f"malformed plan at line {line_no}: {exc}") from exc
-            defect = _record_defect(p) or (_count_defect(p) if p.planned else None)
-            if defect:
-                raise ValidationFailure(f"malformed plan at line {line_no}: {defect[1]}")
             if p.planned:
                 plans.append(p)
             else:
@@ -351,68 +363,34 @@ def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
         ctx.exit(EXIT_PARTIAL)
 
 
-def _record_defect(p: budget.SamplingPlan) -> tuple[str, str] | None:
-    """(field, message) when a record's id is not a non-empty string or its verdict is unknown."""
-    if type(p.sample_id) is not str or p.sample_id == "":
-        return "id", f"plan id {p.sample_id!r} is not a non-empty string"
-    if p.verdict not in (budget.PLANNED, budget.DISCARDED):
-        return "verdict", f"plan {p.sample_id!r}: unknown verdict {p.verdict!r}"
-    return None
+def _check_plan(p: budget.SamplingPlan, l_max: int) -> None:
+    """Raise PlanRecordError when a planned record's fields disagree with each other or with l_max.
 
-
-def _count_defect(p: budget.SamplingPlan) -> tuple[str, str] | None:
-    """(field, message) when a planned record's l_text, n_per_item or total_tokens is not a count."""
-    for field, values in (("l_text", (p.l_text,)), ("n_per_item", p.temporal_counts),
-                          ("total_tokens", (p.total_tokens,))):
-        for v in values:
-            if type(v) is not int or v < 0:  # bools are not counts
-                return field, f"plan {p.sample_id!r}: {field} holds {v!r}, not a non-negative integer"
-    return None
-
-
-def _is_grid(g) -> bool:
-    """A [cols, rows] pair of positive ints, as plan writes a grid (bools are not ints here)."""
-    return type(g) is list and len(g) == 2 and all(type(c) is int and c >= 1 for c in g)
-
-
-def _plan_defect(obj, l_max: int) -> tuple[str, str] | None:
-    """(field, message) for the first defect of a JSON plan record.
-
-    Beyond what pack checks, the record's fields must be ones plan could write,
-    and its cost is recomputed from them.
+    read_plan has checked each field's shape; here they must be ones plan could
+    write together, and the cost is recomputed from them.
     """
-    if type(obj) is not dict:
-        return "record", "malformed plan: record is not a JSON object"
-    grids = obj.get("grids", [])
-    if type(grids) is not list or not all(g is None or _is_grid(g) for g in grids):
-        return "grids", f"plan {obj.get('id')!r}: grids must hold null or [cols, rows] pairs of positive integers"
-    p = budget.plan_from_obj(obj)
-    defect = _record_defect(p)
-    if defect or not p.planned:
-        return defect
-    defect = _count_defect(p)
-    if defect:
-        return defect
+    if not p.planned:
+        return
+    fail = budget.PlanRecordError
     if len(p.image_grids) != len(p.temporal_counts):
-        return "grids", f"plan {p.sample_id!r}: grids do not align with n_per_item"
+        raise fail("grids", f"plan {p.sample_id!r}: grids do not align with n_per_item")
     if any((g is None) == (n == 0) for g, n in zip(p.image_grids, p.temporal_counts)):
-        return "grids", f"plan {p.sample_id!r}: an item must have a grid exactly when it has 0 units"
+        raise fail("grids", f"plan {p.sample_id!r}: an item must have a grid exactly when it has 0 units")
     tiles = [g.tiles for g in p.image_grids if g is not None]
-    if tiles and not (type(p.tile_cap) is int and 1 <= p.tile_cap <= tiling.MAX_TILES):
-        return "tile_cap", f"plan {p.sample_id!r}: tile_cap {p.tile_cap!r} is not an integer in 1..{tiling.MAX_TILES}"
+    if tiles and not (p.tile_cap is not None and 1 <= p.tile_cap <= tiling.MAX_TILES):
+        raise fail("tile_cap", f"plan {p.sample_id!r}: tile_cap {p.tile_cap!r} is not an integer in 1..{tiling.MAX_TILES}")
     if tiles and max(tiles) > p.tile_cap:
-        return "grids", f"plan {p.sample_id!r}: a grid of {max(tiles)} tiles exceeds tile_cap={p.tile_cap}"
+        raise fail("grids", f"plan {p.sample_id!r}: a grid of {max(tiles)} tiles exceeds tile_cap={p.tile_cap}")
     if len(p.frame_timestamps) != len(p.temporal_counts) or any(
         len(ts) not in (0, n) for ts, n in zip(p.frame_timestamps, p.temporal_counts)
     ):
-        return "timestamps", f"plan {p.sample_id!r}: each timestamps entry must hold 0 or n_per_item values"
+        raise fail("timestamps", f"plan {p.sample_id!r}: each timestamps entry must hold 0 or n_per_item values")
     cost = (p.l_text + tiling.TILE_TOKENS * sum(p.temporal_counts)
             + sum(tiling.grid_tokens(g) for g in p.image_grids if g is not None))
     if p.total_tokens != cost:
-        return "total_tokens", f"plan {p.sample_id!r}: total_tokens={p.total_tokens} but its fields cost {cost}"
+        raise fail("total_tokens", f"plan {p.sample_id!r}: total_tokens={p.total_tokens} but its fields cost {cost}")
     if cost > l_max:
-        return "total_tokens", f"plan {p.sample_id!r} exceeds l_max={l_max}"
-    return None
+        raise fail("total_tokens", f"plan {p.sample_id!r} exceeds l_max={l_max}")
 
 
 @cli.command("validate")
@@ -439,11 +417,9 @@ def validate_cmd(ctx, input_path, output_path, kind, l_max):
                     continue
                 count += 1
                 try:
-                    defect = _plan_defect(json.loads(text), l_max)
-                except (ValueError, KeyError, TypeError) as exc:
-                    defect = "record", f"malformed plan: {exc}"
-                if defect:
-                    errors.append({"line": line_no, "field": defect[0], "error": defect[1]})
+                    _check_plan(budget.read_plan(text), l_max)
+                except budget.PlanRecordError as exc:
+                    errors.append({"line": line_no, "field": exc.field, "error": str(exc)})
             click.echo(f"{count} plans checked, {len(errors)} errors", err=True)
     with _open_out(output_path) as fout:
         for e in errors:

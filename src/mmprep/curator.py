@@ -278,7 +278,7 @@ def read_feature_file(path: str | Path) -> tuple[str, np.ndarray]:
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: malformed feature header") from exc
         if not isinstance(header, dict):
             raise ValueError(f"{path}: malformed feature header")

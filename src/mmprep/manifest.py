@@ -154,6 +154,8 @@ def parse_record(text: str, line: int, seen_ids: set[str] | None = None) -> Samp
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"malformed record ({exc.msg})", line, "record") from exc
+    except RecursionError as exc:
+        raise ManifestError("malformed record (nested too deeply)", line, "record") from exc
     if type(obj) is not dict:
         raise ManifestError("malformed record (not an object)", line, "record")
     sid = obj.get("id")
@@ -187,11 +189,6 @@ def iter_manifest(stream: IO[str] | Iterable[str]) -> Iterator[Sample]:
         if not text:
             continue
         yield parse_record(text, line_no, seen)
-
-
-def parse_manifest(stream: IO[str] | Iterable[str]) -> list[Sample]:
-    """Parse a whole manifest; raises ManifestError on the first bad record."""
-    return list(iter_manifest(stream))
 
 
 def scan_manifest(stream: IO[str] | Iterable[str]) -> tuple[list[Sample], list[ManifestError]]:

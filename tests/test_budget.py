@@ -14,13 +14,14 @@ from mmprep.budget import (
     BudgetConfig,
     Budget,
     PlanError,
+    PlanRecordError,
     SamplingPlan,
     TextOverflowError,
     compute_budget,
     dumps_plan,
     frame_timestamps,
     plan,
-    plan_from_obj,
+    read_plan,
     temporal_cap,
 )
 from mmprep.manifest import Sample, document_item, dumps_sample, image_item, parse_record, video_item
@@ -173,7 +174,7 @@ def test_plan_json_round_trip():
         make_sample("x", videos=[50.0], text_tokens=31000),  # discarded
     ):
         p = plan(sample, cfg)
-        assert plan_from_obj(json.loads(dumps_plan(p))) == p
+        assert read_plan(dumps_plan(p)) == p
 
 
 # --- records and the plan-record writer --------------------------------------------
@@ -192,7 +193,7 @@ def test_records_are_immutable_hashable_and_round_trip():
         assert pickle.loads(pickle.dumps(record)) == record
         assert type(record)(**record._asdict()) == record
     assert parse_record(dumps_sample(sample), 1) == sample
-    assert plan_from_obj(json.loads(dumps_plan(p))) == p
+    assert read_plan(dumps_plan(p)) == p
     assert len({sample, parse_record(dumps_sample(sample), 1)}) == 1
 
 
@@ -213,24 +214,26 @@ def _plan_dict(p: SamplingPlan) -> dict:
 _text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x85\u2028\u00e9\u6f22\U0001f600'),
                           st.characters()), max_size=12)
 _ints = st.integers(-(2**70), 2**70)
+_counts = st.integers(0, 2**70)
 _stamps = st.one_of(
     st.just(()),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).map(tuple),
     st.lists(st.floats(0, 7200), min_size=200, max_size=400).map(tuple),
 )
+# Every record read_plan accepts: any tile_cap, counts >= 0, total_tokens null only on a discard.
 _plans = st.builds(
     SamplingPlan,
-    sample_id=_text,
-    verdict=st.one_of(st.sampled_from(["planned", "discarded"]), _text),
+    sample_id=_text.filter(bool),
+    verdict=st.sampled_from(["planned", "discarded"]),
     reason=st.none() | _text,
     tile_cap=st.none() | _ints,
     image_grids=st.lists(st.none() | st.builds(TileGrid, st.integers(1, 12), st.integers(1, 12)),
                          max_size=5).map(tuple),
-    temporal_counts=st.lists(_ints, max_size=5).map(tuple),
+    temporal_counts=st.lists(_counts, max_size=5).map(tuple),
     frame_timestamps=st.lists(_stamps, max_size=4).map(tuple),
-    l_text=_ints,
-    total_tokens=st.none() | _ints,
-)
+    l_text=_counts,
+    total_tokens=st.none() | _counts,
+).filter(lambda p: p.total_tokens is not None or not p.planned)
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,7 +241,31 @@ _plans = st.builds(
 def test_dumps_plan_writes_what_json_dumps_writes(p):
     line = dumps_plan(p)
     assert line == json.dumps(_plan_dict(p), ensure_ascii=False)
-    assert plan_from_obj(json.loads(line)) == p
+    assert read_plan(line) == p
+
+
+@pytest.mark.parametrize("stamps, ok", [
+    ([[]], True),
+    ([[1, 2.5]], True),
+    ([[1e308, 1.7e308]], True),  # finite values whose sum overflows
+    ([[1e308, 1.7e308, float("nan")]], False),  # a nan after the sum overflowed
+    ([[float("inf"), float("-inf")]], False),
+    ([[10**400]], False),
+    ([["1"]], False),
+    ([[[1.0]]], False),
+    ([[None]], False),
+    ([5], False),
+    ({}, False),
+], ids=["empty", "numbers", "overflowing_sum", "nan_after_overflow", "infs", "huge_int", "string", "nested",
+        "null", "not_lists", "not_a_list"])
+def test_read_plan_timestamps_are_lists_of_finite_numbers(stamps, ok):
+    line = json.dumps({"id": "t", "verdict": "discarded", "timestamps": stamps})
+    if ok:
+        assert read_plan(line).frame_timestamps == tuple(map(tuple, stamps))
+    else:
+        with pytest.raises(PlanRecordError) as err:
+            read_plan(line)
+        assert err.value.field == "timestamps"
 
 
 # --- timestamps ----------------------------------------------------------------
@@ -380,7 +407,7 @@ def test_emitted_plan_records_recompute(cfg, items, text_share):
         assert any(it.kind == "video" and cfg.fps_target * it.duration_s == float("inf") for it in items)
         return
     line = dumps_plan(p)
-    assert plan_from_obj(json.loads(line)) == p
+    assert read_plan(line) == p
     rec = json.loads(line)
     if p.planned:
         grids = rec["grids"]

@@ -166,6 +166,29 @@ def test_non_utf8_input_exit_1(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["plan", "-i", "{deep}"], "malformed record (nested too deeply) at line 1"),
+    (["validate", "--kind", "manifest", "-i", "{deep}"], '"line": 1, "field": "record"'),
+    (["pack", "-i", "{deep}"], "malformed plan at line 1: record is not JSON (nested too deeply)"),
+    (["validate", "--kind", "plans", "-i", "{deep}"], '"line": 1, "field": "record"'),
+    (["annotate", "--endpoint", "http://127.0.0.1:9/generate", "-i", "{deep}"],
+     "malformed job record (nested too deeply) at line 1"),
+    (["curate", "--reference", "{dir}", "--candidates", "{dir}"], "{deep}: malformed feature header"),
+], ids=["plan", "validate-manifest", "pack", "validate-plans", "annotate", "curate"])
+def test_deeply_nested_json_line_exit_1(capsys, tmp_path, argv, names):
+    # json.loads raises RecursionError, not JSONDecodeError, on a line nested this deep.
+    (tmp_path / "in").mkdir()
+    deep = tmp_path / "in" / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    fill = {"deep": str(deep), "dir": str(deep.parent)}
+    argv = [a.format(**fill) for a in argv]
+    out_path = tmp_path / "out.jsonl"
+    code, _, err = run_cli(capsys, [*argv, "-o", str(out_path)])
+    assert code == 1
+    assert names.format(**fill) in err + (out_path.read_text(encoding="utf-8") if out_path.exists() else "")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_usage_exit_1(capsys):
     code, _, err = run_cli(capsys, ["frobnicate"])
     assert code == 1
@@ -331,30 +354,53 @@ def _planned(**fields):
             "timestamps": [[]], "l_text": 0, **fields}
 
 
+def _without(rec, key):
+    return {k: v for k, v in rec.items() if k != key}
+
+
+# What a message about a bad record must not show: Python's own error text.
+_INTERNALS = ("'int' object", "KeyError", "TileGrid", "__", "positional argument", "list indices")
+
+
 # Each record's total_tokens equals the cost of its fields, so only the field checks catch it.
-@pytest.mark.parametrize("rec, field", [
-    (_planned(grids=[[True, 2]], total_tokens=768), "grids"),
-    (_planned(grids=[[1.5, 2]], total_tokens=1024), "grids"),
-    (_planned(grids=[[1, 2, 3]], total_tokens=5), "grids"),
-    (_planned(tile_cap=1, grids=[[4, 3]], total_tokens=3328), "grids"),
-    (_planned(tile_cap=13, grids=[[4, 3]], total_tokens=3328), "tile_cap"),
-    (_planned(n_per_item=[1], grids=[None], timestamps=[[5.0, 9.0, -1.0]], total_tokens=256), "timestamps"),
-    (_planned(n_per_item=[0], grids=[None], l_text=5, total_tokens=5), "grids"),
+# pack reads each record's shape and rejects the same field; the rows that break
+# only what validate checks across fields (shape=False) pack accepts.
+@pytest.mark.parametrize("rec, field, shape", [
+    (_planned(grids=[[True, 2]], total_tokens=768), "grids", True),
+    (_planned(grids=[[1.5, 2]], total_tokens=1024), "grids", True),
+    (_planned(grids=[[1, 2, 3]], total_tokens=5), "grids", True),
+    (_planned(tile_cap=1, grids=[[4, 3]], total_tokens=3328), "grids", False),
+    (_planned(tile_cap=13, grids=[[4, 3]], total_tokens=3328), "tile_cap", False),
+    (_planned(n_per_item=[1], grids=[None], timestamps=[[5.0, 9.0, -1.0]], total_tokens=256), "timestamps", False),
+    (_planned(n_per_item=[0], grids=[None], l_text=5, total_tokens=5), "grids", False),
     (_planned(verdict="Planned", n_per_item=[1], grids=[None], timestamps=[[1.0]], l_text=5, total_tokens=261),
-     "verdict"),
-    (_planned(id=5, total_tokens=256), "id"),
-    (["x"], "record"),
+     "verdict", True),
+    (_planned(id=5, total_tokens=256), "id", True),
+    (["x"], "record", True),
+    (_without(_planned(total_tokens=256), "id"), "id", True),
+    (_planned(n_per_item=[1], grids=[None], timestamps=[5], total_tokens=256), "timestamps", True),
+    (_planned(n_per_item=5, grids=[None], timestamps=[[]], total_tokens=1280), "n_per_item", True),
+    (_planned(n_per_item=[1], grids=[None], timestamps=[[float("nan")]], total_tokens=256), "timestamps", True),
 ], ids=["bool_cell", "float_cell", "triple", "grid_over_cap", "cap_out_of_range", "timestamps_count",
-        "no_units_no_grid", "unknown_verdict", "int_id", "not_object"])
-def test_validate_plans_rejects_fields_plan_never_writes(capsys, tmp_path, rec, field):
+        "no_units_no_grid", "unknown_verdict", "int_id", "not_object", "no_id", "timestamps_not_lists",
+        "n_per_item_not_list", "nan_timestamp"])
+def test_validate_plans_rejects_fields_plan_never_writes(capsys, tmp_path, rec, field, shape):
     plans = tmp_path / "p.jsonl"
     plans.write_text(json.dumps(rec) + "\n")
     code, out, err = run_cli(capsys, ["validate", "--kind", "plans", "-i", str(plans)])
     assert code == 1
     errors = [json.loads(l) for l in out.splitlines()]
     assert [(e["line"], e["field"]) for e in errors] == [(1, field)]
-    assert "TileGrid" not in errors[0]["error"] and "indices" not in errors[0]["error"]
+    assert not any(s in errors[0]["error"] for s in _INTERNALS), errors[0]["error"]
     assert "1 plans checked, 1 errors" in err
+    code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
+    if not shape:
+        assert code == 0 and len(out.splitlines()) == 1
+        return
+    assert code == 1 and out == ""
+    message = err[err.index("malformed plan at line 1"):]
+    assert field in message
+    assert not any(s in message for s in _INTERNALS), message
 
 
 @pytest.mark.parametrize("rec, field", [
@@ -577,11 +623,11 @@ def test_annotate_option_out_of_range_exit_1(capsys, tmp_path, option, value):
     assert not out_path.exists()
 
 
-def _fresh_python(*args):
-    """A fresh interpreter, with this checkout's src/ on its path, run on args."""
+def _fresh_python(*args, stdin=subprocess.DEVNULL):
+    """A fresh interpreter, with this checkout's src/ on its path, run on args with stdin read from a file."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, stdin=subprocess.DEVNULL,
+    return subprocess.run([sys.executable, *args], env=env, stdin=stdin,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -595,6 +641,28 @@ def test_python_m_mmprep_runs_the_cli():
     bad = run("pack", "--l-max", "0")
     assert bad.returncode == 1
     assert "--l-max" in bad.stderr
+
+
+@pytest.mark.parametrize("output", [[], ["-o", "out.jsonl"]], ids=["stdout", "file"])
+def test_non_utf8_stdin_exit_1(tmp_path, monkeypatch, output):
+    # UTF-8 mode gives sys.stdin the surrogateescape handler, as the C and UTF-8 locales do.
+    monkeypatch.setenv("PYTHONUTF8", "1")
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "in.jsonl"
+    bad.write_bytes(b'{"id": "a\xff", "items": [], "text_tokens": 1, "tags": []}\n')
+    with bad.open("rb") as fh:
+        proc = _fresh_python("-m", "mmprep", "plan", *output, stdin=fh)
+    assert proc.returncode == 1
+    assert "input stdin is not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "out.jsonl").exists() or (tmp_path / "out.jsonl").read_bytes() == b""
+    bad.write_bytes(b'{"id": "a\xc3\xa9", "items": [], "text_tokens": 1, "tags": []}\n')
+    with bad.open("rb") as fh:
+        proc = _fresh_python("-m", "mmprep", "plan", *output, stdin=fh)
+    assert proc.returncode == 0, proc.stderr
+    written = (tmp_path / "out.jsonl").read_text(encoding="utf-8") if output else proc.stdout
+    assert json.loads(written)["id"] == "a\u00e9"
 
 
 # Runs cli.main on argv, then fails naming any heavy module the command loaded.
@@ -662,7 +730,9 @@ def test_env_overrides_config_but_not_flag(capsys, small_manifest, tmp_path, mon
 @pytest.mark.parametrize("content, message", [
     ("{not json", "is not UTF-8 JSON"),
     ('{"stages": 3}', "'stages' must hold a JSON object"),
-], ids=["not-json", "command-not-object"])
+    ('{"plan": {"l_maxx": 5}}', "'plan' has no option 'l_maxx'"),
+    ('{"plann": {}}', "'plann' names no subcommand"),
+], ids=["not-json", "command-not-object", "unknown-option", "unknown-command"])
 def test_bad_config_file_exit_1(capsys, tmp_path, content, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content, encoding="utf-8")

@@ -12,7 +12,6 @@ from mmprep.manifest import (
     dumps_sample,
     iter_manifest,
     manifest_stats,
-    parse_manifest,
     parse_record,
     sample_to_obj,
     scan_manifest,
@@ -21,7 +20,7 @@ from mmprep.manifest import (
 
 
 def test_empty_stream():
-    assert parse_manifest(io.StringIO("")) == []
+    assert list(iter_manifest(io.StringIO(""))) == []
 
 
 def test_single_image_record_round_trip():
@@ -33,7 +32,7 @@ def test_single_image_record_round_trip():
             "tags": [],
         }
     )
-    samples = parse_manifest(io.StringIO(line + "\n"))
+    samples = list(iter_manifest(io.StringIO(line + "\n")))
     assert len(samples) == 1
     s = samples[0]
     assert s.id == "a" and s.text_tokens == 100
@@ -47,7 +46,7 @@ def test_negative_duration_names_line_and_field():
         {"id": "a", "items": [{"kind": "video", "duration_s": -1, "uri": "u"}], "text_tokens": 0, "tags": []}
     )
     with pytest.raises(ManifestError) as exc:
-        parse_manifest(io.StringIO(line))
+        list(iter_manifest(io.StringIO(line)))
     assert "invalid duration at line 1" in str(exc.value)
     assert exc.value.line == 1
     assert exc.value.field == "duration_s"
@@ -56,7 +55,7 @@ def test_negative_duration_names_line_and_field():
 def test_duplicate_id_rejected():
     rec = json.dumps({"id": "a", "items": [], "text_tokens": 0, "tags": []})
     with pytest.raises(ManifestError) as exc:
-        parse_manifest(io.StringIO(rec + "\n" + rec))
+        list(iter_manifest(io.StringIO(rec + "\n" + rec)))
     assert exc.value.line == 2
     assert exc.value.field == "id"
 
@@ -64,7 +63,7 @@ def test_duplicate_id_rejected():
 def test_unknown_kind_rejected():
     line = json.dumps({"id": "a", "items": [{"kind": "audio", "uri": "u"}], "text_tokens": 0, "tags": []})
     with pytest.raises(ManifestError) as exc:
-        parse_manifest(io.StringIO(line))
+        list(iter_manifest(io.StringIO(line)))
     assert exc.value.field == "kind"
 
 
@@ -151,7 +150,7 @@ def test_records_replace_runs_constructor_checks():
 
 def test_malformed_json_names_line():
     with pytest.raises(ManifestError) as exc:
-        parse_manifest(io.StringIO('{"id": "a"\n'))
+        list(iter_manifest(io.StringIO('{"id": "a"\n')))
     assert "line 1" in str(exc.value)
 
 
@@ -159,7 +158,7 @@ def test_blank_lines_skipped_line_numbers_kept():
     good = json.dumps({"id": "a", "items": [], "text_tokens": 0, "tags": []})
     bad = '{"nope"'
     with pytest.raises(ManifestError) as exc:
-        parse_manifest(io.StringIO(good + "\n\n" + bad + "\n"))
+        list(iter_manifest(io.StringIO(good + "\n\n" + bad + "\n")))
     assert exc.value.line == 3
 
 
@@ -248,7 +247,7 @@ _items = st.lists(
 )
 def test_parse_serialize_parse_is_identity(records):
     text = "\n".join(json.dumps(r) for r in records)
-    first = parse_manifest(io.StringIO(text))
-    second = parse_manifest(io.StringIO("\n".join(dumps_sample(s) for s in first)))
+    first = list(iter_manifest(io.StringIO(text)))
+    second = list(iter_manifest(io.StringIO("\n".join(dumps_sample(s) for s in first))))
     assert first == second
     assert [sample_to_obj(s) for s in first] == [sample_to_obj(s) for s in second]
