@@ -231,18 +231,13 @@ def _is_count(x) -> bool:
 
 
 def _finite_numbers(xs) -> bool:
-    """Whether xs is a list of finite numbers: one fsum call, value by value only if the sum overflows."""
+    """Whether xs is a list of finite numbers."""
     if type(xs) is not list:
         return False
     try:
-        return math.isfinite(math.fsum(xs))  # nan or inf in, nan or inf out
-    except (TypeError, ValueError):  # a non-number, or inf and -inf together
+        return all(map(math.isfinite, xs))
+    except (TypeError, OverflowError):  # a non-number, or an int beyond float range
         return False
-    except OverflowError:  # finite values whose sum leaves float range, or an int beyond it
-        try:
-            return all(map(math.isfinite, xs))
-        except (TypeError, OverflowError):
-            return False
 
 
 def _read_grid(g, sample_id: str) -> TileGrid:

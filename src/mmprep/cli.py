@@ -74,7 +74,7 @@ def _open_in(path: str):
         if path == "-":
             # sys.stdin decodes with the locale's error handler, which under the C
             # and UTF-8 locales passes undecodable bytes through as surrogates.
-            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
             try:
                 yield fh
             finally:
@@ -371,26 +371,35 @@ def _check_plan(p: budget.SamplingPlan, l_max: int) -> None:
     """
     if not p.planned:
         return
-    fail = budget.PlanRecordError
     if len(p.image_grids) != len(p.temporal_counts):
-        raise fail("grids", f"plan {p.sample_id!r}: grids do not align with n_per_item")
+        raise budget.PlanRecordError("grids", f"plan {p.sample_id!r}: grids do not align with n_per_item")
     if any((g is None) == (n == 0) for g, n in zip(p.image_grids, p.temporal_counts)):
-        raise fail("grids", f"plan {p.sample_id!r}: an item must have a grid exactly when it has 0 units")
+        raise budget.PlanRecordError(
+            "grids", f"plan {p.sample_id!r}: an item must have a grid exactly when it has 0 units"
+        )
     tiles = [g.tiles for g in p.image_grids if g is not None]
     if tiles and not (p.tile_cap is not None and 1 <= p.tile_cap <= tiling.MAX_TILES):
-        raise fail("tile_cap", f"plan {p.sample_id!r}: tile_cap {p.tile_cap!r} is not an integer in 1..{tiling.MAX_TILES}")
+        raise budget.PlanRecordError(
+            "tile_cap", f"plan {p.sample_id!r}: tile_cap {p.tile_cap!r} is not an integer in 1..{tiling.MAX_TILES}"
+        )
     if tiles and max(tiles) > p.tile_cap:
-        raise fail("grids", f"plan {p.sample_id!r}: a grid of {max(tiles)} tiles exceeds tile_cap={p.tile_cap}")
+        raise budget.PlanRecordError(
+            "grids", f"plan {p.sample_id!r}: a grid of {max(tiles)} tiles exceeds tile_cap={p.tile_cap}"
+        )
     if len(p.frame_timestamps) != len(p.temporal_counts) or any(
         len(ts) not in (0, n) for ts, n in zip(p.frame_timestamps, p.temporal_counts)
     ):
-        raise fail("timestamps", f"plan {p.sample_id!r}: each timestamps entry must hold 0 or n_per_item values")
+        raise budget.PlanRecordError(
+            "timestamps", f"plan {p.sample_id!r}: each timestamps entry must hold 0 or n_per_item values"
+        )
     cost = (p.l_text + tiling.TILE_TOKENS * sum(p.temporal_counts)
             + sum(tiling.grid_tokens(g) for g in p.image_grids if g is not None))
     if p.total_tokens != cost:
-        raise fail("total_tokens", f"plan {p.sample_id!r}: total_tokens={p.total_tokens} but its fields cost {cost}")
+        raise budget.PlanRecordError(
+            "total_tokens", f"plan {p.sample_id!r}: total_tokens={p.total_tokens} but its fields cost {cost}"
+        )
     if cost > l_max:
-        raise fail("total_tokens", f"plan {p.sample_id!r} exceeds l_max={l_max}")
+        raise budget.PlanRecordError("total_tokens", f"plan {p.sample_id!r} exceeds l_max={l_max}")
 
 
 @cli.command("validate")

@@ -214,26 +214,39 @@ def _plan_dict(p: SamplingPlan) -> dict:
 _text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x85\u2028\u00e9\u6f22\U0001f600'),
                           st.characters()), max_size=12)
 _ints = st.integers(-(2**70), 2**70)
-_counts = st.integers(0, 2**70)
 _stamps = st.one_of(
     st.just(()),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).map(tuple),
     st.lists(st.floats(0, 7200), min_size=200, max_size=400).map(tuple),
 )
-# Every record read_plan accepts: any tile_cap, counts >= 0, total_tokens null only on a discard.
 _plans = st.builds(
     SamplingPlan,
-    sample_id=_text.filter(bool),
-    verdict=st.sampled_from(["planned", "discarded"]),
+    sample_id=_text,
+    verdict=st.one_of(st.sampled_from(["planned", "discarded"]), _text),
     reason=st.none() | _text,
     tile_cap=st.none() | _ints,
     image_grids=st.lists(st.none() | st.builds(TileGrid, st.integers(1, 12), st.integers(1, 12)),
                          max_size=5).map(tuple),
-    temporal_counts=st.lists(_counts, max_size=5).map(tuple),
+    temporal_counts=st.lists(_ints, max_size=5).map(tuple),
     frame_timestamps=st.lists(_stamps, max_size=4).map(tuple),
-    l_text=_counts,
-    total_tokens=st.none() | _counts,
-).filter(lambda p: p.total_tokens is not None or not p.planned)
+    l_text=_ints,
+    total_tokens=st.none() | _ints,
+)
+
+
+def _rejected_field(p: SamplingPlan) -> str | None:
+    """The field read_plan names for p's record, or None when it reads p back."""
+    if p.sample_id == "":
+        return "id"
+    if p.verdict not in ("planned", "discarded"):
+        return "verdict"
+    if p.l_text < 0:
+        return "l_text"
+    if any(n < 0 for n in p.temporal_counts):
+        return "n_per_item"
+    if (p.total_tokens is None and p.planned) or (p.total_tokens is not None and p.total_tokens < 0):
+        return "total_tokens"
+    return None
 
 
 @settings(max_examples=300, deadline=None)
@@ -241,14 +254,20 @@ _plans = st.builds(
 def test_dumps_plan_writes_what_json_dumps_writes(p):
     line = dumps_plan(p)
     assert line == json.dumps(_plan_dict(p), ensure_ascii=False)
-    assert read_plan(line) == p
+    field = _rejected_field(p)
+    if field is None:
+        assert read_plan(line) == p
+    else:
+        with pytest.raises(PlanRecordError) as err:
+            read_plan(line)
+        assert err.value.field == field
 
 
 @pytest.mark.parametrize("stamps, ok", [
     ([[]], True),
     ([[1, 2.5]], True),
-    ([[1e308, 1.7e308]], True),  # finite values whose sum overflows
-    ([[1e308, 1.7e308, float("nan")]], False),  # a nan after the sum overflowed
+    ([[1e308, 1.7e308]], True),  # finite values whose sum leaves float range
+    ([[1e308, 1.7e308, float("nan")]], False),
     ([[float("inf"), float("-inf")]], False),
     ([[10**400]], False),
     ([["1"]], False),
@@ -256,7 +275,7 @@ def test_dumps_plan_writes_what_json_dumps_writes(p):
     ([[None]], False),
     ([5], False),
     ({}, False),
-], ids=["empty", "numbers", "overflowing_sum", "nan_after_overflow", "infs", "huge_int", "string", "nested",
+], ids=["empty", "numbers", "large_sum", "nan_after_large_sum", "infs", "huge_int", "string", "nested",
         "null", "not_lists", "not_a_list"])
 def test_read_plan_timestamps_are_lists_of_finite_numbers(stamps, ok):
     line = json.dumps({"id": "t", "verdict": "discarded", "timestamps": stamps})

@@ -657,7 +657,8 @@ def test_non_utf8_stdin_exit_1(tmp_path, monkeypatch, output):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert not (tmp_path / "out.jsonl").exists() or (tmp_path / "out.jsonl").read_bytes() == b""
-    bad.write_bytes(b'{"id": "a\xc3\xa9", "items": [], "text_tokens": 1, "tags": []}\n')
+    # a lone \r between JSON tokens is whitespace, not a line end, as sys.stdin reads it
+    bad.write_bytes(b'{"id": "a\xc3\xa9",\r "items": [], "text_tokens": 1, "tags": []}\n')
     with bad.open("rb") as fh:
         proc = _fresh_python("-m", "mmprep", "plan", *output, stdin=fh)
     assert proc.returncode == 0, proc.stderr
