@@ -259,33 +259,20 @@ def tile_cmd(ctx, input_path, output_path, tile_cap):
             raise ValidationFailure(str(exc)) from exc
 
 
-def _pooled_files(directory, pool):
-    """(path, video_id, clips) for every feature file, in filename order.
-
-    Each track is pooled as soon as it is read and then dropped.
-    """
-    from . import curator
-
-    return [
-        (path, vid, curator.clips_from_seconds(vid, track, pool=pool))
-        for path, vid, track in curator.iter_feature_dir(directory)
-    ]
-
-
 def _curate_reports(candidates_dir, reference_dir, tau, pool):
     from . import curator
 
-    reference = curator.ReferenceIndex.from_clips(
-        c for _, _, clips in _pooled_files(reference_dir, pool) for c in clips
+    ref_matrix, ref_videos = curator.read_clip_matrix(reference_dir, pool)
+    reference = curator.ReferenceIndex.from_clips(ref_matrix)  # normalizes ref_matrix in place, no copy
+    cand_matrix, cand_videos = curator.read_clip_matrix(
+        candidates_dir, pool, dim_of=(ref_videos[0].path, reference.dim)
     )
     first_path = {}
-    cand_clips = []
-    for path, vid, clips in _pooled_files(candidates_dir, pool):
-        if vid in first_path:
-            raise ValueError(f"duplicate candidate video_id {vid!r} in {first_path[vid]} and {path}")
-        first_path[vid] = path
-        cand_clips.extend(clips)
-    return curator.select_novel(cand_clips, reference, tau)
+    for v in cand_videos:
+        if v.video_id in first_path:
+            raise ValueError(f"duplicate candidate video_id {v.video_id!r} in {first_path[v.video_id]} and {v.path}")
+        first_path[v.video_id] = v.path
+    return curator.select_novel(cand_matrix, cand_videos, reference, tau)
 
 
 @cli.command("curate")

@@ -6,12 +6,16 @@ and the clip's maximum cosine similarity against the whole reference
 collection decides novelty: strictly below the threshold means novel, and a
 video is selected when at least one of its clips is novel.
 
-Curation is one streaming pass: feature files are read one at a time and each
-track is pooled into clip features as soon as it is read, so raw tracks never
-accumulate. The clips of all candidate videos are then scored against the
-reference collection in a single blocked scan. The reference and candidate
-matrices are each stacked once from the clip vectors and normalized in place,
-so neither is ever held twice.
+Each side of curation, reference and candidates, is built straight into one
+float64 matrix with one row per clip (read_clip_matrix). A pre-pass reads
+only the header line of every feature file, which gives the clip count and so
+the matrix's final size before any track is read. The main pass then reads
+one track at a time, pools it into its clip rows and drops it, so neither raw
+tracks nor per-file clip blocks accumulate, and no matrix is ever stacked or
+copied. Each matrix is normalized in place a block of rows at a time. At the
+peak, during the scan, curation holds the reference matrix, the candidate
+matrix and the scan's one similarity tile (kernels.TILE_VALUES float64
+values, 8 MiB).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,18 +33,9 @@ from . import kernels
 CLIP_SECONDS = 10  # tracks are 1 fps, so a clip is this many vectors
 MIN_TAIL_S = 1.0
 DEFAULT_TAU = 0.5
-
-
-@dataclass(frozen=True)
-class ClipFeature:
-    video_id: str
-    clip_index: int
-    span: tuple[float, float]
-    vector: np.ndarray
-
-    def __post_init__(self):
-        if self.span[1] <= self.span[0]:
-            raise ValueError("clip span must have end > start")
+# float64 values normalized at a time: np.linalg.norm's two temporaries then
+# take 512 KiB each, whatever the matrix size.
+NORM_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,6 +52,15 @@ class NoveltyReport:
             "novel_clips": list(self.novel_clips),
             "selected": self.selected,
         }
+
+
+class VideoRows(NamedTuple):
+    """Where one feature file's clips sit in a clip matrix: rows first_row .. first_row+clip_count-1."""
+
+    path: Path | str
+    video_id: str
+    first_row: int
+    clip_count: int
 
 
 def segment_clips(duration_s: float) -> list[tuple[float, float]]:
@@ -89,22 +93,8 @@ def pool_clip(vectors: Sequence[np.ndarray] | np.ndarray, mode: str = "mean") ->
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("cosine requires two 1-D vectors of equal dimension")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine is undefined for a zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def _row_norms(m: np.ndarray) -> np.ndarray:
-    """L2 norm of every row, after checking the matrix is 2-D, finite and has no zero row."""
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D matrix of row vectors")
+    """L2 norm of every row of a 2-D matrix, after checking it is finite and has no zero row."""
     if not np.isfinite(m).all():
         raise ValueError("non-finite value in feature matrix")
     norms = np.linalg.norm(m, axis=1)
@@ -113,120 +103,99 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    """A unit-row copy of the matrix; the caller's array is never written."""
-    m = np.asarray(matrix, dtype=np.float64)
-    return m / _row_norms(m)[:, None]
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Scale the rows of a float64 matrix to unit length in place and return it.
 
-
-def _normalized_stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack vectors into a fresh float64 matrix and scale its rows to unit length in place.
-
-    Bit for bit _normalize_rows(np.stack(vectors)), without a second matrix-sized copy.
+    Works NORM_BLOCK_VALUES values at a time; each row's norm is the one
+    np.linalg.norm gives over the whole matrix, so the result is bit for bit
+    m / np.linalg.norm(m, axis=1)[:, None].
     """
-    m = np.stack(vectors).astype(np.float64, copy=False)
-    m /= _row_norms(m)[:, None]
+    if m.ndim != 2:
+        raise ValueError("expected a 2-D matrix of row vectors")
+    step = max(1, NORM_BLOCK_VALUES // max(1, m.shape[1]))
+    for i0 in range(0, m.shape[0], step):
+        block = m[i0 : i0 + step]
+        block /= _row_norms(block)[:, None]
     return m
 
 
 class ReferenceIndex:
     """Immutable normalized matrix of reference clip features; safe to share.
 
-    ReferenceIndex(matrix) normalizes a copy of the caller's matrix;
-    from_clips stacks the clip vectors into a matrix of its own and
-    normalizes that in place.
+    ReferenceIndex(matrix) normalizes a copy of the caller's matrix. from_clips
+    takes over a float64 matrix and normalizes it in place, or stacks a
+    sequence of clip vectors into a matrix of its own first.
     """
 
     def __init__(self, matrix: np.ndarray):
-        self._own(_normalize_rows(matrix))
+        self._take(np.array(matrix, dtype=np.float64))
 
-    def _own(self, unit_rows: np.ndarray) -> None:
-        self._matrix = unit_rows
+    def _take(self, m: np.ndarray) -> None:
+        if len(m) == 0:
+            raise ValueError("reference set is empty")
+        self._matrix = _unit_rows(m)
         self._matrix.setflags(write=False)
 
     @classmethod
-    def from_clips(cls, clips: Iterable[ClipFeature]) -> "ReferenceIndex":
-        vectors = [c.vector for c in clips]
-        if not vectors:
-            raise ValueError("reference set is empty")
+    def from_clips(cls, clips: np.ndarray | Sequence[np.ndarray]) -> "ReferenceIndex":
         index = cls.__new__(cls)
-        index._own(_normalized_stack(vectors))
+        index._take(np.asarray(clips, dtype=np.float64))
         return index
-
-    @property
-    def count(self) -> int:
-        return self._matrix.shape[0]
 
     @property
     def dim(self) -> int:
         return self._matrix.shape[1]
-
-    def smax_many(self, vectors: np.ndarray) -> np.ndarray:
-        """Max cosine of each row vector against the whole reference set."""
-        return self._smax(_normalize_rows(np.atleast_2d(np.asarray(vectors, dtype=np.float64))))
-
-    def _smax(self, cand: np.ndarray) -> np.ndarray:
-        # cand holds unit rows already.
-        if cand.shape[1] != self.dim:
-            raise ValueError(f"dimension mismatch: {cand.shape[1]} vs reference {self.dim}")
-        return kernels.smax(cand, self._matrix)
 
 
 def clips_from_seconds(
     video_id: str,
     per_second_vectors: np.ndarray,
     pool: str = "mean",
-) -> list[ClipFeature]:
-    """Cut a 1-fps feature track into pooled clip features.
+) -> np.ndarray:
+    """Cut a 1-fps feature track into clips and pool each into one float64 row.
 
-    Full clips are pooled together through one (clips, seconds, dim) view of
-    the track; the tail clip, if any, is pooled on its own.
+    Returns a (clips, dim) matrix whose row k is clip k of segment_clips. Full
+    clips are pooled together through one (clips, seconds, dim) view of the
+    track; the tail clip, if any, is pooled on its own.
     """
     track = np.asarray(per_second_vectors)
     if track.ndim != 2 or track.shape[0] == 0:
-        raise ValueError("per_second_vectors must be a non-empty 2-D array")
-    spans = segment_clips(float(track.shape[0]))  # 1 vector per second
+        raise ValueError(f"{video_id}: per_second_vectors must be a non-empty 2-D array")
     n_full = track.shape[0] // CLIP_SECONDS
     full = n_full * CLIP_SECONDS
-    vectors = list(pool_clip(track[:full].reshape(n_full, CLIP_SECONDS, track.shape[1]), pool))
-    if len(spans) > n_full:
-        vectors.append(pool_clip(track[full:], pool))
-    return [
-        ClipFeature(video_id=video_id, clip_index=idx, span=span, vector=vec)
-        for idx, (span, vec) in enumerate(zip(spans, vectors))
-    ]
+    clips = pool_clip(track[:full].reshape(n_full, CLIP_SECONDS, track.shape[1]), pool)
+    if len(segment_clips(track.shape[0])) > n_full:  # 1 vector per second
+        clips = np.vstack([clips, pool_clip(track[full:], pool)])
+    return clips
 
 
 def select_novel(
-    candidates: Iterable[ClipFeature],
+    candidates: np.ndarray,
+    videos: Sequence[VideoRows],
     reference: ReferenceIndex,
     tau: float = DEFAULT_TAU,
 ) -> list[NoveltyReport]:
     """Per-video novelty verdicts: a clip is novel iff its max similarity < tau.
 
-    The clips of every video are stacked into one matrix, normalized in place
-    and scored in one kernels.smax call; reports come out sorted by video_id
-    with each video's clips in clip_index order.
+    candidates holds one float64 row per clip, and each VideoRows names one
+    video's rows. The matrix is taken over: its rows are normalized in place
+    and all of them are scored in one kernels.smax call. Reports come out
+    sorted by video_id, each with its clips in row order.
     """
     if not -1 < tau <= 1:
         raise ValueError("tau must be in (-1, 1]")
-    by_video: dict[str, list[ClipFeature]] = {}
-    for clip in candidates:
-        by_video.setdefault(clip.video_id, []).append(clip)
-    groups = [(vid, sorted(by_video[vid], key=lambda c: c.clip_index)) for vid in sorted(by_video)]
-    if not groups:
+    if not videos:
         return []
-
-    smax = reference._smax(_normalized_stack([c.vector for _, clips in groups for c in clips]))
+    if candidates.ndim != 2 or candidates.shape[1] != reference.dim:
+        raise ValueError(f"dimension mismatch: candidates {candidates.shape} vs reference dim {reference.dim}")
+    smax = kernels.smax(_unit_rows(candidates), reference._matrix)
     reports = []
-    start = 0
-    for video_id, clips in groups:
-        scores = smax[start : start + len(clips)]
-        start += len(clips)
-        novel = tuple(c.clip_index for c, s in zip(clips, scores) if s < tau)
+    for v in sorted(videos, key=lambda v: v.video_id):
+        scores = smax[v.first_row : v.first_row + v.clip_count]
+        novel = tuple(k for k, s in enumerate(scores) if s < tau)
         reports.append(
             NoveltyReport(
-                video_id=video_id,
+                video_id=v.video_id,
                 per_clip_smax=tuple(float(s) for s in scores),
                 novel_clips=novel,
                 selected=bool(novel),
@@ -273,64 +242,127 @@ def write_feature_file(path: str | Path, video_id: str, vectors: np.ndarray, bin
                 fh.write((" ".join(repr(float(v)) for v in row) + "\n").encode("utf-8"))
 
 
+class FeatureHeader(NamedTuple):
+    """A feature file's header line, checked against itself and against the body's size."""
+
+    video_id: str
+    dim: int
+    count: int
+    encoding: str | None  # as declared; None when the header leaves it out
+    binary: bool  # the body is read as count*dim float32 values
+
+
+def _read_header(fh, path: str | Path) -> FeatureHeader:
+    """Read and check the header line of a feature file open for reading in binary.
+
+    video_id must be a non-empty str, and dim and count non-bool ints >= 1. The
+    body that follows must be able to hold count*dim values: exactly that many
+    float32 bytes when binary, and at least one byte per value and per
+    separator when text. Every failure is a ValueError naming the file.
+    """
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: malformed feature header") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: malformed feature header")
+    for key in ("video_id", "dim", "count"):
+        if key not in header:
+            raise ValueError(f"{path}: feature header missing {key!r}")
+    video_id, dim, count = header["video_id"], header["dim"], header["count"]
+    if not isinstance(video_id, str) or not video_id:
+        raise ValueError(f"{path}: feature header 'video_id' must be a non-empty string, not {video_id!r}")
+    for key, value in (("dim", dim), ("count", count)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{path}: feature header {key!r} must be an integer >= 1, not {value!r}")
+    if header.get("fps", 1) != 1:
+        raise ValueError(f"{path}: unsupported feature fps {header.get('fps')!r} (expected 1)")
+    declared = header.get("encoding")
+    if declared is not None and declared not in ENCODINGS:
+        raise ValueError(f"{path}: unknown feature encoding {declared!r} (expected one of {ENCODINGS})")
+    n = count * dim
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    binary = declared == "f32le" or (declared is None and size == n * 4)
+    if binary and size != n * 4:
+        raise ValueError(f"{path}: f32le body is {size} bytes, header promises {n * 4}")
+    if not binary and size < 2 * n - 1:
+        raise ValueError(f"{path}: text body of {size} bytes cannot hold the {n} values the header promises")
+    return FeatureHeader(video_id, dim, count, declared, binary)
+
+
+def read_feature_header(path: str | Path) -> FeatureHeader:
+    """Check a feature file's header line without reading its body."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
 def read_feature_file(path: str | Path) -> tuple[str, np.ndarray]:
     """Load a per-second feature track; returns (video_id, count x dim float32)."""
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"{path}: malformed feature header") from exc
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: malformed feature header")
-        for key in ("video_id", "dim", "count"):
-            if key not in header:
-                raise ValueError(f"{path}: feature header missing {key!r}")
-        if header.get("fps", 1) != 1:
-            raise ValueError(f"{path}: unsupported feature fps {header.get('fps')!r} (expected 1)")
-        declared = header.get("encoding")
-        if declared is not None and declared not in ENCODINGS:
-            raise ValueError(f"{path}: unknown feature encoding {declared!r} (expected one of {ENCODINGS})")
-        dim, count = int(header["dim"]), int(header["count"])
-        if dim < 1 or count < 1:
-            raise ValueError(f"{path}: invalid dim/count in header")
-        n = count * dim
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if declared == "f32le" or (declared is None and size == n * 4):
-            if size != n * 4:
-                raise ValueError(f"{path}: f32le body is {size} bytes, header promises {n * 4}")
+        header = _read_header(fh, path)
+        n = header.count * header.dim
+        if header.binary:
             values = np.fromfile(fh, dtype="<f4", count=n)
             # The prefix test settles almost every binary body without a full scan.
-            if declared is None and _is_text(values[:16].tobytes()) and _is_text(values.tobytes()):
-                raise ValueError(f"{path}: body of {size} bytes reads as float32 and as text; "
+            if header.encoding is None and _is_text(values[:16].tobytes()) and _is_text(values.tobytes()):
+                raise ValueError(f"{path}: body of {n * 4} bytes reads as float32 and as text; "
                                  "declare its encoding in the header")
         else:
             try:
                 values = np.array(fh.read().decode("utf-8").split(), dtype=np.float32)
             except ValueError as exc:  # undecodable bytes or a token that is not a number
-                expected = "text" if declared else f"{n * 4} bytes of float32 or text"
+                expected = "text" if header.encoding else f"{n * 4} bytes of float32 or text"
                 raise ValueError(f"{path}: body is not {expected}") from exc
     if values.size != n:
         raise ValueError(f"{path}: body has {values.size} values, header promises {n}")
-    arr = values.reshape(count, dim)
+    arr = values.reshape(header.count, header.dim)
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: non-finite feature value (NaN or Inf)")
-    return str(header["video_id"]), arr
+    return header.video_id, arr
 
 
-def iter_feature_dir(directory: str | Path) -> Iterator[tuple[Path, str, np.ndarray]]:
-    """Read a directory's feature files one at a time, in filename order.
-
-    Yields (path, video_id, track); nothing is read ahead, so a caller that
-    drops each track before taking the next holds one track at a time.
-    """
+def feature_paths(directory: str | Path) -> list[Path]:
+    """The feature files of a directory, in filename order; an empty directory is an error."""
     paths = sorted(p for p in Path(directory).iterdir() if p.is_file())
     if not paths:
         raise ValueError(f"no feature files in {directory}")
-    for path in paths:
-        video_id, track = read_feature_file(path)
-        yield path, video_id, track
+    return paths
 
 
 def load_feature_dir(directory: str | Path) -> list[tuple[str, np.ndarray]]:
     """Read every feature file in a directory, sorted by filename."""
-    return [(video_id, track) for _, video_id, track in iter_feature_dir(directory)]
+    return [read_feature_file(path) for path in feature_paths(directory)]
+
+
+def read_clip_matrix(
+    directory: str | Path,
+    pool: str = "mean",
+    dim_of: tuple[Path | str, int] | None = None,
+) -> tuple[np.ndarray, list[VideoRows]]:
+    """Pool every feature file of a directory into one float64 matrix, one row per clip.
+
+    A pre-pass checks each file's header and sizes the matrix from the clip
+    counts. The main pass then reads the files one at a time, in filename
+    order, and copies each track's pooled clips into its rows before the next
+    is read. Every file must share one dim: that of dim_of, a (path, dim) pair,
+    or else that of the first file. Returns the matrix and one VideoRows per
+    file, in file order.
+    """
+    headers = [(path, read_feature_header(path)) for path in feature_paths(directory)]
+    like, dim = dim_of or (headers[0][0], headers[0][1].dim)
+    for path, header in headers:
+        if header.dim != dim:
+            raise ValueError(f"{path}: dim {header.dim} does not match dim {dim} of {like}")
+    matrix = np.empty((sum(len(segment_clips(h.count)) for _, h in headers), dim))
+    videos = []
+    row = 0
+    for path, header in headers:
+        video_id, track = read_feature_file(path)
+        if track.shape != (header.count, header.dim):
+            raise ValueError(f"{path}: header changed while reading: count {track.shape[0]} and dim "
+                             f"{track.shape[1]}, not the {header.count} and {header.dim} it gave before")
+        clips = clips_from_seconds(video_id, track, pool)
+        matrix[row : row + len(clips)] = clips
+        videos.append(VideoRows(path, video_id, row, len(clips)))
+        row += len(clips)
+    return matrix, videos

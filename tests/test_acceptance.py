@@ -27,7 +27,7 @@ from mmprep.annotator import (
 )
 from mmprep.annotator.pipeline import AnnotationJob, RetryPolicy, run_pipeline
 from mmprep.composer import pack, progressive_stages
-from mmprep.curator import ReferenceIndex, select_novel, ClipFeature
+from mmprep.curator import ReferenceIndex, VideoRows, select_novel
 from mmprep.manifest import ImageDims, dumps_sample
 from mmprep.tiling import TileGrid, grid_tokens, select_grid
 from tests.conftest import MockLlm, make_sample, random_sample
@@ -220,10 +220,8 @@ def test_criterion_5_curator():
     # strict tau boundary: 0.49 in, 0.50 out
     ref_idx = ReferenceIndex(np.array([[1.0, 0.0]]))
     boundary = select_novel(
-        [
-            ClipFeature("v", 0, (0.0, 10.0), np.array([0.49, np.sqrt(1 - 0.49**2)])),
-            ClipFeature("v", 1, (10.0, 20.0), np.array([0.5, np.sqrt(0.75)])),
-        ],
+        np.array([[0.49, np.sqrt(1 - 0.49**2)], [0.5, np.sqrt(0.75)]]),
+        [VideoRows("v.feat", "v", 0, 2)],
         ref_idx,
         tau=0.5,
     )
@@ -231,12 +229,13 @@ def test_criterion_5_curator():
 
     # tau monotonicity on random sweeps
     sweep_ref = ReferenceIndex(rng.normal(size=(200, 16)))
-    clips = [ClipFeature(f"v{i // 4}", i % 4, ((i % 4) * 10.0, (i % 4) * 10.0 + 10.0),
-                         rng.normal(size=16)) for i in range(200)]
+    clips = rng.normal(size=(200, 16))
+    videos = [VideoRows(f"v{i}.feat", f"v{i}", 4 * i, 4) for i in range(50)]
     monotone = True
     prev: set = set()
     for tau in np.linspace(-0.9, 1.0, 20):
-        selected = {r.video_id for r in select_novel(clips, sweep_ref, float(tau)) if r.selected}
+        # select_novel normalizes the matrix it is given in place, so each sweep gets a copy.
+        selected = {r.video_id for r in select_novel(clips.copy(), videos, sweep_ref, float(tau)) if r.selected}
         if not prev <= selected:
             monotone = False
         prev = selected

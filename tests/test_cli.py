@@ -1,13 +1,15 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmprep import cli, tiling
+from mmprep import cli, curator, kernels, tiling
 from mmprep.curator import write_feature_file
 from mmprep.manifest import ImageDims, dumps_sample
 from tests.conftest import MockLlm, make_sample
@@ -562,6 +564,85 @@ def test_curate_duplicate_candidate_id_exit_1(capsys, tmp_path):
     assert [json.loads(l)["video_id"] for l in out.splitlines()] == ["same"]
 
 
+def _curate_dirs(tmp_path, ref_tracks, cand_tracks):
+    """ref/ and cand/ dirs of feature files r{k}.feat and c{k}.feat; returns the curate argv."""
+    for sub, tracks in (("ref", ref_tracks), ("cand", cand_tracks)):
+        (tmp_path / sub).mkdir()
+        for k, track in enumerate(tracks):
+            write_feature_file(tmp_path / sub / f"{sub[0]}{k}.feat", f"{sub}{k}", track)
+    return ["curate", "--reference", str(tmp_path / "ref"), "--candidates", str(tmp_path / "cand")]
+
+
+@pytest.mark.parametrize("side", ["ref", "cand"])
+@pytest.mark.parametrize("field, value, message", [
+    ("count", "1e999", "feature header 'count' must be an integer >= 1, not inf"),
+    ("dim", "null", "feature header 'dim' must be an integer >= 1, not None"),
+    ("dim", "4.7", "feature header 'dim' must be an integer >= 1, not 4.7"),
+    ("dim", '"4"', "feature header 'dim' must be an integer >= 1, not '4'"),
+    ("video_id", '["x"]', "feature header 'video_id' must be a non-empty string, not ['x']"),
+    ("video_id", '""', "feature header 'video_id' must be a non-empty string, not ''"),
+    ("count", "1000000000000", "text body of 320 bytes cannot hold the 4000000000000 values"),
+])
+def test_curate_bad_feature_header_exit_1(capsys, tmp_path, side, field, value, message):
+    argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4))])
+    path = tmp_path / side / f"{side[0]}0.feat"
+    header = {"video_id": "v", "dim": 4, "fps": 1, "count": 20, "encoding": "text"}
+    line = ", ".join(f'"{k}": {value if k == field else json.dumps(v)}' for k, v in header.items())
+    path.write_bytes(("{" + line + "}\n" + "1.0 2.0 3.0 4.0\n" * 20).encode())
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"{path}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ref_dims, cand_dims, bad, message", [
+    ((4, 5), (4,), "ref/r1.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
+    ((4,), (4, 5), "cand/c1.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
+    ((4,), (5, 5), "cand/c0.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
+], ids=["within-reference", "within-candidates", "reference-vs-candidates"])
+def test_curate_dim_mismatch_names_the_file_exit_1(capsys, tmp_path, ref_dims, cand_dims, bad, message):
+    argv = _curate_dirs(tmp_path, [np.ones((20, d)) for d in ref_dims], [np.ones((20, d)) for d in cand_dims])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"{tmp_path / bad}: " + message.format(ref=tmp_path / "ref") in err
+    assert "Traceback" not in err
+
+
+def test_curate_header_changed_between_passes_exit_1(capsys, tmp_path, monkeypatch):
+    argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4)), np.ones((20, 4))])
+    read = curator.read_feature_file
+
+    def read_after_rewrite(path):
+        if path.name == "c1.feat":  # the file grows between the header pre-pass and its read
+            write_feature_file(path, "cand1", np.ones((35, 4)))
+        return read(path)
+
+    monkeypatch.setattr(curator, "read_feature_file", read_after_rewrite)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"{tmp_path / 'cand' / 'c1.feat'}: header changed while reading" in err
+
+
+def test_curate_holds_each_clip_matrix_once(tmp_path):
+    # 128 one-second tracks a side at dim 4096: one 32 KiB clip row a file, 4 MiB a side.
+    rng = np.random.default_rng(16)
+    argv = _curate_dirs(tmp_path, list(rng.normal(size=(128, 1, 4096))), list(rng.normal(size=(128, 1, 4096))))
+    side_bytes = 128 * 4096 * 8
+    tile_bytes = 128 * min(kernels.TILE_VALUES // 128, 128) * 8  # both sides fit one 128 x 128 block
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["-o", str(tmp_path / "out.jsonl")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # Slack: two normalization blocks of 512 KiB, one track and its clips, Python objects.
+    assert peak < 2 * side_bytes + tile_bytes + 2 * 2**20
+
+
 # --- annotate ---------------------------------------------------------------------
 
 
@@ -664,6 +745,22 @@ def test_non_utf8_stdin_exit_1(tmp_path, monkeypatch, output):
     assert proc.returncode == 0, proc.stderr
     written = (tmp_path / "out.jsonl").read_text(encoding="utf-8") if output else proc.stdout
     assert json.loads(written)["id"] == "a\u00e9"
+
+
+def test_bench_setup_code_runs_against_a_feature_dir(tmp_path, monkeypatch):
+    # bench/worker.py times this code in a fresh interpreter as every workload's
+    # setup_s; a rename of a curator name it calls must fail here, not in a benchmark run.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends src/ and bench/
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_worker", root / "bench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    rng = np.random.default_rng(17)
+    for k in range(3):
+        write_feature_file(tmp_path / f"r{k}.feat", f"r{k}", rng.normal(size=(15 + 10 * k, 8)), binary=k != 1)
+    proc = subprocess.run([sys.executable, "-c", worker.SETUP_CODE, str(root / "src"), str(tmp_path)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Runs cli.main on argv, then fails naming any heavy module the command loaded.

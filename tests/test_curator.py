@@ -5,23 +5,35 @@ import numpy as np
 import pytest
 
 from mmprep import kernels
+from mmprep import curator
 from mmprep.curator import (
-    ClipFeature,
     ReferenceIndex,
+    VideoRows,
     clips_from_seconds,
-    cosine,
     load_feature_dir,
     pool_clip,
+    read_clip_matrix,
     read_feature_file,
+    read_feature_header,
     segment_clips,
     select_novel,
     write_feature_file,
 )
 
 
-def clip(vid, idx, vec, span=None):
-    return ClipFeature(video_id=vid, clip_index=idx, span=span or (idx * 10.0, idx * 10.0 + 10.0),
-                       vector=np.asarray(vec, dtype=np.float64))
+def candidates(videos):
+    """(clip matrix, VideoRows) for {video_id: [clip vectors]}, each video's rows in dict order."""
+    rows, meta = [], []
+    for vid, vectors in videos.items():
+        meta.append(VideoRows(f"{vid}.feat", vid, len(rows), len(vectors)))
+        rows.extend(vectors)
+    return np.array(rows, dtype=np.float64), meta
+
+
+def smax_of(index, vectors):
+    """Max cosine of each row of vectors against the index, as select_novel reports it."""
+    matrix, videos = candidates({"v": list(np.atleast_2d(vectors))})
+    return np.array(select_novel(matrix, videos, index, tau=1.0)[0].per_clip_smax)
 
 
 # --- segmentation ---------------------------------------------------------------
@@ -85,47 +97,33 @@ def test_pool_empty_rejected():
         pool_clip(np.empty((0, 4)))
 
 
-# --- cosine ---------------------------------------------------------------------
-
-
-def test_cosine_self_is_one():
-    v = np.array([0.2, 0.5, -1.0])
-    assert cosine(v, v) == pytest.approx(1.0)
-
-
-def test_cosine_orthogonal_zero():
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-
-def test_cosine_opposite_minus_one():
-    assert cosine(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == pytest.approx(-1.0)
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        cosine(np.zeros(3), np.ones(3))
-
-
-def test_cosine_dim_mismatch_rejected():
-    with pytest.raises(ValueError):
-        cosine(np.ones(3), np.ones(4))
-
-
 # --- max similarity and kernels ---------------------------------------------------
+
+
+@pytest.mark.parametrize("vector, expected", [
+    ([0.2, 0.5], 1.0),  # the reference itself, at another length
+    ([0.5, -0.2], 0.0),  # orthogonal
+    ([-0.4, -1.0], -1.0),  # opposite
+], ids=["self", "orthogonal", "opposite"])
+def test_smax_against_one_reference_is_its_cosine(vector, expected):
+    assert smax_of(ReferenceIndex(np.array([[0.2, 0.5]])), vector) == pytest.approx([expected])
 
 
 def test_candidate_duplicated_in_reference_gives_one():
     ref = ReferenceIndex(np.array([[1.0, 2.0], [3.0, -1.0]]))
-    assert ref.smax_many(clip("v", 0, [1.0, 2.0]).vector) == pytest.approx([1.0])
+    assert smax_of(ref, [1.0, 2.0]) == pytest.approx([1.0])
 
 
 def test_candidate_orthogonal_to_all_gives_zero():
     ref = ReferenceIndex(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    assert ref.smax_many(clip("v", 0, [0.0, 0.0, 1.0]).vector) == pytest.approx([0.0])
+    assert smax_of(ref, [0.0, 0.0, 1.0]) == pytest.approx([0.0])
 
 
 def brute_force_smax(cands, refs):
-    return np.array([max(cosine(c, r) for r in refs) for c in cands])
+    """Max cosine of each candidate against every reference, one pair at a time."""
+    return np.array([
+        max(float(np.dot(c, r) / (np.linalg.norm(c) * np.linalg.norm(r))) for r in refs) for c in cands
+    ])
 
 
 def test_kernels_match_brute_force_small():
@@ -133,8 +131,7 @@ def test_kernels_match_brute_force_small():
     cands = rng.normal(size=(40, 16))
     refs = rng.normal(size=(70, 16))
     expected = brute_force_smax(cands, refs)
-    index = ReferenceIndex(refs)
-    got = index.smax_many(cands)
+    got = smax_of(ReferenceIndex(refs), cands)
     assert np.allclose(got, expected, atol=1e-9)
 
 
@@ -188,53 +185,64 @@ def test_reference_index_never_writes_callers_matrix():
     saved = m.copy()
     index = ReferenceIndex(m)
     assert np.array_equal(m, saved)
-    assert index.smax_many(m[:3]) == pytest.approx([1.0, 1.0, 1.0])
+    assert smax_of(index, m[:3]) == pytest.approx([1.0, 1.0, 1.0])
 
 
-def test_from_clips_matrix_is_bitwise_the_stacked_index():
-    track = np.random.default_rng(12).normal(size=(95, 16)).astype(np.float32)
-    clips = clips_from_seconds("v", track)
-    built = ReferenceIndex.from_clips(clips)._matrix
-    stacked = ReferenceIndex(np.stack([c.vector for c in clips]))._matrix
-    assert built.dtype == stacked.dtype == np.float64 and built.shape == stacked.shape
-    assert built.tobytes() == stacked.tobytes()
+def test_from_clips_matrix_is_bitwise_the_copied_index():
+    clips = clips_from_seconds("v", np.random.default_rng(12).normal(size=(95, 16)).astype(np.float32))
+    copied = ReferenceIndex(clips)._matrix
+    stacked = ReferenceIndex.from_clips(list(clips))._matrix  # a sequence of clip vectors is stacked
+    built = ReferenceIndex.from_clips(clips)._matrix  # a float64 matrix is taken over
+    assert built is clips
+    assert built.dtype == copied.dtype == np.float64 and built.shape == copied.shape == (10, 16)
+    assert built.tobytes() == copied.tobytes() == stacked.tobytes()
     assert not built.flags.writeable
+
+
+def test_unit_rows_in_blocks_is_bitwise_whole_matrix_normalization(monkeypatch):
+    m = np.random.default_rng(13).normal(size=(101, 7)) * 1e3
+    whole = m / np.linalg.norm(m, axis=1)[:, None]
+    monkeypatch.setattr(curator, "NORM_BLOCK_VALUES", 7 * 10)  # 10-row blocks and a 1-row tail
+    assert curator._unit_rows(m) is m
+    assert m.tobytes() == whole.tobytes()
+
+
+def test_normalization_temporaries_stay_one_block():
+    m = np.random.default_rng(14).normal(size=(4096, 256))  # 8 MiB
+    _, peak = _traced_peak(lambda: curator._unit_rows(m))
+    assert peak <= curator.NORM_BLOCK_VALUES * 8 * 2 + 64 * 1024  # np.linalg.norm's temporaries of one block
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_from_clips_and_select_novel_check_every_row(bad):
-    vectors = [np.ones(4), np.full(4, bad)]
-    clips = [clip("v", i, v) for i, v in enumerate(vectors)]
+    matrix, videos = candidates({"v": [np.ones(4), np.full(4, bad)]})
     with pytest.raises(ValueError):
-        ReferenceIndex.from_clips(clips)
+        ReferenceIndex.from_clips(matrix.copy())
     with pytest.raises(ValueError):
-        select_novel(clips, ReferenceIndex(np.ones((1, 4))))
+        select_novel(matrix, videos, ReferenceIndex(np.ones((1, 4))))
 
 
 def test_select_novel_dimension_mismatch_rejected():
+    matrix, videos = candidates({"v": [np.ones(5)]})
     with pytest.raises(ValueError, match="dimension mismatch"):
-        select_novel([clip("v", 0, np.ones(5))], ReferenceIndex(np.ones((2, 4))))
+        select_novel(matrix, videos, ReferenceIndex(np.ones((2, 4))))
 
 
 def test_empty_reference_rejected():
     with pytest.raises(ValueError):
         kernels.smax(np.ones((1, 4)), np.ones((0, 4)))
-    with pytest.raises(ValueError):
-        ReferenceIndex.from_clips([])
-
-
-def test_dimension_mismatch_rejected():
-    index = ReferenceIndex(np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        index.smax_many(np.ones((1, 5)))
+    for empty in ([], np.empty((0, 4))):
+        with pytest.raises(ValueError, match="reference set is empty"):
+            ReferenceIndex.from_clips(empty)
+    with pytest.raises(ValueError, match="reference set is empty"):
+        ReferenceIndex(np.empty((0, 4)))
 
 
 def test_non_finite_vectors_rejected():
     with pytest.raises(ValueError):
         ReferenceIndex(np.array([[1.0, np.nan]]))
-    index = ReferenceIndex(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        index.smax_many(np.array([[np.inf, 1.0]]))
+        smax_of(ReferenceIndex(np.ones((2, 2))), [np.inf, 1.0])
 
 
 def test_adding_reference_never_decreases_smax():
@@ -243,7 +251,7 @@ def test_adding_reference_never_decreases_smax():
     refs = rng.normal(size=(50, 8))
     small = ReferenceIndex(refs[:25])
     big = ReferenceIndex(refs)
-    assert np.all(big.smax_many(cands) >= small.smax_many(cands) - 1e-12)
+    assert np.all(smax_of(big, cands) >= smax_of(small, cands) - 1e-12)
 
 
 # --- novelty selection -------------------------------------------------------------
@@ -256,17 +264,16 @@ def _axis_reference(dim=4):
 def test_strict_threshold_boundary():
     # candidate at exactly cos=0.5 to the best reference is NOT novel
     ref = ReferenceIndex(np.array([[1.0, 0.0]]))
-    at_half = clip("v", 0, [0.5, np.sqrt(3) / 2])
-    below = clip("v", 1, [0.49, np.sqrt(1 - 0.49**2)])
-    reports = select_novel([at_half, below], ref, tau=0.5)
+    matrix, videos = candidates({"v": [[0.5, np.sqrt(3) / 2], [0.49, np.sqrt(1 - 0.49**2)]]})
+    reports = select_novel(matrix, videos, ref, tau=0.5)
     assert reports[0].novel_clips == (1,)
     assert reports[0].selected
 
 
 def test_video_with_no_novel_clips_not_selected():
     ref = _axis_reference()
-    clips = [clip("v", i, np.eye(4)[0]) for i in range(3)]  # smax = 1.0 each
-    reports = select_novel(clips, ref, tau=0.5)
+    matrix, videos = candidates({"v": [np.eye(4)[0]] * 3})  # smax = 1.0 each
+    reports = select_novel(matrix, videos, ref, tau=0.5)
     assert reports[0].selected is False
     assert reports[0].novel_clips == ()
     assert reports[0].per_clip_smax == pytest.approx((1.0, 1.0, 1.0))
@@ -276,10 +283,11 @@ def test_selection_monotone_in_tau():
     rng = np.random.default_rng(5)
     refs = rng.normal(size=(40, 8))
     ref = ReferenceIndex(refs)
-    clips = [clip(f"v{i // 3}", i % 3, rng.normal(size=8)) for i in range(30)]
+    clips = {f"v{i}": list(rng.normal(size=(3, 8))) for i in range(10)}
     prev: set = set()
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-        selected = {r.video_id for r in select_novel(clips, ref, tau) if r.selected}
+        matrix, videos = candidates(clips)
+        selected = {r.video_id for r in select_novel(matrix, videos, ref, tau) if r.selected}
         assert prev <= selected
         prev = selected
 
@@ -287,44 +295,45 @@ def test_selection_monotone_in_tau():
 def test_reports_sorted_and_order_independent():
     ref = _axis_reference()
     rng = np.random.default_rng(6)
-    clips = [clip(f"v{i}", j, rng.normal(size=4)) for i in range(5) for j in range(2)]
-    a = select_novel(clips, ref)
-    b = select_novel(list(reversed(clips)), ref)
+    clips = {f"v{i}": list(rng.normal(size=(2, 4))) for i in range(5)}
+    a = select_novel(*candidates(clips), ref)
+    b = select_novel(*candidates(dict(reversed(clips.items()))), ref)
     assert a == b
     assert [r.video_id for r in a] == sorted(r.video_id for r in a)
+
+
+def test_select_novel_normalizes_the_candidate_matrix_in_place():
+    matrix, videos = candidates({"v": [[3.0, 4.0], [0.0, 2.0]]})
+    select_novel(matrix, videos, _axis_reference(2))
+    assert matrix.tobytes() == np.array([[0.6, 0.8], [0.0, 1.0]]).tobytes()
 
 
 def test_batched_select_novel_matches_per_video_scans():
     rng = np.random.default_rng(9)
     ref = ReferenceIndex(rng.normal(size=(300, 16)))
     for trial in range(20):
-        clips = [
-            clip(f"v{v}", j, rng.normal(size=16))
-            for v in range(int(rng.integers(1, 12)))
-            for j in range(int(rng.integers(1, 40)))
-        ]
-        rng.shuffle(clips)
+        clips = {f"v{v}": list(rng.normal(size=(int(rng.integers(1, 40)), 16)))
+                 for v in rng.permutation(int(rng.integers(1, 12)))}
         tau = float(rng.uniform(0.2, 0.6))
-        reports = select_novel(clips, ref, tau)
-        assert [r.video_id for r in reports] == sorted({c.video_id for c in clips})
+        reports = select_novel(*candidates(clips), ref, tau)
+        assert [r.video_id for r in reports] == sorted(clips)
         for r in reports:
-            own = sorted((c for c in clips if c.video_id == r.video_id), key=lambda c: c.clip_index)
-            smax = ref.smax_many(np.stack([c.vector for c in own]))
+            smax = smax_of(ref, clips[r.video_id])
             assert np.allclose(r.per_clip_smax, smax, rtol=0, atol=1e-12)
-            assert r.novel_clips == tuple(c.clip_index for c, s in zip(own, r.per_clip_smax) if s < tau)
+            assert r.novel_clips == tuple(k for k, s in enumerate(r.per_clip_smax) if s < tau)
             assert r.selected == bool(r.novel_clips)
 
 
 def test_select_novel_no_candidates():
-    assert select_novel([], _axis_reference()) == []
+    assert select_novel(np.empty((0, 4)), [], _axis_reference()) == []
 
 
 def test_tau_domain_validated():
     ref = _axis_reference()
     with pytest.raises(ValueError):
-        select_novel([], ref, tau=-1.0)
+        select_novel(np.empty((0, 4)), [], ref, tau=-1.0)
     with pytest.raises(ValueError):
-        select_novel([], ref, tau=1.5)
+        select_novel(np.empty((0, 4)), [], ref, tau=1.5)
 
 
 # --- clip construction from 1 fps tracks --------------------------------------------
@@ -334,17 +343,10 @@ def test_clips_from_seconds_pools_ten_rows():
     track = np.tile(np.arange(1, 5, dtype=np.float64), (25, 1))
     track[10:20] *= 2  # second clip has doubled vectors
     clips = clips_from_seconds("vid", track)
-    assert len(clips) == 3  # 25 s -> [0,10), [10,20), [20,25)
-    assert np.allclose(clips[0].vector, [1, 2, 3, 4])
-    assert np.allclose(clips[1].vector, [2, 4, 6, 8])
-    assert np.allclose(clips[2].vector, [1, 2, 3, 4])
-
-
-def test_clip_spans_and_indices():
-    track = np.ones((25, 3))
-    clips = clips_from_seconds("vid", track)
-    assert [c.clip_index for c in clips] == [0, 1, 2]
-    assert clips[-1].span == (20.0, 25.0)
+    assert clips.shape == (3, 4)  # 25 s -> [0,10), [10,20), [20,25)
+    assert np.allclose(clips[0], [1, 2, 3, 4])
+    assert np.allclose(clips[1], [2, 4, 6, 8])
+    assert np.allclose(clips[2], [1, 2, 3, 4])
 
 
 @pytest.mark.parametrize("pool", ["mean", "max"])
@@ -355,14 +357,13 @@ def test_vectorized_pooling_matches_per_clip_loop(pool, seconds, dtype):
     track = (rng.normal(size=(seconds, 9)) * 100).astype(dtype)
     clips = clips_from_seconds("vid", track, pool=pool)
     spans = segment_clips(float(seconds))
-    assert [c.span for c in clips] == spans
-    for c, (start, end) in zip(clips, spans):
+    assert clips.dtype == np.float64 and clips.shape == (len(spans), 9)
+    for row, (start, end) in zip(clips, spans):
         per_clip = pool_clip(track[int(start) : int(end)], pool)
         # Reference: widen the clip to float64, then reduce.
         widened = track[int(start) : int(end)].astype(np.float64)
         reference = widened.mean(axis=0) if pool == "mean" else widened.max(axis=0)
-        assert c.vector.dtype == np.float64
-        assert c.vector.tobytes() == per_clip.tobytes() == reference.tobytes()
+        assert row.tobytes() == per_clip.tobytes() == reference.tobytes()
 
 
 # --- feature file IO -----------------------------------------------------------------
@@ -476,3 +477,52 @@ def test_load_feature_dir_sorted(tmp_path):
         write_feature_file(tmp_path / name, name[0], np.ones((3, 2), dtype=np.float32))
     loaded = load_feature_dir(tmp_path)
     assert [vid for vid, _ in loaded] == ["a", "b"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("video_id", ["x"]), ("video_id", ""), ("video_id", 7),
+    ("dim", None), ("dim", 4.7), ("dim", "4"), ("dim", True), ("dim", 0),
+    ("count", 1e999), ("count", -3), ("count", False), ("count", 3.0),
+])
+def test_feature_header_fields_checked_by_header_and_file_readers(tmp_path, field, value):
+    path = tmp_path / "h.feat"
+    path.write_bytes(_feature_bytes({field: value}, np.ones((3, 4), dtype="<f4").tobytes()))
+    for read in (read_feature_header, read_feature_file):
+        with pytest.raises(ValueError, match=f"h.feat: feature header '{field}' must be"):
+            read(path)
+
+
+def test_feature_header_checks_the_body_can_hold_count_values(tmp_path):
+    path = tmp_path / "big.feat"
+    # A text body needs at least one byte per value and one per separator.
+    path.write_bytes(_feature_bytes({"count": 10**12}, b"2.25 2.25 2.25 2.25\n" * 3))
+    with pytest.raises(ValueError, match="big.feat: text body of 60 bytes cannot hold"):
+        read_feature_header(path)
+    path.write_bytes(_feature_bytes({"count": 3, "dim": 11}, b"1 " * 32 + b"1"))  # 33 values in 65 bytes
+    assert read_feature_header(path) == curator.FeatureHeader("v", 11, 3, None, False)
+    path.write_bytes(_feature_bytes({"encoding": "f32le"}, np.ones(11, dtype="<f4").tobytes()))
+    with pytest.raises(ValueError, match="big.feat: f32le body is 44 bytes, header promises 48"):
+        read_feature_header(path)
+
+
+def test_read_clip_matrix_stacks_pooled_files_in_filename_order(tmp_path):
+    rng = np.random.default_rng(15)
+    tracks = {"b.feat": rng.normal(size=(25, 6)), "a.feat": rng.normal(size=(7, 6)), "c.feat": rng.normal(size=(40, 6))}
+    for name, track in tracks.items():
+        write_feature_file(tmp_path / name, f"id-{name[0]}", track, binary=name != "c.feat")
+    for pool in ("mean", "max"):
+        matrix, videos = read_clip_matrix(tmp_path, pool)
+        names = sorted(tracks)
+        blocks = [clips_from_seconds(n, read_feature_file(tmp_path / n)[1], pool) for n in names]
+        assert matrix.tobytes() == np.vstack(blocks).tobytes()
+        assert videos == [VideoRows(tmp_path / "a.feat", "id-a", 0, 1), VideoRows(tmp_path / "b.feat", "id-b", 1, 3),
+                          VideoRows(tmp_path / "c.feat", "id-c", 4, 4)]
+
+
+def test_read_clip_matrix_names_the_file_of_another_dim(tmp_path):
+    write_feature_file(tmp_path / "a.feat", "a", np.ones((3, 4)))
+    write_feature_file(tmp_path / "b.feat", "b", np.ones((3, 5)))
+    with pytest.raises(ValueError, match=r"b.feat: dim 5 does not match dim 4 of .*a.feat"):
+        read_clip_matrix(tmp_path)
+    with pytest.raises(ValueError, match=r"a.feat: dim 4 does not match dim 5 of ref.feat"):
+        read_clip_matrix(tmp_path, dim_of=("ref.feat", 5))
