@@ -12,12 +12,13 @@ failure never affects the others. Every job yields exactly one output record.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Protocol
 
 from .captions import (
@@ -34,10 +35,12 @@ from .prompts import (
     render_clip_qa_prompt,
     render_video_qa_prompt,
 )
-from .qa import AnchorLeakError, ClipQA, anchor, parse_qa_response
+from .qa import ClipQA, anchor, parse_qa_response
 from .question_types import QUESTION_TYPES, sample_question_types
 
 QA_TYPES_PER_REQUEST = 5
+MAX_OUTPUT_TOKENS = 2048  # sent with every request
+HTTP_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class LlmRequest:
     prompt: str
     image_refs: tuple[str, ...] = ()
     temperature: float = 0.2
-    max_output_tokens: int = 2048
 
 
 @dataclass(frozen=True)
@@ -82,19 +84,21 @@ class RetryPolicy:
 
 
 class RateLimiter:
-    """Token bucket capping request rate; thread-safe, clock injectable."""
+    """Token bucket capping request rate; thread-safe, clock injectable.
+
+    The bucket holds one second of requests, and at least one.
+    """
 
     def __init__(
         self,
         requests_per_minute: float,
-        burst: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if requests_per_minute <= 0:
             raise ValueError("requests_per_minute must be positive")
         self._rate = requests_per_minute / 60.0
-        self._capacity = burst if burst is not None else max(1.0, self._rate)
+        self._capacity = max(1.0, self._rate)
         self._tokens = self._capacity
         self._clock = clock
         self._sleep = sleep
@@ -122,16 +126,9 @@ class HttpClient:
     errors surface as transient; anything else is permanent.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        timeout_s: float = 120.0,
-        rate_limiter: RateLimiter | None = None,
-    ):
+    def __init__(self, endpoint: str, model: str, rate_limiter: RateLimiter | None = None):
         self.endpoint = endpoint
         self.model = model
-        self.timeout_s = timeout_s
         self.rate_limiter = rate_limiter
 
     def submit(self, request: LlmRequest) -> LlmResponse:
@@ -143,14 +140,14 @@ class HttpClient:
                 "prompt": request.prompt,
                 "image_refs": list(request.image_refs),
                 "temperature": request.temperature,
-                "max_output_tokens": request.max_output_tokens,
+                "max_output_tokens": MAX_OUTPUT_TOKENS,
             }
         ).encode("utf-8")
         req = urllib.request.Request(
             self.endpoint, data=payload, headers={"Content-Type": "application/json"}
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
+            with urllib.request.urlopen(req, timeout=HTTP_TIMEOUT_S) as resp:
                 body = resp.read()
         except urllib.error.HTTPError as exc:
             if exc.code == 429 or exc.code >= 500:
@@ -178,16 +175,13 @@ CLIP = "clip"
 
 @dataclass(frozen=True)
 class AnnotationJob:
+    """One job of a job file: a story job's chapters or a clip job's clips, in file order."""
+
     index: int
     video_id: str
     uri: str
-    chapters: tuple[Chapter, ...] = ()
-    clips: tuple[tuple[float, float], ...] = ()
-    clip_titles: tuple[str, ...] = ()
-
-    @property
-    def kind(self) -> str:
-        return STORY if self.chapters else CLIP
+    kind: str  # STORY or CLIP
+    segments: tuple[Chapter, ...]
 
 
 class JobFileError(ValueError):
@@ -196,8 +190,40 @@ class JobFileError(ValueError):
         self.line = line
 
 
+def _seconds(x) -> float | None:
+    """x as a finite float when it is a JSON number (not a bool or a string), else None."""
+    try:
+        return float(x) if type(x) in (int, float) and math.isfinite(x) else None
+    except OverflowError:  # an int beyond float range
+        return None
+
+
+def _segment(raw, name: str, line_no: int, title_optional: bool) -> Chapter:
+    """One chapter or clip of a job record, checked; name ("clip 3") is its default title."""
+    if type(raw) is not dict:
+        raise JobFileError(f"{name} is not a JSON object", line_no)
+    title = raw.get("title")
+    if title is None and title_optional:
+        title = name
+    if type(title) is not str or not title:
+        raise JobFileError(f"{name} title {title!r} is not a non-empty string", line_no)
+    start, end = _seconds(raw.get("start")), _seconds(raw.get("end"))
+    if start is None or end is None:
+        raise JobFileError(f"{name} start and end must be finite numbers, not "
+                           f"{raw.get('start')!r} and {raw.get('end')!r}", line_no)
+    if end <= start:
+        raise JobFileError(f"{name} must have end > start, not {start!r} to {end!r}", line_no)
+    return Chapter(title, (start, end))
+
+
 def parse_jobs(stream: IO[str] | Iterable[str]) -> list[AnnotationJob]:
-    """Read newline-delimited job records: chapters for story jobs, clips otherwise."""
+    """Read newline-delimited job records: chapters for story jobs, clips otherwise.
+
+    Every chapter and clip needs a non-empty string title (a clip without one
+    is titled "clip i") and finite numeric start and end with end > start.
+    Whether a story's chapters are enough, sorted and non-overlapping is
+    checked when the job runs, as its validate stage.
+    """
     jobs: list[AnnotationJob] = []
     for line_no, raw in enumerate(stream, start=1):
         text = raw.strip()
@@ -211,27 +237,14 @@ def parse_jobs(stream: IO[str] | Iterable[str]) -> list[AnnotationJob]:
             raise JobFileError("malformed job record (nested too deeply)", line_no) from exc
         if not isinstance(obj, dict) or not isinstance(obj.get("video_id"), str):
             raise JobFileError("job record needs a video_id", line_no)
-        uri = obj.get("uri", "")
         chapters_raw = obj.get("chapters")
-        clips_raw = obj.get("clips")
-        if bool(chapters_raw) == bool(clips_raw):
+        if bool(chapters_raw) == bool(obj.get("clips")):
             raise JobFileError("job record needs chapters or clips (not both)", line_no)
-        try:
-            if chapters_raw:
-                chapters = tuple(
-                    Chapter(title=c["title"], span=(float(c["start"]), float(c["end"])))
-                    for c in chapters_raw
-                )
-                job = AnnotationJob(len(jobs), obj["video_id"], uri, chapters=chapters)
-            else:
-                spans = tuple((float(c["start"]), float(c["end"])) for c in clips_raw)
-                titles = tuple(
-                    c.get("title") or f"clip {i}" for i, c in enumerate(clips_raw)
-                )
-                job = AnnotationJob(len(jobs), obj["video_id"], uri, clips=spans, clip_titles=titles)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise JobFileError(f"invalid job record ({exc})", line_no) from exc
-        jobs.append(job)
+        key, kind = ("chapters", STORY) if chapters_raw else ("clips", CLIP)
+        if type(obj[key]) is not list:
+            raise JobFileError(f"job record's {key} must be a list", line_no)
+        segments = tuple(_segment(c, f"{key[:-1]} {i}", line_no, kind == CLIP) for i, c in enumerate(obj[key]))
+        jobs.append(AnnotationJob(len(jobs), obj["video_id"], obj.get("uri", ""), kind, segments))
     return jobs
 
 
@@ -243,23 +256,6 @@ class _StageFailure(Exception):
         super().__init__(f"{stage}: {reason}")
         self.stage = stage
         self.reason = reason
-
-
-@dataclass
-class PipelineResult:
-    records: list[dict] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[dict]:
-        return [r for r in self.records if r["status"] != "ok"]
-
-
-def _anchored(qa: ClipQA, brief: str) -> str | None:
-    """The anchored question, or None when the answer leaks into the brief caption."""
-    try:
-        return anchor(qa, brief).question_anchored
-    except AnchorLeakError:
-        return None
 
 
 class _JobRun:
@@ -303,13 +299,13 @@ class _JobRun:
     def story(self) -> dict:
         job = self.job
         try:
-            check_chapters(job.chapters)
+            check_chapters(job.segments)
         except ValueError as exc:
             raise _StageFailure("validate", str(exc)) from exc
-        captioned = [(ch, self.caption(ch.title, caption_frames_plan(ch))) for ch in job.chapters]
+        captioned = [(ch, self.caption(ch.title, caption_frames_plan(ch))) for ch in job.segments]
         digest = aggregate_chapter_captions(captioned)
         types = sample_question_types(QUESTION_TYPES, QA_TYPES_PER_REQUEST, self.policy.seed + job.index)
-        span = (job.chapters[0].span[0], job.chapters[-1].span[1])
+        span = (job.segments[0].span[0], job.segments[-1].span[1])
         qa: list[ClipQA] = self.call(
             "qa", render_video_qa_prompt(digest, types), (), lambda t: parse_qa_response(t, types, span)
         )
@@ -331,9 +327,9 @@ class _JobRun:
         captions = []
         qa_out = []
         dropped = 0
-        for i, span in enumerate(job.clips):
-            title = job.clip_titles[i] if i < len(job.clip_titles) else f"clip {i}"
-            frames = caption_frames_plan(Chapter(title=title, span=span))
+        for i, segment in enumerate(job.segments):
+            title, span = segment.title, segment.span
+            frames = caption_frames_plan(segment)
             pair = self.caption(title, frames)
             types = sample_question_types(
                 QUESTION_TYPES, QA_TYPES_PER_REQUEST, self.policy.seed + job.index * 1009 + i
@@ -345,14 +341,14 @@ class _JobRun:
             # Regenerate the brief caption while answers leak into it, unless
             # the endpoint stops changing it; questions still leaking are dropped.
             for _ in range(self.policy.max_retries + 1):
-                leaked = tuple(q.answer for q in qa_items if _anchored(q, pair.brief) is None)
+                leaked = tuple(q.answer for q in qa_items if anchor(q, pair.brief) is None)
                 if not leaked:
                     break
                 new_pair = self.caption(title, frames, banned_terms=leaked)
                 if new_pair == pair:
                     break
                 pair = new_pair
-            anchored = [(q, _anchored(q, pair.brief)) for q in qa_items]
+            anchored = [(q, anchor(q, pair.brief)) for q in qa_items]
             dropped += sum(aq is None for _, aq in anchored)
             captions.append(
                 {"start": span[0], "end": span[1], "brief": pair.brief, "detailed": pair.detailed}
@@ -400,17 +396,17 @@ def run_pipeline(
     client: LlmClient,
     policy: RetryPolicy = RetryPolicy(),
     on_record: Callable[[dict], None] | None = None,
-) -> PipelineResult:
-    """Run all jobs with bounded concurrency; one record per job, no silent loss.
+) -> list[dict]:
+    """Run all jobs with bounded concurrency; returns one record per job, in job order.
 
     Up to policy.max_in_flight jobs run at once on worker threads. Records are
     collected, and on_record is called, on the calling thread in job order, so
     a finished job's record waits for every earlier job to finish.
     """
-    result = PipelineResult()
+    records = []
     with ThreadPoolExecutor(max_workers=max(1, policy.max_in_flight)) as pool:
         for record in pool.map(lambda job: run_job(client, job, policy), jobs):
-            result.records.append(record)
+            records.append(record)
             if on_record is not None:
                 on_record(record)
-    return result
+    return records

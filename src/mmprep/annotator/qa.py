@@ -4,7 +4,8 @@ Clip-level questions are only unambiguous inside their clip; anchoring
 prepends the clip's time interval plus a short scene description so the
 question survives at whole-video scale. The scene description must not give
 the answer away, which the leak check enforces with a conservative
-normalized-substring test.
+normalized-substring test: anchor returns None for a question whose answer
+leaks into the scene description.
 """
 
 from __future__ import annotations
@@ -29,21 +30,6 @@ class ClipQA:
             raise ValueError("question and answer must be non-empty")
         if self.span[1] <= self.span[0]:
             raise ValueError("QA span must have end > start")
-
-
-@dataclass(frozen=True)
-class AnchoredQA:
-    question_anchored: str
-    answer: str
-
-
-class AnchorLeakError(ValueError):
-    """Context anchor would reveal the answer; a fresh caption is needed."""
-
-    def __init__(self, answer: str, brief: str):
-        super().__init__(f"answer {answer!r} leaks into the context anchor")
-        self.answer = answer
-        self.brief = brief
 
 
 _QTYPE_PLACEHOLDER = re.compile(r"^question_type_(\d+)$")
@@ -85,20 +71,19 @@ def _normalize(text: str) -> str:
     return text.strip().casefold()
 
 
-def anchor(qa: ClipQA, brief: str) -> AnchoredQA:
+def anchor(qa: ClipQA, brief: str) -> str | None:
     """Prefix a clip question with its time interval and scene context.
 
-    Raises AnchorLeakError when the normalized answer appears inside the
-    brief caption; the caller should regenerate the caption and retry.
+    Returns None when the normalized answer appears inside the brief caption;
+    the caller should regenerate the caption and retry.
     """
     context = brief.strip().rstrip(".")
     if not context:
         raise ValueError("brief caption must be non-empty")
     if _normalize(qa.answer) in _normalize(context):
-        raise AnchorLeakError(qa.answer, brief)
+        return None
     start, end = qa.span
-    question = (
+    return (
         f"Between {format_seconds(start)}s and {format_seconds(end)}s, "
         f"in the scene where {context}: {qa.question}"
     )
-    return AnchoredQA(question_anchored=question, answer=qa.answer)

@@ -1,7 +1,9 @@
 """Degradation-based token budget allocation for mixed visual/text samples.
 
-Text is never truncated: the text token count is subtracted from the sequence
-budget first, and the remaining visual budget is filled in two phases. Phase
+Text is never truncated: a sample whose text alone meets the sequence budget is
+discarded as text_overflow, and otherwise the text token count is subtracted
+from the sequence budget first and the remaining visual budget is filled in
+two phases. Phase
 one fixes every image at the cheapest tiling and spends the remainder on
 temporal units (video frames at a target FPS, document pages): every temporal
 item gets one unit, and the rest is split in proportion to what each item can
@@ -10,13 +12,14 @@ raises the per-image tile cap along a descending ladder as far as the
 leftover budget allows, reading every image's grid at each rung from one
 tiling.best_grids lookup. Samples whose videos cannot reach the minimum frame
 count, or whose budget cannot give every temporal item one unit, are
-discarded rather than degraded below usefulness.
+discarded rather than degraded below usefulness. plan makes every discard
+decision and returns it as a verdict, never as an exception.
 
 A plan record carries every field its cost is made of (l_text, the units per
 item and each image's grid), so total_tokens can be recomputed from it, and
 read_plan(dumps_plan(p)) == p; read_plan is the one place a record line is
-read, and it checks each field's shape as it goes. Budget and SamplingPlan are
-immutable NamedTuples, cheap to build once per sample. dumps_plan writes the
+read, and it checks each field's shape as it goes. SamplingPlan is an
+immutable NamedTuple, cheap to build once per sample. dumps_plan writes the
 record line directly, byte for byte what json.dumps(..., ensure_ascii=False)
 writes for the record's dict; a record itself never goes to json.dumps, which
 would write it as an array.
@@ -41,18 +44,6 @@ PLANNED = "planned"
 DISCARDED = "discarded"
 
 
-class TextOverflowError(ValueError):
-    """Text alone meets or exceeds the sequence budget; nothing can be truncated."""
-
-    def __init__(self, sample_id: str, text_tokens: int, l_max: int):
-        super().__init__(
-            f"sample {sample_id!r}: text_tokens={text_tokens} >= l_max={l_max}"
-        )
-        self.sample_id = sample_id
-        self.text_tokens = text_tokens
-        self.l_max = l_max
-
-
 class PlanError(ValueError):
     """The sample is valid but cannot be planned (a video too long to count frames for)."""
 
@@ -70,11 +61,6 @@ class BudgetConfig:
             raise ValueError("min_frames must be positive and fps_target positive and finite")
 
 
-class Budget(NamedTuple):
-    l_text: int
-    l_visual: int
-
-
 class SamplingPlan(NamedTuple):
     sample_id: str
     verdict: str
@@ -89,13 +75,6 @@ class SamplingPlan(NamedTuple):
     @property
     def planned(self) -> bool:
         return self.verdict == PLANNED
-
-
-def compute_budget(sample: Sample, cfg: BudgetConfig) -> Budget:
-    """Split the sequence budget: full text first, remainder for visual content."""
-    if sample.text_tokens >= cfg.l_max:
-        raise TextOverflowError(sample.id, sample.text_tokens, cfg.l_max)
-    return Budget(sample.text_tokens, cfg.l_max - sample.text_tokens)
 
 
 def temporal_cap(item: VisualItem, cfg: BudgetConfig) -> int:
@@ -147,23 +126,27 @@ def plan(sample: Sample, cfg: BudgetConfig,
 
     grids_of gives an image's best grid under every tile cap (best_grids, or
     a memo of it that a caller shares across the samples of one run).
-    Raises TextOverflowError when the text alone does not fit, and PlanError
-    when a video is so long that its frame count overflows. Discards (a
-    verdict, not an error) happen when any video would fall below the
-    configured minimum frame count, or when the visual items cannot fit even
-    at minimal degradation (one tile per image, one unit per temporal item).
+    Discards (a verdict, not an error) happen when the text alone meets
+    l_max (text_overflow), and when any video would fall below the configured
+    minimum frame count or the visual items cannot fit even at minimal
+    degradation (one tile per image, one unit per temporal item;
+    insufficient_budget). Raises PlanError only when a video is so long that
+    its frame count overflows.
     """
-    budget = compute_budget(sample, cfg)
+    l_text = sample.text_tokens
+    if l_text >= cfg.l_max:
+        return _discard(sample, "text_overflow", l_text)
+    l_visual = cfg.l_max - l_text  # text first, the remainder for visual content
     tok = TILE_TOKENS  # one frame, page or image tile
 
     images = [(i, it) for i, it in enumerate(sample.items) if it.kind == "image"]
     temporal = [(i, it) for i, it in enumerate(sample.items) if it.kind != "image"]
     m = len(images)
 
-    if sample.items and budget.l_visual < tok:
-        return _discard(sample, "insufficient_budget", budget.l_text)
-    if budget.l_visual < tok * m:
-        return _discard(sample, "insufficient_budget", budget.l_text)
+    if sample.items and l_visual < tok:
+        return _discard(sample, "insufficient_budget", l_text)
+    if l_visual < tok * m:
+        return _discard(sample, "insufficient_budget", l_text)
 
     # Phase 1: every image held at one tile; spend the rest on temporal units.
     counts = [0] * len(sample.items)
@@ -176,19 +159,19 @@ def plan(sample: Sample, cfg: BudgetConfig,
             raise PlanError(
                 f"sample {sample.id!r}: video too long to plan at fps_target={cfg.fps_target}"
             ) from exc
-        allowance = (budget.l_visual - tok * m) // tok - len(temporal)
+        allowance = (l_visual - tok * m) // tok - len(temporal)
         if allowance < 0:
-            return _discard(sample, "insufficient_budget", budget.l_text)
+            return _discard(sample, "insufficient_budget", l_text)
         extra = min(sum(spare), allowance)
         n_total = len(temporal) + extra
         for (i, it), n in zip(temporal, _largest_remainder_split(extra, spare)):
             if it.kind == "video" and n + 1 < cfg.min_frames:
-                return _discard(sample, "insufficient_budget", budget.l_text)
+                return _discard(sample, "insufficient_budget", l_text)
             counts[i] = n + 1
 
     # Phase 2: raise the per-image tile cap as far as the leftover budget allows.
     # The last rung, one tile per image, always fits: phase 1 reserved it.
-    residual = budget.l_visual - tok * n_total
+    residual = l_visual - tok * n_total
     ladders = [grids_of(it.dims) for _, it in images]
     for tile_cap in TILE_LADDER:
         image_total = sum(grid_tokens(ladder[tile_cap - 1]) for ladder in ladders)
@@ -204,7 +187,7 @@ def plan(sample: Sample, cfg: BudgetConfig,
         if it.kind == "video" and counts[i] > 0:
             stamps[i] = frame_timestamps(it.duration_s, counts[i])
 
-    total = budget.l_text + tok * n_total + image_total
+    total = l_text + tok * n_total + image_total
     assert total <= cfg.l_max
     return SamplingPlan(
         sample_id=sample.id,
@@ -213,7 +196,7 @@ def plan(sample: Sample, cfg: BudgetConfig,
         image_grids=tuple(grids),
         temporal_counts=tuple(counts),
         frame_timestamps=tuple(stamps),
-        l_text=budget.l_text,
+        l_text=l_text,
         total_tokens=total,
     )
 

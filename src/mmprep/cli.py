@@ -164,11 +164,7 @@ def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
     with _open_in(input_path) as fin, _open_out(output_path) as fout:
         try:
             for sample in manifest.iter_manifest(fin):
-                try:
-                    p = budget.plan(sample, cfg, grids_of)
-                except budget.TextOverflowError:
-                    p = budget.SamplingPlan(sample_id=sample.id, verdict=budget.DISCARDED,
-                                            reason="text_overflow", l_text=sample.text_tokens)
+                p = budget.plan(sample, cfg, grids_of)
                 fout.write(budget.dumps_plan(p) + "\n")
                 planned, discarded = planned + p.planned, discarded + (not p.planned)
         except (manifest.ManifestError, budget.PlanError) as exc:
@@ -340,12 +336,12 @@ def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
     # Append, so an earlier run's records are kept. A rerun repeats every job:
     # nothing is skipped on resume yet.
     with _open_out(output_path, mode="a") as fout:
-        result = annot.run_pipeline(
+        records = annot.run_pipeline(
             jobs, client, policy,
             on_record=lambda rec: (fout.write(json.dumps(rec, ensure_ascii=False) + "\n"), fout.flush()),
         )
-    failed = len(result.failures)
-    click.echo(f"{len(result.records) - failed}/{len(result.records)} jobs annotated, {failed} failed", err=True)
+    failed = sum(r["status"] != "ok" for r in records)
+    click.echo(f"{len(records) - failed}/{len(records)} jobs annotated, {failed} failed", err=True)
     if failed:
         ctx.exit(EXIT_PARTIAL)
 

@@ -1,9 +1,12 @@
-"""Sequence packing, progressive stage table, and short/long dataset mixing."""
+"""Sequence packing and the progressive training stage table.
+
+Each stage carries its short/long data mix (mix_short_long) as data for the
+trainer that reads the table; mmprep itself never interleaves datasets.
+"""
 
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 
 from .budget import SamplingPlan
@@ -117,43 +120,3 @@ def stage_to_obj(s: StageConfig) -> dict:
         "mix_short_long": list(s.mix_short_long),
     }
 
-
-def mix_datasets(
-    short: list[SamplingPlan],
-    long: list[SamplingPlan],
-    ratio: tuple[float, float],
-    seed: int,
-) -> list[SamplingPlan]:
-    """Seeded deterministic interleave of two plan streams at the given count ratio.
-
-    Both streams are shuffled with the seed, then consumed so the emitted
-    short:long counts track ratio as closely as possible; once a stream with
-    positive ratio runs dry the other continues, so nothing is dropped. A
-    zero ratio component excludes that stream entirely.
-    """
-    rs, rl = ratio
-    if rs < 0 or rl < 0 or (rs == 0 and rl == 0):
-        raise ValueError("ratio components must be non-negative and not both zero")
-    rng = random.Random(seed)
-    s = list(short)
-    l = list(long)
-    rng.shuffle(s)
-    rng.shuffle(l)
-    if rs == 0:
-        return l
-    if rl == 0:
-        return s
-
-    out: list[SamplingPlan] = []
-    i = j = 0
-    while i < len(s) or j < len(l):
-        if i >= len(s):
-            out.append(l[j]); j += 1
-        elif j >= len(l):
-            out.append(s[i]); i += 1
-        # Emit from the stream lagging furthest behind its target share.
-        elif (i + 1) * rl <= (j + 1) * rs:
-            out.append(s[i]); i += 1
-        else:
-            out.append(l[j]); j += 1
-    return out

@@ -122,25 +122,20 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
 class ReferenceIndex:
     """Immutable normalized matrix of reference clip features; safe to share.
 
-    ReferenceIndex(matrix) normalizes a copy of the caller's matrix. from_clips
-    takes over a float64 matrix and normalizes it in place, or stacks a
-    sequence of clip vectors into a matrix of its own first.
+    ReferenceIndex(matrix) takes over a float64 matrix and normalizes it in
+    place, so a caller that still needs its matrix passes a copy. from_clips
+    also stacks a sequence of clip vectors into a matrix of its own first.
     """
 
     def __init__(self, matrix: np.ndarray):
-        self._take(np.array(matrix, dtype=np.float64))
-
-    def _take(self, m: np.ndarray) -> None:
-        if len(m) == 0:
+        if len(matrix) == 0:
             raise ValueError("reference set is empty")
-        self._matrix = _unit_rows(m)
+        self._matrix = _unit_rows(matrix)
         self._matrix.setflags(write=False)
 
     @classmethod
     def from_clips(cls, clips: np.ndarray | Sequence[np.ndarray]) -> "ReferenceIndex":
-        index = cls.__new__(cls)
-        index._take(np.asarray(clips, dtype=np.float64))
-        return index
+        return cls(np.asarray(clips, dtype=np.float64))
 
     @property
     def dim(self) -> int:

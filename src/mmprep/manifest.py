@@ -16,14 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
 KINDS = ("image", "video", "document")
-
-# Fixed histogram bucket edges (upper bounds, last bucket open-ended).
-TEXT_TOKEN_BUCKETS = (64, 256, 1024, 4096, 16384, 65536)
-DURATION_BUCKETS_S = (10.0, 30.0, 60.0, 300.0, 600.0, 1800.0, 3600.0)
 
 
 class ManifestError(ValueError):
@@ -228,49 +224,3 @@ def sample_to_obj(sample: Sample) -> dict:
 def dumps_sample(sample: Sample) -> str:
     return json.dumps(sample_to_obj(sample), ensure_ascii=False)
 
-
-def _bucket_index(value: float, edges: tuple) -> int:
-    for i, edge in enumerate(edges):
-        if value < edge:
-            return i
-    return len(edges)
-
-
-@dataclass
-class ManifestStats:
-    total: int = 0
-    image_count: int = 0
-    video_count: int = 0
-    document_count: int = 0
-    # Buckets: len(edges)+1 counters, last one open-ended.
-    text_token_hist: list[int] = field(default_factory=lambda: [0] * (len(TEXT_TOKEN_BUCKETS) + 1))
-    duration_hist_s: list[int] = field(default_factory=lambda: [0] * (len(DURATION_BUCKETS_S) + 1))
-
-    def to_obj(self) -> dict:
-        return {
-            "total": self.total,
-            "image_count": self.image_count,
-            "video_count": self.video_count,
-            "document_count": self.document_count,
-            "text_token_bucket_edges": list(TEXT_TOKEN_BUCKETS),
-            "text_token_hist": list(self.text_token_hist),
-            "duration_bucket_edges_s": list(DURATION_BUCKETS_S),
-            "duration_hist_s": list(self.duration_hist_s),
-        }
-
-
-def manifest_stats(samples: Iterable[Sample]) -> ManifestStats:
-    """Exact per-kind counts plus fixed-bucket text-token and duration histograms."""
-    stats = ManifestStats()
-    for s in samples:
-        stats.total += 1
-        stats.text_token_hist[_bucket_index(s.text_tokens, TEXT_TOKEN_BUCKETS)] += 1
-        for item in s.items:
-            if item.kind == "image":
-                stats.image_count += 1
-            elif item.kind == "video":
-                stats.video_count += 1
-                stats.duration_hist_s[_bucket_index(item.duration_s, DURATION_BUCKETS_S)] += 1
-            else:
-                stats.document_count += 1
-    return stats

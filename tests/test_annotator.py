@@ -3,7 +3,6 @@ from pathlib import Path
 import pytest
 
 from mmprep.annotator import (
-    AnchorLeakError,
     CaptionPair,
     Chapter,
     ClipQA,
@@ -293,32 +292,28 @@ def qa(question="What color is the car?", answer="red", span=(12.0, 18.5)):
 
 def test_anchor_contains_span_and_context():
     out = anchor(qa(), "a vehicle drives by")
-    assert out.question_anchored == (
+    assert out == (
         "Between 12s and 18.5s, in the scene where a vehicle drives by: What color is the car?"
     )
-    assert out.answer == "red"
 
 
 def test_anchor_detects_substring_leak():
-    with pytest.raises(AnchorLeakError):
-        anchor(qa(), "a red car drives by")
+    assert anchor(qa(), "a red car drives by") is None
 
 
 def test_anchor_leak_is_case_insensitive():
-    with pytest.raises(AnchorLeakError):
-        anchor(qa(answer="Red"), "a RED car drives by")
+    assert anchor(qa(answer="Red"), "a RED car drives by") is None
 
 
 def test_anchor_leak_check_ignores_surrounding_whitespace():
-    with pytest.raises(AnchorLeakError):
-        anchor(qa(answer="  red "), "the red car")
+    assert anchor(qa(answer="  red "), "the red car") is None
 
 
 def test_anchor_clean_brief_passes():
     out = anchor(qa(answer="red"), "a vehicle drives by.")
-    assert "red" not in out.question_anchored
+    assert out is not None and "red" not in out
 
 
 def test_anchor_whole_second_span_renders_integers():
     out = anchor(qa(span=(5.0, 15.0)), "a vehicle drives by")
-    assert out.question_anchored.startswith("Between 5s and 15s,")
+    assert out.startswith("Between 5s and 15s,")

@@ -8,6 +8,7 @@ layer's metrics. These tests install the tracer, run `plan`, `pack`,
 """
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -114,14 +115,45 @@ def test_traced_annotate_records_one_span_per_job(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     worker = _load_worker()
     chapters = (Chapter("a", (0.0, 10.0)), Chapter("b", (10.0, 20.0)))
-    jobs = [AnnotationJob(0, "s", "vid://s", chapters=chapters),
-            AnnotationJob(1, "c", "vid://c", clips=((0.0, 10.0),), clip_titles=("clip 0",)),
-            AnnotationJob(2, "bad", "vid://bad", chapters=chapters[:1])]
+    jobs = [AnnotationJob(0, "s", "vid://s", "story", chapters),
+            AnnotationJob(1, "c", "vid://c", "clip", (Chapter("clip 0", (0.0, 10.0)),)),
+            AnnotationJob(2, "bad", "vid://bad", "story", chapters[:1])]
     tracer = worker.Tracer()
     worker.install(tracer)
     try:
-        result = run_pipeline(jobs, MockLlm(), RetryPolicy(max_in_flight=worker.MAX_IN_FLIGHT, sleep=lambda _: None))
+        records = run_pipeline(jobs, MockLlm(), RetryPolicy(max_in_flight=worker.MAX_IN_FLIGHT, sleep=lambda _: None))
     finally:
         tracer.restore()
-    assert [r["status"] for r in result.records] == ["ok", "ok", "failed"]
+    assert [r["status"] for r in records] == ["ok", "ok", "failed"]
     assert Counter(s.name for s in tracer.spans)["annotator.run_job"] == len(jobs)
+
+
+def test_worker_annotate_op_runs_against_the_fake_endpoint(monkeypatch, tmp_path):
+    # The annotate workload builds requests and responses through the fake
+    # endpoint in bench/fake_llm.py, which no other test in this suite runs.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    worker = _load_worker()
+
+    def segments(vid, word, n):
+        return [{"title": f"{vid} {word} {c + 1}", "start": 30.0 * c, "end": 30.0 * c + 20.0} for c in range(n)]
+
+    jobs = [
+        {"video_id": "story-0000", "uri": "vid://story-0000", "chapters": segments("story-0000", "chapter", 3)},
+        {"video_id": "clip-0001", "uri": "vid://clip-0001", "clips": segments("clip-0001", "scene", 2)},
+        {"video_id": "story-0002", "uri": "vid://story-0002", "chapters": segments("story-0002", "chapter", 1)},
+    ]
+    (tmp_path / "jobs.jsonl").write_text("".join(json.dumps(j) + "\n" for j in jobs), encoding="utf-8")
+    settings = {"seed": 1, "service_s": 0.0, "transient_rate": 0.3, "malformed_rate": 0.2, "leak_rate": 1.0,
+                "planted": {"story-0002": "validate"}}
+    (tmp_path / "endpoint.json").write_text(json.dumps(settings), encoding="utf-8")
+    endpoints = []
+    rc, _ = worker.annotate_op(tmp_path, 1, endpoints).run(None)
+    assert rc == 0
+    records = [json.loads(line) for line in (tmp_path / "annotations.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["video_id"] for r in records] == [j["video_id"] for j in jobs]
+    assert [r["status"] for r in records] == ["ok", "ok", "failed"]
+    assert records[2]["stage"] == "validate"
+    assert len(records[1]["captions"]) == 2 and all(q["anchored_q"] for q in records[1]["qa"])
+    counts = endpoints[0].counts
+    assert counts["requests"] == counts["ok_replies"] + counts["transient_errors"] + counts["malformed"]
+    assert counts["regenerations"] > 0

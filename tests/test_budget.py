@@ -12,12 +12,9 @@ from mmprep import cli
 from mmprep.budget import (
     TILE_LADDER,
     BudgetConfig,
-    Budget,
     PlanError,
     PlanRecordError,
     SamplingPlan,
-    TextOverflowError,
-    compute_budget,
     dumps_plan,
     frame_timestamps,
     plan,
@@ -29,21 +26,26 @@ from mmprep.tiling import TileGrid, best_grids, grid_tokens, select_grid
 from tests.conftest import make_sample, random_sample
 
 
+def _is_text_overflow(p: SamplingPlan) -> bool:
+    return (p.verdict, p.reason) == ("discarded", "text_overflow")
+
+
 def test_budget_simple_subtraction():
-    b = compute_budget(make_sample(text_tokens=768), BudgetConfig(l_max=32768))
-    assert b == Budget(l_text=768, l_visual=32000)
+    # 32768 - 768 = 32000 visual tokens: 125 pages of a 200-page document.
+    p = plan(make_sample(docs=[200], text_tokens=768), BudgetConfig(l_max=32768))
+    assert (p.l_text, p.temporal_counts, p.total_tokens) == (768, (125,), 32768)
 
 
 def test_budget_zero_text():
-    b = compute_budget(make_sample(text_tokens=0), BudgetConfig(l_max=4096))
-    assert b == Budget(l_text=0, l_visual=4096)
+    p = plan(make_sample(docs=[200], text_tokens=0), BudgetConfig(l_max=4096))
+    assert (p.l_text, p.temporal_counts, p.total_tokens) == (0, (16,), 4096)
 
 
 def test_budget_text_overflow():
-    with pytest.raises(TextOverflowError):
-        compute_budget(make_sample(text_tokens=40000), BudgetConfig(l_max=32768))
-    with pytest.raises(TextOverflowError):
-        compute_budget(make_sample(text_tokens=4096), BudgetConfig(l_max=4096))
+    for text_tokens, l_max in ((40000, 32768), (4096, 4096)):
+        p = plan(make_sample("t", docs=[3], text_tokens=text_tokens), BudgetConfig(l_max=l_max))
+        assert p == SamplingPlan("t", "discarded", "text_overflow", l_text=text_tokens)
+    assert plan(make_sample(text_tokens=4095), BudgetConfig(l_max=4096)).planned
 
 
 @pytest.mark.parametrize("fps_target", [0.0, -1.0, float("nan"), float("inf")])
@@ -183,8 +185,8 @@ def test_plan_json_round_trip():
 def test_records_are_immutable_hashable_and_round_trip():
     cfg = BudgetConfig(l_max=32768)
     sample = make_sample("r", images=[(896, 448)], videos=[10.0], docs=[3], text_tokens=5)
-    b, p = compute_budget(sample, cfg), plan(sample, cfg)
-    for record in (sample, *sample.items, b, p):
+    p = plan(sample, cfg)
+    for record in (sample, *sample.items, p):
         with pytest.raises(AttributeError):
             setattr(record, type(record)._fields[0], "changed")
         with pytest.raises(AttributeError):
@@ -363,11 +365,8 @@ def test_randomized_plan_properties():
     for i in range(1500):
         cfg = rng.choice(cfg_pool)
         sample = random_sample(rng, f"r{i}", cfg.l_max)
-        try:
-            p = plan(sample, cfg)
-        except TextOverflowError:
-            assert sample.text_tokens >= cfg.l_max
-            continue
+        p = plan(sample, cfg)
+        assert _is_text_overflow(p) == (sample.text_tokens >= cfg.l_max)
         _check_plan_properties(sample, cfg, p)
 
 
@@ -378,10 +377,8 @@ def test_monotone_in_l_max():
         prev_n = prev_t = -1
         for l_max in (8192, 16384, 32768, 65536):
             cfg = BudgetConfig(l_max=l_max)
-            try:
-                p = plan(sample, cfg)
-            except TextOverflowError:
-                continue
+            p = plan(sample, cfg)
+            assert _is_text_overflow(p) == (sample.text_tokens >= l_max)
             if not p.planned:
                 prev_n = prev_t = -1
                 continue
@@ -419,12 +416,11 @@ def test_emitted_plan_records_recompute(cfg, items, text_share):
     sample = Sample(id="h", items=tuple(items), text_tokens=int(text_share * cfg.l_max))
     try:
         p = plan(sample, cfg)
-    except TextOverflowError:
-        assert sample.text_tokens >= cfg.l_max
-        return
     except PlanError:
         assert any(it.kind == "video" and cfg.fps_target * it.duration_s == float("inf") for it in items)
+        assert sample.text_tokens < cfg.l_max  # text overflow is decided first, as a verdict
         return
+    assert _is_text_overflow(p) == (sample.text_tokens >= cfg.l_max)
     line = dumps_plan(p)
     assert read_plan(line) == p
     rec = json.loads(line)
@@ -450,3 +446,16 @@ def test_emitted_plan_records_recompute(cfg, items, text_share):
                          "-o", str(Path(tmp) / "errors.jsonl")])
         assert code == 0
         assert (Path(tmp) / "errors.jsonl").read_text() == ""
+
+
+def test_readme_library_example_returns_text_overflow_as_a_verdict(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    samples = [make_sample("a", docs=[3], text_tokens=100), make_sample("b", text_tokens=40000)]
+    (tmp_path / "manifest.jsonl").write_text("".join(dumps_sample(s) + "\n" for s in samples), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(example, scope)
+    assert [(p.sample_id, p.verdict, p.reason) for p in scope["plans"]] == [
+        ("a", "planned", None), ("b", "discarded", "text_overflow")]
+    assert [pk.member_ids for pk in scope["packs"]] == [("a",)]

@@ -685,6 +685,45 @@ def test_annotate_partial_failure_exit_3(capsys, tmp_path, monkeypatch):
     assert failed[0]["video_id"] == "solo"
 
 
+_CHAPTER = '{"title": "a", "start": 0, "end": 10}'
+
+
+@pytest.mark.parametrize("job", [
+    '{"video_id": "v", "clips": [{"start": NaN, "end": 10}]}',
+    '{"video_id": "v", "clips": [{"start": 10, "end": 5}]}',
+    '{"video_id": "v", "clips": [{"start": 0, "end": 10}, {"start": 10, "end": 10}]}',
+    '{"video_id": "v", "chapters": [%s, {"title": "b", "start": 10, "end": Infinity}]}' % _CHAPTER,
+    '{"video_id": "v", "chapters": [%s, {"title": "b", "start": 10, "end": 1e400}]}' % _CHAPTER,
+    '{"video_id": "v", "chapters": [%s, {"title": 5, "start": 10, "end": 20}]}' % _CHAPTER,
+    '{"video_id": "v", "chapters": [%s, {"title": ["z"], "start": 10, "end": 20}]}' % _CHAPTER,
+    '{"video_id": "v", "chapters": [%s, {"start": 10, "end": 20}]}' % _CHAPTER,
+    '{"video_id": "v", "clips": [{"title": 5, "start": 0, "end": 10}]}',
+    '{"video_id": "v", "clips": [{"title": ["z"], "start": 0, "end": 10}]}',
+    '{"video_id": "v", "clips": [{"title": "", "start": 0, "end": 10}]}',
+    '{"video_id": "v", "clips": [{"start": "3", "end": 10}]}',
+    '{"video_id": "v", "clips": [{"start": true, "end": 10}]}',
+    '{"video_id": "v", "chapters": [%s, {"title": "b", "start": 10, "end": "20"}]}' % _CHAPTER,
+    '{"video_id": "v", "clips": [{"end": 10}]}',
+    '{"video_id": "v", "clips": [5]}',
+    '{"video_id": "v", "clips": {"start": 0, "end": 10}}',
+], ids=["clip-nan-start", "clip-end-before-start", "clip-empty-span", "chapter-infinite-end",
+        "chapter-overflowing-end", "chapter-int-title", "chapter-list-title", "chapter-no-title",
+        "clip-int-title", "clip-list-title", "clip-empty-title", "clip-string-start", "clip-bool-start",
+        "chapter-string-end", "clip-no-start", "clip-not-an-object", "clips-not-a-list"])
+def test_annotate_bad_job_exit_1_before_any_request(capsys, tmp_path, monkeypatch, job):
+    jobs_path = tmp_path / "jobs.jsonl"
+    good = '{"video_id": "ok", "clips": [{"start": 0, "end": 10}]}'
+    jobs_path.write_text(f"{good}\n{job}\n", encoding="utf-8")
+    client = MockLlm()
+    monkeypatch.setattr(cli, "_make_client", lambda endpoint, model, rpm: client)
+    code, out, err = run_cli(capsys, ["annotate", "-i", str(jobs_path), "--endpoint", "http://example/generate"])
+    assert code == 1
+    assert "at line 2" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert client.calls == 0
+
+
 @pytest.mark.parametrize("option,value", [
     ("--rpm", "-5"), ("--rpm", "0"), ("--rpm", "nan"), ("--rpm", "inf"),
     ("--temperature", "nan"), ("--temperature", "-0.5"),

@@ -6,7 +6,6 @@ from mmprep.budget import PLANNED, SamplingPlan
 from mmprep.composer import (
     PackOverflowError,
     balance_report,
-    mix_datasets,
     pack,
     progressive_stages,
     stage_to_obj,
@@ -172,56 +171,3 @@ def test_stage_lmax_nondecreasing_and_mix():
 def test_stage_serialization_keys():
     obj = stage_to_obj(progressive_stages()[0])
     assert set(obj) == {"name", "l_max", "batch_size", "learning_rate", "trainable_scope", "mix_short_long"}
-
-
-# --- mixing -----------------------------------------------------------------------
-
-
-def test_mix_one_to_one_alternates_and_preserves_all():
-    short = [mkplan(f"s{i}", 10) for i in range(3)]
-    long = [mkplan(f"l{i}", 10) for i in range(3)]
-    mixed = mix_datasets(short, long, (1, 1), seed=7)
-    assert len(mixed) == 6
-    assert sorted(p.sample_id for p in mixed) == sorted(p.sample_id for p in short + long)
-    kinds = ["s" if p.sample_id.startswith("s") else "l" for p in mixed]
-    assert kinds == ["s", "l", "s", "l", "s", "l"]
-
-
-def test_mix_short_only():
-    short = [mkplan(f"s{i}", 10) for i in range(4)]
-    long = [mkplan(f"l{i}", 10) for i in range(4)]
-    mixed = mix_datasets(short, long, (1, 0), seed=3)
-    assert all(p.sample_id.startswith("s") for p in mixed)
-    assert len(mixed) == 4
-
-
-def test_mix_same_seed_identical():
-    short = [mkplan(f"s{i}", 10) for i in range(20)]
-    long = [mkplan(f"l{i}", 10) for i in range(10)]
-    a = mix_datasets(short, long, (2, 1), seed=11)
-    b = mix_datasets(short, long, (2, 1), seed=11)
-    assert [p.sample_id for p in a] == [p.sample_id for p in b]
-    c = mix_datasets(short, long, (2, 1), seed=12)
-    assert [p.sample_id for p in a] != [p.sample_id for p in c]
-
-
-def test_mix_ratio_two_to_one_pattern():
-    short = [mkplan(f"s{i}", 10) for i in range(6)]
-    long = [mkplan(f"l{i}", 10) for i in range(3)]
-    mixed = mix_datasets(short, long, (2, 1), seed=0)
-    kinds = ["s" if p.sample_id.startswith("s") else "l" for p in mixed]
-    assert kinds == ["s", "s", "l", "s", "s", "l", "s", "s", "l"]
-
-
-def test_mix_unbalanced_inputs_nothing_dropped():
-    short = [mkplan(f"s{i}", 10) for i in range(8)]
-    long = [mkplan(f"l{i}", 10) for i in range(2)]
-    mixed = mix_datasets(short, long, (1, 1), seed=5)
-    assert sorted(p.sample_id for p in mixed) == sorted(p.sample_id for p in short + long)
-
-
-def test_mix_rejects_bad_ratio():
-    with pytest.raises(ValueError):
-        mix_datasets([], [], (0, 0), seed=1)
-    with pytest.raises(ValueError):
-        mix_datasets([], [], (-1, 1), seed=1)

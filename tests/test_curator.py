@@ -180,17 +180,11 @@ def test_smax_huge_block_keeps_tall_reference_blocks():
     assert np.allclose(out, [np.max(ref @ c) for c in cand], rtol=0, atol=1e-12)
 
 
-def test_reference_index_never_writes_callers_matrix():
-    m = np.random.default_rng(10).normal(size=(50, 8))
-    saved = m.copy()
-    index = ReferenceIndex(m)
-    assert np.array_equal(m, saved)
-    assert smax_of(index, m[:3]) == pytest.approx([1.0, 1.0, 1.0])
-
-
 def test_from_clips_matrix_is_bitwise_the_copied_index():
     clips = clips_from_seconds("v", np.random.default_rng(12).normal(size=(95, 16)).astype(np.float32))
-    copied = ReferenceIndex(clips)._matrix
+    own = clips.copy()
+    copied = ReferenceIndex(own)._matrix
+    assert copied is own  # the constructor takes over its matrix, as from_clips does
     stacked = ReferenceIndex.from_clips(list(clips))._matrix  # a sequence of clip vectors is stacked
     built = ReferenceIndex.from_clips(clips)._matrix  # a float64 matrix is taken over
     assert built is clips
@@ -249,7 +243,7 @@ def test_adding_reference_never_decreases_smax():
     rng = np.random.default_rng(4)
     cands = rng.normal(size=(30, 8))
     refs = rng.normal(size=(50, 8))
-    small = ReferenceIndex(refs[:25])
+    small = ReferenceIndex(refs[:25].copy())  # the index takes over its matrix
     big = ReferenceIndex(refs)
     assert np.all(smax_of(big, cands) >= smax_of(small, cands) - 1e-12)
 

@@ -11,7 +11,6 @@ from mmprep.manifest import (
     VisualItem,
     dumps_sample,
     iter_manifest,
-    manifest_stats,
     parse_record,
     sample_to_obj,
     scan_manifest,
@@ -182,35 +181,6 @@ def test_iter_manifest_is_streaming():
 
     ids = [s.id for s in iter_manifest(gen())]
     assert ids == ["a", "b"]
-
-
-# --- stats -------------------------------------------------------------------
-
-
-def test_stats_empty():
-    stats = manifest_stats([])
-    assert stats.total == 0
-    assert stats.image_count == stats.video_count == stats.document_count == 0
-    assert sum(stats.text_token_hist) == 0
-
-
-def test_stats_video_durations_bucketed():
-    from tests.conftest import make_sample
-
-    stats = manifest_stats([make_sample("a", videos=[5.0]), make_sample("b", videos=[600.0])])
-    assert stats.video_count == 2
-    assert sum(stats.duration_hist_s) == 2
-    assert stats.duration_hist_s[0] == 1  # 5 s -> first bucket (< 10)
-    assert stats.duration_hist_s[5] == 1  # 600 s -> [600, 1800)
-
-
-def test_stats_counts_kinds():
-    from tests.conftest import make_sample
-
-    stats = manifest_stats([make_sample("a", images=[(10, 10)], docs=[3])])
-    assert stats.image_count == 1
-    assert stats.document_count == 1
-    assert stats.video_count == 0
 
 
 # --- round-trip property -----------------------------------------------------

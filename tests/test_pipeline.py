@@ -1,14 +1,20 @@
+import http.server
 import io
 import json
+import threading
 import time
 
 import pytest
 
 from mmprep.annotator.pipeline import (
     AnnotationJob,
+    HttpClient,
     JobFileError,
+    LlmError,
+    LlmRequest,
     RateLimiter,
     RetryPolicy,
+    TransientLlmError,
     parse_jobs,
     run_job,
     run_pipeline,
@@ -24,13 +30,12 @@ def story_job(index=0, vid="v1", n_chapters=2):
     chapters = tuple(
         Chapter(title=f"ch{i}", span=(i * 10.0, (i + 1) * 10.0)) for i in range(n_chapters)
     )
-    return AnnotationJob(index=index, video_id=vid, uri=f"vid://{vid}", chapters=chapters)
+    return AnnotationJob(index=index, video_id=vid, uri=f"vid://{vid}", kind="story", segments=chapters)
 
 
 def clip_job(index=0, vid="c1", n_clips=1):
-    spans = tuple((i * 10.0, (i + 1) * 10.0) for i in range(n_clips))
-    return AnnotationJob(index=index, video_id=vid, uri=f"vid://{vid}", clips=spans,
-                         clip_titles=tuple(f"clip {i}" for i in range(n_clips)))
+    clips = tuple(Chapter(title=f"clip {i}", span=(i * 10.0, (i + 1) * 10.0)) for i in range(n_clips))
+    return AnnotationJob(index=index, video_id=vid, uri=f"vid://{vid}", kind="clip", segments=clips)
 
 
 # --- job file parsing -----------------------------------------------------------
@@ -46,7 +51,7 @@ def test_parse_story_and_clip_jobs():
     jobs = parse_jobs(io.StringIO("\n".join(lines)))
     assert jobs[0].kind == "story"
     assert jobs[1].kind == "clip"
-    assert jobs[1].clip_titles == ("clip 0",)
+    assert jobs[1].segments == (Chapter("clip 0", (0.0, 10.0)),)
 
 
 def test_parse_jobs_rejects_both_or_neither():
@@ -99,7 +104,7 @@ def test_story_job_single_chapter_fails_validation(mock_llm):
 
 def test_story_job_overlapping_chapters_fail_validation(mock_llm):
     chapters = (Chapter(title="a", span=(0.0, 10.0)), Chapter(title="b", span=(5.0, 15.0)))
-    job = AnnotationJob(index=0, video_id="v", uri="vid://v", chapters=chapters)
+    job = AnnotationJob(index=0, video_id="v", uri="vid://v", kind="story", segments=chapters)
     record = run_job(mock_llm, job, NO_SLEEP)
     assert (record["status"], record["stage"]) == ("failed", "validate")
     assert record["reason"] == "chapters must be sorted and non-overlapping"
@@ -177,21 +182,20 @@ def test_backoff_sleeps_between_retries():
 def test_malformed_payload_forever_fails_job_only():
     bad = MockLlm(bad_payload=True)
     jobs = [story_job(0, "bad")]
-    result = run_pipeline(jobs, bad, NO_SLEEP)
-    assert len(result.records) == 1
-    assert result.records[0]["status"] == "failed"
-    assert result.records[0]["stage"] == "caption"
-    assert "retries exhausted" in result.records[0]["reason"]
+    records = run_pipeline(jobs, bad, NO_SLEEP)
+    assert len(records) == 1
+    assert records[0]["status"] == "failed"
+    assert records[0]["stage"] == "caption"
+    assert "retries exhausted" in records[0]["reason"]
 
 
 def test_pipeline_failure_isolation(mock_llm):
     # one invalid job among valid ones; every job yields exactly one record
     jobs = [story_job(0, "good1"), story_job(1, "lonely", n_chapters=1), clip_job(2, "good2")]
-    result = run_pipeline(jobs, mock_llm, NO_SLEEP)
-    assert len(result.records) == 3
-    assert len(result.failures) == 1
-    assert result.failures[0]["video_id"] == "lonely"
-    ok_ids = {r["video_id"] for r in result.records if r["status"] == "ok"}
+    records = run_pipeline(jobs, mock_llm, NO_SLEEP)
+    assert len(records) == 3
+    assert [r["video_id"] for r in records if r["status"] != "ok"] == ["lonely"]
+    ok_ids = {r["video_id"] for r in records if r["status"] == "ok"}
     assert ok_ids == {"good1", "good2"}
 
 
@@ -200,7 +204,7 @@ def test_pipeline_parallel_matches_serial(mock_llm):
     serial = run_pipeline(jobs, MockLlm(), RetryPolicy(max_in_flight=1, sleep=lambda _: None))
     parallel = run_pipeline(jobs, MockLlm(), RetryPolicy(max_in_flight=4, sleep=lambda _: None))
     key = lambda r: r["video_id"]
-    assert sorted(serial.records, key=key) == sorted(parallel.records, key=key)
+    assert sorted(serial, key=key) == sorted(parallel, key=key)
 
 
 def test_on_record_sink_sees_every_job(mock_llm):
@@ -224,10 +228,10 @@ def test_on_record_sees_records_in_job_order(in_flight):
     client = SlowFirstJob()
     jobs = [clip_job(i, f"c{i}") for i in range(4)]
     sunk = []
-    result = run_pipeline(jobs, client, RetryPolicy(max_in_flight=in_flight, sleep=lambda _: None),
-                          on_record=sunk.append)
+    records = run_pipeline(jobs, client, RetryPolicy(max_in_flight=in_flight, sleep=lambda _: None),
+                           on_record=sunk.append)
     assert [r["video_id"] for r in sunk] == ["c0", "c1", "c2", "c3"]
-    assert result.records == sunk
+    assert records == sunk
     if in_flight > 1:  # c0 was the last job to finish, yet its record came first
         assert client.requests[-1].image_refs[0].startswith("vid://c0#")
 
@@ -254,7 +258,7 @@ def test_rate_limiter_spaces_requests():
         naps.append(dt)
         now[0] += dt
 
-    rl = RateLimiter(requests_per_minute=60, burst=1, clock=clock, sleep=sleep)
+    rl = RateLimiter(requests_per_minute=60, clock=clock, sleep=sleep)  # holds one request at 60 rpm
     rl.acquire()  # token available immediately
     rl.acquire()  # must wait ~1 s
     rl.acquire()
@@ -265,3 +269,65 @@ def test_rate_limiter_spaces_requests():
 def test_rate_limiter_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
         RateLimiter(0)
+
+
+# --- HTTP client ------------------------------------------------------------------------
+
+
+class _Endpoint(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the server's next (status, body) reply and keeps the payload."""
+
+    def do_POST(self):
+        self.server.payloads.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+        status, body = self.server.replies.pop(0)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")  # the request must reach the loopback server directly
+    server = http.server.HTTPServer(("127.0.0.1", 0), _Endpoint)
+    server.replies, server.payloads = [], []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _client(server):
+    return HttpClient(f"http://127.0.0.1:{server.server_port}/generate", "m1")
+
+
+def test_http_client_posts_the_payload_and_reads_usage(endpoint):
+    reply = {"text": "hi", "usage": {"prompt_tokens": 12, "completion_tokens": 3}}
+    endpoint.replies.append((200, json.dumps(reply).encode()))
+    response = _client(endpoint).submit(LlmRequest("say hi", ("vid://v#t=0.250",), temperature=0.5))
+    assert endpoint.payloads == [{"model": "m1", "prompt": "say hi", "image_refs": ["vid://v#t=0.250"],
+                                  "temperature": 0.5, "max_output_tokens": 2048}]
+    assert (response.text, response.prompt_tokens, response.completion_tokens) == ("hi", 12, 3)
+
+
+@pytest.mark.parametrize("status, body, error", [
+    (429, b"{}", TransientLlmError),
+    (503, b"{}", TransientLlmError),
+    (400, b"{}", LlmError),
+    (200, b'{"usage": {}}', LlmError),  # no "text"
+], ids=["429", "503", "400", "no-text"])
+def test_http_client_errors(endpoint, status, body, error):
+    endpoint.replies.append((status, body))
+    with pytest.raises(error) as exc:
+        _client(endpoint).submit(LlmRequest("p"))
+    assert (type(exc.value) is TransientLlmError) == (error is TransientLlmError)
+    assert len(endpoint.payloads) == 1
