@@ -7,6 +7,9 @@ anchor every question with its time interval and a non-revealing scene
 context. Jobs are independent: transient endpoint errors and malformed
 responses are retried with exponential backoff, and one job's permanent
 failure never affects the others. Every job yields exactly one output record.
+
+parse_jobs reads a job file through jsonl.lines and jsonl.load_object and
+rejects a bad line with jsonl.InputError naming it, before any request.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Protocol
 
+from ..jsonl import InputError, lines, load_object
 from .captions import (
     CaptionPair,
     Chapter,
@@ -184,12 +188,6 @@ class AnnotationJob:
     segments: tuple[Chapter, ...]
 
 
-class JobFileError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} at line {line}")
-        self.line = line
-
-
 def _seconds(x) -> float | None:
     """x as a finite float when it is a JSON number (not a bool or a string), else None."""
     try:
@@ -201,50 +199,47 @@ def _seconds(x) -> float | None:
 def _segment(raw, name: str, line_no: int, title_optional: bool) -> Chapter:
     """One chapter or clip of a job record, checked; name ("clip 3") is its default title."""
     if type(raw) is not dict:
-        raise JobFileError(f"{name} is not a JSON object", line_no)
+        raise InputError(f"{name} is not a JSON object", line_no)
     title = raw.get("title")
     if title is None and title_optional:
         title = name
     if type(title) is not str or not title:
-        raise JobFileError(f"{name} title {title!r} is not a non-empty string", line_no)
+        raise InputError(f"{name} title {title!r} is not a non-empty string", line_no)
     start, end = _seconds(raw.get("start")), _seconds(raw.get("end"))
     if start is None or end is None:
-        raise JobFileError(f"{name} start and end must be finite numbers, not "
-                           f"{raw.get('start')!r} and {raw.get('end')!r}", line_no)
+        raise InputError(f"{name} start and end must be finite numbers, not "
+                         f"{raw.get('start')!r} and {raw.get('end')!r}", line_no)
     if end <= start:
-        raise JobFileError(f"{name} must have end > start, not {start!r} to {end!r}", line_no)
+        raise InputError(f"{name} must have end > start, not {start!r} to {end!r}", line_no)
     return Chapter(title, (start, end))
 
 
 def parse_jobs(stream: IO[str] | Iterable[str]) -> list[AnnotationJob]:
     """Read newline-delimited job records: chapters for story jobs, clips otherwise.
 
+    A job's uri, when present, must be a string (a missing one reads as "").
     Every chapter and clip needs a non-empty string title (a clip without one
     is titled "clip i") and finite numeric start and end with end > start.
+    A bad line raises InputError naming it, before any request is made.
     Whether a story's chapters are enough, sorted and non-overlapping is
     checked when the job runs, as its validate stage.
     """
     jobs: list[AnnotationJob] = []
-    for line_no, raw in enumerate(stream, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise JobFileError(f"malformed job record ({exc.msg})", line_no) from exc
-        except RecursionError as exc:
-            raise JobFileError("malformed job record (nested too deeply)", line_no) from exc
-        if not isinstance(obj, dict) or not isinstance(obj.get("video_id"), str):
-            raise JobFileError("job record needs a video_id", line_no)
+    for line_no, text in lines(stream):
+        obj = load_object(text, line_no, "job")
+        video_id, uri = obj.get("video_id"), obj.get("uri", "")
+        if type(video_id) is not str:
+            raise InputError("job record needs a video_id", line_no)
+        if type(uri) is not str:
+            raise InputError(f"job uri {uri!r} is not a string", line_no)
         chapters_raw = obj.get("chapters")
         if bool(chapters_raw) == bool(obj.get("clips")):
-            raise JobFileError("job record needs chapters or clips (not both)", line_no)
+            raise InputError("job record needs chapters or clips (not both)", line_no)
         key, kind = ("chapters", STORY) if chapters_raw else ("clips", CLIP)
         if type(obj[key]) is not list:
-            raise JobFileError(f"job record's {key} must be a list", line_no)
+            raise InputError(f"job record's {key} must be a list", line_no)
         segments = tuple(_segment(c, f"{key[:-1]} {i}", line_no, kind == CLIP) for i, c in enumerate(obj[key]))
-        jobs.append(AnnotationJob(len(jobs), obj["video_id"], obj.get("uri", ""), kind, segments))
+        jobs.append(AnnotationJob(len(jobs), video_id, uri, kind, segments))
     return jobs
 
 

@@ -17,8 +17,12 @@ decision and returns it as a verdict, never as an exception.
 
 A plan record carries every field its cost is made of (l_text, the units per
 item and each image's grid), so total_tokens can be recomputed from it, and
-read_plan(dumps_plan(p)) == p; read_plan is the one place a record line is
-read, and it checks each field's shape as it goes. SamplingPlan is an
+read_plan(dumps_plan(p), line) == p. This module alone knows the record
+format: read_plan is the one place a record line is read (through
+jsonl.load_object), checking each field's shape and, given the ids seen so
+far, that the id is new; check_plan checks the fields against each other and
+against l_max. Both raise jsonl.InputError naming the line and the field, as
+plan does for a video too long to count frames for. SamplingPlan is an
 immutable NamedTuple, cheap to build once per sample. dumps_plan writes the
 record line directly, byte for byte what json.dumps(..., ensure_ascii=False)
 writes for the record's dict; a record itself never goes to json.dumps, which
@@ -27,14 +31,14 @@ would write it as an array.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 from typing import Callable, NamedTuple
 
+from .jsonl import InputError, load_object
 from .manifest import ImageDims, Sample, VisualItem
-from .tiling import TILE_TOKENS, TileGrid, best_grids, grid_tokens
+from .tiling import MAX_TILES, TILE_TOKENS, TileGrid, best_grids, grid_tokens
 from .tiling import select_grid  # noqa: F401  (bench/worker.py traces budget.select_grid by name)
 
 # Per-image tile caps tried in phase two, largest first; ends at one tile.
@@ -42,10 +46,6 @@ TILE_LADDER = (12, 8, 6, 4, 2, 1)
 
 PLANNED = "planned"
 DISCARDED = "discarded"
-
-
-class PlanError(ValueError):
-    """The sample is valid but cannot be planned (a video too long to count frames for)."""
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def plan(sample: Sample, cfg: BudgetConfig,
     l_max (text_overflow), and when any video would fall below the configured
     minimum frame count or the visual items cannot fit even at minimal
     degradation (one tile per image, one unit per temporal item;
-    insufficient_budget). Raises PlanError only when a video is so long that
+    insufficient_budget). Raises InputError only when a video is so long that
     its frame count overflows.
     """
     l_text = sample.text_tokens
@@ -156,8 +156,8 @@ def plan(sample: Sample, cfg: BudgetConfig,
             # Every temporal item gets one unit; spare is what each can take beyond it.
             spare = [temporal_cap(it, cfg) - 1 for _, it in temporal]
         except OverflowError as exc:  # fps_target * duration_s beyond float range
-            raise PlanError(
-                f"sample {sample.id!r}: video too long to plan at fps_target={cfg.fps_target}"
+            raise InputError(
+                f"sample {sample.id!r}: video too long to plan at fps_target={cfg.fps_target}", field="duration_s"
             ) from exc
         allowance = (l_visual - tok * m) // tok - len(temporal)
         if allowance < 0:
@@ -201,14 +201,6 @@ def plan(sample: Sample, cfg: BudgetConfig,
     )
 
 
-class PlanRecordError(ValueError):
-    """A plan record that plan could not have written; field names what is wrong."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
 def _is_count(x) -> bool:
     return type(x) is int and x >= 0  # json.loads gives bool for true/false, so bools fail
 
@@ -223,52 +215,81 @@ def _finite_numbers(xs) -> bool:
         return False
 
 
-def _read_grid(g, sample_id: str) -> TileGrid:
+def _read_grid(g, sample_id: str, line: int) -> TileGrid:
     if type(g) is list and len(g) == 2 and type(g[0]) is int and type(g[1]) is int and g[0] >= 1 and g[1] >= 1:
         return TileGrid(*g)
-    raise PlanRecordError("grids", f"plan {sample_id!r}: grids must hold null or [cols, rows] of positive integers")
+    raise InputError(f"plan {sample_id!r}: grids must hold null or [cols, rows] of positive integers", line, "grids")
 
 
-def read_plan(line: str) -> SamplingPlan:
+def read_plan(text: str, line: int, seen_ids: set[str] | None = None) -> SamplingPlan:
     """Parse one plan record line into a SamplingPlan, checking each field's shape once.
 
     A record without grids, n_per_item, timestamps or l_text reads them as
     empty or 0, so records written before those fields existed still read.
-    Whether the fields agree with each other and with a budget is left to the
-    caller. Raises PlanRecordError naming the first malformed field.
+    With seen_ids, an id already in the set is rejected and a new one added.
+    Whether the fields agree with each other and with a budget is check_plan's
+    to decide. Raises InputError naming the line and the first malformed field.
     """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise PlanRecordError("record", f"record is not JSON ({exc.msg})") from exc
-    except RecursionError as exc:
-        raise PlanRecordError("record", "record is not JSON (nested too deeply)") from exc
-    if type(obj) is not dict:
-        raise PlanRecordError("record", "record is not a JSON object")
+    obj = load_object(text, line, "plan")
     sid = obj.get("id")
     if type(sid) is not str or sid == "":
-        raise PlanRecordError("id", f"plan id {sid!r} is not a non-empty string")
+        raise InputError(f"plan id {sid!r} is not a non-empty string", line, "id")
+    if seen_ids is not None:
+        if sid in seen_ids:
+            raise InputError(f"duplicate plan id {sid!r}", line, "id")
+        seen_ids.add(sid)
     verdict, reason, tile_cap = obj.get("verdict"), obj.get("reason"), obj.get("tile_cap")
     l_text, counts, total = obj.get("l_text", 0), obj.get("n_per_item", []), obj.get("total_tokens")
     grids, stamps = obj.get("grids", []), obj.get("timestamps", [])
     if verdict not in (PLANNED, DISCARDED):
-        raise PlanRecordError("verdict", f"plan {sid!r}: unknown verdict {verdict!r}")
+        raise InputError(f"plan {sid!r}: unknown verdict {verdict!r}", line, "verdict")
     if reason is not None and type(reason) is not str:
-        raise PlanRecordError("reason", f"plan {sid!r}: reason {reason!r} is not a string")
+        raise InputError(f"plan {sid!r}: reason {reason!r} is not a string", line, "reason")
     if tile_cap is not None and type(tile_cap) is not int:
-        raise PlanRecordError("tile_cap", f"plan {sid!r}: tile_cap {tile_cap!r} is not an integer")
+        raise InputError(f"plan {sid!r}: tile_cap {tile_cap!r} is not an integer", line, "tile_cap")
     if not _is_count(l_text):
-        raise PlanRecordError("l_text", f"plan {sid!r}: l_text {l_text!r} is not a non-negative integer")
+        raise InputError(f"plan {sid!r}: l_text {l_text!r} is not a non-negative integer", line, "l_text")
     if type(counts) is not list or not all(map(_is_count, counts)):
-        raise PlanRecordError("n_per_item", f"plan {sid!r}: n_per_item must hold non-negative integers")
+        raise InputError(f"plan {sid!r}: n_per_item must hold non-negative integers", line, "n_per_item")
     if not (_is_count(total) or (total is None and verdict == DISCARDED)):
-        raise PlanRecordError("total_tokens", f"plan {sid!r}: total_tokens {total!r} is not a non-negative integer")
+        raise InputError(f"plan {sid!r}: total_tokens {total!r} is not a non-negative integer", line, "total_tokens")
     if type(grids) is not list:
-        raise PlanRecordError("grids", f"plan {sid!r}: grids must be a list")
-    grids = tuple([g if g is None else _read_grid(g, sid) for g in grids])
+        raise InputError(f"plan {sid!r}: grids must be a list", line, "grids")
+    grids = tuple([g if g is None else _read_grid(g, sid, line) for g in grids])
     if type(stamps) is not list or not all(map(_finite_numbers, stamps)):
-        raise PlanRecordError("timestamps", f"plan {sid!r}: timestamps must hold lists of finite numbers")
+        raise InputError(f"plan {sid!r}: timestamps must hold lists of finite numbers", line, "timestamps")
     return SamplingPlan(sid, verdict, reason, tile_cap, grids, tuple(counts), tuple(map(tuple, stamps)), l_text, total)
+
+
+def check_plan(p: SamplingPlan, line: int, l_max: int) -> None:
+    """Raise InputError when a planned record's fields disagree with each other or with l_max.
+
+    read_plan has checked each field's shape; here they must be ones plan could
+    write together, and the cost is recomputed from them.
+    """
+    if not p.planned:
+        return
+    sid = p.sample_id
+    if len(p.image_grids) != len(p.temporal_counts):
+        raise InputError(f"plan {sid!r}: grids do not align with n_per_item", line, "grids")
+    if any((g is None) == (n == 0) for g, n in zip(p.image_grids, p.temporal_counts)):
+        raise InputError(f"plan {sid!r}: an item must have a grid exactly when it has 0 units", line, "grids")
+    tiles = [g.tiles for g in p.image_grids if g is not None]
+    if tiles and not (p.tile_cap is not None and 1 <= p.tile_cap <= MAX_TILES):
+        raise InputError(f"plan {sid!r}: tile_cap {p.tile_cap!r} is not an integer in 1..{MAX_TILES}", line, "tile_cap")
+    if tiles and max(tiles) > p.tile_cap:
+        raise InputError(f"plan {sid!r}: a grid of {max(tiles)} tiles exceeds tile_cap={p.tile_cap}", line, "grids")
+    if len(p.frame_timestamps) != len(p.temporal_counts) or any(
+        len(ts) not in (0, n) for ts, n in zip(p.frame_timestamps, p.temporal_counts)
+    ):
+        raise InputError(f"plan {sid!r}: each timestamps entry must hold 0 or n_per_item values", line, "timestamps")
+    cost = (p.l_text + TILE_TOKENS * sum(p.temporal_counts)
+            + sum(grid_tokens(g) for g in p.image_grids if g is not None))
+    if p.total_tokens != cost:
+        raise InputError(f"plan {sid!r}: total_tokens={p.total_tokens} but its fields cost {cost}",
+                         line, "total_tokens")
+    if cost > l_max:
+        raise InputError(f"plan {sid!r} exceeds l_max={l_max}", line, "total_tokens")
 
 
 def _json_int(x: int | None) -> str:

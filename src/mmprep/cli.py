@@ -6,7 +6,12 @@ flags > environment (MMPREP_* prefix) > --config file > defaults, and every
 subcommand echoes its effective configuration to stderr at startup.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 partial annotation
-failures.
+failures. Every rejection of input, in any module, is a jsonl.InputError,
+which main catches once: it prints "Error: <message>" to stderr and exits 1.
+So the commands hold no error handling of their own; only curate turns the
+curator's ValueError about a feature file into an InputError. Line-oriented
+inputs (manifests, plan files, job files) are read through jsonl.lines, so a
+bad line reads "malformed <kind> record (<reason>) at line N" in every command.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import click
 # curator (numpy) and the annotator (urllib, http.client) are imported inside
 # the functions of `curate` and `annotate`: the other commands never load them.
 from . import budget, composer, manifest, tiling
+from .jsonl import InputError, lines
 
 logger = logging.getLogger("mmprep")
 
@@ -31,10 +37,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_PARTIAL = 3
-
-
-class ValidationFailure(click.ClickException):
-    exit_code = EXIT_VALIDATION
 
 
 class FiniteFloatRange(click.FloatRange):
@@ -84,7 +86,7 @@ def _open_in(path: str):
                 yield fh
     except UnicodeDecodeError as exc:
         name = "stdin" if path == "-" else path
-        raise ValidationFailure(f"input {name} is not UTF-8: {exc}") from exc
+        raise InputError(f"input {name} is not UTF-8: {exc}") from exc
 
 
 @contextmanager
@@ -108,21 +110,21 @@ def _load_config_map(path: str | None, commands) -> dict:
         try:
             raw = json.load(fh)
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-            raise ValidationFailure(f"config file {path} is not UTF-8 JSON: {exc}") from exc
+            raise InputError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ValidationFailure(f"config file {path} must hold a JSON object")
+        raise InputError(f"config file {path} must hold a JSON object")
     config = {}
     for name, options in raw.items():
         if name not in commands:
-            raise ValidationFailure(f"config file {path}: {name!r} names no subcommand")
+            raise InputError(f"config file {path}: {name!r} names no subcommand")
         if not isinstance(options, dict):
-            raise ValidationFailure(f"config file {path}: {name!r} must hold a JSON object of option defaults")
+            raise InputError(f"config file {path}: {name!r} must hold a JSON object of option defaults")
         params = {p.name for p in commands[name].params}
         config[name] = {}
         for key, value in options.items():
             option = key.replace("-", "_")
             if option not in params:
-                raise ValidationFailure(f"config file {path}: {name!r} has no option {key!r}")
+                raise InputError(f"config file {path}: {name!r} has no option {key!r}")
             config[name][option] = value
     return config
 
@@ -162,13 +164,10 @@ def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
     grids_of = _grid_memo()
     discarded = planned = 0
     with _open_in(input_path) as fin, _open_out(output_path) as fout:
-        try:
-            for sample in manifest.iter_manifest(fin):
-                p = budget.plan(sample, cfg, grids_of)
-                fout.write(budget.dumps_plan(p) + "\n")
-                planned, discarded = planned + p.planned, discarded + (not p.planned)
-        except (manifest.ManifestError, budget.PlanError) as exc:
-            raise ValidationFailure(str(exc)) from exc
+        for sample in manifest.iter_manifest(fin):
+            p = budget.plan(sample, cfg, grids_of)
+            fout.write(budget.dumps_plan(p) + "\n")
+            planned, discarded = planned + p.planned, discarded + (not p.planned)
     click.echo(f"planned {planned}, discarded {discarded}", err=True)
 
 
@@ -183,23 +182,15 @@ def pack_cmd(ctx, input_path, output_path, l_max):
     _echo_config(ctx)
     plans = []
     skipped = 0
+    seen: set[str] = set()
     with _open_in(input_path) as fin:
-        for line_no, raw in enumerate(fin, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                p = budget.read_plan(text)
-            except budget.PlanRecordError as exc:
-                raise ValidationFailure(f"malformed plan at line {line_no}: {exc}") from exc
+        for line_no, text in lines(fin):
+            p = budget.read_plan(text, line_no, seen)
             if p.planned:
                 plans.append(p)
             else:
                 skipped += 1
-    try:
-        packs = composer.pack(plans, l_max)
-    except composer.PackOverflowError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    packs = composer.pack(plans, l_max)
     with _open_out(output_path) as fout:
         for pk in packs:
             fout.write(json.dumps(
@@ -239,20 +230,17 @@ def tile_cmd(ctx, input_path, output_path, tile_cap):
     _echo_config(ctx)
     grids_of = _grid_memo()
     with _open_in(input_path) as fin, _open_out(output_path) as fout:
-        try:
-            for sample in manifest.iter_manifest(fin):
-                for item in sample.items:
-                    if item.kind != "image":
-                        continue
-                    grid = grids_of(item.dims)[tile_cap - 1]
-                    fout.write(json.dumps({
-                        "id": sample.id,
-                        "grid": [grid.cols, grid.rows],
-                        "tokens": tiling.grid_tokens(grid),
-                        "canvas": [grid.cols * tiling.TILE_SIZE_PX, grid.rows * tiling.TILE_SIZE_PX],
-                    }) + "\n")
-        except manifest.ManifestError as exc:
-            raise ValidationFailure(str(exc)) from exc
+        for sample in manifest.iter_manifest(fin):
+            for item in sample.items:
+                if item.kind != "image":
+                    continue
+                grid = grids_of(item.dims)[tile_cap - 1]
+                fout.write(json.dumps({
+                    "id": sample.id,
+                    "grid": [grid.cols, grid.rows],
+                    "tokens": tiling.grid_tokens(grid),
+                    "canvas": [grid.cols * tiling.TILE_SIZE_PX, grid.rows * tiling.TILE_SIZE_PX],
+                }) + "\n")
 
 
 def _curate_reports(candidates_dir, reference_dir, tau, pool):
@@ -286,8 +274,8 @@ def curate_cmd(ctx, output_path, reference_dir, candidates_dir, tau, pool, jobs)
     _echo_config(ctx)
     try:
         reports = _curate_reports(candidates_dir, reference_dir, tau, pool)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    except ValueError as exc:  # curator rejects a bad feature file with a ValueError naming it
+        raise InputError(str(exc)) from exc
     with _open_out(output_path) as fout:
         for r in reports:
             fout.write(json.dumps(r.to_obj()) + "\n")
@@ -322,10 +310,7 @@ def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
 
     _echo_config(ctx)
     with _open_in(input_path) as fin:
-        try:
-            jobs = annot.parse_jobs(fin)
-        except annot.JobFileError as exc:
-            raise ValidationFailure(str(exc)) from exc
+        jobs = annot.parse_jobs(fin)
     client = _make_client(endpoint, model, rpm)
     policy = annot.RetryPolicy(
         max_retries=retry_budget,
@@ -346,45 +331,6 @@ def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
         ctx.exit(EXIT_PARTIAL)
 
 
-def _check_plan(p: budget.SamplingPlan, l_max: int) -> None:
-    """Raise PlanRecordError when a planned record's fields disagree with each other or with l_max.
-
-    read_plan has checked each field's shape; here they must be ones plan could
-    write together, and the cost is recomputed from them.
-    """
-    if not p.planned:
-        return
-    if len(p.image_grids) != len(p.temporal_counts):
-        raise budget.PlanRecordError("grids", f"plan {p.sample_id!r}: grids do not align with n_per_item")
-    if any((g is None) == (n == 0) for g, n in zip(p.image_grids, p.temporal_counts)):
-        raise budget.PlanRecordError(
-            "grids", f"plan {p.sample_id!r}: an item must have a grid exactly when it has 0 units"
-        )
-    tiles = [g.tiles for g in p.image_grids if g is not None]
-    if tiles and not (p.tile_cap is not None and 1 <= p.tile_cap <= tiling.MAX_TILES):
-        raise budget.PlanRecordError(
-            "tile_cap", f"plan {p.sample_id!r}: tile_cap {p.tile_cap!r} is not an integer in 1..{tiling.MAX_TILES}"
-        )
-    if tiles and max(tiles) > p.tile_cap:
-        raise budget.PlanRecordError(
-            "grids", f"plan {p.sample_id!r}: a grid of {max(tiles)} tiles exceeds tile_cap={p.tile_cap}"
-        )
-    if len(p.frame_timestamps) != len(p.temporal_counts) or any(
-        len(ts) not in (0, n) for ts, n in zip(p.frame_timestamps, p.temporal_counts)
-    ):
-        raise budget.PlanRecordError(
-            "timestamps", f"plan {p.sample_id!r}: each timestamps entry must hold 0 or n_per_item values"
-        )
-    cost = (p.l_text + tiling.TILE_TOKENS * sum(p.temporal_counts)
-            + sum(tiling.grid_tokens(g) for g in p.image_grids if g is not None))
-    if p.total_tokens != cost:
-        raise budget.PlanRecordError(
-            "total_tokens", f"plan {p.sample_id!r}: total_tokens={p.total_tokens} but its fields cost {cost}"
-        )
-    if cost > l_max:
-        raise budget.PlanRecordError("total_tokens", f"plan {p.sample_id!r} exceeds l_max={l_max}")
-
-
 @cli.command("validate")
 @in_opt
 @out_opt
@@ -396,23 +342,22 @@ def validate_cmd(ctx, input_path, output_path, kind, l_max):
     """Lint a manifest or plan file; emits one JSON error record per defect."""
     _echo_config(ctx)
     errors: list[dict] = []
+    count = 0
+    seen: set[str] = set()
     with _open_in(input_path) as fin:
-        if kind == "manifest":
-            samples, manifest_errors = manifest.scan_manifest(fin)
-            errors = [{"line": e.line, "field": e.field, "error": str(e)} for e in manifest_errors]
-            click.echo(f"{len(samples)} valid samples, {len(errors)} errors", err=True)
-        else:
-            count = 0
-            for line_no, raw in enumerate(fin, start=1):
-                text = raw.strip()
-                if not text:
-                    continue
-                count += 1
-                try:
-                    _check_plan(budget.read_plan(text), l_max)
-                except budget.PlanRecordError as exc:
-                    errors.append({"line": line_no, "field": exc.field, "error": str(exc)})
-            click.echo(f"{count} plans checked, {len(errors)} errors", err=True)
+        for line_no, text in lines(fin):
+            count += 1
+            try:
+                if kind == "manifest":
+                    manifest.parse_record(text, line_no, seen)
+                else:
+                    budget.check_plan(budget.read_plan(text, line_no, seen), line_no, l_max)
+            except InputError as exc:
+                errors.append({"line": exc.line, "field": exc.field, "error": str(exc)})
+    if kind == "manifest":
+        click.echo(f"{count - len(errors)} valid samples, {len(errors)} errors", err=True)
+    else:
+        click.echo(f"{count} plans checked, {len(errors)} errors", err=True)
     with _open_out(output_path) as fout:
         for e in errors:
             fout.write(json.dumps(e) + "\n")
@@ -435,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code
+    except InputError as exc:  # bad input from any command, shown as ClickException.show would
+        click.echo(f"Error: {exc}", err=True)
+        return EXIT_VALIDATION
     except BrokenPipeError:
         return EXIT_IO
     except OSError as exc:

@@ -10,6 +10,7 @@ import heapq
 from dataclasses import dataclass
 
 from .budget import SamplingPlan
+from .jsonl import InputError
 
 
 @dataclass(frozen=True)
@@ -29,27 +30,21 @@ class StageConfig:
     mix_short_long: tuple[float, float]
 
 
-class PackOverflowError(ValueError):
-    def __init__(self, sample_id: str, total_tokens: int, l_max: int):
-        super().__init__(
-            f"plan {sample_id!r} has {total_tokens} tokens, exceeding pack capacity {l_max}"
-        )
-        self.sample_id = sample_id
-
-
 def pack(plans: list[SamplingPlan], l_max: int) -> list[PackedSequence]:
     """Worst-fit-decreasing packing of planned samples into capacity-l_max sequences.
 
     Items are placed largest-first into whichever open pack has the most
     remaining room; a new pack opens only when nothing fits. Filling the
     emptiest pack first keeps pack loads near-equal. Fully deterministic:
-    ties in size break by sample id, ties in remaining room by pack id.
+    ties in size break by sample id, ties in remaining room by pack id. A plan
+    of more than l_max tokens raises InputError.
     """
     for p in plans:
         if not p.planned or p.total_tokens is None:
             raise ValueError(f"plan {p.sample_id!r} is not a planned sample")
         if p.total_tokens > l_max:
-            raise PackOverflowError(p.sample_id, p.total_tokens, l_max)
+            raise InputError(f"plan {p.sample_id!r} has {p.total_tokens} tokens, exceeding pack capacity {l_max}",
+                             field="total_tokens")
 
     order = sorted(plans, key=lambda p: (-p.total_tokens, p.sample_id))
     members: list[list[str]] = []

@@ -1,0 +1,46 @@
+"""The one reader of the JSON-lines files mmprep passes between stages.
+
+Manifests, plan files and annotation job files are read the same way: lines
+yields each non-blank line with its 1-based number (blank lines count), and
+load_object decodes one line into a dict. A line that is not JSON, is nested
+too deeply for the decoder, or holds something other than an object raises
+InputError("malformed <kind> record (<reason>)", line).
+
+InputError is every rejection of input, in every module: the CLI catches it
+once and exits 1. This module imports neither numpy nor click.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import IO, Iterable, Iterator
+
+
+class InputError(ValueError):
+    """Input mmprep rejects; names the line when it is known and the field at fault."""
+
+    def __init__(self, message: str, line: int | None = None, field: str = "record"):
+        super().__init__(message if line is None else f"{message} at line {line}")
+        self.line = line
+        self.field = field
+
+
+def lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line; single pass, constant memory."""
+    for line_no, raw in enumerate(stream, start=1):
+        text = raw.strip()
+        if text:
+            yield line_no, text
+
+
+def load_object(text: str, line: int, kind: str) -> dict:
+    """One record line as a dict, or InputError naming the kind of record and the line."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed {kind} record ({exc.msg})", line) from exc
+    except RecursionError as exc:
+        raise InputError(f"malformed {kind} record (nested too deeply)", line) from exc
+    if type(obj) is not dict:
+        raise InputError(f"malformed {kind} record (not an object)", line)
+    return obj

@@ -6,8 +6,10 @@ text token count, and provenance tags. Token counting happens upstream; this
 module only validates and carries the numbers.
 
 VisualItem and Sample are immutable, hashable NamedTuples whose constructors
-check their fields. parse_record checks each field of a line once, as it reads
-it, and builds the records without repeating those checks. Records reach JSON
+check their fields. parse_record reads a line through jsonl.load_object, checks
+each field once, as it reads it, and builds the records without repeating those
+checks; a bad line or field raises jsonl.InputError naming the line and the
+field, and a repeated id is rejected with field "id". Records reach JSON
 only through sample_to_obj/dumps_sample: json.dumps would write a NamedTuple
 as an array.
 """
@@ -19,16 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
+from .jsonl import InputError, lines, load_object
+
 KINDS = ("image", "video", "document")
-
-
-class ManifestError(ValueError):
-    """Raised for a malformed manifest record; carries line number and field."""
-
-    def __init__(self, message: str, line: int, fieldname: str):
-        super().__init__(f"{message} at line {line}")
-        self.line = line
-        self.field = fieldname
 
 
 @dataclass(frozen=True)
@@ -112,17 +107,17 @@ _record = tuple.__new__
 
 def _parse_item(obj: dict, line: int) -> VisualItem:
     if type(obj) is not dict:
-        raise ManifestError("malformed item", line, "items")
+        raise InputError("malformed item", line, "items")
     kind = obj.get("kind")
     uri = obj.get("uri", "")
     if type(uri) is not str:
-        raise ManifestError("invalid uri", line, "uri")
+        raise InputError("invalid uri", line, "uri")
     if kind == "image":
         w, h = obj.get("width"), obj.get("height")
         if type(w) is not int or w < 1:
-            raise ManifestError("invalid width", line, "width")
+            raise InputError("invalid width", line, "width")
         if type(h) is not int or h < 1:
-            raise ManifestError("invalid height", line, "height")
+            raise InputError("invalid height", line, "height")
         return _record(VisualItem, ("image", uri, ImageDims(w, h), None, None))
     if kind == "video":
         d = obj.get("duration_s")
@@ -132,75 +127,52 @@ def _parse_item(obj: dict, line: int) -> VisualItem:
             except OverflowError:  # an integer beyond float range
                 d = math.inf
         elif type(d) is not float:
-            raise ManifestError("invalid duration", line, "duration_s")
+            raise InputError("invalid duration", line, "duration_s")
         if not (math.isfinite(d) and d > 0):
-            raise ManifestError("invalid duration", line, "duration_s")
+            raise InputError("invalid duration", line, "duration_s")
         return _record(VisualItem, ("video", uri, None, d, None))
     if kind == "document":
         p = obj.get("pages")
         if type(p) is not int or p < 1:
-            raise ManifestError("invalid pages", line, "pages")
+            raise InputError("invalid pages", line, "pages")
         return _record(VisualItem, ("document", uri, None, None, p))
-    raise ManifestError(f"unknown kind {kind!r}", line, "kind")
+    raise InputError(f"unknown kind {kind!r}", line, "kind")
 
 
 def parse_record(text: str, line: int, seen_ids: set[str] | None = None) -> Sample:
-    """Parse one manifest line into a Sample, raising ManifestError with context."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"malformed record ({exc.msg})", line, "record") from exc
-    except RecursionError as exc:
-        raise ManifestError("malformed record (nested too deeply)", line, "record") from exc
-    if type(obj) is not dict:
-        raise ManifestError("malformed record (not an object)", line, "record")
+    """Parse one manifest line into a Sample, raising InputError naming the line and field.
+
+    With seen_ids, an id already in the set is rejected and a new one added.
+    """
+    obj = load_object(text, line, "manifest")
     sid = obj.get("id")
     if type(sid) is not str or sid == "":
-        raise ManifestError("invalid id", line, "id")
+        raise InputError("invalid id", line, "id")
     if seen_ids is not None:
         if sid in seen_ids:
-            raise ManifestError(f"duplicate id {sid!r}", line, "id")
+            raise InputError(f"duplicate id {sid!r}", line, "id")
         seen_ids.add(sid)
     tt = obj.get("text_tokens")
     if type(tt) is not int or tt < 0:
-        raise ManifestError("invalid text_tokens", line, "text_tokens")
+        raise InputError("invalid text_tokens", line, "text_tokens")
     raw_items = obj.get("items", [])
     if type(raw_items) is not list:
-        raise ManifestError("invalid items", line, "items")
+        raise InputError("invalid items", line, "items")
     items = tuple([_parse_item(it, line) for it in raw_items])
     tags = obj.get("tags", [])
     if type(tags) is not list or not all(type(t) is str for t in tags):
-        raise ManifestError("invalid tags", line, "tags")
+        raise InputError("invalid tags", line, "tags")
     return _record(Sample, (sid, items, tt, tuple(tags)))
 
 
 def iter_manifest(stream: IO[str] | Iterable[str]) -> Iterator[Sample]:
     """Stream Samples from newline-delimited records; single pass, constant memory.
 
-    Blank lines are skipped. The first invalid record aborts with ManifestError.
+    Blank lines are skipped but counted. The first invalid record aborts with InputError.
     """
     seen: set[str] = set()
-    for line_no, raw in enumerate(stream, start=1):
-        text = raw.strip()
-        if not text:
-            continue
+    for line_no, text in lines(stream):
         yield parse_record(text, line_no, seen)
-
-
-def scan_manifest(stream: IO[str] | Iterable[str]) -> tuple[list[Sample], list[ManifestError]]:
-    """Lint-mode parse: collect every valid Sample and every error, no early stop."""
-    samples: list[Sample] = []
-    errors: list[ManifestError] = []
-    seen: set[str] = set()
-    for line_no, raw in enumerate(stream, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            samples.append(parse_record(text, line_no, seen))
-        except ManifestError as exc:
-            errors.append(exc)
-    return samples, errors
 
 
 def item_to_obj(item: VisualItem) -> dict:

@@ -12,8 +12,6 @@ from mmprep import cli
 from mmprep.budget import (
     TILE_LADDER,
     BudgetConfig,
-    PlanError,
-    PlanRecordError,
     SamplingPlan,
     dumps_plan,
     frame_timestamps,
@@ -21,6 +19,7 @@ from mmprep.budget import (
     read_plan,
     temporal_cap,
 )
+from mmprep.jsonl import InputError
 from mmprep.manifest import Sample, document_item, dumps_sample, image_item, parse_record, video_item
 from mmprep.tiling import TileGrid, best_grids, grid_tokens, select_grid
 from tests.conftest import make_sample, random_sample
@@ -176,7 +175,7 @@ def test_plan_json_round_trip():
         make_sample("x", videos=[50.0], text_tokens=31000),  # discarded
     ):
         p = plan(sample, cfg)
-        assert read_plan(dumps_plan(p)) == p
+        assert read_plan(dumps_plan(p), 1) == p
 
 
 # --- records and the plan-record writer --------------------------------------------
@@ -195,7 +194,7 @@ def test_records_are_immutable_hashable_and_round_trip():
         assert pickle.loads(pickle.dumps(record)) == record
         assert type(record)(**record._asdict()) == record
     assert parse_record(dumps_sample(sample), 1) == sample
-    assert read_plan(dumps_plan(p)) == p
+    assert read_plan(dumps_plan(p), 1) == p
     assert len({sample, parse_record(dumps_sample(sample), 1)}) == 1
 
 
@@ -258,11 +257,11 @@ def test_dumps_plan_writes_what_json_dumps_writes(p):
     assert line == json.dumps(_plan_dict(p), ensure_ascii=False)
     field = _rejected_field(p)
     if field is None:
-        assert read_plan(line) == p
+        assert read_plan(line, 1) == p
     else:
-        with pytest.raises(PlanRecordError) as err:
-            read_plan(line)
-        assert err.value.field == field
+        with pytest.raises(InputError) as err:
+            read_plan(line, 1)
+        assert (err.value.line, err.value.field) == (1, field)
 
 
 @pytest.mark.parametrize("stamps, ok", [
@@ -282,11 +281,11 @@ def test_dumps_plan_writes_what_json_dumps_writes(p):
 def test_read_plan_timestamps_are_lists_of_finite_numbers(stamps, ok):
     line = json.dumps({"id": "t", "verdict": "discarded", "timestamps": stamps})
     if ok:
-        assert read_plan(line).frame_timestamps == tuple(map(tuple, stamps))
+        assert read_plan(line, 1).frame_timestamps == tuple(map(tuple, stamps))
     else:
-        with pytest.raises(PlanRecordError) as err:
-            read_plan(line)
-        assert err.value.field == "timestamps"
+        with pytest.raises(InputError) as err:
+            read_plan(line, 1)
+        assert (err.value.line, err.value.field) == (1, "timestamps")
 
 
 # --- timestamps ----------------------------------------------------------------
@@ -416,13 +415,13 @@ def test_emitted_plan_records_recompute(cfg, items, text_share):
     sample = Sample(id="h", items=tuple(items), text_tokens=int(text_share * cfg.l_max))
     try:
         p = plan(sample, cfg)
-    except PlanError:
+    except InputError:
         assert any(it.kind == "video" and cfg.fps_target * it.duration_s == float("inf") for it in items)
         assert sample.text_tokens < cfg.l_max  # text overflow is decided first, as a verdict
         return
     assert _is_text_overflow(p) == (sample.text_tokens >= cfg.l_max)
     line = dumps_plan(p)
-    assert read_plan(line) == p
+    assert read_plan(line, 1) == p
     rec = json.loads(line)
     if p.planned:
         grids = rec["grids"]

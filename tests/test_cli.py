@@ -168,26 +168,49 @@ def test_non_utf8_input_exit_1(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, names", [
-    (["plan", "-i", "{deep}"], "malformed record (nested too deeply) at line 1"),
-    (["validate", "--kind", "manifest", "-i", "{deep}"], '"line": 1, "field": "record"'),
-    (["pack", "-i", "{deep}"], "malformed plan at line 1: record is not JSON (nested too deeply)"),
-    (["validate", "--kind", "plans", "-i", "{deep}"], '"line": 1, "field": "record"'),
-    (["annotate", "--endpoint", "http://127.0.0.1:9/generate", "-i", "{deep}"],
-     "malformed job record (nested too deeply) at line 1"),
-    (["curate", "--reference", "{dir}", "--candidates", "{dir}"], "{deep}: malformed feature header"),
-], ids=["plan", "validate-manifest", "pack", "validate-plans", "annotate", "curate"])
-def test_deeply_nested_json_line_exit_1(capsys, tmp_path, argv, names):
-    # json.loads raises RecursionError, not JSONDecodeError, on a line nested this deep.
+_GOOD_SAMPLE = dumps_sample(make_sample("ok"))
+_GOOD_PLAN = '{"id": "ok", "verdict": "discarded", "reason": "text_overflow"}'
+_GOOD_JOB = '{"video_id": "ok", "clips": [{"start": 0, "end": 10}]}'
+# Every command that reads a JSON-lines file: (argv, the record kind it names, a good line of that kind).
+_LINE_READERS = {
+    "plan": (["plan"], "manifest", _GOOD_SAMPLE),
+    "tile": (["tile"], "manifest", _GOOD_SAMPLE),
+    "validate-manifest": (["validate", "--kind", "manifest"], "manifest", _GOOD_SAMPLE),
+    "pack": (["pack"], "plan", _GOOD_PLAN),
+    "validate-plans": (["validate", "--kind", "plans"], "plan", _GOOD_PLAN),
+    "annotate": (["annotate", "--endpoint", "http://127.0.0.1:9/generate"], "job", _GOOD_JOB),
+}
+# Every kind of bad line: (file text, with {good} for a good line, the bad line's number, the reason).
+# json.loads raises RecursionError, not JSONDecodeError, on a line nested this deep.
+_BAD_LINES = {
+    "not-json": ("not json\n", 1, "Expecting value"),
+    "nested": ("[" * 100_000 + "\n", 1, "nested too deeply"),
+    "not-object": ('["x"]\n', 1, "not an object"),
+    "after-blank": ("{good}\n\n  \n5\n", 4, "not an object"),
+}
+
+
+@pytest.mark.parametrize("argv, text, expected", [
+    *[([*argv, "-i", "{path}"], text.replace("{good}", good),
+       [f"malformed {kind} record ({reason}) at line {n}"] + (
+           [f'"line": {n}, "field": "record"'] if argv[0] == "validate" else []))
+      for argv, kind, good in _LINE_READERS.values() for text, n, reason in _BAD_LINES.values()],
+    # curate reads a feature file's header line, not a JSON-lines file, and names the file.
+    (["curate", "--reference", "{dir}", "--candidates", "{dir}"], "[" * 100_000 + "\n",
+     ["{path}: malformed feature header"]),
+], ids=[*[f"{r}-{b}" for r in _LINE_READERS for b in _BAD_LINES], "curate-nested"])
+def test_deeply_nested_json_line_exit_1(capsys, tmp_path, argv, text, expected):
     (tmp_path / "in").mkdir()
-    deep = tmp_path / "in" / "deep.jsonl"
-    deep.write_text("[" * 100_000 + "\n", encoding="utf-8")
-    fill = {"deep": str(deep), "dir": str(deep.parent)}
+    path = tmp_path / "in" / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    fill = {"path": str(path), "dir": str(path.parent)}
     argv = [a.format(**fill) for a in argv]
     out_path = tmp_path / "out.jsonl"
     code, _, err = run_cli(capsys, [*argv, "-o", str(out_path)])
     assert code == 1
-    assert names.format(**fill) in err + (out_path.read_text(encoding="utf-8") if out_path.exists() else "")
+    shown = err + (out_path.read_text(encoding="utf-8") if out_path.exists() else "")
+    for words in expected:
+        assert words.format(**fill) in shown
     assert "Traceback" not in err
 
 
@@ -284,6 +307,22 @@ def test_validate_manifest_reports_errors(capsys, tmp_path):
     assert "1 errors" in err
 
 
+def test_validate_manifest_collects_all_errors_without_stopping(capsys, tmp_path):
+    lines = [
+        json.dumps({"id": "a", "items": [], "text_tokens": 0, "tags": []}),
+        "not json",
+        json.dumps({"id": "b", "items": [{"kind": "document", "pages": 0, "uri": "u"}], "text_tokens": 0, "tags": []}),
+        json.dumps({"id": "c", "items": [], "text_tokens": 1, "tags": []}),
+    ]
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join(lines))
+    code, out, err = run_cli(capsys, ["validate", "-i", str(path)])
+    assert code == 1
+    errors = [json.loads(l) for l in out.splitlines()]
+    assert [(e["line"], e["field"]) for e in errors] == [(2, "record"), (3, "pages")]
+    assert "2 valid samples, 2 errors" in err
+
+
 def test_validate_clean_manifest_exit_0(capsys, small_manifest):
     code, out, _ = run_cli(capsys, ["validate", "-i", str(small_manifest)])
     assert code == 0
@@ -303,7 +342,7 @@ def test_validate_plans_recomputes_total_tokens(capsys, tmp_path):
     rec = {"id": "y", "verdict": "planned", "tile_cap": 12, "n_per_item": [0, 3], "grids": [[2, 1], None],
            "timestamps": [[], []], "l_text": 100, "total_tokens": 100 + 768 + 3 * 256}
     plans = tmp_path / "p.jsonl"
-    lines = [rec, {**rec, "total_tokens": rec["total_tokens"] - 1}, {**rec, "grids": [[2, 1]]}]
+    lines = [rec, {**rec, "id": "y2", "total_tokens": rec["total_tokens"] - 1}, {**rec, "id": "y3", "grids": [[2, 1]]}]
     plans.write_text("".join(json.dumps(r) + "\n" for r in lines))
     code, out, _ = run_cli(capsys, ["validate", "--kind", "plans", "-i", str(plans)])
     assert code == 1
@@ -317,7 +356,7 @@ def test_pack_rejects_malformed_grid(capsys, tmp_path):
     plans.write_text(json.dumps({"id": "z", "verdict": "planned", "grids": [[0, 1]], "total_tokens": 1}) + "\n")
     code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
     assert code == 1
-    assert "malformed plan at line 1" in err
+    assert "grids must hold null or [cols, rows] of positive integers at line 1" in err
 
 
 @pytest.mark.parametrize("total", [{"total_tokens": "100"}, {}, {"total_tokens": -5}, {"total_tokens": True}],
@@ -328,7 +367,7 @@ def test_pack_rejects_malformed_total_tokens(capsys, tmp_path, total):
     plans.write_text(json.dumps(good) + "\n" + json.dumps({"id": "z", "verdict": "planned", **total}) + "\n")
     code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
     assert code == 1
-    assert "malformed plan at line 2" in err
+    assert "plan 'z': total_tokens" in err and "at line 2" in err
     assert "Traceback" not in err
     assert out == ""
 
@@ -348,7 +387,7 @@ def test_validate_and_pack_reject_negative_or_bool_plan_fields(capsys, tmp_path,
     assert [(e["line"], e["field"]) for e in map(json.loads, out.splitlines())] == [(1, field)]
     code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
     assert code == 1 and out == ""
-    assert "malformed plan at line 1" in err and field in err
+    assert "at line 1" in err and field in err
 
 
 def _planned(**fields):
@@ -400,8 +439,8 @@ def test_validate_plans_rejects_fields_plan_never_writes(capsys, tmp_path, rec, 
         assert code == 0 and len(out.splitlines()) == 1
         return
     assert code == 1 and out == ""
-    message = err[err.index("malformed plan at line 1"):]
-    assert field in message
+    message = err[err.index("Error: "):]
+    assert field in message and message.endswith(" at line 1\n")
     assert not any(s in message for s in _INTERNALS), message
 
 
@@ -415,7 +454,22 @@ def test_pack_rejects_unknown_verdict_and_non_string_id(capsys, tmp_path, rec, f
     plans.write_text(json.dumps(_planned(id="ok", total_tokens=256)) + "\n" + json.dumps(rec) + "\n")
     code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
     assert code == 1 and out == ""
-    assert "malformed plan at line 2" in err and field in err
+    assert "at line 2" in err and field in err
+
+
+def test_pack_and_validate_reject_duplicate_plan_id(capsys, tmp_path):
+    # plan never writes one id twice: manifest ids are unique.
+    plans = tmp_path / "p.jsonl"
+    line = json.dumps(_planned(id="a", total_tokens=256))
+    plans.write_text(f"{line}\n\n{line}\n")
+    code, out, err = run_cli(capsys, ["validate", "--kind", "plans", "-i", str(plans)])
+    assert code == 1
+    assert [json.loads(l) for l in out.splitlines()] == [
+        {"line": 3, "field": "id", "error": "duplicate plan id 'a' at line 3"}]
+    assert "2 plans checked, 1 errors" in err
+    code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
+    assert (code, out) == (1, "")
+    assert "Error: duplicate plan id 'a' at line 3" in err
 
 
 def test_validate_plans_accepts_document_shaped_record(capsys, tmp_path):
@@ -706,10 +760,13 @@ _CHAPTER = '{"title": "a", "start": 0, "end": 10}'
     '{"video_id": "v", "clips": [{"end": 10}]}',
     '{"video_id": "v", "clips": [5]}',
     '{"video_id": "v", "clips": {"start": 0, "end": 10}}',
+    '{"video_id": "v", "uri": null, "clips": [{"start": 0, "end": 10}]}',
+    '{"video_id": "v", "uri": 5, "clips": [{"start": 0, "end": 10}]}',
 ], ids=["clip-nan-start", "clip-end-before-start", "clip-empty-span", "chapter-infinite-end",
         "chapter-overflowing-end", "chapter-int-title", "chapter-list-title", "chapter-no-title",
         "clip-int-title", "clip-list-title", "clip-empty-title", "clip-string-start", "clip-bool-start",
-        "chapter-string-end", "clip-no-start", "clip-not-an-object", "clips-not-a-list"])
+        "chapter-string-end", "clip-no-start", "clip-not-an-object", "clips-not-a-list",
+        "uri-null", "uri-int"])
 def test_annotate_bad_job_exit_1_before_any_request(capsys, tmp_path, monkeypatch, job):
     jobs_path = tmp_path / "jobs.jsonl"
     good = '{"video_id": "ok", "clips": [{"start": 0, "end": 10}]}'

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from mmprep.budget import PLANNED, SamplingPlan
+from mmprep.jsonl import InputError
 from mmprep.composer import (
-    PackOverflowError,
     balance_report,
     pack,
     progressive_stages,
@@ -58,9 +58,10 @@ def test_single_item_single_pack():
 
 
 def test_oversized_item_rejected_by_id():
-    with pytest.raises(PackOverflowError) as exc:
+    with pytest.raises(InputError) as exc:
         pack([mkplan("big", 40000)], 32768)
     assert "big" in str(exc.value)
+    assert (exc.value.line, exc.value.field) == (None, "total_tokens")
 
 
 def test_discarded_plan_rejected():

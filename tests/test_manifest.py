@@ -6,16 +6,15 @@ from hypothesis import given, strategies as st
 
 from mmprep.manifest import (
     ImageDims,
-    ManifestError,
     Sample,
     VisualItem,
     dumps_sample,
     iter_manifest,
     parse_record,
     sample_to_obj,
-    scan_manifest,
     video_item,
 )
+from mmprep.jsonl import InputError
 
 
 def test_empty_stream():
@@ -44,7 +43,7 @@ def test_negative_duration_names_line_and_field():
     line = json.dumps(
         {"id": "a", "items": [{"kind": "video", "duration_s": -1, "uri": "u"}], "text_tokens": 0, "tags": []}
     )
-    with pytest.raises(ManifestError) as exc:
+    with pytest.raises(InputError) as exc:
         list(iter_manifest(io.StringIO(line)))
     assert "invalid duration at line 1" in str(exc.value)
     assert exc.value.line == 1
@@ -53,7 +52,7 @@ def test_negative_duration_names_line_and_field():
 
 def test_duplicate_id_rejected():
     rec = json.dumps({"id": "a", "items": [], "text_tokens": 0, "tags": []})
-    with pytest.raises(ManifestError) as exc:
+    with pytest.raises(InputError) as exc:
         list(iter_manifest(io.StringIO(rec + "\n" + rec)))
     assert exc.value.line == 2
     assert exc.value.field == "id"
@@ -61,7 +60,7 @@ def test_duplicate_id_rejected():
 
 def test_unknown_kind_rejected():
     line = json.dumps({"id": "a", "items": [{"kind": "audio", "uri": "u"}], "text_tokens": 0, "tags": []})
-    with pytest.raises(ManifestError) as exc:
+    with pytest.raises(InputError) as exc:
         list(iter_manifest(io.StringIO(line)))
     assert exc.value.field == "kind"
 
@@ -74,7 +73,7 @@ def _item(**fields):
 
 
 @pytest.mark.parametrize("line,field,message", [
-    ("[1]", "record", "malformed record (not an object)"),
+    ("[1]", "record", "malformed manifest record (not an object)"),
     (json.dumps({**_GOOD, "id": ""}), "id", "invalid id"),
     (json.dumps({**_GOOD, "id": 7}), "id", "invalid id"),
     (json.dumps({**_GOOD, "id": 7, "text_tokens": -1}), "id", "invalid id"),  # fields are checked in order
@@ -104,7 +103,7 @@ def _item(**fields):
     (json.dumps({**_GOOD, "tags": ["x", 1]}), "tags", "invalid tags"),
 ])
 def test_parse_record_rejects_each_field(line, field, message):
-    with pytest.raises(ManifestError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_record(line, 3)
     assert str(exc.value) == f"{message} at line 3"
     assert (exc.value.line, exc.value.field) == (3, field)
@@ -148,7 +147,7 @@ def test_records_replace_runs_constructor_checks():
 
 
 def test_malformed_json_names_line():
-    with pytest.raises(ManifestError) as exc:
+    with pytest.raises(InputError) as exc:
         list(iter_manifest(io.StringIO('{"id": "a"\n')))
     assert "line 1" in str(exc.value)
 
@@ -156,22 +155,9 @@ def test_malformed_json_names_line():
 def test_blank_lines_skipped_line_numbers_kept():
     good = json.dumps({"id": "a", "items": [], "text_tokens": 0, "tags": []})
     bad = '{"nope"'
-    with pytest.raises(ManifestError) as exc:
+    with pytest.raises(InputError) as exc:
         list(iter_manifest(io.StringIO(good + "\n\n" + bad + "\n")))
     assert exc.value.line == 3
-
-
-def test_scan_collects_all_errors_without_stopping():
-    lines = [
-        json.dumps({"id": "a", "items": [], "text_tokens": 0, "tags": []}),
-        "not json",
-        json.dumps({"id": "b", "items": [{"kind": "document", "pages": 0, "uri": "u"}], "text_tokens": 0, "tags": []}),
-        json.dumps({"id": "c", "items": [], "text_tokens": 1, "tags": []}),
-    ]
-    samples, errors = scan_manifest(io.StringIO("\n".join(lines)))
-    assert [s.id for s in samples] == ["a", "c"]
-    assert [e.line for e in errors] == [2, 3]
-    assert errors[1].field == "pages"
 
 
 def test_iter_manifest_is_streaming():

@@ -9,7 +9,6 @@ import pytest
 from mmprep.annotator.pipeline import (
     AnnotationJob,
     HttpClient,
-    JobFileError,
     LlmError,
     LlmRequest,
     RateLimiter,
@@ -21,6 +20,7 @@ from mmprep.annotator.pipeline import (
 )
 from mmprep.annotator.captions import Chapter
 from mmprep.annotator.question_types import QUESTION_TYPES
+from mmprep.jsonl import InputError
 from tests.conftest import MockLlm
 
 NO_SLEEP = RetryPolicy(max_retries=3, sleep=lambda _: None, max_in_flight=1)
@@ -56,17 +56,17 @@ def test_parse_story_and_clip_jobs():
 
 def test_parse_jobs_rejects_both_or_neither():
     neither = json.dumps({"video_id": "a", "uri": "u"})
-    with pytest.raises(JobFileError):
+    with pytest.raises(InputError):
         parse_jobs(io.StringIO(neither))
     both = json.dumps({"video_id": "a", "uri": "u",
                        "chapters": [{"title": "t", "start": 0, "end": 1}],
                        "clips": [{"start": 0, "end": 1}]})
-    with pytest.raises(JobFileError):
+    with pytest.raises(InputError):
         parse_jobs(io.StringIO(both))
 
 
 def test_parse_jobs_reports_line():
-    with pytest.raises(JobFileError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_jobs(io.StringIO("{}\n"))
     assert exc.value.line == 1
 
