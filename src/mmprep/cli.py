@@ -1,9 +1,9 @@
 """Command-line surface: plan, pack, stages, curate, annotate, validate, tile.
 
 All data flows as newline-delimited UTF-8 JSON on stdin/stdout (or --input/
---output paths); diagnostics go to stderr. Option values layer as
-flags > environment (MMPREP_* prefix) > --config file > defaults, and every
-subcommand echoes its effective configuration to stderr at startup.
+--output paths); diagnostics go to stderr. Option values layer as flags >
+environment (MMPREP_<CMD>_<DEST>, e.g. MMPREP_PLAN_L_MAX) > --config file >
+defaults, and every subcommand echoes its effective configuration to stderr.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 partial annotation
 failures. Every rejection of input, in any module, is a jsonl.InputError,
@@ -16,22 +16,19 @@ bad line reads "malformed <kind> record (<reason>) at line N" in every command.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import io
 import json
-import logging
 import math
+import os
 import sys
 from contextlib import contextmanager
-
-import click
 
 # curator (numpy) and the annotator (urllib, http.client) are imported inside
 # the functions of `curate` and `annotate`: the other commands never load them.
 from . import budget, composer, manifest, tiling
 from .jsonl import InputError, lines
-
-logger = logging.getLogger("mmprep")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -39,14 +36,28 @@ EXIT_IO = 2
 EXIT_PARTIAL = 3
 
 
-class FiniteFloatRange(click.FloatRange):
-    """A FloatRange that also rejects nan and +-inf (NaN passes every range comparison)."""
+def _number(kind: type, low: float, high: float | None = None, low_open: bool = False):
+    """An argparse type: text read as kind (int or float), finite, in [low, high], or (low, high] if low_open."""
+    bounds = f"x{'>' if low_open else '>='}{low}" if high is None else f"{low}{'<' if low_open else '<='}x<={high}"
+    what = "an integer" if kind is int else "a finite number"
 
-    def convert(self, value, param, ctx):
-        rv = super().convert(value, param, ctx)
-        if not math.isfinite(rv):
-            self.fail(f"{rv} is not a finite number.", param, ctx)
-        return rv
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # fails every comparison below
+        if not (value < math.inf and (low < value if low_open else low <= value) and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what} in the range {bounds}")
+        return value
+
+    return parse
+
+
+def _directory(path: str) -> str:
+    """An argparse type: a path that is not a regular file (a missing one is the reader's to report)."""
+    if os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
+    return path
 
 
 # Distinct image sizes one command remembers grids for; an entry, key included,
@@ -62,11 +73,6 @@ def _grid_memo():
     command would carry grids into the next command in the same process.
     """
     return functools.lru_cache(maxsize=GRID_MEMO_SIZE)(tiling.best_grids)
-
-
-def _echo_config(ctx: click.Context) -> None:
-    params = {k: v for k, v in ctx.params.items() if not k.startswith("_")}
-    click.echo(f"mmprep {ctx.info_name} config: {json.dumps(params, default=str)}", err=True)
 
 
 @contextmanager
@@ -98,68 +104,8 @@ def _open_out(path: str, mode: str = "w"):
             yield fh
 
 
-def _load_config_map(path: str | None, commands) -> dict:
-    """The config file's option defaults, keyed by subcommand name and then option name.
-
-    A key that names no subcommand, or no parameter of its subcommand, is a
-    validation error: click would ignore it without a word.
-    """
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-            raise InputError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputError(f"config file {path} must hold a JSON object")
-    config = {}
-    for name, options in raw.items():
-        if name not in commands:
-            raise InputError(f"config file {path}: {name!r} names no subcommand")
-        if not isinstance(options, dict):
-            raise InputError(f"config file {path}: {name!r} must hold a JSON object of option defaults")
-        params = {p.name for p in commands[name].params}
-        config[name] = {}
-        for key, value in options.items():
-            option = key.replace("-", "_")
-            if option not in params:
-                raise InputError(f"config file {path}: {name!r} has no option {key!r}")
-            config[name][option] = value
-    return config
-
-
-@click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON file with per-subcommand option defaults.")
-@click.option("--log-level", default="warning", show_default=True,
-              type=click.Choice(["debug", "info", "warning", "error"], case_sensitive=False))
-@click.pass_context
-def cli(ctx: click.Context, config_path: str | None, log_level: str):
-    """Planning and curation toolkit for long-context multimodal training data."""
-    logging.basicConfig(stream=sys.stderr, level=getattr(logging, log_level.upper()))
-    ctx.default_map = _load_config_map(config_path, ctx.command.commands)
-
-
-in_opt = click.option("--input", "-i", "input_path", default="-", show_default=True,
-                      help="Input file ('-' for stdin).")
-out_opt = click.option("--output", "-o", "output_path", default="-", show_default=True,
-                       help="Output file ('-' for stdout).")
-
-
-@cli.command("plan")
-@in_opt
-@out_opt
-@click.option("--l-max", type=click.IntRange(min=1), default=32768, show_default=True,
-              help="Sequence token budget.")
-@click.option("--min-frames", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--fps-target", type=FiniteFloatRange(min=0, min_open=True), default=2.0, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Accepted for compatibility and ignored: plan runs as one streaming pass.")
-@click.pass_context
-def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
+def plan_cmd(input_path, output_path, l_max, min_frames, fps_target, jobs):
     """Allocate token budgets for each manifest sample (one JSON plan per line)."""
-    _echo_config(ctx)
     cfg = budget.BudgetConfig(l_max=l_max, min_frames=min_frames, fps_target=fps_target)
     grids_of = _grid_memo()
     discarded = planned = 0
@@ -168,28 +114,24 @@ def plan_cmd(ctx, input_path, output_path, l_max, min_frames, fps_target, jobs):
             p = budget.plan(sample, cfg, grids_of)
             fout.write(budget.dumps_plan(p) + "\n")
             planned, discarded = planned + p.planned, discarded + (not p.planned)
-    click.echo(f"planned {planned}, discarded {discarded}", err=True)
+    print(f"planned {planned}, discarded {discarded}", file=sys.stderr)
 
 
-@cli.command("pack")
-@in_opt
-@out_opt
-@click.option("--l-max", type=click.IntRange(min=1), default=32768, show_default=True,
-              help="Pack token capacity.")
-@click.pass_context
-def pack_cmd(ctx, input_path, output_path, l_max):
+def pack_cmd(input_path, output_path, l_max):
     """Pack planned samples into fixed-capacity training sequences."""
-    _echo_config(ctx)
     plans = []
     skipped = 0
     seen: set[str] = set()
     with _open_in(input_path) as fin:
         for line_no, text in lines(fin):
             p = budget.read_plan(text, line_no, seen)
-            if p.planned:
-                plans.append(p)
-            else:
+            if not p.planned:
                 skipped += 1
+            elif p.total_tokens > l_max:
+                raise InputError(f"plan {p.sample_id!r} has {p.total_tokens} tokens, exceeding pack capacity {l_max}",
+                                 line_no, "total_tokens")
+            else:
+                plans.append(p)
     packs = composer.pack(plans, l_max)
     with _open_out(output_path) as fout:
         for pk in packs:
@@ -198,36 +140,25 @@ def pack_cmd(ctx, input_path, output_path, l_max):
             ) + "\n")
     report = composer.balance_report(packs, l_max)
     if report.defined:
-        click.echo(
+        print(
             f"{report.pack_count} packs from {len(plans)} plans ({skipped} discarded skipped), "
             f"utilization mean={report.mean_utilization:.4f} "
             f"min={report.min_utilization:.4f} max={report.max_utilization:.4f}",
-            err=True,
+            file=sys.stderr,
         )
     else:
-        click.echo("no packs produced", err=True)
+        print("no packs produced", file=sys.stderr)
 
 
-@cli.command("stages")
-@out_opt
-@click.pass_context
-def stages_cmd(ctx, output_path):
+def stages_cmd(output_path):
     """Emit the progressive training stage table as one JSON document."""
-    _echo_config(ctx)
     doc = [composer.stage_to_obj(s) for s in composer.progressive_stages()]
     with _open_out(output_path) as fout:
         fout.write(json.dumps(doc, indent=2) + "\n")
 
 
-@cli.command("tile")
-@in_opt
-@out_opt
-@click.option("--tile-cap", type=click.IntRange(1, tiling.MAX_TILES), default=tiling.MAX_TILES,
-              show_default=True, help="Per-image tile cap.")
-@click.pass_context
-def tile_cmd(ctx, input_path, output_path, tile_cap):
+def tile_cmd(input_path, output_path, tile_cap):
     """Emit tiling geometry for every image in a manifest (one JSON object per image)."""
-    _echo_config(ctx)
     grids_of = _grid_memo()
     with _open_in(input_path) as fin, _open_out(output_path) as fout:
         for sample in manifest.iter_manifest(fin):
@@ -259,19 +190,8 @@ def _curate_reports(candidates_dir, reference_dir, tau, pool):
     return curator.select_novel(cand_matrix, cand_videos, reference, tau)
 
 
-@cli.command("curate")
-@out_opt
-@click.option("--reference", "reference_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--candidates", "candidates_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--tau", type=FiniteFloatRange(-1, 1, min_open=True), default=0.5, show_default=True,
-              help="Novelty similarity threshold.")
-@click.option("--pool", type=click.Choice(["mean", "max"]), default="mean", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Accepted for compatibility and ignored: curate runs as one sequential pass.")
-@click.pass_context
-def curate_cmd(ctx, output_path, reference_dir, candidates_dir, tau, pool, jobs):
+def curate_cmd(output_path, reference_dir, candidates_dir, tau, pool, jobs):
     """Select novel candidate videos by max clip similarity against a reference set."""
-    _echo_config(ctx)
     try:
         reports = _curate_reports(candidates_dir, reference_dir, tau, pool)
     except ValueError as exc:  # curator rejects a bad feature file with a ValueError naming it
@@ -280,7 +200,7 @@ def curate_cmd(ctx, output_path, reference_dir, candidates_dir, tau, pool, jobs)
         for r in reports:
             fout.write(json.dumps(r.to_obj()) + "\n")
     selected = sum(r.selected for r in reports)
-    click.echo(f"{selected}/{len(reports)} candidate videos selected at tau={tau}", err=True)
+    print(f"{selected}/{len(reports)} candidate videos selected at tau={tau}", file=sys.stderr)
 
 
 def _make_client(endpoint: str, model: str, rpm: float | None):
@@ -291,24 +211,10 @@ def _make_client(endpoint: str, model: str, rpm: float | None):
     return annot.HttpClient(endpoint, model, rate_limiter=limiter)
 
 
-@cli.command("annotate")
-@in_opt
-@out_opt
-@click.option("--endpoint", required=True, help="Generation endpoint URL.")
-@click.option("--model", default="gpt-4o", show_default=True)
-@click.option("--temperature", type=FiniteFloatRange(min=0), default=0.2, show_default=True)
-@click.option("--max-in-flight", type=click.IntRange(min=1), default=4, show_default=True)
-@click.option("--retry-budget", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--rpm", type=FiniteFloatRange(min=0, min_open=True), default=None,
-              help="Request rate limit per minute.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.pass_context
-def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
-                 max_in_flight, retry_budget, rpm, seed):
+def annotate_cmd(input_path, output_path, endpoint, model, temperature, max_in_flight, retry_budget, rpm, seed):
     """Run the caption/QA/anchor pipeline over a job file."""
     from .annotator import pipeline as annot
 
-    _echo_config(ctx)
     with _open_in(input_path) as fin:
         jobs = annot.parse_jobs(fin)
     client = _make_client(endpoint, model, rpm)
@@ -326,21 +232,12 @@ def annotate_cmd(ctx, input_path, output_path, endpoint, model, temperature,
             on_record=lambda rec: (fout.write(json.dumps(rec, ensure_ascii=False) + "\n"), fout.flush()),
         )
     failed = sum(r["status"] != "ok" for r in records)
-    click.echo(f"{len(records) - failed}/{len(records)} jobs annotated, {failed} failed", err=True)
-    if failed:
-        ctx.exit(EXIT_PARTIAL)
+    print(f"{len(records) - failed}/{len(records)} jobs annotated, {failed} failed", file=sys.stderr)
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
-@cli.command("validate")
-@in_opt
-@out_opt
-@click.option("--kind", type=click.Choice(["manifest", "plans"]), default="manifest", show_default=True)
-@click.option("--l-max", type=click.IntRange(min=1), default=32768, show_default=True,
-              help="Budget bound checked for plan records.")
-@click.pass_context
-def validate_cmd(ctx, input_path, output_path, kind, l_max):
+def validate_cmd(input_path, output_path, kind, l_max):
     """Lint a manifest or plan file; emits one JSON error record per defect."""
-    _echo_config(ctx)
     errors: list[dict] = []
     count = 0
     seen: set[str] = set()
@@ -355,38 +252,138 @@ def validate_cmd(ctx, input_path, output_path, kind, l_max):
             except InputError as exc:
                 errors.append({"line": exc.line, "field": exc.field, "error": str(exc)})
     if kind == "manifest":
-        click.echo(f"{count - len(errors)} valid samples, {len(errors)} errors", err=True)
+        print(f"{count - len(errors)} valid samples, {len(errors)} errors", file=sys.stderr)
     else:
-        click.echo(f"{count} plans checked, {len(errors)} errors", err=True)
+        print(f"{count} plans checked, {len(errors)} errors", file=sys.stderr)
     with _open_out(output_path) as fout:
         for e in errors:
             fout.write(json.dumps(e) + "\n")
-    if errors:
-        ctx.exit(EXIT_VALIDATION)
+    return EXIT_VALIDATION if errors else EXIT_OK
+
+
+# Each command's function and its options, {dest: (option strings, add_argument keywords)}. The dest
+# names the function's parameter, the config key and the environment variable; layered values use
+# the first option string.
+_INPUT = {"input_path": (("--input", "-i"), dict(metavar="FILE", default="-", help="Input file ('-' for stdin)."))}
+_OUTPUT = {"output_path": (("--output", "-o"), dict(metavar="FILE", default="-", help="Output file ('-' for stdout)."))}
+_L_MAX = {"l_max": (("--l-max",), dict(type=_number(int, 1), default=32768, help="Token budget of one sequence."))}
+_JOBS = {"jobs": (("--jobs",), dict(type=int, default=1, help="Accepted for compatibility and ignored."))}
+COMMANDS = {
+    "plan": (plan_cmd, {
+        **_INPUT, **_OUTPUT, **_L_MAX,
+        "min_frames": (("--min-frames",), dict(type=_number(int, 1), default=8)),
+        "fps_target": (("--fps-target",), dict(type=_number(float, 0, low_open=True), default=2.0)),
+        **_JOBS,
+    }),
+    "pack": (pack_cmd, {**_INPUT, **_OUTPUT, **_L_MAX}),
+    "stages": (stages_cmd, _OUTPUT),
+    "tile": (tile_cmd, {
+        **_INPUT, **_OUTPUT,
+        "tile_cap": (("--tile-cap",), dict(type=_number(int, 1, tiling.MAX_TILES), default=tiling.MAX_TILES,
+                                           help="Per-image tile cap.")),
+    }),
+    "curate": (curate_cmd, {
+        **_OUTPUT,
+        "reference_dir": (("--reference",), dict(type=_directory, metavar="DIR", required=True)),
+        "candidates_dir": (("--candidates",), dict(type=_directory, metavar="DIR", required=True)),
+        "tau": (("--tau",), dict(type=_number(float, -1, 1, low_open=True), default=0.5,
+                                 help="Novelty similarity threshold.")),
+        "pool": (("--pool",), dict(choices=["mean", "max"], default="mean")),
+        **_JOBS,
+    }),
+    "annotate": (annotate_cmd, {
+        **_INPUT, **_OUTPUT,
+        "endpoint": (("--endpoint",), dict(metavar="URL", required=True)),
+        "model": (("--model",), dict(default="gpt-4o")),
+        "temperature": (("--temperature",), dict(type=_number(float, 0), default=0.2)),
+        "max_in_flight": (("--max-in-flight",), dict(type=_number(int, 1), default=4)),
+        "retry_budget": (("--retry-budget",), dict(type=_number(int, 0), default=3)),
+        "rpm": (("--rpm",), dict(type=_number(float, 0, low_open=True), help="Request rate limit per minute.")),
+        "seed": (("--seed",), dict(type=int, default=0)),
+    }),
+    "validate": (validate_cmd, {
+        **_INPUT, **_OUTPUT, "kind": (("--kind",), dict(choices=["manifest", "plans"], default="manifest")), **_L_MAX,
+    }),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser with --help alone, no abbreviations, and usage errors raised as InputError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise InputError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _config_values(path: str | None, command: str) -> list[tuple[str, str | int | float]]:
+    """The config file's (dest, value) pairs for command, once every key and value of the file is checked."""
+    if not path:
+        return []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+            raise InputError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"config file {path} must hold a JSON object")
+    pairs = []
+    for name, values in raw.items():
+        if name not in COMMANDS:
+            raise InputError(f"config file {path}: {name!r} names no subcommand")
+        if not isinstance(values, dict):
+            raise InputError(f"config file {path}: {name!r} must hold a JSON object of option defaults")
+        for key, value in values.items():
+            dest = key.replace("-", "_")
+            if dest not in COMMANDS[name][1]:
+                raise InputError(f"config file {path}: {name!r} has no option {key!r}")
+            if type(value) not in (str, int, float):
+                raise InputError(f"config file {path}: {name!r} option {key!r} must be a JSON string or number")
+            if name == command:
+                pairs.append((dest, value))
+    return pairs
+
+
+def _parse(argv: list[str]):
+    """(command name, its function, its option values) from the config file, the environment and argv."""
+    top = _Parser(prog="mmprep", formatter_class=argparse.RawDescriptionHelpFormatter,
+                  description="Planning and curation toolkit for long-context multimodal training data.",
+                  epilog="commands:\n" + "\n".join(f"  {name:<9} {f.__doc__}" for name, (f, _) in COMMANDS.items()))
+    top.add_argument("--config", dest="config_path", metavar="FILE", default=os.environ.get("MMPREP_CONFIG_PATH"),
+                     help="JSON file with per-subcommand option defaults.")
+    top.add_argument("command", choices=COMMANDS, metavar="command")
+    top.add_argument("args", nargs=argparse.REMAINDER, help="the command's options (see mmprep <command> --help)")
+    ns = top.parse_args(argv)
+    func, options = COMMANDS[ns.command]
+    parser = _Parser(prog=f"mmprep {ns.command}", description=func.__doc__,
+                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    for dest, (flags, kwargs) in options.items():
+        parser.add_argument(*flags, dest=dest, **kwargs)
+    # Config, then environment values go in front of the user's flags as --flag=value; argparse
+    # keeps the last value it sees, and every source passes the same checks before input is read.
+    env = f"MMPREP_{ns.command.upper()}_"
+    layered = [*_config_values(ns.config_path, ns.command),
+               *((dest, os.environ[env + dest.upper()]) for dest in options if env + dest.upper() in os.environ)]
+    return ns.command, func, parser.parse_args([*(f"{options[d][0][0]}={v}" for d, v in layered), *ns.args])
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False, auto_envvar_prefix="MMPREP")
-        return rv if isinstance(rv, int) else EXIT_OK
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        if exc.ctx is not None:
-            click.echo(exc.ctx.get_usage(), err=True)
-        return EXIT_VALIDATION
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except InputError as exc:  # bad input from any command, shown as ClickException.show would
-        click.echo(f"Error: {exc}", err=True)
+        name, func, options = _parse(sys.argv[1:] if argv is None else argv)
+        print(f"mmprep {name} config: {json.dumps(vars(options))}", file=sys.stderr)
+        return func(**vars(options)) or EXIT_OK
+    except SystemExit as exc:  # --help, after printing the help
+        return exc.code
+    except InputError as exc:  # bad input from any command, or a usage error
+        print(f"Error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:
         return EXIT_IO
     except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -6,8 +6,8 @@ load_object decodes one line into a dict. A line that is not JSON, is nested
 too deeply for the decoder, or holds something other than an object raises
 InputError("malformed <kind> record (<reason>)", line).
 
-InputError is every rejection of input, in every module: the CLI catches it
-once and exits 1. This module imports neither numpy nor click.
+InputError is every rejection of input, in every module, command-line usage
+errors included: the CLI catches it once and exits 1. It imports no numpy.
 """
 
 from __future__ import annotations

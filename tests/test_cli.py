@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -220,6 +221,46 @@ def test_unknown_subcommand_usage_exit_1(capsys):
     assert "Usage" in err or "usage" in err
 
 
+_IN, _OUT = ["--input", "-i"], ["--output", "-o"]
+
+
+@pytest.mark.parametrize("argv, options", [
+    ([], ["--config", "--help", "plan", "pack", "stages", "tile", "curate", "annotate", "validate"]),
+    (["plan"], [*_IN, *_OUT, "--l-max", "--min-frames", "--fps-target", "--jobs", "--help"]),
+    (["pack"], [*_IN, *_OUT, "--l-max", "--help"]),
+    (["stages"], [*_OUT, "--help"]),
+    (["tile"], [*_IN, *_OUT, "--tile-cap", "--help"]),
+    (["curate"], [*_OUT, "--reference", "--candidates", "--tau", "--pool", "--jobs", "--help"]),
+    (["annotate"], [*_IN, *_OUT, "--endpoint", "--model", "--temperature", "--max-in-flight",
+                    "--retry-budget", "--rpm", "--seed", "--help"]),
+    (["validate"], [*_IN, *_OUT, "--kind", "--l-max", "--help"]),
+], ids=["top", "plan", "pack", "stages", "tile", "curate", "annotate", "validate"])
+def test_help_lists_every_option(capsys, argv, options):
+    code, out, _ = run_cli(capsys, [*argv, "--help"])
+    assert code == 0
+    for option in options:
+        assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", out), option
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["plan", "--bogus", "-i", "{file}"], "--bogus"),
+    (["plan", "--l", "5", "-i", "{file}"], "--l"),
+    (["curate", "--reference", "{file}", "--candidates", "{dir}"], "--reference"),
+    (["curate", "--candidates", "{dir}"], "--reference"),
+    (["annotate", "-i", "{file}"], "--endpoint"),
+], ids=["unknown-option", "abbreviated-option", "reference-is-a-file", "missing-reference", "missing-endpoint"])
+def test_usage_error_exit_1_with_usage_line(capsys, tmp_path, argv, named):
+    path = tmp_path / "in.jsonl"
+    path.write_text(_GOOD_SAMPLE + "\n", encoding="utf-8")
+    argv = [a.format(file=path, dir=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert named in err
+    assert "usage:" in err.lower()
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_plan_pack_round_trip(capsys, small_manifest, tmp_path):
     plans_path = tmp_path / "plans.jsonl"
     code, out, _ = run_cli(capsys, ["plan", "-i", str(small_manifest), "-o", str(plans_path)])
@@ -248,7 +289,7 @@ def test_pack_rejects_oversized_plan(capsys, tmp_path):
                                  "n_per_item": [], "timestamps": [], "total_tokens": 99999}) + "\n")
     code, _, err = run_cli(capsys, ["pack", "-i", str(plans), "--l-max", "32768"])
     assert code == 1
-    assert "big" in err
+    assert "plan 'big' has 99999 tokens, exceeding pack capacity 32768 at line 1" in err
 
 
 def test_tile_subcommand_emits_geometry(capsys, tmp_path):
@@ -887,7 +928,7 @@ def test_commands_other_than_curate_and_annotate_load_neither(small_manifest, tm
 # --- config layering -----------------------------------------------------------------
 
 
-def test_config_file_provides_defaults(capsys, small_manifest, tmp_path):
+def test_config_file_provides_defaults(capsys, small_manifest, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"plan": {"l-max": 8192}}))
     code, out, _ = run_cli(capsys, ["--config", str(cfg), "plan", "-i", str(small_manifest)])
@@ -895,6 +936,10 @@ def test_config_file_provides_defaults(capsys, small_manifest, tmp_path):
     first = json.loads(out.splitlines()[0])
     # 8192 budget: video gets (8192-768)//256 = 29 frames
     assert first["total_tokens"] == 768 + 29 * 256
+    # MMPREP_CONFIG_PATH names the file when --config is not given
+    monkeypatch.setenv("MMPREP_CONFIG_PATH", str(cfg))
+    code, out_env, _ = run_cli(capsys, ["plan", "-i", str(small_manifest)])
+    assert (code, out_env) == (0, out)
 
 
 def test_flag_overrides_config_file(capsys, small_manifest, tmp_path):
@@ -921,16 +966,47 @@ def test_env_overrides_config_but_not_flag(capsys, small_manifest, tmp_path, mon
     assert json.loads(out.splitlines()[0])["total_tokens"] == 32768
 
 
-@pytest.mark.parametrize("content, message", [
-    ("{not json", "is not UTF-8 JSON"),
-    ('{"stages": 3}', "'stages' must hold a JSON object"),
-    ('{"plan": {"l_maxx": 5}}', "'plan' has no option 'l_maxx'"),
-    ('{"plann": {}}', "'plann' names no subcommand"),
-], ids=["not-json", "command-not-object", "unknown-option", "unknown-command"])
-def test_bad_config_file_exit_1(capsys, tmp_path, content, message):
+def test_env_value_is_checked_like_a_flag(capsys, small_manifest, monkeypatch):
+    monkeypatch.setenv("MMPREP_PLAN_L_MAX", "abc")
+    code, out, err = run_cli(capsys, ["plan", "-i", str(small_manifest)])
+    assert code == 1
+    assert "--l-max" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+_NOT_A_STRING_OR_NUMBER = "config file {cfg}: 'plan' option 'l_max' must be a JSON string or number"
+
+
+# Every key of the file is checked whatever the command; only the invoked
+# command's values are parsed, so the fraction is given to plan itself. Its
+# input does not exist: a value let through would exit 2, not 1.
+@pytest.mark.parametrize("content, argv, message", [
+    ("{not json", ["stages"], "config file {cfg} is not UTF-8 JSON"),
+    ('{"stages": 3}', ["stages"], "config file {cfg}: 'stages' must hold a JSON object"),
+    ('{"plan": {"l_maxx": 5}}', ["stages"], "config file {cfg}: 'plan' has no option 'l_maxx'"),
+    ('{"plann": {}}', ["stages"], "config file {cfg}: 'plann' names no subcommand"),
+    ('{"plan": {"l_max": true}}', ["stages"], _NOT_A_STRING_OR_NUMBER),
+    ('{"plan": {"l_max": null}}', ["stages"], _NOT_A_STRING_OR_NUMBER),
+    ('{"plan": {"l_max": [1]}}', ["stages"], _NOT_A_STRING_OR_NUMBER),
+    ('{"plan": {"l_max": 8192.7}}', ["plan", "-i", "{missing}"], "argument --l-max: '8192.7' is not an integer"),
+    ('{"plan": {"l_max": 0}}', ["plan", "--l-max", "8192", "-i", "{missing}"],
+     "argument --l-max: '0' is not an integer"),
+], ids=["not-json", "command-not-object", "unknown-option", "unknown-command",
+        "l_max-true", "l_max-null", "l_max-list", "plan-l_max-fraction", "plan-l_max-0-under-a-flag"])
+def test_bad_config_file_exit_1(capsys, tmp_path, content, argv, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content, encoding="utf-8")
-    code, out, err = run_cli(capsys, ["--config", str(cfg), "stages"])
+    argv = [a.format(missing=tmp_path / "missing.jsonl") for a in argv]
+    code, out, err = run_cli(capsys, ["--config", str(cfg), *argv])
     assert code == 1
-    assert f"config file {cfg}" in err and message in err
+    assert message.format(cfg=cfg) in err
+    assert "Traceback" not in err
     assert out == ""
+
+
+def test_cli_runs_without_click():
+    probe = ("import os, sys; sys.modules['click'] = None; from mmprep import cli; "
+             "sys.exit(cli.main(['stages', '-o', os.devnull]))")
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
