@@ -46,6 +46,7 @@ TILE_LADDER = (12, 8, 6, 4, 2, 1)
 
 PLANNED = "planned"
 DISCARDED = "discarded"
+DISCARD_REASONS = ("text_overflow", "insufficient_budget")  # every reason plan gives a discard
 
 
 @dataclass(frozen=True)
@@ -262,14 +263,24 @@ def read_plan(text: str, line: int, seen_ids: set[str] | None = None) -> Samplin
 
 
 def check_plan(p: SamplingPlan, line: int, l_max: int) -> None:
-    """Raise InputError when a planned record's fields disagree with each other or with l_max.
+    """Raise InputError when a record's fields disagree with each other or with l_max.
 
     read_plan has checked each field's shape; here they must be ones plan could
-    write together, and the cost is recomputed from them.
+    write together. A discard names one of DISCARD_REASONS and has no
+    total_tokens; a planned record has no reason, and its cost is recomputed
+    from its fields.
     """
-    if not p.planned:
-        return
     sid = p.sample_id
+    if not p.planned:
+        if p.reason not in DISCARD_REASONS:
+            raise InputError(f"plan {sid!r}: discard reason {p.reason!r} is not one of {', '.join(DISCARD_REASONS)}",
+                             line, "reason")
+        if p.total_tokens is not None:
+            raise InputError(f"plan {sid!r}: a discard has total_tokens={p.total_tokens}, not null",
+                             line, "total_tokens")
+        return
+    if p.reason is not None:
+        raise InputError(f"plan {sid!r}: a planned record has reason {p.reason!r}", line, "reason")
     if len(p.image_grids) != len(p.temporal_counts):
         raise InputError(f"plan {sid!r}: grids do not align with n_per_item", line, "grids")
     if any((g is None) == (n == 0) for g, n in zip(p.image_grids, p.temporal_counts)):

@@ -130,8 +130,8 @@ def pack_cmd(input_path, output_path, l_max):
             elif p.total_tokens > l_max:
                 raise InputError(f"plan {p.sample_id!r} has {p.total_tokens} tokens, exceeding pack capacity {l_max}",
                                  line_no, "total_tokens")
-            else:
-                plans.append(p)
+            else:  # packing reads only the id and token count, so the timestamps and grids go with the line
+                plans.append(budget.SamplingPlan(p.sample_id, budget.PLANNED, total_tokens=p.total_tokens))
     packs = composer.pack(plans, l_max)
     with _open_out(output_path) as fout:
         for pk in packs:

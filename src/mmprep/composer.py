@@ -38,6 +38,10 @@ def pack(plans: list[SamplingPlan], l_max: int) -> list[PackedSequence]:
     emptiest pack first keeps pack loads near-equal. Fully deterministic:
     ties in size break by sample id, ties in remaining room by pack id. A plan
     of more than l_max tokens raises InputError.
+
+    Only each plan's sample_id, verdict and total_tokens are read, so a caller
+    may hand it slim plans such as SamplingPlan(id, PLANNED, total_tokens=n);
+    the pack command does, to drop each record's timestamps and grids as it reads.
     """
     for p in plans:
         if not p.planned or p.total_tokens is None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmprep import cli, curator, kernels, tiling
+from mmprep import budget, cli, composer, curator, kernels, tiling
 from mmprep.curator import write_feature_file
 from mmprep.manifest import ImageDims, dumps_sample
 from tests.conftest import MockLlm, make_sample
@@ -292,6 +292,60 @@ def test_pack_rejects_oversized_plan(capsys, tmp_path):
     assert "plan 'big' has 99999 tokens, exceeding pack capacity 32768 at line 1" in err
 
 
+def test_pack_hands_composer_only_ids_and_token_counts(capsys, tmp_path, monkeypatch):
+    cfg = budget.BudgetConfig(l_max=32768)
+    samples = [make_sample(f"s{k}", images=[(4000, 3000), (896, 448)], videos=[40.0 * (k + 1)], text_tokens=100 * k)
+               for k in range(8)] + [make_sample("overflow", text_tokens=99999)]
+    text = "".join(budget.dumps_plan(budget.plan(s, cfg)) + "\n" for s in samples)
+    full = [budget.read_plan(t, n) for n, t in enumerate(text.splitlines(), start=1)]
+    assert all(p.image_grids[0] is not None and len(p.frame_timestamps[2]) >= 40 for p in full[:-1])
+    plans, out = tmp_path / "plans.jsonl", tmp_path / "packs.jsonl"
+    plans.write_text(text)
+    handed = []
+    real_pack = composer.pack
+
+    def spy(given, l_max):
+        handed.extend(given)
+        return real_pack(given, l_max)
+
+    monkeypatch.setattr(composer, "pack", spy)
+    code, _, _ = run_cli(capsys, ["pack", "--l-max", "65536", "-i", str(plans), "-o", str(out)])
+    assert code == 0
+    assert sorted(p.sample_id for p in handed) == [f"s{k}" for k in range(8)]
+    assert all(p.frame_timestamps == () and p.image_grids == () and p.temporal_counts == () for p in handed)
+    expected = real_pack([p for p in full if p.planned], 65536)
+    assert len(expected) > 1
+    assert out.read_text() == "".join(
+        json.dumps({"pack_id": pk.pack_id, "member_ids": list(pk.member_ids), "total_tokens": pk.total_tokens}) + "\n"
+        for pk in expected)
+
+
+def test_pack_memory_does_not_grow_with_timestamps(capsys, tmp_path):
+    # 2 000 planned records of 300 timestamps each: held as floats, they alone would be about 19 MB.
+    frames, stamps = 300, list(budget.frame_timestamps(1234.5, 300))
+
+    def pack_peak(with_stamps):
+        path = tmp_path / "plans.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for k in range(2000):
+                rec = {"id": f"s{k:05d}", "verdict": "planned", "tile_cap": None, "n_per_item": [frames],
+                       "grids": [None], "l_text": k, "total_tokens": k + 256 * frames}
+                if with_stamps:
+                    rec["timestamps"] = [stamps]
+                fh.write(json.dumps(rec) + "\n")
+        tracemalloc.start()
+        try:
+            code = cli.main(["pack", "--l-max", "131072", "-i", str(path), "-o", str(tmp_path / "packs.jsonl")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    # The run with timestamps goes first, so whatever the first run alone allocates counts against it.
+    assert pack_peak(True) < 2 * pack_peak(False)
+
+
 def test_tile_subcommand_emits_geometry(capsys, tmp_path):
     path = tmp_path / "m.jsonl"
     write_manifest(path, [make_sample("img", images=[(896, 448), (4000, 3000)])])
@@ -483,6 +537,29 @@ def test_validate_plans_rejects_fields_plan_never_writes(capsys, tmp_path, rec, 
     message = err[err.index("Error: "):]
     assert field in message and message.endswith(" at line 1\n")
     assert not any(s in message for s in _INTERNALS), message
+
+
+def _discard(**fields):
+    return {"id": "d", "verdict": "discarded", "reason": "text_overflow", "tile_cap": None, "n_per_item": [],
+            "grids": [], "timestamps": [], "l_text": 99, "total_tokens": None, **fields}
+
+
+# pack skips every discard and reads a planned record's reason unchecked, so it accepts all of these.
+@pytest.mark.parametrize("rec, field", [
+    (_discard(reason="bogus", total_tokens=99999999), "reason"),
+    (_without(_discard(), "reason"), "reason"),
+    ({"id": "p", "verdict": "planned", "reason": "text_overflow", "l_text": 5, "total_tokens": 5}, "reason"),
+    (_discard(reason="insufficient_budget", total_tokens=5), "total_tokens"),
+], ids=["unknown_reason", "no_reason", "planned_with_reason", "discard_with_total"])
+def test_validate_plans_rejects_reasons_plan_never_writes(capsys, tmp_path, rec, field):
+    plans = tmp_path / "p.jsonl"
+    plans.write_text(json.dumps(rec) + "\n")
+    code, out, err = run_cli(capsys, ["validate", "--kind", "plans", "--l-max", "10", "-i", str(plans)])
+    assert code == 1
+    assert [(e["line"], e["field"]) for e in map(json.loads, out.splitlines())] == [(1, field)]
+    assert "1 plans checked, 1 errors" in err
+    code, _, _ = run_cli(capsys, ["pack", "--l-max", "10", "-i", str(plans)])
+    assert code == 0
 
 
 @pytest.mark.parametrize("rec, field", [
