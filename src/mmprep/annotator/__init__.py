@@ -1,75 +1,5 @@
-"""Two-level (story/clip) video annotation pipeline against a pluggable LLM endpoint."""
+"""Two-level (story/clip) video annotation pipeline; the package exports what a run_pipeline caller needs."""
 
-from .captions import (
-    CaptionPair,
-    Chapter,
-    ResponseParseError,
-    aggregate_chapter_captions,
-    caption_frames_plan,
-    format_seconds,
-    parse_caption_response,
-)
-from .pipeline import (
-    AnnotationJob,
-    HttpClient,
-    LlmClient,
-    LlmError,
-    LlmRequest,
-    LlmResponse,
-    RateLimiter,
-    RetryPolicy,
-    TransientLlmError,
-    parse_jobs,
-    run_job,
-    run_pipeline,
-)
-from .prompts import (
-    render_caption_prompt,
-    render_caption_retry_prompt,
-    render_clip_qa_prompt,
-    render_type_pool,
-    render_video_qa_prompt,
-)
-from .qa import ClipQA, anchor, parse_qa_response
-from .question_types import (
-    QUESTION_TYPES,
-    TYPES_BY_NAME,
-    QuestionType,
-    pool_checksum,
-    sample_question_types,
-)
+from .pipeline import LlmError, LlmResponse, RetryPolicy, TransientLlmError, parse_jobs, run_pipeline
 
-__all__ = [
-    "AnnotationJob",
-    "CaptionPair",
-    "Chapter",
-    "ClipQA",
-    "HttpClient",
-    "LlmClient",
-    "LlmError",
-    "LlmRequest",
-    "LlmResponse",
-    "QUESTION_TYPES",
-    "QuestionType",
-    "RateLimiter",
-    "ResponseParseError",
-    "RetryPolicy",
-    "TYPES_BY_NAME",
-    "TransientLlmError",
-    "aggregate_chapter_captions",
-    "anchor",
-    "caption_frames_plan",
-    "format_seconds",
-    "parse_caption_response",
-    "parse_jobs",
-    "parse_qa_response",
-    "pool_checksum",
-    "render_caption_prompt",
-    "render_caption_retry_prompt",
-    "render_clip_qa_prompt",
-    "render_type_pool",
-    "render_video_qa_prompt",
-    "run_job",
-    "run_pipeline",
-    "sample_question_types",
-]
+__all__ = ["LlmError", "LlmResponse", "RetryPolicy", "TransientLlmError", "parse_jobs", "run_pipeline"]

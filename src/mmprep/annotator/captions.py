@@ -26,12 +26,6 @@ class Chapter:
     title: str
     span: tuple[float, float]
 
-    def __post_init__(self):
-        if not self.title:
-            raise ValueError("chapter title must be non-empty")
-        if self.span[1] <= self.span[0]:
-            raise ValueError("chapter span must have end > start")
-
     @property
     def length_s(self) -> float:
         return self.span[1] - self.span[0]
@@ -41,10 +35,6 @@ class Chapter:
 class CaptionPair:
     brief: str
     detailed: str
-
-    def __post_init__(self):
-        if not self.brief or not self.detailed:
-            raise ValueError("brief and detailed captions must be non-empty")
 
 
 def format_seconds(value: float) -> str:
@@ -84,13 +74,18 @@ def extract_json_object(text: str) -> dict:
 
 
 def parse_caption_response(text: str) -> CaptionPair:
-    """Pull the brief/detailed caption pair out of a model response."""
+    """Pull the brief/detailed caption pair out of a model response.
+
+    The brief must keep some text once anchor strips whitespace and trailing periods.
+    """
     obj = extract_json_object(text)
     for key in ("Brief Caption", "Detailed Caption"):
         if key not in obj:
             raise ResponseParseError(f"caption response missing {key!r}")
         if not isinstance(obj[key], str) or not obj[key]:
             raise ResponseParseError(f"caption response has empty {key!r}")
+    if not obj["Brief Caption"].strip().rstrip("."):
+        raise ResponseParseError("caption response has no text in 'Brief Caption'")
     return CaptionPair(brief=obj["Brief Caption"], detailed=obj["Detailed Caption"])
 
 
@@ -109,9 +104,9 @@ def check_chapters(chapters: Sequence[Chapter]) -> None:
 def aggregate_chapter_captions(chapters: list[tuple[Chapter, CaptionPair]]) -> str:
     """Timestamped one-line-per-chapter digest feeding whole-video QA generation.
 
-    The chapters must pass check_chapters.
+    The chapters must have passed check_chapters; the story job checks them
+    before it captions any.
     """
-    check_chapters([ch for ch, _ in chapters])
     return "\n".join(
         f"{format_seconds(ch.span[0])} ~ {format_seconds(ch.span[1])}: {pair.detailed}"
         for ch, pair in chapters

@@ -25,12 +25,6 @@ class ClipQA:
     answer: str
     span: tuple[float, float]
 
-    def __post_init__(self):
-        if not self.question or not self.answer:
-            raise ValueError("question and answer must be non-empty")
-        if self.span[1] <= self.span[0]:
-            raise ValueError("QA span must have end > start")
-
 
 _QTYPE_PLACEHOLDER = re.compile(r"^question_type_(\d+)$")
 
@@ -75,11 +69,11 @@ def anchor(qa: ClipQA, brief: str) -> str | None:
     """Prefix a clip question with its time interval and scene context.
 
     Returns None when the normalized answer appears inside the brief caption;
-    the caller should regenerate the caption and retry.
+    the caller should regenerate the caption and retry. The brief must keep
+    some text once whitespace and trailing periods are stripped, as
+    parse_caption_response ensures.
     """
     context = brief.strip().rstrip(".")
-    if not context:
-        raise ValueError("brief caption must be non-empty")
     if _normalize(qa.answer) in _normalize(context):
         return None
     start, end = qa.span

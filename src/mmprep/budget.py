@@ -266,8 +266,10 @@ def check_plan(p: SamplingPlan, line: int, l_max: int) -> None:
     """Raise InputError when a record's fields disagree with each other or with l_max.
 
     read_plan has checked each field's shape; here they must be ones plan could
-    write together. A discard names one of DISCARD_REASONS and has no
-    total_tokens; a planned record has no reason, and its cost is recomputed
+    write together, with l_max the budget the plans were made with. A discard
+    is what _discard writes: one of DISCARD_REASONS, text_overflow exactly when
+    l_text >= l_max, a null tile_cap and total_tokens, and no units, grids or
+    timestamps. A planned record has no reason, and its cost is recomputed
     from its fields.
     """
     sid = p.sample_id
@@ -275,9 +277,16 @@ def check_plan(p: SamplingPlan, line: int, l_max: int) -> None:
         if p.reason not in DISCARD_REASONS:
             raise InputError(f"plan {sid!r}: discard reason {p.reason!r} is not one of {', '.join(DISCARD_REASONS)}",
                              line, "reason")
-        if p.total_tokens is not None:
-            raise InputError(f"plan {sid!r}: a discard has total_tokens={p.total_tokens}, not null",
-                             line, "total_tokens")
+        for field, value in (("total_tokens", p.total_tokens), ("tile_cap", p.tile_cap)):
+            if value is not None:
+                raise InputError(f"plan {sid!r}: a discard has {field}={value}, not null", line, field)
+        for field, values in (("n_per_item", p.temporal_counts), ("grids", p.image_grids),
+                              ("timestamps", p.frame_timestamps)):
+            if values:
+                raise InputError(f"plan {sid!r}: a discard has {field}, which plan leaves empty", line, field)
+        if (p.l_text >= l_max) != (p.reason == "text_overflow"):
+            raise InputError(f"plan {sid!r}: l_text={p.l_text} at l_max={l_max} gives no {p.reason} discard",
+                             line, "l_text")
         return
     if p.reason is not None:
         raise InputError(f"plan {sid!r}: a planned record has reason {p.reason!r}", line, "reason")

@@ -5,65 +5,37 @@ ordered list of visual items (images, videos, multi-page documents), a fixed
 text token count, and provenance tags. Token counting happens upstream; this
 module only validates and carries the numbers.
 
-VisualItem and Sample are immutable, hashable NamedTuples whose constructors
-check their fields. parse_record reads a line through jsonl.load_object, checks
-each field once, as it reads it, and builds the records without repeating those
-checks; a bad line or field raises jsonl.InputError naming the line and the
-field, and a repeated id is rejected with field "id". Records reach JSON
-only through sample_to_obj/dumps_sample: json.dumps would write a NamedTuple
-as an array.
+ImageDims, VisualItem and Sample are plain immutable, hashable NamedTuples:
+they carry fields and check none. parse_record is where a manifest's fields
+are checked, once, as it reads them through jsonl.load_object; a bad line or
+field raises jsonl.InputError naming the line and the field, and a repeated
+id is rejected with field "id". So a record is only as good as what built it:
+one from parse_record holds checked fields. Records reach JSON only through
+sample_to_obj/dumps_sample: json.dumps would write a NamedTuple as an array.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .jsonl import InputError, lines, load_object
 
-KINDS = ("image", "video", "document")
 
-
-@dataclass(frozen=True)
-class ImageDims:
+class ImageDims(NamedTuple):
     width_px: int
     height_px: int
 
-    def __post_init__(self):
-        if self.width_px < 1 or self.height_px < 1:
-            raise ValueError(f"image dims must be positive, got {self.width_px}x{self.height_px}")
 
+class VisualItem(NamedTuple):
+    """One visual element of a sample; exactly the fields for its kind are set."""
 
-class _VisualItemFields(NamedTuple):
-    kind: str
+    kind: str  # "image", "video" or "document"
     uri: str = ""
     dims: ImageDims | None = None
     duration_s: float | None = None
     pages: int | None = None
-
-
-class VisualItem(_VisualItemFields):
-    """One visual element of a sample; exactly the fields for its kind are set."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, uri: str = "", dims: ImageDims | None = None,
-                duration_s: float | None = None, pages: int | None = None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
-        if kind == "image" and dims is None:
-            raise ValueError("image item requires dims")
-        if kind == "video" and (duration_s is None or duration_s <= 0):
-            raise ValueError("video item requires duration_s > 0")
-        if kind == "document" and (pages is None or pages < 1):
-            raise ValueError("document item requires pages >= 1")
-        return super().__new__(cls, kind, uri, dims, duration_s, pages)
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace checks its result too
-        return cls(*iterable)
 
 
 def image_item(width: int, height: int, uri: str = "") -> VisualItem:
@@ -78,33 +50,15 @@ def document_item(pages: int, uri: str = "") -> VisualItem:
     return VisualItem(kind="document", uri=uri, pages=pages)
 
 
-class _SampleFields(NamedTuple):
+class Sample(NamedTuple):
     id: str
     items: tuple[VisualItem, ...]
     text_tokens: int
     tags: tuple[str, ...] = ()
 
 
-class Sample(_SampleFields):
-    __slots__ = ()
-
-    def __new__(cls, id: str, items: tuple[VisualItem, ...], text_tokens: int, tags: tuple[str, ...] = ()):
-        if text_tokens < 0:
-            raise ValueError("text_tokens must be non-negative")
-        return super().__new__(cls, id, items, text_tokens, tags)
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace checks its result too
-        return cls(*iterable)
-
-
-# The parser checks every field itself, once, and then builds the record with
-# tuple.__new__, skipping the constructor's second pass over the same checks.
 # json.loads gives plain dict, list, str, int, float, bool and None, so the
 # type(x) is int tests below also reject bools.
-_record = tuple.__new__
-
-
 def _parse_item(obj: dict, line: int) -> VisualItem:
     if type(obj) is not dict:
         raise InputError("malformed item", line, "items")
@@ -118,7 +72,7 @@ def _parse_item(obj: dict, line: int) -> VisualItem:
             raise InputError("invalid width", line, "width")
         if type(h) is not int or h < 1:
             raise InputError("invalid height", line, "height")
-        return _record(VisualItem, ("image", uri, ImageDims(w, h), None, None))
+        return VisualItem("image", uri, ImageDims(w, h))
     if kind == "video":
         d = obj.get("duration_s")
         if type(d) is int:
@@ -130,12 +84,12 @@ def _parse_item(obj: dict, line: int) -> VisualItem:
             raise InputError("invalid duration", line, "duration_s")
         if not (math.isfinite(d) and d > 0):
             raise InputError("invalid duration", line, "duration_s")
-        return _record(VisualItem, ("video", uri, None, d, None))
+        return VisualItem("video", uri, None, d)
     if kind == "document":
         p = obj.get("pages")
         if type(p) is not int or p < 1:
             raise InputError("invalid pages", line, "pages")
-        return _record(VisualItem, ("document", uri, None, None, p))
+        return VisualItem("document", uri, None, None, p)
     raise InputError(f"unknown kind {kind!r}", line, "kind")
 
 
@@ -162,7 +116,7 @@ def parse_record(text: str, line: int, seen_ids: set[str] | None = None) -> Samp
     tags = obj.get("tags", [])
     if type(tags) is not list or not all(type(t) is str for t in tags):
         raise InputError("invalid tags", line, "tags")
-    return _record(Sample, (sid, items, tt, tuple(tags)))
+    return Sample(sid, items, tt, tuple(tags))
 
 
 def iter_manifest(stream: IO[str] | Iterable[str]) -> Iterator[Sample]:

@@ -11,13 +11,14 @@ counts: all grids of one tile count share the area factor, so each count is
 decided between the two grids whose cols/rows bracket W/H, and a running best
 over counts 1..12 gives every cap. A planner that tries several caps thus
 searches once per image; select_grid is a lookup into it. The constants
-below are the source paper's values; every caller shares them.
+below are the source paper's values; every caller shares them. TileGrid is a
+plain NamedTuple; budget.read_plan checks the grids a plan record holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .manifest import ImageDims
 
@@ -31,14 +32,9 @@ TILE_TOKENS = 256
 _THR = Fraction(AREA_THRESHOLD)
 
 
-@dataclass(frozen=True)
-class TileGrid:
+class TileGrid(NamedTuple):
     cols: int
     rows: int
-
-    def __post_init__(self):
-        if self.cols < 1 or self.rows < 1:
-            raise ValueError("grid dims must be positive")
 
     @property
     def tiles(self) -> int:

@@ -14,17 +14,10 @@ import numpy as np
 
 from mmprep import cli, kernels
 from mmprep.budget import TILE_LADDER, BudgetConfig, plan, temporal_cap
-from mmprep.annotator import (
-    Chapter,
-    ClipQA,
-    QUESTION_TYPES,
-    anchor,
-    pool_checksum,
-    render_caption_prompt,
-    render_clip_qa_prompt,
-    render_video_qa_prompt,
-    TYPES_BY_NAME,
-)
+from mmprep.annotator.captions import Chapter
+from mmprep.annotator.prompts import render_caption_prompt, render_clip_qa_prompt, render_video_qa_prompt
+from mmprep.annotator.qa import ClipQA, anchor
+from mmprep.annotator.question_types import QUESTION_TYPES, TYPES_BY_NAME, pool_checksum
 from mmprep.annotator.pipeline import AnnotationJob, RetryPolicy, run_pipeline
 from mmprep.composer import pack, progressive_stages
 from mmprep.curator import ReferenceIndex, VideoRows, select_novel

@@ -1,28 +1,27 @@
+import json
 from pathlib import Path
 
 import pytest
 
-from mmprep.annotator import (
+from mmprep.annotator.captions import (
     CaptionPair,
     Chapter,
-    ClipQA,
-    QUESTION_TYPES,
     ResponseParseError,
-    TYPES_BY_NAME,
     aggregate_chapter_captions,
-    anchor,
     caption_frames_plan,
+    check_chapters,
     format_seconds,
     parse_caption_response,
-    parse_qa_response,
-    pool_checksum,
+)
+from mmprep.annotator.prompts import (
     render_caption_prompt,
     render_caption_retry_prompt,
     render_clip_qa_prompt,
     render_type_pool,
     render_video_qa_prompt,
-    sample_question_types,
 )
+from mmprep.annotator.qa import ClipQA, anchor, parse_qa_response
+from mmprep.annotator.question_types import QUESTION_TYPES, TYPES_BY_NAME, pool_checksum, sample_question_types
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,11 +91,6 @@ def test_caption_prompt_differs_only_at_placeholder():
     assert a.replace('titled "AAA"', 'titled "XXX"') == b.replace('titled "BBB"', 'titled "XXX"')
 
 
-def test_caption_prompt_rejects_empty_title():
-    with pytest.raises(ValueError):
-        render_caption_prompt("")
-
-
 def test_clip_qa_prompt_golden_byte_match():
     golden = (DATA / "clip_qa_prompt.golden.txt").read_text(encoding="utf-8")
     rendered = render_clip_qa_prompt(
@@ -160,6 +154,13 @@ def test_parse_caption_with_trailing_prose():
     assert pair.brief == "b"
 
 
+@pytest.mark.parametrize("brief", ["", " ", ".", " ... ", "\n.\t"])
+def test_parse_caption_brief_without_text_rejected(brief):
+    # anchor's scene context is the brief stripped of whitespace and trailing periods.
+    with pytest.raises(ResponseParseError, match="Brief Caption"):
+        parse_caption_response(json.dumps({"Brief Caption": brief, "Detailed Caption": "d"}))
+
+
 def test_parse_caption_unparseable():
     with pytest.raises(ResponseParseError):
         parse_caption_response("no json here")
@@ -218,19 +219,14 @@ def test_aggregate_fractional_seconds_one_decimal():
     assert agg.splitlines()[0] == "0 ~ 10.5: c1"
 
 
-def test_aggregate_single_chapter_rejected():
+def test_check_chapters_single_chapter_rejected():
     with pytest.raises(ValueError, match="insufficient chapters"):
-        aggregate_chapter_captions([(Chapter("a", (0.0, 10.0)), CaptionPair("b", "d"))])
+        check_chapters([Chapter("a", (0.0, 10.0))])
 
 
-def test_aggregate_unsorted_rejected():
-    with pytest.raises(ValueError):
-        aggregate_chapter_captions(
-            [
-                (Chapter("b", (10.0, 25.0)), CaptionPair("b2", "c2")),
-                (Chapter("a", (0.0, 10.0)), CaptionPair("b1", "c1")),
-            ]
-        )
+def test_check_chapters_unsorted_rejected():
+    with pytest.raises(ValueError, match="sorted and non-overlapping"):
+        check_chapters([Chapter("b", (10.0, 25.0)), Chapter("a", (0.0, 10.0))])
 
 
 def test_format_seconds():

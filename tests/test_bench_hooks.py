@@ -5,10 +5,15 @@ refactor that renames or drops one breaks `bench/run.py --trace 1` with an
 AttributeError, and one that stops calling a wrapped name reads 0 in that
 layer's metrics. These tests install the tracer, run `plan`, `pack`,
 `curate` and the annotation pipeline under it, and restore it, to catch both.
+The bench's own tests are not in this suite, so one more test reads every
+bench file, and the set-up code the worker runs, for the mmprep attributes
+they use, and checks that each one exists.
 """
 
+import ast
 import importlib.util
 import json
+import pkgutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -23,7 +28,8 @@ from mmprep.curator import write_feature_file
 from mmprep.manifest import dumps_sample
 from tests.conftest import MockLlm, make_sample
 
-WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKER = BENCH / "worker.py"
 
 
 def _load_worker():
@@ -157,3 +163,63 @@ def test_worker_annotate_op_runs_against_the_fake_endpoint(monkeypatch, tmp_path
     counts = endpoints[0].counts
     assert counts["requests"] == counts["ok_replies"] + counts["transient_errors"] + counts["malformed"]
     assert counts["regenerations"] > 0
+
+
+# bench/fake_llm.py's FakeEndpoint keeps the mmprep.annotator module it is given as self._annot.
+_PASSED_MODULES = {"self._annot": "mmprep.annotator"}
+
+
+def _chain(node) -> list[str] | None:
+    """["a", "b", "c"] for the expression a.b.c, None for anything else."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        base = _chain(node.value)
+        return None if base is None else [*base, node.attr]
+    return None
+
+
+def _mmprep_reads(tree: ast.AST) -> set[str]:
+    """The dotted path of every mmprep name the code imports, reads as a.b, or wraps as tracer.wrap(a, "b", ...)."""
+    names = dict(_PASSED_MODULES)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mmprep":
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                reads.add(f"{node.module}.{alias.name}")
+
+    def path_of(node) -> str | None:
+        chain = _chain(node) or []
+        for k in range(len(chain), 0, -1):
+            if ".".join(chain[:k]) in names:
+                return ".".join([names[".".join(chain[:k])], *chain[k:]])
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and path_of(node.value):
+            reads.add(f"{path_of(node.value)}.{node.attr}")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "wrap"
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant) and path_of(node.args[0])):
+            reads.add(f"{path_of(node.args[0])}.{node.args[1].value}")
+    return reads
+
+
+def _exists(path: str) -> bool:
+    try:
+        pkgutil.resolve_name(path)  # imports the modules of the path as needed
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_mmprep_name_the_bench_reads_exists():
+    trees = {f.name: ast.parse(f.read_text(encoding="utf-8"), str(f)) for f in BENCH.glob("*.py")}
+    setup_code = next(node.value.value for node in ast.walk(trees["worker.py"])
+                      if isinstance(node, ast.Assign) and _chain(node.targets[0]) == ["SETUP_CODE"])
+    reads = set().union(*map(_mmprep_reads, [*trees.values(), ast.parse(setup_code, "worker.SETUP_CODE")]))
+    assert {f"mmprep.annotator.{name}" for name in ("LlmError", "LlmResponse", "TransientLlmError", "RetryPolicy",
+                                                    "parse_jobs", "run_pipeline")} <= reads
+    assert {"mmprep.budget.select_grid", "mmprep.curator.load_feature_dir",
+            "mmprep.curator.ReferenceIndex.from_clips"} <= reads
+    assert sorted(path for path in reads if not _exists(path)) == []

@@ -544,13 +544,25 @@ def _discard(**fields):
             "grids": [], "timestamps": [], "l_text": 99, "total_tokens": None, **fields}
 
 
+_STARVED = dict(reason="insufficient_budget", l_text=5)
+
+
+# A discard must be what plan's _discard writes at the --l-max the plans were made with (10 here).
 # pack skips every discard and reads a planned record's reason unchecked, so it accepts all of these.
 @pytest.mark.parametrize("rec, field", [
     (_discard(reason="bogus", total_tokens=99999999), "reason"),
     (_without(_discard(), "reason"), "reason"),
     ({"id": "p", "verdict": "planned", "reason": "text_overflow", "l_text": 5, "total_tokens": 5}, "reason"),
     (_discard(reason="insufficient_budget", total_tokens=5), "total_tokens"),
-], ids=["unknown_reason", "no_reason", "planned_with_reason", "discard_with_total"])
+    (_discard(l_text=5), "l_text"),
+    (_discard(**_STARVED, tile_cap=7, n_per_item=[3], grids=[[4, 3]], timestamps=[[1.0]]), "tile_cap"),
+    (_discard(reason="insufficient_budget", l_text=20), "l_text"),
+    (_discard(**_STARVED, n_per_item=[3]), "n_per_item"),
+    (_discard(**_STARVED, grids=[None]), "grids"),
+    (_discard(**_STARVED, timestamps=[[]]), "timestamps"),
+], ids=["unknown_reason", "no_reason", "planned_with_reason", "discard_with_total", "overflow_below_l_max",
+        "starved_with_units", "starved_at_l_max", "starved_with_n_per_item", "starved_with_grids",
+        "starved_with_timestamps"])
 def test_validate_plans_rejects_reasons_plan_never_writes(capsys, tmp_path, rec, field):
     plans = tmp_path / "p.jsonl"
     plans.write_text(json.dumps(rec) + "\n")

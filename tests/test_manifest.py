@@ -12,7 +12,6 @@ from mmprep.manifest import (
     iter_manifest,
     parse_record,
     sample_to_obj,
-    video_item,
 )
 from mmprep.jsonl import InputError
 
@@ -114,36 +113,8 @@ def test_parse_record_types():
     assert type(s) is Sample and type(s.items[0]) is VisualItem
     assert s.items[0].duration_s == 12.0 and type(s.items[0].duration_s) is float
     assert s.tags == () and type(s.tags) is tuple
-
-
-@pytest.mark.parametrize("fields", [
-    {"kind": "audio"},
-    {"kind": "image"},
-    {"kind": "video"},
-    {"kind": "video", "duration_s": 0.0},
-    {"kind": "video", "duration_s": -1.0},
-    {"kind": "document"},
-    {"kind": "document", "pages": 0},
-])
-def test_visual_item_constructor_rejects(fields):
-    with pytest.raises(ValueError):
-        VisualItem(**fields)
-    with pytest.raises(ValueError):
-        VisualItem(*fields.values())
-
-
-def test_records_replace_runs_constructor_checks():
-    item = video_item(10.0)
-    with pytest.raises(ValueError):
-        item._replace(duration_s=-1.0)
-    with pytest.raises(ValueError):
-        item._replace(kind="image")
-    with pytest.raises(ValueError):
-        Sample(id="s", items=(), text_tokens=-1)
-    with pytest.raises(ValueError):
-        Sample("s", (item,), 3)._replace(text_tokens=-1)
-    assert VisualItem("image", dims=ImageDims(2, 3)).dims == ImageDims(2, 3)
-    assert item._replace(uri="x") == VisualItem(kind="video", uri="x", duration_s=10.0)
+    image = parse_record(json.dumps(_item(kind="image", width=4, height=3)), 1).items[0]
+    assert type(image.dims) is ImageDims and image == VisualItem("image", "u", ImageDims(4, 3))
 
 
 def test_malformed_json_names_line():

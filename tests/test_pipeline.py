@@ -11,6 +11,7 @@ from mmprep.annotator.pipeline import (
     HttpClient,
     LlmError,
     LlmRequest,
+    LlmResponse,
     RateLimiter,
     RetryPolicy,
     TransientLlmError,
@@ -187,6 +188,32 @@ def test_malformed_payload_forever_fails_job_only():
     assert records[0]["status"] == "failed"
     assert records[0]["stage"] == "caption"
     assert "retries exhausted" in records[0]["reason"]
+
+
+class BlankBriefFirst(MockLlm):
+    """Answers the first `blank` caption requests with a brief of only whitespace and a period."""
+
+    def __init__(self, blank: int):
+        super().__init__()
+        self.blank = blank
+
+    def submit(self, request):
+        if self.blank and "Guidelines For Brief Caption" in request.prompt:
+            self.blank -= 1
+            return LlmResponse(text=json.dumps({"Brief Caption": " . ", "Detailed Caption": self.detailed}))
+        return super().submit(request)
+
+
+def test_blank_brief_caption_is_retried():
+    record = run_job(BlankBriefFirst(blank=1), clip_job(), NO_SLEEP)
+    assert (record["status"], record["retry_count"]) == ("ok", 1)
+    assert record["captions"][0]["brief"] == MockLlm().brief
+
+
+def test_blank_brief_caption_forever_fails_at_caption():
+    record = run_job(MockLlm(brief=" . "), clip_job(), NO_SLEEP)
+    assert (record["status"], record["stage"], record["retry_count"]) == ("failed", "caption", 3)
+    assert "Brief Caption" in record["reason"]
 
 
 def test_pipeline_failure_isolation(mock_llm):
