@@ -37,7 +37,7 @@ def render_caption_prompt(title: str) -> str:
 
 def render_caption_retry_prompt(title: str, banned_terms: Sequence[str]) -> str:
     """Caption re-request after an anchor leak, flagging the leaked answers."""
-    terms = ", ".join(f'"{t}"' for t in banned_terms if t)
+    terms = ", ".join(f'"{t}"' for t in banned_terms)
     if not terms:
         return render_caption_prompt(title)
     return (

@@ -37,7 +37,9 @@ def parse_qa_response(
     """Decode a QA response keyed by question type; nulls mean 'no question fits'.
 
     Keys may be the actual type names or positional question_type_N
-    placeholders; anything else is an error. Only non-null entries come back.
+    placeholders; anything else is an error. A Q or A that is not a string
+    with some text besides whitespace is an error too, so the stage retries
+    it. Only non-null entries come back.
     """
     obj = extract_json_object(text)
     by_name = {t.name: t for t in expected_types}
@@ -55,7 +57,7 @@ def parse_qa_response(
         if not isinstance(value, dict) or "Q" not in value or "A" not in value:
             raise ResponseParseError(f"entry for {key!r} must be null or have Q and A")
         q, a = value["Q"], value["A"]
-        if not isinstance(q, str) or not isinstance(a, str) or not q or not a:
+        if not isinstance(q, str) or not isinstance(a, str) or not q.strip() or not a.strip():
             raise ResponseParseError(f"entry for {key!r} has empty Q or A")
         out.append(ClipQA(qtype=qtype.name, question=q, answer=a, span=span))
     return out

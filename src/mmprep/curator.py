@@ -6,16 +6,17 @@ and the clip's maximum cosine similarity against the whole reference
 collection decides novelty: strictly below the threshold means novel, and a
 video is selected when at least one of its clips is novel.
 
-Each side of curation, reference and candidates, is built straight into one
-float64 matrix with one row per clip (read_clip_matrix). A pre-pass reads
-only the header line of every feature file, which gives the clip count and so
-the matrix's final size before any track is read. The main pass then reads
-one track at a time, pools it into its clip rows and drops it, so neither raw
-tracks nor per-file clip blocks accumulate, and no matrix is ever stacked or
-copied. Each matrix is normalized in place a block of rows at a time. At the
-peak, during the scan, curation holds the reference matrix, the candidate
-matrix and the scan's one similarity tile (kernels.TILE_VALUES float64
-values, 8 MiB).
+Both sides of curation, reference and candidates, are laid out from the
+header line of every feature file (clip_layout): the clip counts give every
+video's rows before any track is read. clip_blocks then reads one track at a
+time, pools it into its clip rows, copies them into one reused block and
+drops the track. The reference side is one block of all its rows, a float64
+matrix built once at its final size (read_clip_matrix). The candidate side is
+never held whole: select_novel normalizes and scores each block of
+kernels.BLOCK_ROWS rows as it is read and keeps one float64 score per clip.
+At the peak, during the scan, curation holds the reference matrix, one
+candidate block, the scan's one similarity tile (kernels.TILE_VALUES float64
+values, 2 MiB) and the score vector.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,25 +166,33 @@ def clips_from_seconds(
 
 
 def select_novel(
-    candidates: np.ndarray,
+    blocks: Iterable[np.ndarray],
     videos: Sequence[VideoRows],
     reference: ReferenceIndex,
     tau: float = DEFAULT_TAU,
 ) -> list[NoveltyReport]:
     """Per-video novelty verdicts: a clip is novel iff its max similarity < tau.
 
-    candidates holds one float64 row per clip, and each VideoRows names one
-    video's rows. The matrix is taken over: its rows are normalized in place
-    and all of them are scored in one kernels.smax call. Reports come out
-    sorted by video_id, each with its clips in row order.
+    blocks yields the candidate clip rows in row order as float64 matrices
+    (clip_blocks, or a list of one matrix), and each VideoRows names one
+    video's rows. Each block is taken over: its rows are normalized in place
+    and scored by kernels.smax before the next block is asked for, so only
+    one float64 score per clip is kept. Reports come out sorted by video_id,
+    each with its clips in row order.
     """
     if not -1 < tau <= 1:
         raise ValueError("tau must be in (-1, 1]")
     if not videos:
         return []
-    if candidates.ndim != 2 or candidates.shape[1] != reference.dim:
-        raise ValueError(f"dimension mismatch: candidates {candidates.shape} vs reference dim {reference.dim}")
-    smax = kernels.smax(_unit_rows(candidates), reference._matrix)
+    smax = np.empty(sum(v.clip_count for v in videos))
+    row = 0
+    for block in blocks:
+        if block.ndim != 2 or block.shape[1] != reference.dim:
+            raise ValueError(f"dimension mismatch: candidates {block.shape} vs reference dim {reference.dim}")
+        smax[row : row + len(block)] = kernels.smax(_unit_rows(block), reference._matrix)
+        row += len(block)
+    if row != len(smax):
+        raise ValueError(f"candidate blocks hold {row} rows, the videos {len(smax)}")
     reports = []
     for v in sorted(videos, key=lambda v: v.video_id):
         scores = smax[v.first_row : v.first_row + v.clip_count]
@@ -329,6 +338,69 @@ def load_feature_dir(directory: str | Path) -> list[tuple[str, np.ndarray]]:
     return [read_feature_file(path) for path in feature_paths(directory)]
 
 
+def clip_layout(
+    directory: str | Path,
+    dim_of: tuple[Path | str, int] | None = None,
+) -> tuple[list[VideoRows], int]:
+    """Lay out the clip rows of every feature file of a directory from the header lines alone.
+
+    Files are taken in filename order, each one's rows after the last's. Every
+    file must share one dim: that of dim_of, a (path, dim) pair, or else that
+    of the first file. Returns one VideoRows per file, in file order, and the
+    dim.
+    """
+    headers = [(path, read_feature_header(path)) for path in feature_paths(directory)]
+    like, dim = dim_of or (headers[0][0], headers[0][1].dim)
+    videos = []
+    row = 0
+    for path, header in headers:
+        if header.dim != dim:
+            raise ValueError(f"{path}: dim {header.dim} does not match dim {dim} of {like}")
+        count = len(segment_clips(header.count))
+        videos.append(VideoRows(path, header.video_id, row, count))
+        row += count
+    return videos, dim
+
+
+def _pooled_clips(video: VideoRows, dim: int, pool: str) -> np.ndarray:
+    """Read one video's track, check it still fits its layout, and pool it into its clip rows."""
+    video_id, track = read_feature_file(video.path)
+    if (video_id, track.shape[1], len(segment_clips(track.shape[0]))) != (video.video_id, dim, video.clip_count):
+        raise ValueError(f"{video.path}: header changed while reading: now {video_id!r}, count {track.shape[0]}, "
+                         f"dim {track.shape[1]}; before, {video.video_id!r} with {video.clip_count} clips of dim {dim}")
+    return clips_from_seconds(video_id, track, pool)
+
+
+def clip_blocks(
+    videos: Sequence[VideoRows],
+    dim: int,
+    pool: str = "mean",
+    block_rows: int = kernels.BLOCK_ROWS,
+) -> Iterator[np.ndarray]:
+    """Yield the clip rows of the videos, in order, block_rows rows at a time.
+
+    One buffer of min(block_rows, clip rows) x dim float64 values is reused
+    for every block, so a block holds its rows only until the next is asked
+    for. Each track is read, pooled and copied into the buffer before the next
+    is read; a video's clips may span blocks, and the last block may be short.
+    """
+    buf = np.empty((min(block_rows, sum(v.clip_count for v in videos)), dim))
+    fill = 0
+    for video in videos:
+        clips = _pooled_clips(video, dim, pool)
+        done = 0
+        while done < len(clips):
+            n = min(len(buf) - fill, len(clips) - done)
+            buf[fill : fill + n] = clips[done : done + n]
+            fill += n
+            done += n
+            if fill == len(buf):
+                yield buf
+                fill = 0
+    if fill:
+        yield buf[:fill]
+
+
 def read_clip_matrix(
     directory: str | Path,
     pool: str = "mean",
@@ -336,28 +408,10 @@ def read_clip_matrix(
 ) -> tuple[np.ndarray, list[VideoRows]]:
     """Pool every feature file of a directory into one float64 matrix, one row per clip.
 
-    A pre-pass checks each file's header and sizes the matrix from the clip
-    counts. The main pass then reads the files one at a time, in filename
-    order, and copies each track's pooled clips into its rows before the next
-    is read. Every file must share one dim: that of dim_of, a (path, dim) pair,
-    or else that of the first file. Returns the matrix and one VideoRows per
-    file, in file order.
+    clip_layout checks every header and sizes the matrix, and clip_blocks
+    fills it as one block. Returns the matrix and one VideoRows per file, in
+    file order.
     """
-    headers = [(path, read_feature_header(path)) for path in feature_paths(directory)]
-    like, dim = dim_of or (headers[0][0], headers[0][1].dim)
-    for path, header in headers:
-        if header.dim != dim:
-            raise ValueError(f"{path}: dim {header.dim} does not match dim {dim} of {like}")
-    matrix = np.empty((sum(len(segment_clips(h.count)) for _, h in headers), dim))
-    videos = []
-    row = 0
-    for path, header in headers:
-        video_id, track = read_feature_file(path)
-        if track.shape != (header.count, header.dim):
-            raise ValueError(f"{path}: header changed while reading: count {track.shape[0]} and dim "
-                             f"{track.shape[1]}, not the {header.count} and {header.dim} it gave before")
-        clips = clips_from_seconds(video_id, track, pool)
-        matrix[row : row + len(clips)] = clips
-        videos.append(VideoRows(path, video_id, row, len(clips)))
-        row += len(clips)
+    videos, dim = clip_layout(directory, dim_of)
+    (matrix,) = clip_blocks(videos, dim, pool, sum(v.clip_count for v in videos))
     return matrix, videos

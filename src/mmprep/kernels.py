@@ -2,21 +2,24 @@
 
 One kernel: the row-wise max dot product of L2-normalized float64 candidate
 rows against every reference row, computed as a blocked BLAS matrix product.
-Candidate rows go through in blocks of `block` rows; reference rows go
-through in blocks sized so that one similarity tile holds at most
-TILE_VALUES values (8 MiB). The tile and a row-max buffer are allocated once
+Candidate rows go through in blocks of `block` rows (BLOCK_ROWS by
+default); reference rows go through in blocks sized so that one similarity
+tile holds at most TILE_VALUES values (2 MiB: 1024 reference rows against
+256 candidate rows). The tile and a row-max buffer are allocated once
 per call and reused for every block pair, so the scan's working memory stays
-fixed however large the reference set grows.
+fixed however large the reference set grows. curator.select_novel calls it
+once per candidate block of at most BLOCK_ROWS rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-TILE_VALUES = 1 << 20  # float64 values in the similarity tile: 8 MiB
+BLOCK_ROWS = 256  # candidate rows multiplied at once
+TILE_VALUES = 1 << 18  # float64 values in the similarity tile: 2 MiB
 
 
-def smax(cand: np.ndarray, ref: np.ndarray, block: int = 256) -> np.ndarray:
+def smax(cand: np.ndarray, ref: np.ndarray, block: int = BLOCK_ROWS) -> np.ndarray:
     """Max dot product of each candidate row against all reference rows.
 
     block is the number of candidate rows multiplied at once; the reference

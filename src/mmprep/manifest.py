@@ -10,13 +10,13 @@ they carry fields and check none. parse_record is where a manifest's fields
 are checked, once, as it reads them through jsonl.load_object; a bad line or
 field raises jsonl.InputError naming the line and the field, and a repeated
 id is rejected with field "id". So a record is only as good as what built it:
-one from parse_record holds checked fields. Records reach JSON only through
-sample_to_obj/dumps_sample: json.dumps would write a NamedTuple as an array.
+one from parse_record holds checked fields. The module reads manifests and
+writes none; a writer builds each line's JSON object field by field, as
+json.dumps would write a NamedTuple as an array.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -36,18 +36,6 @@ class VisualItem(NamedTuple):
     dims: ImageDims | None = None
     duration_s: float | None = None
     pages: int | None = None
-
-
-def image_item(width: int, height: int, uri: str = "") -> VisualItem:
-    return VisualItem(kind="image", uri=uri, dims=ImageDims(width, height))
-
-
-def video_item(duration_s: float, uri: str = "") -> VisualItem:
-    return VisualItem(kind="video", uri=uri, duration_s=float(duration_s))
-
-
-def document_item(pages: int, uri: str = "") -> VisualItem:
-    return VisualItem(kind="document", uri=uri, pages=pages)
 
 
 class Sample(NamedTuple):
@@ -127,26 +115,3 @@ def iter_manifest(stream: IO[str] | Iterable[str]) -> Iterator[Sample]:
     seen: set[str] = set()
     for line_no, text in lines(stream):
         yield parse_record(text, line_no, seen)
-
-
-def item_to_obj(item: VisualItem) -> dict:
-    if item.kind == "image":
-        assert item.dims is not None
-        return {"kind": "image", "width": item.dims.width_px, "height": item.dims.height_px, "uri": item.uri}
-    if item.kind == "video":
-        return {"kind": "video", "duration_s": item.duration_s, "uri": item.uri}
-    return {"kind": "document", "pages": item.pages, "uri": item.uri}
-
-
-def sample_to_obj(sample: Sample) -> dict:
-    return {
-        "id": sample.id,
-        "items": [item_to_obj(it) for it in sample.items],
-        "text_tokens": sample.text_tokens,
-        "tags": list(sample.tags),
-    }
-
-
-def dumps_sample(sample: Sample) -> str:
-    return json.dumps(sample_to_obj(sample), ensure_ascii=False)
-

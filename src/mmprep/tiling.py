@@ -43,8 +43,6 @@ class TileGrid(NamedTuple):
 
 def candidate_grids(max_tiles: int) -> list[TileGrid]:
     """All cols x rows grids with cols*rows <= max_tiles, lexicographic order."""
-    if max_tiles < 1:
-        raise ValueError("max_tiles must be >= 1")
     return [
         TileGrid(cols, rows)
         for cols in range(1, max_tiles + 1)

@@ -1,4 +1,4 @@
-"""Shared test fixtures: sample builders and a scriptable mock LLM endpoint."""
+"""Shared test fixtures: sample builders, a manifest writer and a scriptable mock LLM endpoint."""
 
 from __future__ import annotations
 
@@ -10,7 +10,41 @@ import threading
 import pytest
 
 from mmprep.annotator.pipeline import LlmRequest, LlmResponse, TransientLlmError
-from mmprep.manifest import Sample, document_item, image_item, video_item
+from mmprep.manifest import ImageDims, Sample, VisualItem
+
+
+def image_item(width: int, height: int, uri: str = "") -> VisualItem:
+    return VisualItem(kind="image", uri=uri, dims=ImageDims(width, height))
+
+
+def video_item(duration_s: float, uri: str = "") -> VisualItem:
+    return VisualItem(kind="video", uri=uri, duration_s=float(duration_s))
+
+
+def document_item(pages: int, uri: str = "") -> VisualItem:
+    return VisualItem(kind="document", uri=uri, pages=pages)
+
+
+def item_to_obj(item: VisualItem) -> dict:
+    if item.kind == "image":
+        return {"kind": "image", "width": item.dims.width_px, "height": item.dims.height_px, "uri": item.uri}
+    if item.kind == "video":
+        return {"kind": "video", "duration_s": item.duration_s, "uri": item.uri}
+    return {"kind": "document", "pages": item.pages, "uri": item.uri}
+
+
+def sample_to_obj(sample: Sample) -> dict:
+    """A sample as its manifest line's JSON object (json.dumps would write a NamedTuple as an array)."""
+    return {
+        "id": sample.id,
+        "items": [item_to_obj(it) for it in sample.items],
+        "text_tokens": sample.text_tokens,
+        "tags": list(sample.tags),
+    }
+
+
+def dumps_sample(sample: Sample) -> str:
+    return json.dumps(sample_to_obj(sample), ensure_ascii=False)
 
 
 def make_sample(sid="s0", images=(), videos=(), docs=(), text_tokens=0):

@@ -21,9 +21,9 @@ from mmprep.annotator.question_types import QUESTION_TYPES, TYPES_BY_NAME, pool_
 from mmprep.annotator.pipeline import AnnotationJob, RetryPolicy, run_pipeline
 from mmprep.composer import pack, progressive_stages
 from mmprep.curator import ReferenceIndex, VideoRows, select_novel
-from mmprep.manifest import ImageDims, dumps_sample
+from mmprep.manifest import ImageDims
 from mmprep.tiling import TileGrid, grid_tokens, select_grid
-from tests.conftest import MockLlm, make_sample, random_sample
+from tests.conftest import MockLlm, dumps_sample, make_sample, random_sample
 from tests.test_composer import mkplan, optimal_bin_count
 
 DATA = Path(__file__).parent / "data"
@@ -213,7 +213,7 @@ def test_criterion_5_curator():
     # strict tau boundary: 0.49 in, 0.50 out
     ref_idx = ReferenceIndex(np.array([[1.0, 0.0]]))
     boundary = select_novel(
-        np.array([[0.49, np.sqrt(1 - 0.49**2)], [0.5, np.sqrt(0.75)]]),
+        [np.array([[0.49, np.sqrt(1 - 0.49**2)], [0.5, np.sqrt(0.75)]])],
         [VideoRows("v.feat", "v", 0, 2)],
         ref_idx,
         tau=0.5,
@@ -228,7 +228,7 @@ def test_criterion_5_curator():
     prev: set = set()
     for tau in np.linspace(-0.9, 1.0, 20):
         # select_novel normalizes the matrix it is given in place, so each sweep gets a copy.
-        selected = {r.video_id for r in select_novel(clips.copy(), videos, sweep_ref, float(tau)) if r.selected}
+        selected = {r.video_id for r in select_novel([clips.copy()], videos, sweep_ref, float(tau)) if r.selected}
         if not prev <= selected:
             monotone = False
         prev = selected

@@ -269,6 +269,14 @@ def test_parse_qa_unknown_key_rejected():
         parse_qa_response('{"question_type_9": {"Q": "q", "A": "a"}}', FIXED_TYPES, span=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("entry", [
+    {"Q": "q", "A": ""}, {"Q": "q", "A": "  "}, {"Q": "\t\n", "A": "a"}, {"Q": " ", "A": " "}, {"Q": "q", "A": 1},
+])
+def test_parse_qa_blank_or_non_string_fields_rejected(entry):
+    with pytest.raises(ResponseParseError, match="empty Q or A"):
+        parse_qa_response(json.dumps({"object_recognition": entry}), FIXED_TYPES, span=(0.0, 1.0))
+
+
 def test_parse_qa_malformed_json_reports_error():
     with pytest.raises(ResponseParseError):
         parse_qa_response("{{{{", FIXED_TYPES, span=(0.0, 1.0))

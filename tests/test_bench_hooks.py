@@ -25,8 +25,7 @@ from mmprep.annotator.captions import Chapter
 from mmprep.annotator.pipeline import AnnotationJob, RetryPolicy, run_pipeline
 from mmprep.budget import BudgetConfig
 from mmprep.curator import write_feature_file
-from mmprep.manifest import dumps_sample
-from tests.conftest import MockLlm, make_sample
+from tests.conftest import MockLlm, dumps_sample, make_sample
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 WORKER = BENCH / "worker.py"

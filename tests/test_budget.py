@@ -20,9 +20,9 @@ from mmprep.budget import (
     temporal_cap,
 )
 from mmprep.jsonl import InputError
-from mmprep.manifest import Sample, document_item, dumps_sample, image_item, parse_record, video_item
+from mmprep.manifest import Sample, parse_record
 from mmprep.tiling import TileGrid, best_grids, grid_tokens, select_grid
-from tests.conftest import make_sample, random_sample
+from tests.conftest import document_item, dumps_sample, image_item, make_sample, random_sample, video_item
 
 
 def _is_text_overflow(p: SamplingPlan) -> bool:

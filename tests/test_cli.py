@@ -12,8 +12,8 @@ import pytest
 
 from mmprep import budget, cli, composer, curator, kernels, tiling
 from mmprep.curator import write_feature_file
-from mmprep.manifest import ImageDims, dumps_sample
-from tests.conftest import MockLlm, make_sample
+from mmprep.manifest import ImageDims
+from tests.conftest import MockLlm, dumps_sample, make_sample
 
 
 def run_cli(capsys, argv):
@@ -755,6 +755,21 @@ def _curate_dirs(tmp_path, ref_tracks, cand_tracks):
         for k, track in enumerate(tracks):
             write_feature_file(tmp_path / sub / f"{sub[0]}{k}.feat", f"{sub}{k}", track)
     return ["curate", "--reference", str(tmp_path / "ref"), "--candidates", str(tmp_path / "cand")]
+
+
+def test_curate_duplicate_candidate_id_wins_over_a_bad_body(capsys, tmp_path, monkeypatch):
+    bad = np.ones((20, 4))
+    bad[3, 1] = np.nan
+    argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [bad, np.ones((20, 4))])
+    write_feature_file(tmp_path / "cand" / "c1.feat", "cand0", np.ones((20, 4)))  # c0.feat's id
+    read = curator.read_feature_file
+    bodies = []
+    monkeypatch.setattr(curator, "read_feature_file", lambda path: bodies.append(path.parent.name) or read(path))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "duplicate candidate video_id 'cand0'" in err
+    assert bodies == ["ref"]  # the candidate headers are checked before any candidate body is read
 
 
 @pytest.mark.parametrize("side", ["ref", "cand"])

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmprep import kernels
-from mmprep import curator
+from mmprep import cli, curator, kernels
 from mmprep.curator import (
     ReferenceIndex,
     VideoRows,
+    clip_blocks,
+    clip_layout,
     clips_from_seconds,
     load_feature_dir,
     pool_clip,
@@ -33,7 +34,7 @@ def candidates(videos):
 def smax_of(index, vectors):
     """Max cosine of each row of vectors against the index, as select_novel reports it."""
     matrix, videos = candidates({"v": list(np.atleast_2d(vectors))})
-    return np.array(select_novel(matrix, videos, index, tau=1.0)[0].per_clip_smax)
+    return np.array(select_novel([matrix], videos, index, tau=1.0)[0].per_clip_smax)
 
 
 # --- segmentation ---------------------------------------------------------------
@@ -166,8 +167,8 @@ def test_smax_working_memory_is_one_tile():
     rng = np.random.default_rng(8)
     cand, ref = _unit_rows(rng, 3000, 64), _unit_rows(rng, 20000, 64)
     out, peak = _traced_peak(lambda: kernels.smax(cand, ref))
-    assert peak <= 8 * 2**20 + out.nbytes + 64 * 1024  # the 8 MiB tile, the output, small buffers
-    # One candidate block against 349-row reference blocks gives the same maxima.
+    assert peak <= kernels.TILE_VALUES * 8 + out.nbytes + 64 * 1024  # the 2 MiB tile, the output, small buffers
+    # One candidate block against 87-row reference blocks gives the same maxima.
     assert np.allclose(out, kernels.smax(cand, ref, block=10**6), rtol=0, atol=1e-12)
 
 
@@ -213,13 +214,22 @@ def test_from_clips_and_select_novel_check_every_row(bad):
     with pytest.raises(ValueError):
         ReferenceIndex.from_clips(matrix.copy())
     with pytest.raises(ValueError):
-        select_novel(matrix, videos, ReferenceIndex(np.ones((1, 4))))
+        select_novel([matrix], videos, ReferenceIndex(np.ones((1, 4))))
 
 
 def test_select_novel_dimension_mismatch_rejected():
     matrix, videos = candidates({"v": [np.ones(5)]})
     with pytest.raises(ValueError, match="dimension mismatch"):
-        select_novel(matrix, videos, ReferenceIndex(np.ones((2, 4))))
+        select_novel([matrix], videos, ReferenceIndex(np.ones((2, 4))))
+
+
+def test_select_novel_rejects_blocks_that_do_not_cover_the_videos():
+    # Rows left unscored would hold whatever np.empty gave.
+    matrix, videos = candidates({"a": [np.ones(4)] * 2, "b": [np.ones(4)]})
+    with pytest.raises(ValueError, match="candidate blocks hold 2 rows, the videos 3"):
+        select_novel([matrix[:2]], videos, _axis_reference())
+    with pytest.raises(ValueError):  # numpy refuses a fourth row
+        select_novel([matrix, np.ones((1, 4))], videos, _axis_reference())
 
 
 def test_empty_reference_rejected():
@@ -259,7 +269,7 @@ def test_strict_threshold_boundary():
     # candidate at exactly cos=0.5 to the best reference is NOT novel
     ref = ReferenceIndex(np.array([[1.0, 0.0]]))
     matrix, videos = candidates({"v": [[0.5, np.sqrt(3) / 2], [0.49, np.sqrt(1 - 0.49**2)]]})
-    reports = select_novel(matrix, videos, ref, tau=0.5)
+    reports = select_novel([matrix], videos, ref, tau=0.5)
     assert reports[0].novel_clips == (1,)
     assert reports[0].selected
 
@@ -267,7 +277,7 @@ def test_strict_threshold_boundary():
 def test_video_with_no_novel_clips_not_selected():
     ref = _axis_reference()
     matrix, videos = candidates({"v": [np.eye(4)[0]] * 3})  # smax = 1.0 each
-    reports = select_novel(matrix, videos, ref, tau=0.5)
+    reports = select_novel([matrix], videos, ref, tau=0.5)
     assert reports[0].selected is False
     assert reports[0].novel_clips == ()
     assert reports[0].per_clip_smax == pytest.approx((1.0, 1.0, 1.0))
@@ -281,7 +291,7 @@ def test_selection_monotone_in_tau():
     prev: set = set()
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
         matrix, videos = candidates(clips)
-        selected = {r.video_id for r in select_novel(matrix, videos, ref, tau) if r.selected}
+        selected = {r.video_id for r in select_novel([matrix], videos, ref, tau) if r.selected}
         assert prev <= selected
         prev = selected
 
@@ -290,15 +300,17 @@ def test_reports_sorted_and_order_independent():
     ref = _axis_reference()
     rng = np.random.default_rng(6)
     clips = {f"v{i}": list(rng.normal(size=(2, 4))) for i in range(5)}
-    a = select_novel(*candidates(clips), ref)
-    b = select_novel(*candidates(dict(reversed(clips.items()))), ref)
+    matrix, videos = candidates(clips)
+    a = select_novel([matrix], videos, ref)
+    matrix, videos = candidates(dict(reversed(clips.items())))
+    b = select_novel([matrix], videos, ref)
     assert a == b
     assert [r.video_id for r in a] == sorted(r.video_id for r in a)
 
 
 def test_select_novel_normalizes_the_candidate_matrix_in_place():
     matrix, videos = candidates({"v": [[3.0, 4.0], [0.0, 2.0]]})
-    select_novel(matrix, videos, _axis_reference(2))
+    select_novel([matrix], videos, _axis_reference(2))
     assert matrix.tobytes() == np.array([[0.6, 0.8], [0.0, 1.0]]).tobytes()
 
 
@@ -309,7 +321,8 @@ def test_batched_select_novel_matches_per_video_scans():
         clips = {f"v{v}": list(rng.normal(size=(int(rng.integers(1, 40)), 16)))
                  for v in rng.permutation(int(rng.integers(1, 12)))}
         tau = float(rng.uniform(0.2, 0.6))
-        reports = select_novel(*candidates(clips), ref, tau)
+        matrix, videos = candidates(clips)
+        reports = select_novel([matrix], videos, ref, tau)
         assert [r.video_id for r in reports] == sorted(clips)
         for r in reports:
             smax = smax_of(ref, clips[r.video_id])
@@ -319,15 +332,15 @@ def test_batched_select_novel_matches_per_video_scans():
 
 
 def test_select_novel_no_candidates():
-    assert select_novel(np.empty((0, 4)), [], _axis_reference()) == []
+    assert select_novel([], [], _axis_reference()) == []
 
 
 def test_tau_domain_validated():
     ref = _axis_reference()
     with pytest.raises(ValueError):
-        select_novel(np.empty((0, 4)), [], ref, tau=-1.0)
+        select_novel([], [], ref, tau=-1.0)
     with pytest.raises(ValueError):
-        select_novel(np.empty((0, 4)), [], ref, tau=1.5)
+        select_novel([], [], ref, tau=1.5)
 
 
 # --- clip construction from 1 fps tracks --------------------------------------------
@@ -520,3 +533,81 @@ def test_read_clip_matrix_names_the_file_of_another_dim(tmp_path):
         read_clip_matrix(tmp_path)
     with pytest.raises(ValueError, match=r"a.feat: dim 4 does not match dim 5 of ref.feat"):
         read_clip_matrix(tmp_path, dim_of=("ref.feat", 5))
+
+
+def _write_tracks(directory, clip_counts, dim, rng):
+    """One feature file per clip count, v00.feat, v01.feat, ...; odd counts end in a 5 s tail clip."""
+    directory.mkdir()
+    for k, n in enumerate(clip_counts):
+        seconds = 10 * n if n % 2 == 0 else 10 * (n - 1) + 5
+        write_feature_file(directory / f"v{k:02d}.feat", f"v{k:02d}", rng.normal(size=(seconds, dim)))
+
+
+@pytest.mark.parametrize("clip_counts", [
+    [100, 155],  # 255 clips: one short block
+    [128, 128],  # 256: one full block, nothing after it
+    [200, 57],  # 257: the second video straddles the block edge, then a 1-row block
+    [300, 213],  # 513: the first video is longer than a block, the second straddles row 512
+])
+def test_block_scan_matches_one_block_scan(tmp_path, monkeypatch, clip_counts):
+    rng = np.random.default_rng(17)
+    _write_tracks(tmp_path / "cand", clip_counts, 8, rng)
+    ref = ReferenceIndex(rng.normal(size=(50, 8)))
+    videos, dim = clip_layout(tmp_path / "cand")
+    assert [v.clip_count for v in videos] == clip_counts and dim == 8
+    matrix, same_videos = read_clip_matrix(tmp_path / "cand")
+    assert same_videos == videos
+    tau = float(np.median(kernels.smax(curator._unit_rows(matrix.copy()), ref._matrix)))
+    one_block = select_novel([matrix], videos, ref, tau)
+
+    rows = sum(clip_counts)
+    assert [len(b) for b in clip_blocks(videos, dim)] == [256] * (rows // 256) + ([rows % 256] if rows % 256 else [])
+    calls = []
+    smax = kernels.smax
+    monkeypatch.setattr(kernels, "smax", lambda cand, ref: calls.append(len(cand)) or smax(cand, ref))
+    blocked = select_novel(clip_blocks(videos, dim), videos, ref, tau)
+    assert len(calls) == -(-rows // kernels.BLOCK_ROWS)
+    assert [(r.video_id, r.novel_clips, r.selected) for r in blocked] == \
+        [(r.video_id, r.novel_clips, r.selected) for r in one_block]
+    assert any(r.novel_clips for r in blocked) and not all(len(r.novel_clips) == len(r.per_clip_smax) for r in blocked)
+    for b, o in zip(blocked, one_block):
+        assert np.allclose(b.per_clip_smax, o.per_clip_smax, rtol=0, atol=1e-12)
+
+
+def test_clip_blocks_reuse_one_buffer_sized_to_the_rows(tmp_path):
+    _write_tracks(tmp_path / "cand", [3, 2], 4, np.random.default_rng(18))
+    videos, dim = clip_layout(tmp_path / "cand")
+    blocks = clip_blocks(videos, dim, block_rows=2)
+    first = next(blocks)
+    assert [len(b) for b in blocks] == [2, 1]
+    assert first.base is None and first.shape == (2, 4)  # the buffer itself: two rows, not block_rows
+    (one,) = clip_blocks(videos, dim)
+    assert one.shape == (5, 4)  # min(BLOCK_ROWS, 5 rows)
+
+
+def test_clip_blocks_reject_a_track_rewritten_with_another_id(tmp_path):
+    _write_tracks(tmp_path / "cand", [2, 2], 4, np.random.default_rng(19))
+    videos, dim = clip_layout(tmp_path / "cand")
+    write_feature_file(tmp_path / "cand" / "v01.feat", "other", np.ones((20, 4)))
+    changed = r"v01.feat: header changed while reading: now 'other', count 20, dim 4; before, 'v01' with 2 clips"
+    with pytest.raises(ValueError, match=changed):
+        list(clip_blocks(videos, dim))
+
+
+def test_curate_peak_does_not_grow_with_candidates(tmp_path):
+    # Same-length candidate files at dim 64: 10 clips (5 KiB) each, 320 clips against 1280.
+    rng = np.random.default_rng(20)
+    _write_tracks(tmp_path / "ref", [6] * 4, 64, rng)
+    peaks = []
+    for files in (32, 128):
+        cand = tmp_path / f"cand{files}"
+        cand.mkdir()
+        for k in range(files):
+            write_feature_file(cand / f"c{k:03d}.feat", f"c{k:03d}", rng.normal(size=(100, 64)))
+        reports, peak = _traced_peak(lambda: cli._curate_reports(cand, tmp_path / "ref", 0.5, "mean"))
+        assert len(reports) == files
+        peaks.append(peak)
+    block_bytes = kernels.BLOCK_ROWS * 64 * 8
+    scores_bytes = 128 * 10 * 8
+    # Holding the candidate matrix would grow the peak by 960 rows, 480 KiB.
+    assert peaks[1] - peaks[0] < block_bytes + scores_bytes

@@ -8,12 +8,11 @@ from mmprep.manifest import (
     ImageDims,
     Sample,
     VisualItem,
-    dumps_sample,
     iter_manifest,
     parse_record,
-    sample_to_obj,
 )
 from mmprep.jsonl import InputError
+from tests.conftest import dumps_sample, sample_to_obj
 
 
 def test_empty_stream():

@@ -216,6 +216,15 @@ def test_blank_brief_caption_forever_fails_at_caption():
     assert "Brief Caption" in record["reason"]
 
 
+def test_blank_answers_fail_at_qa():
+    # Blank answers are a malformed reply to retry, not a leak that costs a caption and drops the question.
+    llm = MockLlm(answer_by_type={t.name: "  " for t in QUESTION_TYPES})
+    record = run_job(llm, clip_job(), NO_SLEEP)
+    assert (record["status"], record["stage"], record["retry_count"]) == ("failed", "qa", 3)
+    assert "empty Q or A" in record["reason"]
+    assert llm.calls == 1 + 4  # one caption, then the first QA request and its 3 retries
+
+
 def test_pipeline_failure_isolation(mock_llm):
     # one invalid job among valid ones; every job yields exactly one record
     jobs = [story_job(0, "good1"), story_job(1, "lonely", n_chapters=1), clip_job(2, "good2")]

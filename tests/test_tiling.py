@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmprep import cli
-from mmprep.manifest import ImageDims, dumps_sample
+from mmprep.manifest import ImageDims
 from mmprep.tiling import (
     AREA_THRESHOLD,
     TILE_SIZE_PX,
@@ -17,7 +17,7 @@ from mmprep.tiling import (
     grid_tokens,
     select_grid,
 )
-from tests.conftest import make_sample
+from tests.conftest import dumps_sample, make_sample
 
 
 def oracle_select(width, height, tile_cap=12):
