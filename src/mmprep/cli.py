@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _json_ascii
 
 # curator (numpy) and the annotator (urllib, http.client) are imported inside
 # the functions of `curate` and `annotate`: the other commands never load them.
@@ -157,21 +158,25 @@ def stages_cmd(output_path):
         fout.write(json.dumps(doc, indent=2) + "\n")
 
 
+# What follows the id on a tile line, for each grid: json.dumps's own text for the
+# other three keys, so a line is byte for byte json.dumps({"id", "grid", "tokens",
+# "canvas"}) + "\n" with json.dumps's default ensure_ascii.
+_TILE_TAILS = {
+    g: ", " + json.dumps({"grid": [g.cols, g.rows], "tokens": tiling.grid_tokens(g),
+                         "canvas": [g.cols * tiling.TILE_SIZE_PX, g.rows * tiling.TILE_SIZE_PX]})[1:] + "\n"
+    for g in tiling.candidate_grids(tiling.MAX_TILES)
+}
+
+
 def tile_cmd(input_path, output_path, tile_cap):
     """Emit tiling geometry for every image in a manifest (one JSON object per image)."""
     grids_of = _grid_memo()
     with _open_in(input_path) as fin, _open_out(output_path) as fout:
         for sample in manifest.iter_manifest(fin):
+            head = '{"id": ' + _json_ascii(sample.id)
             for item in sample.items:
-                if item.kind != "image":
-                    continue
-                grid = grids_of(item.dims)[tile_cap - 1]
-                fout.write(json.dumps({
-                    "id": sample.id,
-                    "grid": [grid.cols, grid.rows],
-                    "tokens": tiling.grid_tokens(grid),
-                    "canvas": [grid.cols * tiling.TILE_SIZE_PX, grid.rows * tiling.TILE_SIZE_PX],
-                }) + "\n")
+                if item.kind == "image":
+                    fout.write(head + _TILE_TAILS[grids_of(item.dims)[tile_cap - 1]])
 
 
 def _curate_reports(candidates_dir, reference_dir, tau, pool):

@@ -266,7 +266,7 @@ def _read_header(fh, path: str | Path) -> FeatureHeader:
     """
     try:
         header = json.loads(fh.readline().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer too long, or nested too deeply
         raise ValueError(f"{path}: malformed feature header") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: malformed feature header")

@@ -7,17 +7,24 @@ original aspect ratio; the two factors multiply into the selection score.
 Grid choice drives the token cost of the image: 256 tokens per tile, plus
 one thumbnail tile when the grid has more than one tile. best_grids returns
 the best grid under every tile cap from 1 to 12 in one pass over the tile
-counts: all grids of one tile count share the area factor, so each count is
-decided between the two grids whose cols/rows bracket W/H, and a running best
-over counts 1..12 gives every cap. A planner that tries several caps thus
-searches once per image; select_grid is a lookup into it. The constants
-below are the source paper's values; every caller shares them. TileGrid is a
-plain NamedTuple; budget.read_plan checks the grids a plan record holds.
+counts. All grids of one tile count share the area factor, so which of them
+a count picks depends on W/H alone, and changes only at eleven cuts of W/H
+(1/6, 1/5, 1/4, 1/3, 1/2, 1, 2, 3, 4, 5, 6). A table built once at import
+from candidate_grids holds the cuts and, for each of the twelve gaps between
+them, the grid every tile count picks there; a call binary-searches the cuts
+with exact integer compares, then scores that row's twelve grids, and a
+running best over counts 1..12 gives every cap. A planner that tries several
+caps thus searches once per image; select_grid is a lookup into it. The
+constants below are the source paper's values; every caller shares them.
+TileGrid is a plain NamedTuple; budget.read_plan checks the grids a plan
+record holds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 from typing import NamedTuple
 
 from .manifest import ImageDims
@@ -50,11 +57,36 @@ def candidate_grids(max_tiles: int) -> list[TileGrid]:
     ]
 
 
-# The grids of each tile count 1..MAX_TILES as (grid, cols, rows), in increasing
-# cols and so in increasing cols/rows.
-_GRIDS_BY_TILES = tuple(
-    tuple((g, g.cols, g.rows) for g in candidate_grids(t) if g.tiles == t) for t in range(1, MAX_TILES + 1)
-)
+def _table() -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, TileGrid, int, int], ...], ...]]:
+    """The cuts of W/H where some tile count's pick moves, and the picks in each gap between them.
+
+    The grids of t tiles, in increasing cols and so cols/rows, are each won on
+    a range of W/H: between consecutive grids (d, t/d) and (d', t/d') the pick
+    moves to (d', t/d') just above W/H = d*d'/t, where their aspect factors tie
+    (at the cut itself the narrower grid stays; see the tie note in
+    best_grids). Cuts are kept as reduced (p, q) for p/q and compared by
+    cross-multiplying. Gap i holds the W/H with cut i-1 < W/H <= cut i; its
+    row has one (t * tile area, grid, cols, rows) per tile count t, the grid
+    being the one past every cut of t that lies below the gap.
+    """
+    by_tiles = [[g for g in candidate_grids(t) if g.tiles == t] for t in range(1, MAX_TILES + 1)]
+    cuts_of = []
+    for t, grids in enumerate(by_tiles, start=1):
+        pq = [(a.cols * b.cols, t) for a, b in zip(grids, grids[1:])]
+        cuts_of.append([(p // gcd(p, q), q // gcd(p, q)) for p, q in pq])
+    cuts = sorted({c for cs in cuts_of for c in cs}, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    tile_area = TILE_SIZE_PX**2 * _THR.denominator
+    rows = []
+    for low in (None, *cuts):  # the lower end of each gap; the first gap has none
+        row = []
+        for t, (grids, cs) in enumerate(zip(by_tiles, cuts_of), start=1):
+            g = grids[0 if low is None else sum(p * low[1] <= low[0] * q for p, q in cs)]
+            row.append((t * tile_area, g, g.cols, g.rows))
+        rows.append(tuple(row))
+    return tuple(cuts), tuple(rows)
+
+
+_CUTS, _ROWS = _table()
 
 
 def best_grids(dims: ImageDims) -> tuple[TileGrid, ...]:
@@ -66,40 +98,33 @@ def best_grids(dims: ImageDims) -> tuple[TileGrid, ...]:
     rule ever decides (see the tie note below). Grids of one tile count share
     the area factor, and the aspect factor only falls as cols/rows moves away
     from W/H, so each tile count is won by one of the two grids whose ratios
-    bracket W/H. One pass over the tile counts, keeping the running best,
-    answers every cap at once.
+    bracket W/H; which one changes only at the cuts of _table. A binary search
+    of the cuts finds the gap holding W/H, whose row gives each tile count's
+    grid; one pass over that row, scoring each grid and keeping the running
+    best, answers every cap at once.
     """
     w, h = dims.width_px, dims.height_px
+    # Gap index: the number of cuts p/q below W/H (p*H < q*W).
+    lo, hi = 0, len(_CUTS)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        p, q = _CUTS[mid]
+        if p * h < q * w:
+            lo = mid + 1
+        else:
+            hi = mid
+    # Tie note: the aspect factors of the grids (d, t/d) and (d', t/d') on either
+    # side of a cut tie only at W/H = d*d'/t, which the grid d x t/d' of fewer
+    # tiles matches exactly; it scores at least as high, so a tie never decides
+    # the ladder and either grid may stand for this tile count.
     area_cap = _THR.numerator * w * h
-    tile_area = TILE_SIZE_PX**2 * _THR.denominator
     out = []
     # Every score is positive, so the 0/1 start loses to the first tile count.
     best, best_num, best_den = None, 0, 1
-    for tiles, group in enumerate(_GRIDS_BY_TILES, start=1):
-        # lo: the last grid with cols/rows <= W/H (cols*H <= rows*W); hi: the grid after it.
-        lo = hi = None
-        for cand in group:
-            if cand[1] * h <= cand[2] * w:
-                lo = cand
-            else:
-                hi = cand
-                break
-        if hi is None:
-            grid, cols, rows = lo
-        elif lo is None:
-            grid, cols, rows = hi
-        else:
-            # Aspect factors lo_c*H/(lo_r*W) against hi_r*W/(hi_c*H). They tie only
-            # at W/H = lo_c*hi_c/tiles, which the grid lo_c x hi_r of fewer tiles
-            # matches exactly; it scores at least as high, so a tie never decides
-            # the ladder and either grid may stand for this tile count.
-            _, lo_c, lo_r = lo
-            _, hi_c, hi_r = hi
-            grid, cols, rows = lo if lo_c * hi_c * h * h >= lo_r * hi_r * w * w else hi
+    for area_num, grid, cols, rows in _ROWS[lo]:
         # Exact score as num/den, dropping the factor 1 / (thr.denominator * W * H)
         # that every grid shares; a tie keeps the running best, which has fewer tiles.
         ch, rw = cols * h, rows * w
-        area_num = tiles * tile_area
         if area_num > area_cap:
             area_num = area_cap
         if ch < rw:

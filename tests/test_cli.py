@@ -188,6 +188,10 @@ _BAD_LINES = {
     "nested": ("[" * 100_000 + "\n", 1, "nested too deeply"),
     "not-object": ('["x"]\n', 1, "not an object"),
     "after-blank": ("{good}\n\n  \n5\n", 4, "not an object"),
+    # json.loads raises a plain ValueError for an integer longer than int() converts.
+    "long-int": ('{"n": ' + "9" * 5000 + "}\n", 1, f"integer of more than {sys.get_int_max_str_digits()} digits"),
+    # plan and annotate write ids as UTF-8, which cannot hold a lone surrogate; every reader rejects one.
+    "lone-surrogate": ('{"id": "a\\ud800b", "video_id": "v\\ud800"}\n', 1, "unpaired surrogate escape"),
 }
 
 
@@ -199,7 +203,9 @@ _BAD_LINES = {
     # curate reads a feature file's header line, not a JSON-lines file, and names the file.
     (["curate", "--reference", "{dir}", "--candidates", "{dir}"], "[" * 100_000 + "\n",
      ["{path}: malformed feature header"]),
-], ids=[*[f"{r}-{b}" for r in _LINE_READERS for b in _BAD_LINES], "curate-nested"])
+    (["curate", "--reference", "{dir}", "--candidates", "{dir}"],
+     '{"video_id": "v", "dim": 4, "count": ' + "9" * 5000 + "}\n", ["{path}: malformed feature header"]),
+], ids=[*[f"{r}-{b}" for r in _LINE_READERS for b in _BAD_LINES], "curate-nested", "curate-long-int"])
 def test_deeply_nested_json_line_exit_1(capsys, tmp_path, argv, text, expected):
     (tmp_path / "in").mkdir()
     path = tmp_path / "in" / "bad.jsonl"
@@ -355,6 +361,37 @@ def test_tile_subcommand_emits_geometry(capsys, tmp_path):
     assert rows[0] == {"id": "img", "grid": [2, 1], "tokens": 768, "canvas": [896, 448]}
     assert rows[1]["grid"] == [4, 3]
     assert rows[1]["tokens"] == 3328
+
+
+@pytest.mark.parametrize("cap", [1, 2, 12])
+def test_tile_lines_are_json_dumps_bytes(tmp_path, cap):
+    ids = ['q"uote', "back\\slash", "new\nline", "caf\u00e9", "smile \U0001F600", "plain"]
+    sizes = [(896, 448), (4000, 3000), (123, 7), (1, 8192), (20000, 3)]
+    samples = [make_sample(sid, images=sizes[i % 5:], videos=[3.0]) for i, sid in enumerate(ids)]
+    samples.insert(2, make_sample("no-images", videos=[10.0], docs=[3]))
+    path, out = tmp_path / "m.jsonl", tmp_path / "tiles.jsonl"
+    write_manifest(path, samples)
+    assert cli.main(["tile", "--tile-cap", str(cap), "-i", str(path), "-o", str(out)]) == 0
+    expected = "".join(
+        json.dumps({"id": s.id, "grid": [g.cols, g.rows], "tokens": tiling.grid_tokens(g),
+                    "canvas": [g.cols * tiling.TILE_SIZE_PX, g.rows * tiling.TILE_SIZE_PX]}) + "\n"
+        for s in samples for item in s.items if item.kind == "image"
+        for g in [tiling.select_grid(item.dims, cap)]
+    )
+    assert out.read_bytes() == expected.encode("ascii")
+
+
+def test_escaped_surrogate_pair_plans_as_the_character(capsys, tmp_path):
+    escaped, literal = tmp_path / "escaped.jsonl", tmp_path / "literal.jsonl"
+    escaped.write_text('{"id": "s\\ud83d\\ude00", "items": [], "text_tokens": 10}\n', encoding="utf-8")
+    literal.write_text('{"id": "s\U0001F600", "items": [], "text_tokens": 10}\n', encoding="utf-8")
+    outputs = []
+    for path in (escaped, literal):
+        code, out, err = run_cli(capsys, ["plan", "-i", str(path)])
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["id"] == "s\U0001F600"
 
 
 def test_plan_and_tile_look_up_each_image_size_once_per_run(capsys, tmp_path, monkeypatch):

@@ -124,6 +124,25 @@ def test_best_grids_property_matches_oracle_at_every_cap(dims):
     assert [(g.cols, g.rows) for g in grids] == [oracle_select(w, h, tile_cap=cap) for cap in range(1, 13)]
 
 
+def test_grids_on_and_beside_every_cut_match_oracle():
+    # A tile count's pick moves between consecutive grids (d, t/d) and (d', t/d')
+    # at W/H = d*d'/t; over t <= 12 these are the eleven cuts below.
+    cuts = set()
+    for t in range(1, 13):
+        cols = [d for d in range(1, t + 1) if t % d == 0]
+        cuts.update(Fraction(d * e, t) for d, e in zip(cols, cols[1:]))
+    assert sorted(cuts) == [Fraction(1, n) for n in range(6, 1, -1)] + [Fraction(n) for n in range(1, 7)]
+    for cut in sorted(cuts):
+        for scale in (1, 2, 3, 7, 448, 10**3, 10**6, 10**9):
+            w, h = cut.numerator * scale, cut.denominator * scale
+            for dw, dh in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
+                if w + dw < 1 or h + dh < 1:
+                    continue
+                grids = best_grids(ImageDims(w + dw, h + dh))
+                expected = [oracle_select(w + dw, h + dh, tile_cap=cap) for cap in range(1, 13)]
+                assert [(g.cols, g.rows) for g in grids] == expected, (w + dw, h + dh)
+
+
 def test_degenerate_strip_dims():
     g = select_grid(ImageDims(1, 8192))
     assert (g.cols, g.rows) == oracle_select(1, 8192)
