@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _json_ascii
@@ -120,7 +121,7 @@ def plan_cmd(input_path, output_path, l_max, min_frames, fps_target, jobs):
 
 def pack_cmd(input_path, output_path, l_max):
     """Pack planned samples into fixed-capacity training sequences."""
-    plans = []
+    sizes = []
     skipped = 0
     seen: set[str] = set()
     with _open_in(input_path) as fin:
@@ -132,28 +133,22 @@ def pack_cmd(input_path, output_path, l_max):
                 raise InputError(f"plan {p.sample_id!r} has {p.total_tokens} tokens, exceeding pack capacity {l_max}",
                                  line_no, "total_tokens")
             else:  # packing reads only the id and token count, so the timestamps and grids go with the line
-                plans.append(budget.SamplingPlan(p.sample_id, budget.PLANNED, total_tokens=p.total_tokens))
-    packs = composer.pack(plans, l_max)
+                sizes.append((p.sample_id, p.total_tokens))
+    packs = composer.pack(sizes, l_max)
     with _open_out(output_path) as fout:
-        for pk in packs:
-            fout.write(json.dumps(
-                {"pack_id": pk.pack_id, "member_ids": list(pk.member_ids), "total_tokens": pk.total_tokens}
-            ) + "\n")
-    report = composer.balance_report(packs, l_max)
-    if report.defined:
-        print(
-            f"{report.pack_count} packs from {len(plans)} plans ({skipped} discarded skipped), "
-            f"utilization mean={report.mean_utilization:.4f} "
-            f"min={report.min_utilization:.4f} max={report.max_utilization:.4f}",
-            file=sys.stderr,
-        )
+        for pack_id, (member_ids, total) in enumerate(packs):
+            fout.write(json.dumps({"pack_id": pack_id, "member_ids": member_ids, "total_tokens": total}) + "\n")
+    if packs:
+        utils = [total / l_max for _, total in packs]
+        print(f"{len(packs)} packs from {len(sizes)} plans ({skipped} discarded skipped), utilization "
+              f"mean={sum(utils) / len(utils):.4f} min={min(utils):.4f} max={max(utils):.4f}", file=sys.stderr)
     else:
         print("no packs produced", file=sys.stderr)
 
 
 def stages_cmd(output_path):
     """Emit the progressive training stage table as one JSON document."""
-    doc = [composer.stage_to_obj(s) for s in composer.progressive_stages()]
+    doc = [s._asdict() for s in composer.progressive_stages()]
     with _open_out(output_path) as fout:
         fout.write(json.dumps(doc, indent=2) + "\n")
 
@@ -197,14 +192,15 @@ def _curate_reports(candidates_dir, reference_dir, tau, pool):
 def curate_cmd(output_path, reference_dir, candidates_dir, tau, pool, jobs):
     """Select novel candidate videos by max clip similarity against a reference set."""
     try:
-        reports = _curate_reports(candidates_dir, reference_dir, tau, pool)
+        records = _curate_reports(candidates_dir, reference_dir, tau, pool)
     except ValueError as exc:  # curator rejects a bad feature file with a ValueError naming it
         raise InputError(str(exc)) from exc
+    selected = total = 0
     with _open_out(output_path) as fout:
-        for r in reports:
-            fout.write(json.dumps(r.to_obj()) + "\n")
-    selected = sum(r.selected for r in reports)
-    print(f"{selected}/{len(reports)} candidate videos selected at tau={tau}", file=sys.stderr)
+        for rec in records:
+            fout.write(json.dumps(rec) + "\n")
+            selected, total = selected + rec["selected"], total + 1
+    print(f"{selected}/{total} candidate videos selected at tau={tau}", file=sys.stderr)
 
 
 def _make_client(endpoint: str, model: str, rpm: float | None):
@@ -322,6 +318,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+# No path or option value can hold either; json.load joins every escaped surrogate pair, so a surrogate left
+# in a decoded string is unpaired.
+_NUL_OR_SURROGATE = re.compile("[\0\ud800-\udfff]")
+
+
 def _config_values(path: str | None, command: str) -> list[tuple[str, str | int | float]]:
     """The config file's (dest, value) pairs for command, once every key and value of the file is checked."""
     if not path:
@@ -345,6 +346,8 @@ def _config_values(path: str | None, command: str) -> list[tuple[str, str | int 
                 raise InputError(f"config file {path}: {name!r} has no option {key!r}")
             if type(value) not in (str, int, float):
                 raise InputError(f"config file {path}: {name!r} option {key!r} must be a JSON string or number")
+            if type(value) is str and _NUL_OR_SURROGATE.search(value):
+                raise InputError(f"config file {path}: {name!r} option {key!r} holds a NUL or an unpaired surrogate")
             if name == command:
                 pairs.append((dest, value))
     return pairs

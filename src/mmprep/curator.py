@@ -16,14 +16,15 @@ never held whole: select_novel normalizes and scores each block of
 kernels.BLOCK_ROWS rows as it is read and keeps one float64 score per clip.
 At the peak, during the scan, curation holds the reference matrix, one
 candidate block, the scan's one similarity tile (kernels.TILE_VALUES float64
-values, 2 MiB) and the score vector.
+values, 2 MiB) and the score vector. After the scan, each video's output
+record is built from its slice of the score vector only as it is written, so
+the 8-byte score is all that curation keeps of a candidate clip.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -37,22 +38,6 @@ DEFAULT_TAU = 0.5
 # float64 values normalized at a time: np.linalg.norm's two temporaries then
 # take 512 KiB each, whatever the matrix size.
 NORM_BLOCK_VALUES = 1 << 16
-
-
-@dataclass(frozen=True)
-class NoveltyReport:
-    video_id: str
-    per_clip_smax: tuple[float, ...]
-    novel_clips: tuple[int, ...]
-    selected: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "per_clip_smax": list(self.per_clip_smax),
-            "novel_clips": list(self.novel_clips),
-            "selected": self.selected,
-        }
 
 
 class VideoRows(NamedTuple):
@@ -170,20 +155,21 @@ def select_novel(
     videos: Sequence[VideoRows],
     reference: ReferenceIndex,
     tau: float = DEFAULT_TAU,
-) -> list[NoveltyReport]:
-    """Per-video novelty verdicts: a clip is novel iff its max similarity < tau.
+) -> Iterator[dict]:
+    """Score every candidate clip, then return an iterator of per-video novelty records.
 
-    blocks yields the candidate clip rows in row order as float64 matrices
-    (clip_blocks, or a list of one matrix), and each VideoRows names one
-    video's rows. Each block is taken over: its rows are normalized in place
-    and scored by kernels.smax before the next block is asked for, so only
-    one float64 score per clip is kept. Reports come out sorted by video_id,
-    each with its clips in row order.
+    A clip is novel iff its max similarity < tau. blocks yields the candidate
+    clip rows in row order as float64 matrices (clip_blocks, or a list of one
+    matrix), and each VideoRows names one video's rows. Each block is taken
+    over: its rows are normalized in place and scored by kernels.smax before
+    the next block is asked for, so only one float64 score per clip is kept.
+    The whole scan runs before this returns. The iterator then builds each
+    video's output record, {"video_id", "per_clip_smax", "novel_clips",
+    "selected"}, from its slice of the scores only when asked for it, in
+    video_id order, with the clips in row order.
     """
     if not -1 < tau <= 1:
         raise ValueError("tau must be in (-1, 1]")
-    if not videos:
-        return []
     smax = np.empty(sum(v.clip_count for v in videos))
     row = 0
     for block in blocks:
@@ -193,19 +179,15 @@ def select_novel(
         row += len(block)
     if row != len(smax):
         raise ValueError(f"candidate blocks hold {row} rows, the videos {len(smax)}")
-    reports = []
-    for v in sorted(videos, key=lambda v: v.video_id):
-        scores = smax[v.first_row : v.first_row + v.clip_count]
-        novel = tuple(k for k, s in enumerate(scores) if s < tau)
-        reports.append(
-            NoveltyReport(
-                video_id=v.video_id,
-                per_clip_smax=tuple(float(s) for s in scores),
-                novel_clips=novel,
-                selected=bool(novel),
-            )
-        )
-    return reports
+
+    def records():
+        for v in sorted(videos, key=lambda v: v.video_id):
+            scores = smax[v.first_row : v.first_row + v.clip_count]
+            novel = np.flatnonzero(scores < tau).tolist()
+            yield {"video_id": v.video_id, "per_clip_smax": scores.tolist(), "novel_clips": novel,
+                   "selected": bool(novel)}
+
+    return records()
 
 
 # --- feature file format: one header line, then count x dim vectors ---------

@@ -8,7 +8,9 @@ tile holds at most TILE_VALUES values (2 MiB: 1024 reference rows against
 256 candidate rows). The tile and a row-max buffer are allocated once
 per call and reused for every block pair, so the scan's working memory stays
 fixed however large the reference set grows. curator.select_novel calls it
-once per candidate block of at most BLOCK_ROWS rows.
+once per candidate block of at most BLOCK_ROWS rows and keeps only the row
+maxima it returns, one float64 per candidate clip, from which it builds the
+output records.
 """
 
 from __future__ import annotations

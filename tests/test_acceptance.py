@@ -24,7 +24,7 @@ from mmprep.curator import ReferenceIndex, VideoRows, select_novel
 from mmprep.manifest import ImageDims
 from mmprep.tiling import TileGrid, grid_tokens, select_grid
 from tests.conftest import MockLlm, dumps_sample, make_sample, random_sample
-from tests.test_composer import mkplan, optimal_bin_count
+from tests.test_composer import optimal_bin_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,26 +145,26 @@ def test_criterion_2_ads_exactness():
 
 
 def test_criterion_3_packing():
-    packs = pack([mkplan(f"p{i}", t) for i, t in enumerate([30000, 20000, 12000, 2000])], 32768)
-    worked = sorted(p.total_tokens for p in packs) == [32000, 32000]
+    packs = pack([(f"p{i}", t) for i, t in enumerate([30000, 20000, 12000, 2000])], 32768)
+    worked = sorted(total for _, total in packs) == [32000, 32000]
 
     rng = random.Random(99021)
     invariant_violations = 0
     for _ in range(200):
         n = rng.randint(1, 300)
-        plans = [mkplan(f"s{i}", rng.randint(1, 32768)) for i in range(n)]
-        out = pack(plans, 32768)
-        members = sorted(m for p in out for m in p.member_ids)
-        if members != sorted(p.sample_id for p in plans):
+        sizes = [(f"s{i}", rng.randint(1, 32768)) for i in range(n)]
+        out = pack(sizes, 32768)
+        members = sorted(m for ids, _ in out for m in ids)
+        if members != sorted(sid for sid, _ in sizes):
             invariant_violations += 1
-        if any(p.total_tokens > 32768 for p in out):
+        if any(total > 32768 for _, total in out):
             invariant_violations += 1
 
     over_gap = 0
     for _ in range(1000):
         n = rng.randint(1, 10)
         sizes = [rng.randint(1, 32768) for _ in range(n)]
-        got = len(pack([mkplan(f"s{i}", t) for i, t in enumerate(sizes)], 32768))
+        got = len(pack([(f"s{i}", t) for i, t in enumerate(sizes)], 32768))
         if got - optimal_bin_count(sizes, 32768) > 1:
             over_gap += 1
     report(
@@ -218,7 +218,7 @@ def test_criterion_5_curator():
         ref_idx,
         tau=0.5,
     )
-    boundary_ok = boundary[0].novel_clips == (0,)
+    boundary_ok = next(boundary)["novel_clips"] == [0]
 
     # tau monotonicity on random sweeps
     sweep_ref = ReferenceIndex(rng.normal(size=(200, 16)))
@@ -228,7 +228,7 @@ def test_criterion_5_curator():
     prev: set = set()
     for tau in np.linspace(-0.9, 1.0, 20):
         # select_novel normalizes the matrix it is given in place, so each sweep gets a copy.
-        selected = {r.video_id for r in select_novel([clips.copy()], videos, sweep_ref, float(tau)) if r.selected}
+        selected = {r["video_id"] for r in select_novel([clips.copy()], videos, sweep_ref, float(tau)) if r["selected"]}
         if not prev <= selected:
             monotone = False
         prev = selected

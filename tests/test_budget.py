@@ -457,4 +457,4 @@ def test_readme_library_example_returns_text_overflow_as_a_verdict(tmp_path, mon
     exec(example, scope)
     assert [(p.sample_id, p.verdict, p.reason) for p in scope["plans"]] == [
         ("a", "planned", None), ("b", "discarded", "text_overflow")]
-    assert [pk.member_ids for pk in scope["packs"]] == [("a",)]
+    assert scope["packs"] == [(["a"], scope["plans"][0].total_tokens)]

@@ -317,13 +317,13 @@ def test_pack_hands_composer_only_ids_and_token_counts(capsys, tmp_path, monkeyp
     monkeypatch.setattr(composer, "pack", spy)
     code, _, _ = run_cli(capsys, ["pack", "--l-max", "65536", "-i", str(plans), "-o", str(out)])
     assert code == 0
-    assert sorted(p.sample_id for p in handed) == [f"s{k}" for k in range(8)]
-    assert all(p.frame_timestamps == () and p.image_grids == () and p.temporal_counts == () for p in handed)
-    expected = real_pack([p for p in full if p.planned], 65536)
+    sizes = [(p.sample_id, p.total_tokens) for p in full if p.planned]
+    assert handed == sizes and len(sizes) == 8
+    expected = real_pack(sizes, 65536)
     assert len(expected) > 1
     assert out.read_text() == "".join(
-        json.dumps({"pack_id": pk.pack_id, "member_ids": list(pk.member_ids), "total_tokens": pk.total_tokens}) + "\n"
-        for pk in expected)
+        json.dumps({"pack_id": i, "member_ids": ids, "total_tokens": total}) + "\n"
+        for i, (ids, total) in enumerate(expected))
 
 
 def test_pack_memory_does_not_grow_with_timestamps(capsys, tmp_path):
@@ -794,6 +794,31 @@ def _curate_dirs(tmp_path, ref_tracks, cand_tracks):
     return ["curate", "--reference", str(tmp_path / "ref"), "--candidates", str(tmp_path / "cand")]
 
 
+def test_curate_lines_are_json_dumps_bytes(capsys, tmp_path):
+    # Every pooled clip is a multiple of a 3-4-5 vector or an axis, so each similarity is exactly 0.0, 0.6, 0.8 or 1.0.
+    e = np.eye(4)
+    a, b, c = [3.0, 0.0, 4.0, 0.0], [0.0, 4.0, 3.0, 0.0], [4.0, 3.0, 0.0, 0.0]
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "cand").mkdir()
+    write_feature_file(tmp_path / "ref" / "r.feat", "ref", np.repeat([e[0], e[1]], 10, axis=0))
+    tracks = {"say \"hi\"": [e[0], b], "caf\u00e9": [a, e[2]], "tail": None, "mixed": [c, e[3]]}
+    for k, (video_id, clips) in enumerate(tracks.items()):
+        track = np.repeat(clips, 10, axis=0) if clips else np.repeat([a], 5, axis=0)  # "tail": one 5 s clip
+        write_feature_file(tmp_path / "cand" / f"c{k}.feat", video_id, track)
+    out = tmp_path / "out.jsonl"
+    code, _, err = run_cli(capsys, ["curate", "--tau", "0.7", "--reference", str(tmp_path / "ref"),
+                                    "--candidates", str(tmp_path / "cand"), "-o", str(out)])
+    assert code == 0
+    expected = [
+        {"video_id": "caf\u00e9", "per_clip_smax": [0.6, 0.0], "novel_clips": [0, 1], "selected": True},
+        {"video_id": "mixed", "per_clip_smax": [0.8, 0.0], "novel_clips": [1], "selected": True},
+        {"video_id": "say \"hi\"", "per_clip_smax": [1.0, 0.8], "novel_clips": [], "selected": False},
+        {"video_id": "tail", "per_clip_smax": [0.6], "novel_clips": [0], "selected": True},
+    ]
+    assert out.read_bytes() == "".join(json.dumps(rec) + "\n" for rec in expected).encode("ascii")
+    assert err.endswith("\n3/4 candidate videos selected at tau=0.7\n")
+
+
 def test_curate_duplicate_candidate_id_wins_over_a_bad_body(capsys, tmp_path, monkeypatch):
     bad = np.ones((20, 4))
     bad[3, 1] = np.nan
@@ -1117,6 +1142,7 @@ def test_env_value_is_checked_like_a_flag(capsys, small_manifest, monkeypatch):
 
 
 _NOT_A_STRING_OR_NUMBER = "config file {cfg}: 'plan' option 'l_max' must be a JSON string or number"
+_NUL_OR_SURROGATE = "config file {cfg}: '%s' option '%s' holds a NUL or an unpaired surrogate"
 
 
 # Every key of the file is checked whatever the command; only the invoked
@@ -1133,8 +1159,17 @@ _NOT_A_STRING_OR_NUMBER = "config file {cfg}: 'plan' option 'l_max' must be a JS
     ('{"plan": {"l_max": 8192.7}}', ["plan", "-i", "{missing}"], "argument --l-max: '8192.7' is not an integer"),
     ('{"plan": {"l_max": 0}}', ["plan", "--l-max", "8192", "-i", "{missing}"],
      "argument --l-max: '0' is not an integer"),
+    ('{"plan": {"output_path": "out\\ud800.jsonl"}}', ["plan", "-i", "{missing}"],
+     _NUL_OR_SURROGATE % ("plan", "output_path")),
+    ('{"plan": {"output-path": "a\\u0000b"}}', ["plan", "-i", "{missing}"],
+     _NUL_OR_SURROGATE % ("plan", "output-path")),
+    ('{"curate": {"reference_dir": "ref\\udc80"}}', ["curate", "--candidates", "{missing}"],
+     _NUL_OR_SURROGATE % ("curate", "reference_dir")),
+    ('{"curate": {"reference_dir": "a\\u0000b"}}', ["curate", "--candidates", "{missing}"],
+     _NUL_OR_SURROGATE % ("curate", "reference_dir")),
 ], ids=["not-json", "command-not-object", "unknown-option", "unknown-command",
-        "l_max-true", "l_max-null", "l_max-list", "plan-l_max-fraction", "plan-l_max-0-under-a-flag"])
+        "l_max-true", "l_max-null", "l_max-list", "plan-l_max-fraction", "plan-l_max-0-under-a-flag",
+        "plan-output-surrogate", "plan-output-nul", "curate-reference-surrogate", "curate-reference-nul"])
 def test_bad_config_file_exit_1(capsys, tmp_path, content, argv, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content, encoding="utf-8")

@@ -1,19 +1,11 @@
+import json
 import random
 
 import pytest
 
-from mmprep.budget import PLANNED, SamplingPlan
+from mmprep import cli
+from mmprep.composer import pack, progressive_stages
 from mmprep.jsonl import InputError
-from mmprep.composer import (
-    balance_report,
-    pack,
-    progressive_stages,
-    stage_to_obj,
-)
-
-
-def mkplan(sid, tokens):
-    return SamplingPlan(sample_id=sid, verdict=PLANNED, total_tokens=tokens)
 
 
 def optimal_bin_count(sizes, capacity):
@@ -43,31 +35,23 @@ def optimal_bin_count(sizes, capacity):
 
 
 def test_worked_example_two_balanced_packs():
-    plans = [mkplan(f"p{i}", t) for i, t in enumerate([30000, 20000, 12000, 2000])]
-    packs = pack(plans, 32768)
-    assert sorted(p.total_tokens for p in packs) == [32000, 32000]
-    by_member = {tuple(sorted(p.member_ids)) for p in packs}
-    assert by_member == {("p0", "p3"), ("p1", "p2")}
+    packs = pack([(f"p{i}", t) for i, t in enumerate([30000, 20000, 12000, 2000])], 32768)
+    assert packs == [(["p0", "p3"], 32000), (["p1", "p2"], 32000)]
 
 
 def test_single_item_single_pack():
-    packs = pack([mkplan("only", 100)], 32768)
-    assert len(packs) == 1
-    assert packs[0].member_ids == ("only",)
-    assert packs[0].total_tokens == 100
+    assert pack([("only", 100)], 32768) == [(["only"], 100)]
 
 
 def test_oversized_item_rejected_by_id():
     with pytest.raises(InputError) as exc:
-        pack([mkplan("big", 40000)], 32768)
-    assert "big" in str(exc.value)
+        pack([("small", 10), ("big", 40000)], 32768)
+    assert str(exc.value) == "plan 'big' has 40000 tokens, exceeding pack capacity 32768"
     assert (exc.value.line, exc.value.field) == (None, "total_tokens")
 
 
-def test_discarded_plan_rejected():
-    bad = SamplingPlan(sample_id="d", verdict="discarded", reason="insufficient_budget")
-    with pytest.raises(ValueError):
-        pack([bad], 32768)
+def test_item_of_exactly_l_max_fills_one_pack():
+    assert pack([("a", 1), ("full", 1024), ("b", 1023)], 1024) == [(["full"], 1024), (["b", "a"], 1024)]
 
 
 def test_empty_input():
@@ -79,20 +63,19 @@ def test_partition_and_capacity_randomized():
     for _ in range(100):
         n = rng.randint(1, 200)
         cap = 32768
-        plans = [mkplan(f"s{i}", rng.randint(1, cap)) for i in range(n)]
-        packs = pack(plans, cap)
-        seen = [m for p in packs for m in p.member_ids]
-        assert sorted(seen) == sorted(p.sample_id for p in plans)  # exactly once each
-        assert all(p.total_tokens <= cap for p in packs)
-        by_id = {p.sample_id: p.total_tokens for p in plans}
-        for pk in packs:
-            assert pk.total_tokens == sum(by_id[m] for m in pk.member_ids)
+        sizes = [(f"s{i}", rng.randint(1, cap)) for i in range(n)]
+        packs = pack(sizes, cap)
+        seen = [m for ids, _ in packs for m in ids]
+        assert sorted(seen) == sorted(sid for sid, _ in sizes)  # exactly once each
+        by_id = dict(sizes)
+        for ids, total in packs:
+            assert total == sum(by_id[m] for m in ids) <= cap
 
 
 def test_deterministic_output():
     rng = random.Random(5)
-    plans = [mkplan(f"s{i}", rng.randint(1, 10000)) for i in range(50)]
-    assert pack(plans, 16384) == pack(list(reversed(plans)), 16384)
+    sizes = [(f"s{i}", rng.randint(1, 10000)) for i in range(50)]
+    assert pack(sizes, 16384) == pack(list(reversed(sizes)), 16384)
 
 
 def test_small_instances_near_optimal():
@@ -102,7 +85,7 @@ def test_small_instances_near_optimal():
         n = rng.randint(1, 10)
         cap = 32768
         sizes = [rng.randint(1, cap) for _ in range(n)]
-        packs = pack([mkplan(f"s{i}", t) for i, t in enumerate(sizes)], cap)
+        packs = pack([(f"s{i}", t) for i, t in enumerate(sizes)], cap)
         opt = optimal_bin_count(sizes, cap)
         gap = len(packs) - opt
         worst_gap = max(worst_gap, gap)
@@ -110,31 +93,41 @@ def test_small_instances_near_optimal():
     assert worst_gap >= 0
 
 
-# --- balance report -------------------------------------------------------------
+# --- pack's utilization line ----------------------------------------------------
 
 
-def test_balance_report_worked_example():
-    plans = [mkplan(f"p{i}", t) for i, t in enumerate([30000, 20000, 12000, 2000])]
-    packs = pack(plans, 32768)
-    rep = balance_report(packs, 32768)
-    assert rep.pack_count == 2
-    assert rep.mean_utilization == pytest.approx(32000 / 32768)
-    assert rep.max_utilization - rep.min_utilization == 0  # exact balance here
+def _pack_summary(capsys, tmp_path, records, l_max):
+    """The stderr line pack ends with, for a plan file of these records."""
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code = cli.main(["pack", "--l-max", str(l_max), "-i", str(plans), "-o", str(tmp_path / "packs.jsonl")])
+    assert code == 0
+    return capsys.readouterr().err.splitlines()[-1]
 
 
-def test_balance_report_empty_flagged():
-    rep = balance_report([], 32768)
-    assert rep.pack_count == 0
-    assert not rep.defined
-    assert rep.mean_utilization is None
+def _planned(sid, tokens):
+    return {"id": sid, "verdict": "planned", "tile_cap": None, "n_per_item": [], "timestamps": [],
+            "total_tokens": tokens}
 
 
-def test_balance_report_full_pack():
-    from mmprep.composer import PackedSequence
+_DISCARD = {"id": "d", "verdict": "discarded", "reason": "text_overflow", "tile_cap": None, "n_per_item": [],
+            "grids": [], "timestamps": [], "l_text": 40000, "total_tokens": None}
 
-    rep = balance_report([PackedSequence(0, ("a",), 1024)], 1024)
-    assert rep.mean_utilization == 1.0
-    assert rep.min_utilization == rep.max_utilization == 1.0
+
+def test_pack_summary_worked_example(capsys, tmp_path):
+    records = [_planned(f"p{i}", t) for i, t in enumerate([30000, 20000, 12000, 2000])] + [_DISCARD]
+    assert _pack_summary(capsys, tmp_path, records, 32768) == (
+        "2 packs from 4 plans (1 discarded skipped), utilization mean=0.9766 min=0.9766 max=0.9766")
+
+
+def test_pack_summary_full_pack(capsys, tmp_path):
+    assert _pack_summary(capsys, tmp_path, [_planned("a", 1024)], 1024) == (
+        "1 packs from 1 plans (0 discarded skipped), utilization mean=1.0000 min=1.0000 max=1.0000")
+
+
+def test_pack_summary_empty_plan_file(capsys, tmp_path):
+    assert _pack_summary(capsys, tmp_path, [], 32768) == "no packs produced"
+    assert (tmp_path / "packs.jsonl").read_text() == ""
 
 
 # --- progressive stages ----------------------------------------------------------
@@ -169,6 +162,9 @@ def test_stage_lmax_nondecreasing_and_mix():
         assert s.mix_short_long == (1.0, 1.0)
 
 
-def test_stage_serialization_keys():
-    obj = stage_to_obj(progressive_stages()[0])
-    assert set(obj) == {"name", "l_max", "batch_size", "learning_rate", "trainable_scope", "mix_short_long"}
+def test_stage_serialization_keys(capsys):
+    assert cli.main(["stages"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [list(obj) for obj in doc] == [
+        ["name", "l_max", "batch_size", "learning_rate", "trainable_scope", "mix_short_long"]] * 5
+    assert [obj["mix_short_long"] for obj in doc] == [[1.0, 0.0]] * 2 + [[1.0, 1.0]] * 3

@@ -34,7 +34,8 @@ def candidates(videos):
 def smax_of(index, vectors):
     """Max cosine of each row of vectors against the index, as select_novel reports it."""
     matrix, videos = candidates({"v": list(np.atleast_2d(vectors))})
-    return np.array(select_novel([matrix], videos, index, tau=1.0)[0].per_clip_smax)
+    (record,) = select_novel([matrix], videos, index, tau=1.0)
+    return np.array(record["per_clip_smax"])
 
 
 # --- segmentation ---------------------------------------------------------------
@@ -269,18 +270,16 @@ def test_strict_threshold_boundary():
     # candidate at exactly cos=0.5 to the best reference is NOT novel
     ref = ReferenceIndex(np.array([[1.0, 0.0]]))
     matrix, videos = candidates({"v": [[0.5, np.sqrt(3) / 2], [0.49, np.sqrt(1 - 0.49**2)]]})
-    reports = select_novel([matrix], videos, ref, tau=0.5)
-    assert reports[0].novel_clips == (1,)
-    assert reports[0].selected
+    (record,) = select_novel([matrix], videos, ref, tau=0.5)
+    assert record["novel_clips"] == [1]
+    assert record["selected"] is True
 
 
 def test_video_with_no_novel_clips_not_selected():
     ref = _axis_reference()
     matrix, videos = candidates({"v": [np.eye(4)[0]] * 3})  # smax = 1.0 each
-    reports = select_novel([matrix], videos, ref, tau=0.5)
-    assert reports[0].selected is False
-    assert reports[0].novel_clips == ()
-    assert reports[0].per_clip_smax == pytest.approx((1.0, 1.0, 1.0))
+    (record,) = select_novel([matrix], videos, ref, tau=0.5)
+    assert record == {"video_id": "v", "per_clip_smax": [1.0, 1.0, 1.0], "novel_clips": [], "selected": False}
 
 
 def test_selection_monotone_in_tau():
@@ -291,7 +290,7 @@ def test_selection_monotone_in_tau():
     prev: set = set()
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
         matrix, videos = candidates(clips)
-        selected = {r.video_id for r in select_novel([matrix], videos, ref, tau) if r.selected}
+        selected = {r["video_id"] for r in select_novel([matrix], videos, ref, tau) if r["selected"]}
         assert prev <= selected
         prev = selected
 
@@ -301,11 +300,11 @@ def test_reports_sorted_and_order_independent():
     rng = np.random.default_rng(6)
     clips = {f"v{i}": list(rng.normal(size=(2, 4))) for i in range(5)}
     matrix, videos = candidates(clips)
-    a = select_novel([matrix], videos, ref)
+    a = list(select_novel([matrix], videos, ref))
     matrix, videos = candidates(dict(reversed(clips.items())))
-    b = select_novel([matrix], videos, ref)
+    b = list(select_novel([matrix], videos, ref))
     assert a == b
-    assert [r.video_id for r in a] == sorted(r.video_id for r in a)
+    assert [r["video_id"] for r in a] == sorted(clips)
 
 
 def test_select_novel_normalizes_the_candidate_matrix_in_place():
@@ -322,17 +321,17 @@ def test_batched_select_novel_matches_per_video_scans():
                  for v in rng.permutation(int(rng.integers(1, 12)))}
         tau = float(rng.uniform(0.2, 0.6))
         matrix, videos = candidates(clips)
-        reports = select_novel([matrix], videos, ref, tau)
-        assert [r.video_id for r in reports] == sorted(clips)
-        for r in reports:
-            smax = smax_of(ref, clips[r.video_id])
-            assert np.allclose(r.per_clip_smax, smax, rtol=0, atol=1e-12)
-            assert r.novel_clips == tuple(k for k, s in enumerate(r.per_clip_smax) if s < tau)
-            assert r.selected == bool(r.novel_clips)
+        records = list(select_novel([matrix], videos, ref, tau))
+        assert [r["video_id"] for r in records] == sorted(clips)
+        for r in records:
+            smax = smax_of(ref, clips[r["video_id"]])
+            assert np.allclose(r["per_clip_smax"], smax, rtol=0, atol=1e-12)
+            assert r["novel_clips"] == [k for k, s in enumerate(r["per_clip_smax"]) if s < tau]
+            assert r["selected"] == bool(r["novel_clips"])
 
 
 def test_select_novel_no_candidates():
-    assert select_novel([], [], _axis_reference()) == []
+    assert list(select_novel([], [], _axis_reference())) == []
 
 
 def test_tau_domain_validated():
@@ -558,7 +557,7 @@ def test_block_scan_matches_one_block_scan(tmp_path, monkeypatch, clip_counts):
     matrix, same_videos = read_clip_matrix(tmp_path / "cand")
     assert same_videos == videos
     tau = float(np.median(kernels.smax(curator._unit_rows(matrix.copy()), ref._matrix)))
-    one_block = select_novel([matrix], videos, ref, tau)
+    one_block = list(select_novel([matrix], videos, ref, tau))
 
     rows = sum(clip_counts)
     assert [len(b) for b in clip_blocks(videos, dim)] == [256] * (rows // 256) + ([rows % 256] if rows % 256 else [])
@@ -566,12 +565,14 @@ def test_block_scan_matches_one_block_scan(tmp_path, monkeypatch, clip_counts):
     smax = kernels.smax
     monkeypatch.setattr(kernels, "smax", lambda cand, ref: calls.append(len(cand)) or smax(cand, ref))
     blocked = select_novel(clip_blocks(videos, dim), videos, ref, tau)
-    assert len(calls) == -(-rows // kernels.BLOCK_ROWS)
-    assert [(r.video_id, r.novel_clips, r.selected) for r in blocked] == \
-        [(r.video_id, r.novel_clips, r.selected) for r in one_block]
-    assert any(r.novel_clips for r in blocked) and not all(len(r.novel_clips) == len(r.per_clip_smax) for r in blocked)
+    assert len(calls) == -(-rows // kernels.BLOCK_ROWS)  # the whole scan runs before the first record
+    blocked = list(blocked)
+    assert [(r["video_id"], r["novel_clips"], r["selected"]) for r in blocked] == \
+        [(r["video_id"], r["novel_clips"], r["selected"]) for r in one_block]
+    assert any(r["novel_clips"] for r in blocked)
+    assert not all(len(r["novel_clips"]) == len(r["per_clip_smax"]) for r in blocked)
     for b, o in zip(blocked, one_block):
-        assert np.allclose(b.per_clip_smax, o.per_clip_smax, rtol=0, atol=1e-12)
+        assert np.allclose(b["per_clip_smax"], o["per_clip_smax"], rtol=0, atol=1e-12)
 
 
 def test_clip_blocks_reuse_one_buffer_sized_to_the_rows(tmp_path):
@@ -604,10 +605,34 @@ def test_curate_peak_does_not_grow_with_candidates(tmp_path):
         cand.mkdir()
         for k in range(files):
             write_feature_file(cand / f"c{k:03d}.feat", f"c{k:03d}", rng.normal(size=(100, 64)))
-        reports, peak = _traced_peak(lambda: cli._curate_reports(cand, tmp_path / "ref", 0.5, "mean"))
-        assert len(reports) == files
+        records, peak = _traced_peak(lambda: cli._curate_reports(cand, tmp_path / "ref", 0.5, "mean"))
+        assert sum(1 for _ in records) == files
         peaks.append(peak)
     block_bytes = kernels.BLOCK_ROWS * 64 * 8
     scores_bytes = 128 * 10 * 8
     # Holding the candidate matrix would grow the peak by 960 rows, 480 KiB.
     assert peaks[1] - peaks[0] < block_bytes + scores_bytes
+
+
+def test_curate_command_peak_grows_by_the_scores_alone(tmp_path):
+    # Long tracks at a small dim, 400 clips (3.2 KiB of scores) a file: records held until the end would take
+    # about 30 B per clip more than the scores, so 24 more files would grow the peak by well over 250 KiB. Each
+    # file also costs its layout entry, about 0.5 KiB, which the one-block term covers for 24 files.
+    rng = np.random.default_rng(21)
+    _write_tracks(tmp_path / "ref", [6] * 4, 8, rng)
+    peaks = []
+    for files in (8, 32):
+        cand = tmp_path / f"cand{files}"
+        cand.mkdir()
+        for k in range(files):
+            write_feature_file(cand / f"c{k:03d}.feat", f"c{k:03d}", rng.normal(size=(4000, 8)))
+        out = tmp_path / f"out{files}.jsonl"
+        code, peak = _traced_peak(lambda: cli.main(["curate", "--reference", str(tmp_path / "ref"),
+                                                    "--candidates", str(cand), "-o", str(out)]))
+        assert code == 0
+        assert len(out.read_text().splitlines()) == files
+        peaks.append(peak)
+    block_bytes = kernels.BLOCK_ROWS * 8 * 8
+    added_scores_bytes = 24 * 400 * 8
+    report_bytes = 400 * (24 + 8 + 8 + 25)  # per clip: a float and its list slot, an index's slot, the line's text
+    assert peaks[1] - peaks[0] < block_bytes + added_scores_bytes + report_bytes
