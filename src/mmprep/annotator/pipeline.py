@@ -34,11 +34,7 @@ from .captions import (
     check_chapters,
     parse_caption_response,
 )
-from .prompts import (
-    render_caption_retry_prompt,
-    render_clip_qa_prompt,
-    render_video_qa_prompt,
-)
+from .prompts import render_caption_prompt, render_clip_qa_prompt, render_video_qa_prompt
 from .qa import ClipQA, anchor, parse_qa_response
 from .question_types import QUESTION_TYPES, sample_question_types
 
@@ -162,12 +158,16 @@ class HttpClient:
         try:
             obj = json.loads(body.decode("utf-8"))
             usage = obj.get("usage", {})
+            text = obj["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"'text' is {type(text).__name__}, not a string")
             return LlmResponse(
-                text=obj["text"],
+                text=text,
                 prompt_tokens=int(usage.get("prompt_tokens", 0)),
                 completion_tokens=int(usage.get("completion_tokens", 0)),
             )
-        except (KeyError, ValueError, UnicodeDecodeError) as exc:
+        # Also a body or "usage" that is not an object (AttributeError), a count that is null (TypeError) or inf.
+        except (KeyError, ValueError, UnicodeDecodeError, AttributeError, TypeError, OverflowError) as exc:
             raise LlmError(f"endpoint returned malformed payload: {exc}") from exc
 
 
@@ -288,7 +288,7 @@ class _JobRun:
         raise _StageFailure(stage, f"retries exhausted: {last_reason}")
 
     def caption(self, title: str, frames: tuple[float, ...], banned_terms: tuple[str, ...] = ()) -> CaptionPair:
-        prompt = render_caption_retry_prompt(title, banned_terms)
+        prompt = render_caption_prompt(title, banned_terms)
         return self.call("caption", prompt, frames, parse_caption_response)
 
     def story(self) -> dict:

@@ -30,20 +30,17 @@ def render_type_pool(types: Sequence[QuestionType]) -> str:
     return "\n".join(f"{t.name}: {t.description}" for t in types)
 
 
-def render_caption_prompt(title: str) -> str:
-    """Captioning request for one titled segment: brief plus detailed captions."""
-    return CAPTION_TEMPLATE.replace("{title}", title)
+def render_caption_prompt(title: str, banned_terms: Sequence[str] = ()) -> str:
+    """Captioning request for one titled segment: brief plus detailed captions.
 
-
-def render_caption_retry_prompt(title: str, banned_terms: Sequence[str]) -> str:
-    """Caption re-request after an anchor leak, flagging the leaked answers."""
-    terms = ", ".join(f'"{t}"' for t in banned_terms)
-    if not terms:
-        return render_caption_prompt(title)
-    return (
-        render_caption_prompt(title)
-        + f"\n\nAdditional requirement: the brief caption must not mention {terms}."
-    )
+    A caption re-requested after an anchor leak names the leaked answers as
+    banned_terms, which the brief caption must not mention.
+    """
+    prompt = CAPTION_TEMPLATE.replace("{title}", title)
+    if banned_terms:
+        terms = ", ".join(f'"{t}"' for t in banned_terms)
+        prompt += f"\n\nAdditional requirement: the brief caption must not mention {terms}."
+    return prompt
 
 
 def render_clip_qa_prompt(caption: str, brief: str, types: Sequence[QuestionType]) -> str:

@@ -174,25 +174,12 @@ def tile_cmd(input_path, output_path, tile_cap):
                     fout.write(head + _TILE_TAILS[grids_of(item.dims)[tile_cap - 1]])
 
 
-def _curate_reports(candidates_dir, reference_dir, tau, pool):
-    from . import curator
-
-    ref_matrix, ref_videos = curator.read_clip_matrix(reference_dir, pool)
-    reference = curator.ReferenceIndex.from_clips(ref_matrix)  # normalizes ref_matrix in place, no copy
-    # Every candidate header is checked before any candidate body is read.
-    cand_videos, dim = curator.clip_layout(candidates_dir, dim_of=(ref_videos[0].path, reference.dim))
-    first_path = {}
-    for v in cand_videos:
-        if v.video_id in first_path:
-            raise ValueError(f"duplicate candidate video_id {v.video_id!r} in {first_path[v.video_id]} and {v.path}")
-        first_path[v.video_id] = v.path
-    return curator.select_novel(curator.clip_blocks(cand_videos, dim, pool), cand_videos, reference, tau)
-
-
 def curate_cmd(output_path, reference_dir, candidates_dir, tau, pool, jobs):
     """Select novel candidate videos by max clip similarity against a reference set."""
+    from . import curator
+
     try:
-        records = _curate_reports(candidates_dir, reference_dir, tau, pool)
+        records = curator.curate(reference_dir, candidates_dir, tau, pool)
     except ValueError as exc:  # curator rejects a bad feature file with a ValueError naming it
         raise InputError(str(exc)) from exc
     selected = total = 0

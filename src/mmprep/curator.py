@@ -1,24 +1,27 @@
 """Novelty-driven video selection against an existing clip collection.
 
 Candidate videos arrive as per-second embedding vectors. Each video is cut
-into fixed-length clips, every clip's vectors are pooled into one feature,
-and the clip's maximum cosine similarity against the whole reference
-collection decides novelty: strictly below the threshold means novel, and a
-video is selected when at least one of its clips is novel.
+into CLIP_SECONDS-long clips, the last one possibly shorter (clip_count),
+every clip's vectors are pooled into one feature, and the clip's maximum
+cosine similarity against the whole reference collection decides novelty:
+strictly below the threshold means novel, and a video is selected when at
+least one of its clips is novel.
 
-Both sides of curation, reference and candidates, are laid out from the
-header line of every feature file (clip_layout): the clip counts give every
-video's rows before any track is read. clip_blocks then reads one track at a
-time, pools it into its clip rows, copies them into one reused block and
-drops the track. The reference side is one block of all its rows, a float64
-matrix built once at its final size (read_clip_matrix). The candidate side is
-never held whole: select_novel normalizes and scores each block of
-kernels.BLOCK_ROWS rows as it is read and keeps one float64 score per clip.
-At the peak, during the scan, curation holds the reference matrix, one
-candidate block, the scan's one similarity tile (kernels.TILE_VALUES float64
-values, 2 MiB) and the score vector. After the scan, each video's output
-record is built from its slice of the score vector only as it is written, so
-the 8-byte score is all that curation keeps of a candidate clip.
+curate is the one place a run is put together. Both sides, reference and
+candidates, are laid out from the header line of every feature file
+(clip_layout): the clip counts give every video's rows before any track is
+read. clip_blocks then reads one track at a time, pools it into its clip
+rows, copies them into one reused block and drops the track. The reference
+side is read first, as one block of all its rows, a float64 matrix built once
+at its final size (read_clip_matrix). Every candidate header is checked
+before any candidate body. The candidate side is never held whole:
+select_novel normalizes and scores each block of kernels.BLOCK_ROWS rows as
+it is read and keeps one float64 score per clip. At the peak, during the
+scan, curation holds the reference matrix, one candidate block, the scan's
+one similarity tile (kernels.TILE_VALUES float64 values, 2 MiB) and the score
+vector. After the scan, each video's output record is built from its slice
+of the score vector only as it is written, so the 8-byte score is all that
+curation keeps of a candidate clip.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import numpy as np
 from . import kernels
 
 CLIP_SECONDS = 10  # tracks are 1 fps, so a clip is this many vectors
-MIN_TAIL_S = 1.0
 DEFAULT_TAU = 0.5
 # float64 values normalized at a time: np.linalg.norm's two temporaries then
 # take 512 KiB each, whatever the matrix size.
@@ -49,16 +51,9 @@ class VideoRows(NamedTuple):
     clip_count: int
 
 
-def segment_clips(duration_s: float) -> list[tuple[float, float]]:
-    """Consecutive CLIP_SECONDS-long spans; a partial tail survives only if >= 1 s long."""
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    n_full = int(duration_s // CLIP_SECONDS)
-    spans = [(float(k * CLIP_SECONDS), float((k + 1) * CLIP_SECONDS)) for k in range(n_full)]
-    tail_start = float(n_full * CLIP_SECONDS)
-    if duration_s - tail_start >= MIN_TAIL_S:
-        spans.append((tail_start, duration_s))
-    return spans
+def clip_count(seconds: int) -> int:
+    """Clips of a 1-fps track of this many seconds: every full CLIP_SECONDS and any shorter tail."""
+    return -(-seconds // CLIP_SECONDS)
 
 
 def pool_clip(vectors: Sequence[np.ndarray] | np.ndarray, mode: str = "mean") -> np.ndarray:
@@ -68,8 +63,6 @@ def pool_clip(vectors: Sequence[np.ndarray] | np.ndarray, mode: str = "mean") ->
     every clip at once; the input is never copied to float64 first.
     """
     arr = np.asarray(vectors)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.shape[-2] == 0:
         raise ValueError("cannot pool an empty clip")
     if mode == "mean":
@@ -77,16 +70,6 @@ def pool_clip(vectors: Sequence[np.ndarray] | np.ndarray, mode: str = "mean") ->
     if mode == "max":
         return arr.max(axis=-2).astype(np.float64)
     raise ValueError(f"unknown pooling mode {mode!r}")
-
-
-def _row_norms(m: np.ndarray) -> np.ndarray:
-    """L2 norm of every row of a 2-D matrix, after checking it is finite and has no zero row."""
-    if not np.isfinite(m).all():
-        raise ValueError("non-finite value in feature matrix")
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero vector in feature matrix")
-    return norms
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
@@ -101,7 +84,12 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
     step = max(1, NORM_BLOCK_VALUES // max(1, m.shape[1]))
     for i0 in range(0, m.shape[0], step):
         block = m[i0 : i0 + step]
-        block /= _row_norms(block)[:, None]
+        if not np.isfinite(block).all():
+            raise ValueError("non-finite value in feature matrix")
+        norms = np.linalg.norm(block, axis=1)
+        if np.any(norms == 0.0):
+            raise ValueError("zero vector in feature matrix")
+        block /= norms[:, None]
     return m
 
 
@@ -135,9 +123,10 @@ def clips_from_seconds(
 ) -> np.ndarray:
     """Cut a 1-fps feature track into clips and pool each into one float64 row.
 
-    Returns a (clips, dim) matrix whose row k is clip k of segment_clips. Full
-    clips are pooled together through one (clips, seconds, dim) view of the
-    track; the tail clip, if any, is pooled on its own.
+    Returns a (clip_count(seconds), dim) matrix whose row k pools seconds
+    CLIP_SECONDS*k onwards. Full clips are pooled together through one
+    (clips, seconds, dim) view of the track; the shorter tail clip, if any, is
+    pooled on its own.
     """
     track = np.asarray(per_second_vectors)
     if track.ndim != 2 or track.shape[0] == 0:
@@ -145,7 +134,7 @@ def clips_from_seconds(
     n_full = track.shape[0] // CLIP_SECONDS
     full = n_full * CLIP_SECONDS
     clips = pool_clip(track[:full].reshape(n_full, CLIP_SECONDS, track.shape[1]), pool)
-    if len(segment_clips(track.shape[0])) > n_full:  # 1 vector per second
+    if full < len(track):
         clips = np.vstack([clips, pool_clip(track[full:], pool)])
     return clips
 
@@ -160,9 +149,11 @@ def select_novel(
 
     A clip is novel iff its max similarity < tau. blocks yields the candidate
     clip rows in row order as float64 matrices (clip_blocks, or a list of one
-    matrix), and each VideoRows names one video's rows. Each block is taken
-    over: its rows are normalized in place and scored by kernels.smax before
-    the next block is asked for, so only one float64 score per clip is kept.
+    matrix), and each VideoRows names one video's rows. The videos are sorted
+    by video_id before the first block is asked for, and two with one id are a
+    ValueError naming both paths. Each block is taken over: its rows are
+    normalized in place and scored by kernels.smax before the next block is
+    asked for, so only one float64 score per clip is kept.
     The whole scan runs before this returns. The iterator then builds each
     video's output record, {"video_id", "per_clip_smax", "novel_clips",
     "selected"}, from its slice of the scores only when asked for it, in
@@ -170,6 +161,10 @@ def select_novel(
     """
     if not -1 < tau <= 1:
         raise ValueError("tau must be in (-1, 1]")
+    order = sorted(videos, key=lambda v: v.video_id)
+    for a, b in zip(order, order[1:]):
+        if a.video_id == b.video_id:
+            raise ValueError(f"duplicate candidate video_id {a.video_id!r} in {a.path} and {b.path}")
     smax = np.empty(sum(v.clip_count for v in videos))
     row = 0
     for block in blocks:
@@ -181,7 +176,7 @@ def select_novel(
         raise ValueError(f"candidate blocks hold {row} rows, the videos {len(smax)}")
 
     def records():
-        for v in sorted(videos, key=lambda v: v.video_id):
+        for v in order:
             scores = smax[v.first_row : v.first_row + v.clip_count]
             novel = np.flatnonzero(scores < tau).tolist()
             yield {"video_id": v.video_id, "per_clip_smax": scores.tolist(), "novel_clips": novel,
@@ -241,10 +236,11 @@ class FeatureHeader(NamedTuple):
 def _read_header(fh, path: str | Path) -> FeatureHeader:
     """Read and check the header line of a feature file open for reading in binary.
 
-    video_id must be a non-empty str, and dim and count non-bool ints >= 1. The
-    body that follows must be able to hold count*dim values: exactly that many
-    float32 bytes when binary, and at least one byte per value and per
-    separator when text. Every failure is a ValueError naming the file.
+    video_id must be a non-empty str, dim and count non-bool ints >= 1, and
+    fps, when present, the int 1. The body that follows must be able to hold
+    count*dim values: exactly that many float32 bytes when binary, and at least
+    one byte per value and per separator when text. Every failure is a
+    ValueError naming the file.
     """
     try:
         header = json.loads(fh.readline().decode("utf-8"))
@@ -261,8 +257,9 @@ def _read_header(fh, path: str | Path) -> FeatureHeader:
     for key, value in (("dim", dim), ("count", count)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{path}: feature header {key!r} must be an integer >= 1, not {value!r}")
-    if header.get("fps", 1) != 1:
-        raise ValueError(f"{path}: unsupported feature fps {header.get('fps')!r} (expected 1)")
+    fps = header.get("fps", 1)
+    if type(fps) is not int or fps != 1:  # the JSON integer 1: not true, not 1.0
+        raise ValueError(f"{path}: unsupported feature fps {fps!r} (expected 1)")
     declared = header.get("encoding")
     if declared is not None and declared not in ENCODINGS:
         raise ValueError(f"{path}: unknown feature encoding {declared!r} (expected one of {ENCODINGS})")
@@ -274,12 +271,6 @@ def _read_header(fh, path: str | Path) -> FeatureHeader:
     if not binary and size < 2 * n - 1:
         raise ValueError(f"{path}: text body of {size} bytes cannot hold the {n} values the header promises")
     return FeatureHeader(video_id, dim, count, declared, binary)
-
-
-def read_feature_header(path: str | Path) -> FeatureHeader:
-    """Check a feature file's header line without reading its body."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
 
 
 def read_feature_file(path: str | Path) -> tuple[str, np.ndarray]:
@@ -331,14 +322,17 @@ def clip_layout(
     of the first file. Returns one VideoRows per file, in file order, and the
     dim.
     """
-    headers = [(path, read_feature_header(path)) for path in feature_paths(directory)]
+    headers = []
+    for path in feature_paths(directory):
+        with open(path, "rb") as fh:
+            headers.append((path, _read_header(fh, path)))
     like, dim = dim_of or (headers[0][0], headers[0][1].dim)
     videos = []
     row = 0
     for path, header in headers:
         if header.dim != dim:
             raise ValueError(f"{path}: dim {header.dim} does not match dim {dim} of {like}")
-        count = len(segment_clips(header.count))
+        count = clip_count(header.count)
         videos.append(VideoRows(path, header.video_id, row, count))
         row += count
     return videos, dim
@@ -347,7 +341,7 @@ def clip_layout(
 def _pooled_clips(video: VideoRows, dim: int, pool: str) -> np.ndarray:
     """Read one video's track, check it still fits its layout, and pool it into its clip rows."""
     video_id, track = read_feature_file(video.path)
-    if (video_id, track.shape[1], len(segment_clips(track.shape[0]))) != (video.video_id, dim, video.clip_count):
+    if (video_id, track.shape[1], clip_count(len(track))) != (video.video_id, dim, video.clip_count):
         raise ValueError(f"{video.path}: header changed while reading: now {video_id!r}, count {track.shape[0]}, "
                          f"dim {track.shape[1]}; before, {video.video_id!r} with {video.clip_count} clips of dim {dim}")
     return clips_from_seconds(video_id, track, pool)
@@ -383,17 +377,32 @@ def clip_blocks(
         yield buf[:fill]
 
 
-def read_clip_matrix(
-    directory: str | Path,
-    pool: str = "mean",
-    dim_of: tuple[Path | str, int] | None = None,
-) -> tuple[np.ndarray, list[VideoRows]]:
+def read_clip_matrix(directory: str | Path, pool: str = "mean") -> tuple[np.ndarray, list[VideoRows]]:
     """Pool every feature file of a directory into one float64 matrix, one row per clip.
 
     clip_layout checks every header and sizes the matrix, and clip_blocks
     fills it as one block. Returns the matrix and one VideoRows per file, in
     file order.
     """
-    videos, dim = clip_layout(directory, dim_of)
+    videos, dim = clip_layout(directory)
     (matrix,) = clip_blocks(videos, dim, pool, sum(v.clip_count for v in videos))
     return matrix, videos
+
+
+def curate(
+    reference_dir: str | Path,
+    candidates_dir: str | Path,
+    tau: float = DEFAULT_TAU,
+    pool: str = "mean",
+) -> Iterator[dict]:
+    """Score the candidate videos of a directory against the reference videos of another.
+
+    Reads the whole reference side first, then checks every candidate header
+    and its dim, and only then scans the candidate bodies, one block at a
+    time. Returns select_novel's records; any bad feature file is a ValueError
+    naming it.
+    """
+    ref_matrix, ref_videos = read_clip_matrix(reference_dir, pool)
+    reference = ReferenceIndex.from_clips(ref_matrix)  # normalizes ref_matrix in place, no copy
+    videos, dim = clip_layout(candidates_dir, dim_of=(ref_videos[0].path, reference.dim))
+    return select_novel(clip_blocks(videos, dim, pool), videos, reference, tau)

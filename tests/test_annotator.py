@@ -15,7 +15,6 @@ from mmprep.annotator.captions import (
 )
 from mmprep.annotator.prompts import (
     render_caption_prompt,
-    render_caption_retry_prompt,
     render_clip_qa_prompt,
     render_type_pool,
     render_video_qa_prompt,
@@ -129,9 +128,9 @@ def test_type_pool_renders_name_description_lines():
 
 def test_retry_prompt_appends_banned_terms():
     base = render_caption_prompt("T")
-    retry = render_caption_retry_prompt("T", ["red", "dog"])
-    assert retry.startswith(base)
-    assert '"red"' in retry and '"dog"' in retry
+    retry = render_caption_prompt("T", ["red", "dog"])
+    assert retry == base + '\n\nAdditional requirement: the brief caption must not mention "red", "dog".'
+    assert render_caption_prompt("T", ()) == base
 
 
 # --- caption parsing ------------------------------------------------------------------

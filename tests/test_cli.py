@@ -843,6 +843,8 @@ def test_curate_duplicate_candidate_id_wins_over_a_bad_body(capsys, tmp_path, mo
     ("video_id", '["x"]', "feature header 'video_id' must be a non-empty string, not ['x']"),
     ("video_id", '""', "feature header 'video_id' must be a non-empty string, not ''"),
     ("count", "1000000000000", "text body of 320 bytes cannot hold the 4000000000000 values"),
+    ("fps", "true", "unsupported feature fps True (expected 1)"),
+    ("fps", "1.0", "unsupported feature fps 1.0 (expected 1)"),
 ])
 def test_curate_bad_feature_header_exit_1(capsys, tmp_path, side, field, value, message):
     argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4))])

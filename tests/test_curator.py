@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from mmprep.curator import (
     pool_clip,
     read_clip_matrix,
     read_feature_file,
-    read_feature_header,
-    segment_clips,
     select_novel,
     write_feature_file,
 )
@@ -41,34 +40,15 @@ def smax_of(index, vectors):
 # --- segmentation ---------------------------------------------------------------
 
 
-def test_segment_exact_division():
-    spans = segment_clips(30)
-    assert spans == [(0.0, 10.0), (10.0, 20.0), (20.0, 30.0)]
-    assert all(type(t) is float for span in spans for t in span)
-
-
-def test_segment_keeps_long_tail():
-    spans = segment_clips(35)
-    assert len(spans) == 4
-    assert spans[-1] == (30.0, 35)
-
-
-def test_segment_drops_sub_second_tail():
-    assert len(segment_clips(30.5)) == 3
-
-
-def test_segment_one_second_tail_kept():
-    assert segment_clips(31.0)[-1] == (30.0, 31.0)
-
-
-def test_segment_short_video():
-    assert segment_clips(4.0) == [(0.0, 4.0)]
-    assert segment_clips(0.5) == []
-
-
-def test_segment_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        segment_clips(0)
+def test_clip_count_is_the_full_clips_and_any_tail():
+    # The span rule: consecutive 10 s spans, then whatever is left when it is at least 1 s long.
+    for seconds in range(1, 1001):
+        spans = [(start, start + 10) for start in range(0, seconds - 9, 10)]
+        tail_start = 10 * len(spans)
+        if seconds - tail_start >= 1:
+            spans.append((tail_start, seconds))
+        assert curator.clip_count(seconds) == len(spans), seconds
+        assert len(clips_from_seconds("v", np.ones((seconds, 1)))) == len(spans), seconds
 
 
 # --- pooling --------------------------------------------------------------------
@@ -143,9 +123,9 @@ def test_blocked_numpy_equals_unblocked():
     ref = rng.normal(size=(131, 8))
     cn = cand / np.linalg.norm(cand, axis=1)[:, None]
     rn = ref / np.linalg.norm(ref, axis=1)[:, None]
-    a = kernels.smax(cn, rn, block=16)
-    b = kernels.smax(cn, rn, block=10**6)
-    assert np.array_equal(a, b)
+    whole = kernels.smax(cn, rn)
+    sliced = np.concatenate([kernels.smax(cn[i : i + 16], rn) for i in range(0, len(cn), 16)])
+    assert np.array_equal(whole, sliced)
 
 
 def _unit_rows(rng, rows, dim):
@@ -169,15 +149,16 @@ def test_smax_working_memory_is_one_tile():
     cand, ref = _unit_rows(rng, 3000, 64), _unit_rows(rng, 20000, 64)
     out, peak = _traced_peak(lambda: kernels.smax(cand, ref))
     assert peak <= kernels.TILE_VALUES * 8 + out.nbytes + 64 * 1024  # the 2 MiB tile, the output, small buffers
-    # One candidate block against 87-row reference blocks gives the same maxima.
-    assert np.allclose(out, kernels.smax(cand, ref, block=10**6), rtol=0, atol=1e-12)
+    # Calls on 7-row slices, each against the whole reference in one tile, give the same maxima.
+    sliced = np.concatenate([kernels.smax(cand[i : i + 7], ref) for i in range(0, len(cand), 7)])
+    assert np.allclose(out, sliced, rtol=0, atol=1e-12)
 
 
-def test_smax_huge_block_keeps_tall_reference_blocks():
-    # The reference block is sized from min(block, rows), not from block itself.
+def test_smax_few_rows_keep_tall_reference_blocks():
+    # The reference block is sized from min(BLOCK_ROWS, rows), not from BLOCK_ROWS itself.
     rng = np.random.default_rng(9)
     cand, ref = _unit_rows(rng, 5, 4), _unit_rows(rng, 3000, 4)
-    out, peak = _traced_peak(lambda: kernels.smax(cand, ref, block=10**9))
+    out, peak = _traced_peak(lambda: kernels.smax(cand, ref))
     assert 5 * 3000 * 8 <= peak <= 5 * 3000 * 8 + 4096  # one 5 x 3000 tile
     assert np.allclose(out, [np.max(ref @ c) for c in cand], rtol=0, atol=1e-12)
 
@@ -330,6 +311,20 @@ def test_batched_select_novel_matches_per_video_scans():
             assert r["selected"] == bool(r["novel_clips"])
 
 
+def test_select_novel_rejects_duplicate_ids_before_reading_a_block():
+    matrix, videos = candidates({"b": [np.ones(4)], "a": [np.ones(4)], "c": [np.ones(4)]})
+    videos.append(VideoRows("b2.feat", "b", 3, 1))
+    taken = []
+
+    def blocks():
+        taken.append(1)
+        yield np.vstack([matrix, np.ones(4)])
+
+    with pytest.raises(ValueError, match=r"^duplicate candidate video_id 'b' in b.feat and b2.feat$"):
+        select_novel(blocks(), videos, _axis_reference())
+    assert taken == []
+
+
 def test_select_novel_no_candidates():
     assert list(select_novel([], [], _axis_reference())) == []
 
@@ -362,12 +357,12 @@ def test_vectorized_pooling_matches_per_clip_loop(pool, seconds, dtype):
     rng = np.random.default_rng(seconds)
     track = (rng.normal(size=(seconds, 9)) * 100).astype(dtype)
     clips = clips_from_seconds("vid", track, pool=pool)
-    spans = segment_clips(float(seconds))
+    spans = [(start, min(start + 10, seconds)) for start in range(0, seconds, 10)]
     assert clips.dtype == np.float64 and clips.shape == (len(spans), 9)
     for row, (start, end) in zip(clips, spans):
-        per_clip = pool_clip(track[int(start) : int(end)], pool)
+        per_clip = pool_clip(track[start:end], pool)
         # Reference: widen the clip to float64, then reduce.
-        widened = track[int(start) : int(end)].astype(np.float64)
+        widened = track[start:end].astype(np.float64)
         reference = widened.mean(axis=0) if pool == "mean" else widened.max(axis=0)
         assert row.tobytes() == per_clip.tobytes() == reference.tobytes()
 
@@ -490,10 +485,10 @@ def test_load_feature_dir_sorted(tmp_path):
     ("dim", None), ("dim", 4.7), ("dim", "4"), ("dim", True), ("dim", 0),
     ("count", 1e999), ("count", -3), ("count", False), ("count", 3.0),
 ])
-def test_feature_header_fields_checked_by_header_and_file_readers(tmp_path, field, value):
+def test_feature_header_fields_checked_by_layout_and_file_reader(tmp_path, field, value):
     path = tmp_path / "h.feat"
     path.write_bytes(_feature_bytes({field: value}, np.ones((3, 4), dtype="<f4").tobytes()))
-    for read in (read_feature_header, read_feature_file):
+    for read in (lambda p: clip_layout(p.parent), read_feature_file):
         with pytest.raises(ValueError, match=f"h.feat: feature header '{field}' must be"):
             read(path)
 
@@ -503,12 +498,13 @@ def test_feature_header_checks_the_body_can_hold_count_values(tmp_path):
     # A text body needs at least one byte per value and one per separator.
     path.write_bytes(_feature_bytes({"count": 10**12}, b"2.25 2.25 2.25 2.25\n" * 3))
     with pytest.raises(ValueError, match="big.feat: text body of 60 bytes cannot hold"):
-        read_feature_header(path)
+        clip_layout(tmp_path)
     path.write_bytes(_feature_bytes({"count": 3, "dim": 11}, b"1 " * 32 + b"1"))  # 33 values in 65 bytes
-    assert read_feature_header(path) == curator.FeatureHeader("v", 11, 3, None, False)
+    assert clip_layout(tmp_path) == ([VideoRows(path, "v", 0, 1)], 11)
+    assert read_feature_file(path)[1].shape == (3, 11)
     path.write_bytes(_feature_bytes({"encoding": "f32le"}, np.ones(11, dtype="<f4").tobytes()))
     with pytest.raises(ValueError, match="big.feat: f32le body is 44 bytes, header promises 48"):
-        read_feature_header(path)
+        clip_layout(tmp_path)
 
 
 def test_read_clip_matrix_stacks_pooled_files_in_filename_order(tmp_path):
@@ -525,13 +521,13 @@ def test_read_clip_matrix_stacks_pooled_files_in_filename_order(tmp_path):
                           VideoRows(tmp_path / "c.feat", "id-c", 4, 4)]
 
 
-def test_read_clip_matrix_names_the_file_of_another_dim(tmp_path):
+def test_read_clip_matrix_and_clip_layout_name_the_file_of_another_dim(tmp_path):
     write_feature_file(tmp_path / "a.feat", "a", np.ones((3, 4)))
     write_feature_file(tmp_path / "b.feat", "b", np.ones((3, 5)))
     with pytest.raises(ValueError, match=r"b.feat: dim 5 does not match dim 4 of .*a.feat"):
         read_clip_matrix(tmp_path)
     with pytest.raises(ValueError, match=r"a.feat: dim 4 does not match dim 5 of ref.feat"):
-        read_clip_matrix(tmp_path, dim_of=("ref.feat", 5))
+        clip_layout(tmp_path, dim_of=("ref.feat", 5))
 
 
 def _write_tracks(directory, clip_counts, dim, rng):
@@ -605,7 +601,7 @@ def test_curate_peak_does_not_grow_with_candidates(tmp_path):
         cand.mkdir()
         for k in range(files):
             write_feature_file(cand / f"c{k:03d}.feat", f"c{k:03d}", rng.normal(size=(100, 64)))
-        records, peak = _traced_peak(lambda: cli._curate_reports(cand, tmp_path / "ref", 0.5, "mean"))
+        records, peak = _traced_peak(lambda: curator.curate(tmp_path / "ref", cand, 0.5, "mean"))
         assert sum(1 for _ in records) == files
         peaks.append(peak)
     block_bytes = kernels.BLOCK_ROWS * 64 * 8
@@ -636,3 +632,17 @@ def test_curate_command_peak_grows_by_the_scores_alone(tmp_path):
     added_scores_bytes = 24 * 400 * 8
     report_bytes = 400 * (24 + 8 + 8 + 25)  # per clip: a float and its list slot, an index's slot, the line's text
     assert peaks[1] - peaks[0] < block_bytes + added_scores_bytes + report_bytes
+
+
+def test_readme_curate_example_prints_the_selected_videos(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library example", 1)[1].split("```python\n")[2].split("```", 1)[0]
+    assert "curator.curate(" in example
+    e = np.eye(4)
+    for sub, tracks in (("ref_dir", {"r": [e[0]] * 20}), ("cand_dir", {"seen": [e[0]] * 15, "new": [e[1]] * 25})):
+        (tmp_path / sub).mkdir()
+        for video_id, track in tracks.items():
+            write_feature_file(tmp_path / sub / f"{video_id}.feat", video_id, np.array(track))
+    monkeypatch.chdir(tmp_path)
+    exec(example, {})
+    assert capsys.readouterr().out == "new [0, 1, 2]\n"

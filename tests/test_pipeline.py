@@ -367,3 +367,21 @@ def test_http_client_errors(endpoint, status, body, error):
         _client(endpoint).submit(LlmRequest("p"))
     assert (type(exc.value) is TransientLlmError) == (error is TransientLlmError)
     assert len(endpoint.payloads) == 1
+
+
+@pytest.mark.parametrize("body", [
+    b"[1, 2]",
+    b'{"text": 5}',
+    b'{"text": "x", "usage": 5}',
+    b'{"text": "x", "usage": {"prompt_tokens": null}}',
+    b'{"text": "x", "usage": {"prompt_tokens": 1e400}}',
+], ids=["list", "text-not-str", "usage-not-object", "tokens-null", "tokens-inf"])
+def test_http_client_malformed_reply_fails_the_caption_stage(monkeypatch, body):
+    # No network: urlopen hands back the body as the endpoint's 200 reply.
+    monkeypatch.setattr("urllib.request.urlopen", lambda req, timeout: io.BytesIO(body))
+    client = HttpClient("http://endpoint.invalid/generate", "m1")
+    with pytest.raises(LlmError, match="^endpoint returned malformed payload: "):
+        client.submit(LlmRequest("p"))
+    record = run_job(client, clip_job(), NO_SLEEP)
+    assert (record["status"], record["stage"]) == ("failed", "caption")
+    assert record["reason"].startswith("endpoint returned malformed payload: ")
