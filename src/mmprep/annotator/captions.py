@@ -14,21 +14,11 @@ CAPTION_FPS = 2.0
 class ResponseParseError(ValueError):
     """Model output could not be parsed into the expected structure."""
 
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (offset {offset})"
-        super().__init__(message)
-        self.offset = offset
-
 
 @dataclass(frozen=True)
 class Chapter:
     title: str
     span: tuple[float, float]
-
-    @property
-    def length_s(self) -> float:
-        return self.span[1] - self.span[0]
 
 
 @dataclass(frozen=True)
@@ -50,15 +40,18 @@ def caption_frames_plan(chapter: Chapter) -> tuple[float, ...]:
     Timestamps are midpoint-uniform within the span so the segment's start
     and end are represented evenly.
     """
-    n = min(MAX_CAPTION_FRAMES, math.ceil(CAPTION_FPS * chapter.length_s))
-    n = max(1, n)
-    step = chapter.length_s / n
-    start = chapter.span[0]
+    start, end = chapter.span
+    n = max(1, min(MAX_CAPTION_FRAMES, math.ceil(CAPTION_FPS * (end - start))))
+    step = (end - start) / n
     return tuple(start + (k + 0.5) * step for k in range(n))
 
 
 def extract_json_object(text: str) -> dict:
-    """First parseable JSON object in the text; tolerates fences and trailing prose."""
+    """First parseable JSON object in the text; tolerates fences and trailing prose.
+
+    A reply nested too deeply for the decoder fails at once, not scanned on
+    for a later object.
+    """
     decoder = json.JSONDecoder()
     pos = text.find("{")
     while pos != -1:
@@ -67,10 +60,12 @@ def extract_json_object(text: str) -> dict:
         except json.JSONDecodeError:
             pos = text.find("{", pos + 1)
             continue
+        except RecursionError as exc:
+            raise ResponseParseError("response nests too deeply to parse") from exc
         if isinstance(obj, dict):
             return obj
         pos = text.find("{", pos + 1)
-    raise ResponseParseError("no JSON object found in response", offset=0)
+    raise ResponseParseError("no JSON object found in response (offset 0)")
 
 
 def parse_caption_response(text: str) -> CaptionPair:

@@ -3,10 +3,13 @@
 Story jobs caption every human-annotated chapter, aggregate the captions into
 a timestamped digest, and request long-form QA over the digest. Clip jobs
 caption each clip, request QA with a sampled set of question types, and
-anchor every question with its time interval and a non-revealing scene
+anchor every question with its clip's time interval and a non-revealing scene
 context. Jobs are independent: transient endpoint errors and malformed
 responses are retried with exponential backoff, and one job's permanent
-failure never affects the others. Every job yields exactly one output record.
+failure never affects the others. Every job yields exactly one output record,
+which run_job builds: video_id, kind, captions, qa, status, then
+anchor_dropped (a clip job that dropped questions) or stage and reason (a
+failed job), then retry_count.
 
 parse_jobs reads a job file through jsonl.lines and jsonl.load_object and
 rejects a bad line with jsonl.InputError naming it, before any request.
@@ -36,9 +39,8 @@ from .captions import (
 )
 from .prompts import render_caption_prompt, render_clip_qa_prompt, render_video_qa_prompt
 from .qa import ClipQA, anchor, parse_qa_response
-from .question_types import QUESTION_TYPES, sample_question_types
+from .question_types import sample_question_types
 
-QA_TYPES_PER_REQUEST = 5
 MAX_OUTPUT_TOKENS = 2048  # sent with every request
 HTTP_TIMEOUT_S = 120.0
 
@@ -47,7 +49,6 @@ HTTP_TIMEOUT_S = 120.0
 class LlmRequest:
     prompt: str
     image_refs: tuple[str, ...] = ()
-    temperature: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ class RetryPolicy:
     backoff_base_s: float = 0.5
     backoff_cap_s: float = 30.0
     max_in_flight: int = 4
-    temperature: float = 0.2
     seed: int = 0
     sleep: Callable[[float], None] = time.sleep
 
@@ -122,13 +122,16 @@ class HttpClient:
     """Minimal JSON-over-HTTP adapter for a generation endpoint.
 
     POSTs {model, prompt, image_refs, temperature, max_output_tokens} and
-    expects {"text": ..., "usage": {...}} back. HTTP 429/5xx and connection
-    errors surface as transient; anything else is permanent.
+    expects {"text": ..., "usage": {...}} back; model and temperature are the
+    client's, the same for every request. HTTP 429/5xx and connection errors
+    surface as transient; anything else is permanent, a body nested too deeply
+    to decode included.
     """
 
-    def __init__(self, endpoint: str, model: str, rate_limiter: RateLimiter | None = None):
+    def __init__(self, endpoint: str, model: str, temperature: float, rate_limiter: RateLimiter | None = None):
         self.endpoint = endpoint
         self.model = model
+        self.temperature = temperature
         self.rate_limiter = rate_limiter
 
     def submit(self, request: LlmRequest) -> LlmResponse:
@@ -139,7 +142,7 @@ class HttpClient:
                 "model": self.model,
                 "prompt": request.prompt,
                 "image_refs": list(request.image_refs),
-                "temperature": request.temperature,
+                "temperature": self.temperature,
                 "max_output_tokens": MAX_OUTPUT_TOKENS,
             }
         ).encode("utf-8")
@@ -166,8 +169,10 @@ class HttpClient:
                 prompt_tokens=int(usage.get("prompt_tokens", 0)),
                 completion_tokens=int(usage.get("completion_tokens", 0)),
             )
-        # Also a body or "usage" that is not an object (AttributeError), a count that is null (TypeError) or inf.
-        except (KeyError, ValueError, UnicodeDecodeError, AttributeError, TypeError, OverflowError) as exc:
+        # Also a body or "usage" that is not an object (AttributeError), a count that is null (TypeError) or
+        # inf, and a body nested too deeply to decode.
+        except (KeyError, ValueError, UnicodeDecodeError, AttributeError, TypeError, OverflowError,
+                RecursionError) as exc:
             raise LlmError(f"endpoint returned malformed payload: {exc}") from exc
 
 
@@ -228,8 +233,8 @@ def parse_jobs(stream: IO[str] | Iterable[str]) -> list[AnnotationJob]:
     for line_no, text in lines(stream):
         obj = load_object(text, line_no, "job")
         video_id, uri = obj.get("video_id"), obj.get("uri", "")
-        if type(video_id) is not str:
-            raise InputError("job record needs a video_id", line_no)
+        if type(video_id) is not str or not video_id:
+            raise InputError(f"job video_id {video_id!r} is not a non-empty string", line_no)
         if type(uri) is not str:
             raise InputError(f"job uri {uri!r} is not a string", line_no)
         chapters_raw = obj.get("chapters")
@@ -264,11 +269,7 @@ class _JobRun:
 
     def call(self, stage: str, prompt: str, frames: tuple[float, ...], parser: Callable[[str], object]):
         # Frames are sent as media-fragment locators, in temporal order.
-        request = LlmRequest(
-            prompt=prompt,
-            image_refs=tuple(f"{self.job.uri}#t={ts:.3f}" for ts in frames),
-            temperature=self.policy.temperature,
-        )
+        request = LlmRequest(prompt, tuple(f"{self.job.uri}#t={ts:.3f}" for ts in frames))
         last_reason = ""
         for attempt in range(self.policy.max_retries + 1):
             if attempt > 0:
@@ -291,99 +292,69 @@ class _JobRun:
         prompt = render_caption_prompt(title, banned_terms)
         return self.call("caption", prompt, frames, parse_caption_response)
 
-    def story(self) -> dict:
+    def story(self) -> tuple[list[dict], list[dict], dict]:
         job = self.job
         try:
             check_chapters(job.segments)
         except ValueError as exc:
             raise _StageFailure("validate", str(exc)) from exc
         captioned = [(ch, self.caption(ch.title, caption_frames_plan(ch))) for ch in job.segments]
-        digest = aggregate_chapter_captions(captioned)
-        types = sample_question_types(QUESTION_TYPES, QA_TYPES_PER_REQUEST, self.policy.seed + job.index)
-        span = (job.segments[0].span[0], job.segments[-1].span[1])
+        types = sample_question_types(self.policy.seed + job.index)
         qa: list[ClipQA] = self.call(
-            "qa", render_video_qa_prompt(digest, types), (), lambda t: parse_qa_response(t, types, span)
+            "qa", render_video_qa_prompt(aggregate_chapter_captions(captioned), types), (),
+            lambda t: parse_qa_response(t, types),
         )
-        return {
-            "video_id": job.video_id,
-            "kind": STORY,
-            "captions": [
-                {"title": ch.title, "start": ch.span[0], "end": ch.span[1], "brief": p.brief, "detailed": p.detailed}
-                for ch, p in captioned
-            ],
-            "qa": [
-                {"type": q.qtype, "q": q.question, "a": q.answer, "anchored_q": None} for q in qa
-            ],
-            "status": "ok",
-        }
+        captions = [
+            {"title": ch.title, "start": ch.span[0], "end": ch.span[1], "brief": p.brief, "detailed": p.detailed}
+            for ch, p in captioned
+        ]
+        return captions, [{"type": q.qtype, "q": q.question, "a": q.answer, "anchored_q": None} for q in qa], {}
 
-    def clip(self) -> dict:
+    def clip(self) -> tuple[list[dict], list[dict], dict]:
         job = self.job
-        captions = []
-        qa_out = []
-        dropped = 0
+        captions, qa_out, dropped = [], [], 0
         for i, segment in enumerate(job.segments):
             title, span = segment.title, segment.span
             frames = caption_frames_plan(segment)
             pair = self.caption(title, frames)
-            types = sample_question_types(
-                QUESTION_TYPES, QA_TYPES_PER_REQUEST, self.policy.seed + job.index * 1009 + i
-            )
+            types = sample_question_types(self.policy.seed + job.index * 1009 + i)
             qa_items: list[ClipQA] = self.call(
                 "qa", render_clip_qa_prompt(pair.detailed, pair.brief, types), frames,
-                lambda t: parse_qa_response(t, types, span),
+                lambda t: parse_qa_response(t, types),
             )
             # Regenerate the brief caption while answers leak into it, unless
             # the endpoint stops changing it; questions still leaking are dropped.
             for _ in range(self.policy.max_retries + 1):
-                leaked = tuple(q.answer for q in qa_items if anchor(q, pair.brief) is None)
+                leaked = tuple(q.answer for q in qa_items if anchor(q, pair.brief, span) is None)
                 if not leaked:
                     break
                 new_pair = self.caption(title, frames, banned_terms=leaked)
                 if new_pair == pair:
                     break
                 pair = new_pair
-            anchored = [(q, anchor(q, pair.brief)) for q in qa_items]
+            anchored = [(q, anchor(q, pair.brief, span)) for q in qa_items]
             dropped += sum(aq is None for _, aq in anchored)
-            captions.append(
-                {"start": span[0], "end": span[1], "brief": pair.brief, "detailed": pair.detailed}
-            )
+            captions.append({"start": span[0], "end": span[1], "brief": pair.brief, "detailed": pair.detailed})
             qa_out.extend(
                 {"type": q.qtype, "q": q.question, "a": q.answer, "anchored_q": aq}
                 for q, aq in anchored if aq is not None
             )
-        record = {
-            "video_id": job.video_id,
-            "kind": CLIP,
-            "captions": captions,
-            "qa": qa_out,
-            "status": "ok",
-        }
-        if dropped:
-            record["anchor_dropped"] = dropped
-        return record
+        return captions, qa_out, {"anchor_dropped": dropped} if dropped else {}
 
 
 def run_job(client: LlmClient, job: AnnotationJob, policy: RetryPolicy) -> dict:
     """Run one job to completion; always returns a record, never raises."""
     run = _JobRun(client, job, policy)
+    status = "ok"
     try:
-        record = run.story() if job.kind == STORY else run.clip()
+        captions, qa, extra = run.story() if job.kind == STORY else run.clip()
     except Exception as exc:  # defensive: a bad job must not sink the batch
         failure = exc if isinstance(exc, _StageFailure) else _StageFailure(
             "internal", f"{type(exc).__name__}: {exc}"
         )
-        record = {
-            "video_id": job.video_id,
-            "kind": job.kind,
-            "captions": [],
-            "qa": [],
-            "status": "failed",
-            "stage": failure.stage,
-            "reason": failure.reason,
-        }
-    record["retry_count"] = run.retries
-    return record
+        captions, qa, extra, status = [], [], {"stage": failure.stage, "reason": failure.reason}, "failed"
+    return {"video_id": job.video_id, "kind": job.kind, "captions": captions, "qa": qa, "status": status,
+            **extra, "retry_count": run.retries}
 
 
 def run_pipeline(

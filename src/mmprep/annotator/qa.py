@@ -1,9 +1,10 @@
-"""Clip QA parsing and anchor construction.
+"""QA parsing and anchor construction.
 
-Clip-level questions are only unambiguous inside their clip; anchoring
-prepends the clip's time interval plus a short scene description so the
-question survives at whole-video scale. The scene description must not give
-the answer away, which the leak check enforces with a conservative
+Story and clip QA replies parse into ClipQA entries, which carry no time.
+Clip-level questions are only unambiguous inside their clip; anchor prepends
+the clip's time interval plus a short scene description so the question
+survives at whole-video scale. The scene description must not give the
+answer away, which the leak check enforces with a conservative
 normalized-substring test: anchor returns None for a question whose answer
 leaks into the scene description.
 """
@@ -23,17 +24,12 @@ class ClipQA:
     qtype: str
     question: str
     answer: str
-    span: tuple[float, float]
 
 
 _QTYPE_PLACEHOLDER = re.compile(r"^question_type_(\d+)$")
 
 
-def parse_qa_response(
-    text: str,
-    expected_types: Sequence[QuestionType],
-    span: tuple[float, float],
-) -> list[ClipQA]:
+def parse_qa_response(text: str, expected_types: Sequence[QuestionType]) -> list[ClipQA]:
     """Decode a QA response keyed by question type; nulls mean 'no question fits'.
 
     Keys may be the actual type names or positional question_type_N
@@ -59,7 +55,7 @@ def parse_qa_response(
         q, a = value["Q"], value["A"]
         if not isinstance(q, str) or not isinstance(a, str) or not q.strip() or not a.strip():
             raise ResponseParseError(f"entry for {key!r} has empty Q or A")
-        out.append(ClipQA(qtype=qtype.name, question=q, answer=a, span=span))
+        out.append(ClipQA(qtype=qtype.name, question=q, answer=a))
     return out
 
 
@@ -67,8 +63,8 @@ def _normalize(text: str) -> str:
     return text.strip().casefold()
 
 
-def anchor(qa: ClipQA, brief: str) -> str | None:
-    """Prefix a clip question with its time interval and scene context.
+def anchor(qa: ClipQA, brief: str, span: tuple[float, float]) -> str | None:
+    """Prefix a clip question with its clip's time interval and scene context.
 
     Returns None when the normalized answer appears inside the brief caption;
     the caller should regenerate the caption and retry. The brief must keep
@@ -78,7 +74,7 @@ def anchor(qa: ClipQA, brief: str) -> str | None:
     context = brief.strip().rstrip(".")
     if _normalize(qa.answer) in _normalize(context):
         return None
-    start, end = qa.span
+    start, end = span
     return (
         f"Between {format_seconds(start)}s and {format_seconds(end)}s, "
         f"in the scene where {context}: {qa.question}"

@@ -1,7 +1,8 @@
 """The clip-QA question taxonomy: 63 categories with stable indices.
 
-The pool is frozen data; generation requests sample a handful of entries per
-clip so questions stay varied across a large corpus.
+The pool is frozen data; every QA request names TYPES_PER_REQUEST of them,
+sampled per clip (and per story) so questions stay varied across a large
+corpus.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ _POOL_ROWS = (
 )
 
 QUESTION_TYPES: tuple[QuestionType, ...] = tuple(QuestionType(*row) for row in _POOL_ROWS)
+TYPES_PER_REQUEST = 5
 TYPES_BY_NAME: dict[str, QuestionType] = {t.name: t for t in QUESTION_TYPES}
 
 
@@ -94,10 +96,6 @@ def pool_checksum(pool: tuple[QuestionType, ...] = QUESTION_TYPES) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def sample_question_types(
-    pool: tuple[QuestionType, ...] = QUESTION_TYPES, k: int = 5, seed: int = 0
-) -> list[QuestionType]:
-    """k distinct types in seeded pseudo-random order; same seed, same pick."""
-    if k > len(pool):
-        raise ValueError(f"cannot sample {k} types from a pool of {len(pool)}")
-    return random.Random(seed).sample(list(pool), k)
+def sample_question_types(seed: int) -> list[QuestionType]:
+    """TYPES_PER_REQUEST distinct types in seeded pseudo-random order; same seed, same pick."""
+    return random.Random(seed).sample(QUESTION_TYPES, TYPES_PER_REQUEST)

@@ -144,8 +144,6 @@ def plan(sample: Sample, cfg: BudgetConfig,
     temporal = [(i, it) for i, it in enumerate(sample.items) if it.kind != "image"]
     m = len(images)
 
-    if sample.items and l_visual < tok:
-        return _discard(sample, "insufficient_budget", l_text)
     if l_visual < tok * m:
         return _discard(sample, "insufficient_budget", l_text)
 

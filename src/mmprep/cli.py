@@ -190,12 +190,12 @@ def curate_cmd(output_path, reference_dir, candidates_dir, tau, pool, jobs):
     print(f"{selected}/{total} candidate videos selected at tau={tau}", file=sys.stderr)
 
 
-def _make_client(endpoint: str, model: str, rpm: float | None):
+def _make_client(endpoint: str, model: str, temperature: float, rpm: float | None):
     """The annotator's HttpClient for the endpoint, rate-limited when rpm is set."""
     from .annotator import pipeline as annot
 
     limiter = annot.RateLimiter(rpm) if rpm else None
-    return annot.HttpClient(endpoint, model, rate_limiter=limiter)
+    return annot.HttpClient(endpoint, model, temperature, limiter)
 
 
 def annotate_cmd(input_path, output_path, endpoint, model, temperature, max_in_flight, retry_budget, rpm, seed):
@@ -204,13 +204,8 @@ def annotate_cmd(input_path, output_path, endpoint, model, temperature, max_in_f
 
     with _open_in(input_path) as fin:
         jobs = annot.parse_jobs(fin)
-    client = _make_client(endpoint, model, rpm)
-    policy = annot.RetryPolicy(
-        max_retries=retry_budget,
-        max_in_flight=max_in_flight,
-        temperature=temperature,
-        seed=seed,
-    )
+    client = _make_client(endpoint, model, temperature, rpm)
+    policy = annot.RetryPolicy(max_retries=retry_budget, max_in_flight=max_in_flight, seed=seed)
     # Append, so an earlier run's records are kept. A rerun repeats every job:
     # nothing is skipped on resume yet.
     with _open_out(output_path, mode="a") as fout:

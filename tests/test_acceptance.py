@@ -272,13 +272,13 @@ def test_criterion_6_annotator():
     for i in range(200):
         answer = rng.choice(words)
         filler = [rng.choice(words) for _ in range(4)]
-        qa = ClipQA("object_recognition", "What is shown?", answer, (0.0, 10.0))
+        qa = ClipQA("object_recognition", "What is shown?", answer)
         planted = f"a scene with a {' and a '.join(filler)} plus a {answer.lower()} nearby"
-        if anchor(qa, planted) is not None:
+        if anchor(qa, planted, (0.0, 10.0)) is not None:
             leak_ok = False  # every planted leak must be rejected
         clean_words = [w for w in words if w.lower() != answer.lower()]
         clean = f"a scene with a {' and a '.join(rng.sample(clean_words, 3))}"
-        if anchor(qa, clean) is None:
+        if anchor(qa, clean, (0.0, 10.0)) is None:
             leak_ok = False  # every clean fixture must be accepted
 
     # 1000 mock jobs, every 10th endpoint call fails transiently once

@@ -20,7 +20,13 @@ from mmprep.annotator.prompts import (
     render_video_qa_prompt,
 )
 from mmprep.annotator.qa import ClipQA, anchor, parse_qa_response
-from mmprep.annotator.question_types import QUESTION_TYPES, TYPES_BY_NAME, pool_checksum, sample_question_types
+from mmprep.annotator.question_types import (
+    QUESTION_TYPES,
+    TYPES_BY_NAME,
+    TYPES_PER_REQUEST,
+    pool_checksum,
+    sample_question_types,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,21 +56,11 @@ def test_pool_spot_entries():
 
 
 def test_sampling_is_seeded_and_distinct():
-    a = sample_question_types(k=5, seed=42)
-    b = sample_question_types(k=5, seed=42)
+    a = sample_question_types(seed=42)
+    b = sample_question_types(seed=42)
     assert a == b
-    assert len({t.name for t in a}) == 5
-    assert sample_question_types(k=5, seed=43) != a
-
-
-def test_sampling_whole_pool_is_permutation():
-    full = sample_question_types(k=63, seed=1)
-    assert sorted(t.index for t in full) == list(range(1, 64))
-
-
-def test_sampling_k_too_large():
-    with pytest.raises(ValueError):
-        sample_question_types(k=64, seed=0)
+    assert len({t.name for t in a}) == TYPES_PER_REQUEST == 5
+    assert sample_question_types(seed=43) != a
 
 
 def test_pool_checksum_stable():
@@ -245,27 +241,27 @@ def test_parse_qa_nulls_skipped():
         ' "event_causality": null,'
         ' "video_topic": {"Q": "q5", "A": "a5"}}'
     )
-    out = parse_qa_response(text, FIXED_TYPES, span=(0.0, 10.0))
-    assert [q.qtype for q in out] == ["object_recognition", "camera_movement", "video_topic"]
-    assert all(q.span == (0.0, 10.0) for q in out)
+    out = parse_qa_response(text, FIXED_TYPES)
+    assert out == [ClipQA("object_recognition", "q1", "a1"), ClipQA("camera_movement", "q3", "a3"),
+                   ClipQA("video_topic", "q5", "a5")]
 
 
 def test_parse_qa_all_null_is_valid_empty():
     text = '{"object_recognition": null, "human_emotion": null}'
-    assert parse_qa_response(text, FIXED_TYPES, span=(0.0, 1.0)) == []
+    assert parse_qa_response(text, FIXED_TYPES) == []
 
 
 def test_parse_qa_positional_placeholder_keys():
     text = '{"question_type_1": {"Q": "q", "A": "a"}, "question_type_2": null}'
-    out = parse_qa_response(text, FIXED_TYPES, span=(0.0, 1.0))
+    out = parse_qa_response(text, FIXED_TYPES)
     assert out[0].qtype == "object_recognition"
 
 
 def test_parse_qa_unknown_key_rejected():
     with pytest.raises(ResponseParseError):
-        parse_qa_response('{"weather": {"Q": "q", "A": "a"}}', FIXED_TYPES, span=(0.0, 1.0))
+        parse_qa_response('{"weather": {"Q": "q", "A": "a"}}', FIXED_TYPES)
     with pytest.raises(ResponseParseError):
-        parse_qa_response('{"question_type_9": {"Q": "q", "A": "a"}}', FIXED_TYPES, span=(0.0, 1.0))
+        parse_qa_response('{"question_type_9": {"Q": "q", "A": "a"}}', FIXED_TYPES)
 
 
 @pytest.mark.parametrize("entry", [
@@ -273,50 +269,53 @@ def test_parse_qa_unknown_key_rejected():
 ])
 def test_parse_qa_blank_or_non_string_fields_rejected(entry):
     with pytest.raises(ResponseParseError, match="empty Q or A"):
-        parse_qa_response(json.dumps({"object_recognition": entry}), FIXED_TYPES, span=(0.0, 1.0))
+        parse_qa_response(json.dumps({"object_recognition": entry}), FIXED_TYPES)
 
 
 def test_parse_qa_malformed_json_reports_error():
     with pytest.raises(ResponseParseError):
-        parse_qa_response("{{{{", FIXED_TYPES, span=(0.0, 1.0))
+        parse_qa_response("{{{{", FIXED_TYPES)
 
 
 def test_parse_qa_entry_missing_answer():
     with pytest.raises(ResponseParseError):
-        parse_qa_response('{"object_recognition": {"Q": "q"}}', FIXED_TYPES, span=(0.0, 1.0))
+        parse_qa_response('{"object_recognition": {"Q": "q"}}', FIXED_TYPES)
 
 
 # --- anchoring ------------------------------------------------------------------------------
 
 
-def qa(question="What color is the car?", answer="red", span=(12.0, 18.5)):
-    return ClipQA(qtype="object_properties", question=question, answer=answer, span=span)
+SPAN = (12.0, 18.5)
+
+
+def qa(question="What color is the car?", answer="red"):
+    return ClipQA(qtype="object_properties", question=question, answer=answer)
 
 
 def test_anchor_contains_span_and_context():
-    out = anchor(qa(), "a vehicle drives by")
+    out = anchor(qa(), "a vehicle drives by", SPAN)
     assert out == (
         "Between 12s and 18.5s, in the scene where a vehicle drives by: What color is the car?"
     )
 
 
 def test_anchor_detects_substring_leak():
-    assert anchor(qa(), "a red car drives by") is None
+    assert anchor(qa(), "a red car drives by", SPAN) is None
 
 
 def test_anchor_leak_is_case_insensitive():
-    assert anchor(qa(answer="Red"), "a RED car drives by") is None
+    assert anchor(qa(answer="Red"), "a RED car drives by", SPAN) is None
 
 
 def test_anchor_leak_check_ignores_surrounding_whitespace():
-    assert anchor(qa(answer="  red "), "the red car") is None
+    assert anchor(qa(answer="  red "), "the red car", SPAN) is None
 
 
 def test_anchor_clean_brief_passes():
-    out = anchor(qa(answer="red"), "a vehicle drives by.")
+    out = anchor(qa(answer="red"), "a vehicle drives by.", SPAN)
     assert out is not None and "red" not in out
 
 
 def test_anchor_whole_second_span_renders_integers():
-    out = anchor(qa(span=(5.0, 15.0)), "a vehicle drives by")
+    out = anchor(qa(), "a vehicle drives by", (5.0, 15.0))
     assert out.startswith("Between 5s and 15s,")

@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from mmprep import budget, cli, composer, curator, kernels, tiling
+from mmprep.annotator.pipeline import LlmResponse
 from mmprep.curator import write_feature_file
 from mmprep.manifest import ImageDims
 from tests.conftest import MockLlm, dumps_sample, make_sample
@@ -918,7 +920,7 @@ def test_annotate_with_mocked_client(capsys, tmp_path, monkeypatch):
         + json.dumps({"video_id": "v2", "uri": "vid://v2",
                       "clips": [{"start": 0, "end": 10}]}) + "\n"
     )
-    monkeypatch.setattr(cli, "_make_client", lambda endpoint, model, rpm: MockLlm())
+    monkeypatch.setattr(cli, "_make_client", lambda endpoint, model, temperature, rpm: MockLlm())
     code, out, err = run_cli(
         capsys, ["annotate", "-i", str(jobs_path), "--endpoint", "http://example/generate"]
     )
@@ -937,7 +939,7 @@ def test_annotate_partial_failure_exit_3(capsys, tmp_path, monkeypatch):
         + json.dumps({"video_id": "fine", "uri": "u",
                       "clips": [{"start": 0, "end": 10}]}) + "\n"
     )
-    monkeypatch.setattr(cli, "_make_client", lambda endpoint, model, rpm: MockLlm())
+    monkeypatch.setattr(cli, "_make_client", lambda endpoint, model, temperature, rpm: MockLlm())
     code, out, err = run_cli(
         capsys, ["annotate", "-i", str(jobs_path), "--endpoint", "http://example/generate"]
     )
@@ -946,6 +948,79 @@ def test_annotate_partial_failure_exit_3(capsys, tmp_path, monkeypatch):
     assert len(records) == 2
     failed = [r for r in records if r["status"] == "failed"]
     assert failed[0]["video_id"] == "solo"
+
+
+class _ShortLlm:
+    """Short fixed replies. The brief names a park, and the first QA entry's answer is "park", so it leaks.
+
+    A request for a video whose uri contains "boom" raises, as a client library bug would.
+    """
+
+    def submit(self, request):
+        if any("boom" in ref for ref in request.image_refs):
+            raise RuntimeError("client library bug")
+        if "Guidelines For Brief Caption" in request.prompt:
+            return LlmResponse(text='{"Brief Caption": "a dog in a park", "Detailed Caption": "d"}')
+        return LlmResponse(text='{"question_type_1": {"Q": "Where?", "A": "park"}, '
+                                '"question_type_2": {"Q": "Who?", "A": "a walker"}, "question_type_3": null}')
+
+
+def test_annotate_lines_are_json_dumps_bytes(capsys, tmp_path, monkeypatch):
+    # Pins every key, its order and its value: a story job, a clip job that drops
+    # its leaking question, a validate failure and an internal failure.
+    jobs_path = tmp_path / "jobs.jsonl"
+    jobs_path.write_text(
+        '{"video_id": "s", "uri": "vid://s", "chapters": [{"title": "Café", "start": 0, "end": 10},'
+        ' {"title": "b", "start": 10, "end": 20.5}]}\n'
+        '{"video_id": "c", "uri": "vid://c", "clips": [{"start": 1.5, "end": 4}]}\n'
+        '{"video_id": "v", "uri": "vid://v", "chapters": [{"title": "only", "start": 0, "end": 10}]}\n'
+        '{"video_id": "i", "uri": "vid://boom", "clips": [{"start": 0, "end": 1}]}\n',
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(cli, "_make_client", lambda *args: _ShortLlm())
+    code, out, _ = run_cli(capsys, ["annotate", "-i", str(jobs_path), "--endpoint", "http://example/generate"])
+    assert code == 3
+    assert out.splitlines() == [
+        '{"video_id": "s", "kind": "story", "captions": ['
+        '{"title": "Café", "start": 0.0, "end": 10.0, "brief": "a dog in a park", "detailed": "d"}, '
+        '{"title": "b", "start": 10.0, "end": 20.5, "brief": "a dog in a park", "detailed": "d"}], '
+        '"qa": [{"type": "navigation", "q": "Where?", "a": "park", "anchored_q": null}, '
+        '{"type": "single_object_presence_change", "q": "Who?", "a": "a walker", "anchored_q": null}], '
+        '"status": "ok", "retry_count": 0}',
+        '{"video_id": "c", "kind": "clip", "captions": ['
+        '{"start": 1.5, "end": 4.0, "brief": "a dog in a park", "detailed": "d"}], '
+        '"qa": [{"type": "object_recognition", "q": "Who?", "a": "a walker", '
+        '"anchored_q": "Between 1.5s and 4s, in the scene where a dog in a park: Who?"}], '
+        '"status": "ok", "anchor_dropped": 1, "retry_count": 0}',
+        '{"video_id": "v", "kind": "story", "captions": [], "qa": [], "status": "failed", '
+        '"stage": "validate", "reason": "insufficient chapters: need at least two", "retry_count": 0}',
+        '{"video_id": "i", "kind": "clip", "captions": [], "qa": [], "status": "failed", '
+        '"stage": "internal", "reason": "RuntimeError: client library bug", "retry_count": 0}',
+    ]
+
+
+def test_annotate_posts_temperature_and_model(capsys, tmp_path, monkeypatch):
+    # No network: urlopen keeps each payload and answers with a fixed caption or QA reply.
+    payloads = []
+
+    def urlopen(req, timeout):
+        payloads.append(json.loads(req.data))
+        if "Guidelines For Brief Caption" in payloads[-1]["prompt"]:
+            text = '{"Brief Caption": "b", "Detailed Caption": "d"}'
+        else:
+            text = '{"question_type_1": {"Q": "q", "A": "a"}}'
+        return io.BytesIO(json.dumps({"text": text}).encode())
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    jobs_path = tmp_path / "jobs.jsonl"
+    jobs_path.write_text('{"video_id": "c", "clips": [{"start": 0, "end": 1}]}\n', encoding="utf-8")
+    code, _, _ = run_cli(capsys, ["annotate", "-i", str(jobs_path), "--endpoint", "http://endpoint.invalid/generate",
+                                  "--temperature", "0.7", "--model", "m2"])
+    assert code == 0
+    assert len(payloads) == 2  # one caption request, one QA request
+    for payload in payloads:
+        assert list(payload) == ["model", "prompt", "image_refs", "temperature", "max_output_tokens"]
+        assert (payload["model"], payload["temperature"], payload["max_output_tokens"]) == ("m2", 0.7, 2048)
 
 
 _CHAPTER = '{"title": "a", "start": 0, "end": 10}'
@@ -971,17 +1046,18 @@ _CHAPTER = '{"title": "a", "start": 0, "end": 10}'
     '{"video_id": "v", "clips": {"start": 0, "end": 10}}',
     '{"video_id": "v", "uri": null, "clips": [{"start": 0, "end": 10}]}',
     '{"video_id": "v", "uri": 5, "clips": [{"start": 0, "end": 10}]}',
+    '{"video_id": "", "clips": [{"start": 0, "end": 10}]}',
 ], ids=["clip-nan-start", "clip-end-before-start", "clip-empty-span", "chapter-infinite-end",
         "chapter-overflowing-end", "chapter-int-title", "chapter-list-title", "chapter-no-title",
         "clip-int-title", "clip-list-title", "clip-empty-title", "clip-string-start", "clip-bool-start",
         "chapter-string-end", "clip-no-start", "clip-not-an-object", "clips-not-a-list",
-        "uri-null", "uri-int"])
+        "uri-null", "uri-int", "video-id-empty"])
 def test_annotate_bad_job_exit_1_before_any_request(capsys, tmp_path, monkeypatch, job):
     jobs_path = tmp_path / "jobs.jsonl"
     good = '{"video_id": "ok", "clips": [{"start": 0, "end": 10}]}'
     jobs_path.write_text(f"{good}\n{job}\n", encoding="utf-8")
     client = MockLlm()
-    monkeypatch.setattr(cli, "_make_client", lambda endpoint, model, rpm: client)
+    monkeypatch.setattr(cli, "_make_client", lambda endpoint, model, temperature, rpm: client)
     code, out, err = run_cli(capsys, ["annotate", "-i", str(jobs_path), "--endpoint", "http://example/generate"])
     assert code == 1
     assert "at line 2" in err

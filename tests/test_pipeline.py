@@ -1,10 +1,16 @@
+import copy
+import functools
 import http.server
 import io
 import json
+import math
+import operator
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmprep.annotator.pipeline import (
     AnnotationJob,
@@ -70,6 +76,59 @@ def test_parse_jobs_reports_line():
     with pytest.raises(InputError) as exc:
         parse_jobs(io.StringIO("{}\n"))
     assert exc.value.line == 1
+
+
+_VALID_JOBS = (
+    {"video_id": "s", "uri": "vid://s", "chapters": [{"title": "a", "start": 0, "end": 5},
+                                                     {"title": "b", "start": 5.5, "end": 9}]},
+    {"video_id": "c", "uri": "vid://c", "clips": [{"start": 0, "end": 10}, {"title": "t", "start": 2, "end": 3.5}]},
+)
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(max_size=3),
+    st.sampled_from([[], {}, [1], {"title": "x"}, "1e400"]),
+)
+
+
+def _paths(obj, path=()):
+    """The path of every value inside obj, as the keys and indices that lead to it."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _damaged_jobs(draw):
+    """A valid job record with one value swapped for an odd one, deleted, or nested one level deeper."""
+    record = copy.deepcopy(draw(st.sampled_from(_VALID_JOBS)))
+    *head, last = draw(st.sampled_from(list(_paths(record))))
+    parent = functools.reduce(operator.getitem, head, record)
+    damage = draw(st.sampled_from(["swap", "delete", "nest"]))
+    if damage == "delete":
+        del parent[last]
+    elif damage == "nest":
+        parent[last] = draw(st.sampled_from([[parent[last]], {"x": parent[last]}]))
+    else:
+        parent[last] = draw(_ODD_VALUES)
+    return record
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(record=_damaged_jobs())
+def test_parse_jobs_gives_checked_jobs_or_names_the_line(record):
+    text = '{"video_id": "ok", "clips": [{"start": 0, "end": 1}]}\n' + json.dumps(record) + "\n"
+    try:
+        jobs = parse_jobs(io.StringIO(text))
+    except InputError as exc:
+        assert str(exc).endswith(" at line 2")
+        return
+    job = jobs[1]
+    assert (job.video_id, job.uri) == (record["video_id"], record.get("uri", ""))
+    assert job.video_id and type(job.uri) is str and job.segments
+    for segment in job.segments:
+        start, end = segment.span
+        assert type(segment.title) is str and segment.title
+        assert math.isfinite(start) and math.isfinite(end) and start < end
 
 
 # --- story jobs ------------------------------------------------------------------
@@ -202,6 +261,30 @@ class BlankBriefFirst(MockLlm):
             self.blank -= 1
             return LlmResponse(text=json.dumps({"Brief Caption": " . ", "Detailed Caption": self.detailed}))
         return super().submit(request)
+
+
+class DeepReply(MockLlm):
+    """Answers every caption request, or every QA request, with a reply text nested 200 000 levels deep."""
+
+    def __init__(self, stage: str):
+        super().__init__()
+        self.stage = stage
+
+    def submit(self, request):
+        reply = super().submit(request)
+        if ("Guidelines For Brief Caption" in request.prompt) == (self.stage == "caption"):
+            return LlmResponse(text='{"a": ' + "[" * 200_000)
+        return reply
+
+
+@pytest.mark.parametrize("stage, calls", [("caption", 4), ("qa", 1 + 4)])
+def test_reply_nested_too_deeply_is_retried_then_fails_its_stage(stage, calls):
+    # A reply too deep for the JSON decoder is a reply that does not parse, not an internal error.
+    client = DeepReply(stage)
+    record = run_job(client, clip_job(), NO_SLEEP)
+    assert (record["status"], record["stage"], record["retry_count"]) == ("failed", stage, 3)
+    assert record["reason"] == "retries exhausted: response nests too deeply to parse"
+    assert client.calls == calls
 
 
 def test_blank_brief_caption_is_retried():
@@ -343,13 +426,13 @@ def endpoint(monkeypatch):
 
 
 def _client(server):
-    return HttpClient(f"http://127.0.0.1:{server.server_port}/generate", "m1")
+    return HttpClient(f"http://127.0.0.1:{server.server_port}/generate", "m1", 0.5)
 
 
 def test_http_client_posts_the_payload_and_reads_usage(endpoint):
     reply = {"text": "hi", "usage": {"prompt_tokens": 12, "completion_tokens": 3}}
     endpoint.replies.append((200, json.dumps(reply).encode()))
-    response = _client(endpoint).submit(LlmRequest("say hi", ("vid://v#t=0.250",), temperature=0.5))
+    response = _client(endpoint).submit(LlmRequest("say hi", ("vid://v#t=0.250",)))
     assert endpoint.payloads == [{"model": "m1", "prompt": "say hi", "image_refs": ["vid://v#t=0.250"],
                                   "temperature": 0.5, "max_output_tokens": 2048}]
     assert (response.text, response.prompt_tokens, response.completion_tokens) == ("hi", 12, 3)
@@ -375,11 +458,12 @@ def test_http_client_errors(endpoint, status, body, error):
     b'{"text": "x", "usage": 5}',
     b'{"text": "x", "usage": {"prompt_tokens": null}}',
     b'{"text": "x", "usage": {"prompt_tokens": 1e400}}',
-], ids=["list", "text-not-str", "usage-not-object", "tokens-null", "tokens-inf"])
+    b'{"text": "x", "usage": ' + b"[" * 200_000,
+], ids=["list", "text-not-str", "usage-not-object", "tokens-null", "tokens-inf", "usage-too-deep"])
 def test_http_client_malformed_reply_fails_the_caption_stage(monkeypatch, body):
     # No network: urlopen hands back the body as the endpoint's 200 reply.
     monkeypatch.setattr("urllib.request.urlopen", lambda req, timeout: io.BytesIO(body))
-    client = HttpClient("http://endpoint.invalid/generate", "m1")
+    client = HttpClient("http://endpoint.invalid/generate", "m1", 0.2)
     with pytest.raises(LlmError, match="^endpoint returned malformed payload: "):
         client.submit(LlmRequest("p"))
     record = run_job(client, clip_job(), NO_SLEEP)
