@@ -3,17 +3,18 @@
 Text is never truncated: a sample whose text alone meets the sequence budget is
 discarded as text_overflow, and otherwise the text token count is subtracted
 from the sequence budget first and the remaining visual budget is filled in
-two phases. Phase
-one fixes every image at the cheapest tiling and spends the remainder on
-temporal units (video frames at a target FPS, document pages): every temporal
-item gets one unit, and the rest is split in proportion to what each item can
-still take, scaling the counts down when the budget is short. Phase two
-raises the per-image tile cap along a descending ladder as far as the
+two phases. Phase one fixes every image at the cheapest tiling and spends the
+remainder on temporal units (video frames at a target FPS, document pages):
+every temporal item gets one unit, and the rest is split in proportion to what
+each item can still take, scaling the counts down when the budget is short.
+Phase two raises the per-image tile cap along a descending ladder as far as the
 leftover budget allows, reading every image's grid at each rung from one
-tiling.best_grids lookup. Samples whose videos cannot reach the minimum frame
-count, or whose budget cannot give every temporal item one unit, are
-discarded rather than degraded below usefulness. plan makes every discard
-decision and returns it as a verdict, never as an exception.
+tiling.best_grids lookup; a sample without images skips it. Samples whose
+videos cannot reach the minimum frame count, or whose budget cannot give every
+temporal item one unit, are discarded rather than degraded below usefulness.
+plan walks a sample's items once, before any discard, so a video so long that
+its frame count overflows raises InputError whatever else the sample holds;
+every other outcome is a verdict, never an exception.
 
 A plan record carries every field its cost is made of (l_text, the units per
 item and each image's grid), so total_tokens can be recomputed from it, and
@@ -21,17 +22,19 @@ read_plan(dumps_plan(p), line) == p. This module alone knows the record
 format: read_plan is the one place a record line is read (through
 jsonl.load_object), checking each field's shape and, given the ids seen so
 far, that the id is new; check_plan checks the fields against each other and
-against l_max. Both raise jsonl.InputError naming the line and the field, as
-plan does for a video too long to count frames for. SamplingPlan is an
-immutable NamedTuple, cheap to build once per sample. dumps_plan writes the
-record line directly, byte for byte what json.dumps(..., ensure_ascii=False)
-writes for the record's dict; a record itself never goes to json.dumps, which
-would write it as an array.
+against l_max. Both raise jsonl.InputError naming the line and the field.
+SamplingPlan is an immutable NamedTuple, built once per sample from all its
+fields by tuple.__new__. dumps_plan writes the record line directly, byte for
+byte what json.dumps(..., ensure_ascii=False) writes for the record's dict: it
+writes n_per_item and timestamps each as one repr of a list, which for ints
+and finite floats is json.dumps's own text. A record itself never goes to
+json.dumps, which would write it as an array.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 from typing import Callable, NamedTuple
@@ -47,6 +50,10 @@ TILE_LADDER = (12, 8, 6, 4, 2, 1)
 PLANNED = "planned"
 DISCARDED = "discarded"
 DISCARD_REASONS = ("text_overflow", "insufficient_budget")  # every reason plan gives a discard
+
+# A record built from all of its fields in order, without the Python frame of a
+# NamedTuple's own __new__: plan and read_plan each build one per sample.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -102,23 +109,25 @@ def frame_timestamps(duration_s: float, n: int) -> tuple[float, ...]:
 
 
 def _largest_remainder_split(total: int, caps: list[int]) -> list[int]:
-    # Distribute `total` units proportionally to caps, never exceeding a cap.
+    # Distribute `total` units proportionally to caps, never exceeding a cap: each
+    # part is the floor of its exact share, and the units left over go one each to
+    # the largest remainders, ties to the lower index.
     cap_sum = sum(caps)
     if cap_sum == 0 or total == 0:
         return [0] * len(caps)
     assert total <= cap_sum
     base = [total * c // cap_sum for c in caps]
-    remainders = [(-(total * c % cap_sum), i) for i, c in enumerate(caps)]
-    remainders.sort()
     leftover = total - sum(base)
-    for _, i in remainders[:leftover]:
-        base[i] += 1
-    assert all(n <= c for n, c in zip(base, caps))
+    if leftover:  # a reverse sort is still stable: equal remainders keep index order
+        remainders = [total * c % cap_sum for c in caps]
+        for i in sorted(range(len(caps)), key=remainders.__getitem__, reverse=True)[:leftover]:
+            base[i] += 1
+    assert all(map(operator.le, base, caps))
     return base
 
 
 def _discard(sample: Sample, reason: str, l_text: int) -> SamplingPlan:
-    return SamplingPlan(sample.id, DISCARDED, reason, l_text=l_text)
+    return _new(SamplingPlan, (sample.id, DISCARDED, reason, None, (), (), (), l_text, None))
 
 
 def plan(sample: Sample, cfg: BudgetConfig,
@@ -127,91 +136,90 @@ def plan(sample: Sample, cfg: BudgetConfig,
 
     grids_of gives an image's best grid under every tile cap (best_grids, or
     a memo of it that a caller shares across the samples of one run).
-    Discards (a verdict, not an error) happen when the text alone meets
-    l_max (text_overflow), and when any video would fall below the configured
-    minimum frame count or the visual items cannot fit even at minimal
-    degradation (one tile per image, one unit per temporal item;
-    insufficient_budget). Raises InputError only when a video is so long that
-    its frame count overflows.
+    Raises InputError, before any discard, when a video is so long that its
+    frame count overflows. Otherwise discards (a verdict, not an error) happen
+    when the text alone meets l_max (text_overflow), and when any video would
+    fall below the configured minimum frame count or the visual items cannot
+    fit even at minimal degradation (one tile per image, one unit per temporal
+    item; insufficient_budget).
     """
-    l_text = sample.text_tokens
-    if l_text >= cfg.l_max:
-        return _discard(sample, "text_overflow", l_text)
-    l_visual = cfg.l_max - l_text  # text first, the remainder for visual content
+    items = sample.items
     tok = TILE_TOKENS  # one frame, page or image tile
-
-    images = [(i, it) for i, it in enumerate(sample.items) if it.kind == "image"]
-    temporal = [(i, it) for i, it in enumerate(sample.items) if it.kind != "image"]
-    m = len(images)
-
-    if l_visual < tok * m:
-        return _discard(sample, "insufficient_budget", l_text)
-
-    # Phase 1: every image held at one tile; spend the rest on temporal units.
-    counts = [0] * len(sample.items)
-    n_total = 0
-    if temporal:
+    # One walk over the items: the images' positions, and each temporal item's
+    # position and the units it can take beyond the one it always gets.
+    images, temporal, spare = [], [], []
+    for i, it in enumerate(items):
+        if it.kind == "image":
+            images.append(i)
+            continue
         try:
-            # Every temporal item gets one unit; spare is what each can take beyond it.
-            spare = [temporal_cap(it, cfg) - 1 for _, it in temporal]
+            spare.append(temporal_cap(it, cfg) - 1)
         except OverflowError as exc:  # fps_target * duration_s beyond float range
             raise InputError(
                 f"sample {sample.id!r}: video too long to plan at fps_target={cfg.fps_target}", field="duration_s"
             ) from exc
-        allowance = (l_visual - tok * m) // tok - len(temporal)
+        temporal.append(i)
+
+    l_text = sample.text_tokens
+    if l_text >= cfg.l_max:
+        return _discard(sample, "text_overflow", l_text)
+    l_visual = cfg.l_max - l_text  # text first, the remainder for visual content
+    if l_visual < tok * len(images):
+        return _discard(sample, "insufficient_budget", l_text)
+
+    # Phase 1: every image held at one tile; spend the rest on temporal units.
+    counts = [0] * len(items)
+    stamps: list[tuple[float, ...]] = [()] * len(items)
+    n_total = 0
+    if temporal:
+        allowance = (l_visual - tok * len(images)) // tok - len(temporal)
         if allowance < 0:
             return _discard(sample, "insufficient_budget", l_text)
         extra = min(sum(spare), allowance)
         n_total = len(temporal) + extra
-        for (i, it), n in zip(temporal, _largest_remainder_split(extra, spare)):
-            if it.kind == "video" and n + 1 < cfg.min_frames:
-                return _discard(sample, "insufficient_budget", l_text)
+        for i, n in zip(temporal, _largest_remainder_split(extra, spare)):
             counts[i] = n + 1
+            if items[i].kind == "video" and n + 1 < cfg.min_frames:
+                return _discard(sample, "insufficient_budget", l_text)
+        for i in temporal:
+            if items[i].kind == "video":
+                stamps[i] = frame_timestamps(items[i].duration_s, counts[i])
 
     # Phase 2: raise the per-image tile cap as far as the leftover budget allows.
     # The last rung, one tile per image, always fits: phase 1 reserved it.
-    residual = l_visual - tok * n_total
-    ladders = [grids_of(it.dims) for _, it in images]
-    for tile_cap in TILE_LADDER:
-        image_total = sum(grid_tokens(ladder[tile_cap - 1]) for ladder in ladders)
-        if image_total <= residual:
-            break
-
-    grids: list[TileGrid | None] = [None] * len(sample.items)
-    for (i, _), ladder in zip(images, ladders):
-        grids[i] = ladder[tile_cap - 1]
-
-    stamps: list[tuple[float, ...]] = [()] * len(sample.items)
-    for i, it in temporal:
-        if it.kind == "video" and counts[i] > 0:
-            stamps[i] = frame_timestamps(it.duration_s, counts[i])
+    tile_cap, image_total = TILE_LADDER[0], 0
+    grids: list[TileGrid | None] = [None] * len(items)
+    if images:
+        residual = l_visual - tok * n_total
+        ladders = [grids_of(items[i].dims) for i in images]
+        for tile_cap in TILE_LADDER:
+            image_total = sum(grid_tokens(ladder[tile_cap - 1]) for ladder in ladders)
+            if image_total <= residual:
+                break
+        for i, ladder in zip(images, ladders):
+            grids[i] = ladder[tile_cap - 1]
 
     total = l_text + tok * n_total + image_total
     assert total <= cfg.l_max
-    return SamplingPlan(
-        sample_id=sample.id,
-        verdict=PLANNED,
-        tile_cap=tile_cap,
-        image_grids=tuple(grids),
-        temporal_counts=tuple(counts),
-        frame_timestamps=tuple(stamps),
-        l_text=l_text,
-        total_tokens=total,
-    )
+    return _new(SamplingPlan,
+                (sample.id, PLANNED, None, tile_cap, tuple(grids), tuple(counts), tuple(stamps), l_text, total))
 
 
 def _is_count(x) -> bool:
     return type(x) is int and x >= 0  # json.loads gives bool for true/false, so bools fail
 
 
-def _finite_numbers(xs) -> bool:
-    """Whether xs is a list of finite numbers."""
-    if type(xs) is not list:
+def _finite_number_lists(xss) -> bool:
+    """Whether xss is a list of lists of finite numbers."""
+    if type(xss) is not list:
         return False
     try:
-        return all(map(math.isfinite, xs))
+        for xs in xss:
+            if type(xs) is not list or not all(map(math.isfinite, xs)):
+                return False
     except (TypeError, OverflowError):  # a non-number, or an int beyond float range
         return False
+    return True
 
 
 def _read_grid(g, sample_id: str, line: int) -> TileGrid:
@@ -254,10 +262,13 @@ def read_plan(text: str, line: int, seen_ids: set[str] | None = None) -> Samplin
         raise InputError(f"plan {sid!r}: total_tokens {total!r} is not a non-negative integer", line, "total_tokens")
     if type(grids) is not list:
         raise InputError(f"plan {sid!r}: grids must be a list", line, "grids")
-    grids = tuple([g if g is None else _read_grid(g, sid, line) for g in grids])
-    if type(stamps) is not list or not all(map(_finite_numbers, stamps)):
+    if grids.count(None) != len(grids):  # videos and documents have no grid to read
+        grids = [g if g is None else _read_grid(g, sid, line) for g in grids]
+    grids = tuple(grids)
+    if not _finite_number_lists(stamps):
         raise InputError(f"plan {sid!r}: timestamps must hold lists of finite numbers", line, "timestamps")
-    return SamplingPlan(sid, verdict, reason, tile_cap, grids, tuple(counts), tuple(map(tuple, stamps)), l_text, total)
+    stamps = tuple(map(tuple, stamps))
+    return _new(SamplingPlan, (sid, verdict, reason, tile_cap, grids, tuple(counts), stamps, l_text, total))
 
 
 def check_plan(p: SamplingPlan, line: int, l_max: int) -> None:
@@ -314,23 +325,21 @@ def _json_int(x: int | None) -> str:
     return "null" if x is None else repr(x)
 
 
-def _json_numbers(xs: tuple[int, ...] | tuple[float, ...]) -> str:
-    return f"[{', '.join(map(repr, xs))}]"
-
-
 def dumps_plan(p: SamplingPlan) -> str:
     """The plan's record line, written directly from its fields.
 
     It is byte for byte json.dumps(d, ensure_ascii=False) of the dict d with keys
     "id", "verdict", "reason" (only when set), "tile_cap", "n_per_item", "grids",
-    "timestamps", "l_text" and "total_tokens". Timestamps must be finite, as plan
-    makes them: repr would write nan and inf where JSON has no such numbers.
+    "timestamps", "l_text" and "total_tokens". n_per_item and timestamps are each
+    one repr of a list: Python writes a list of ints or finite floats, nested or
+    not, exactly as json.dumps does. Timestamps must be finite, as plan makes
+    them: repr would write nan and inf where JSON has no such numbers.
     """
     reason = "" if p.reason is None else f'"reason": {_json_str(p.reason)}, '
     grids = ", ".join("null" if g is None else f"[{g.cols!r}, {g.rows!r}]" for g in p.image_grids)
-    stamps = ", ".join(map(_json_numbers, p.frame_timestamps))
     return (
         f'{{"id": {_json_str(p.sample_id)}, "verdict": {_json_str(p.verdict)}, {reason}'
-        f'"tile_cap": {_json_int(p.tile_cap)}, "n_per_item": {_json_numbers(p.temporal_counts)}, "grids": [{grids}], '
-        f'"timestamps": [{stamps}], "l_text": {p.l_text!r}, "total_tokens": {_json_int(p.total_tokens)}}}'
+        f'"tile_cap": {_json_int(p.tile_cap)}, "n_per_item": {list(p.temporal_counts)!r}, "grids": [{grids}], '
+        f'"timestamps": {list(map(list, p.frame_timestamps))!r}, "l_text": {p.l_text!r}, '
+        f'"total_tokens": {_json_int(p.total_tokens)}}}'
     )

@@ -2,10 +2,14 @@
 
 Manifests, plan files and annotation job files are read the same way: lines
 yields each non-blank line with its 1-based number (blank lines count), and
-load_object decodes one line into a dict. A line that is not JSON, is nested
-too deeply for the decoder, holds an integer longer than Python converts
-(4 300 digits by default), holds a \\u escape of an unpaired surrogate (which
-no UTF-8 output can hold), or holds something other than an object raises
+load_object decodes one line into a dict. It calls the JSON decoder's scanner
+once and keeps the value when the scan consumed the whole line; any other
+outcome (no value, an error, or text after the value) re-runs json.loads on the
+line, so what load_object accepts and every rejection message are json.loads's
+own. A line that is not JSON, is nested too deeply for the decoder, holds an
+integer longer than Python converts (4 300 digits by default), holds a \\u
+escape of an unpaired surrogate (which no UTF-8 output can hold), or holds
+something other than an object raises
 InputError("malformed <kind> record (<reason>)", line).
 
 InputError is every rejection of input, in every module, command-line usage
@@ -36,10 +40,20 @@ def lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
             yield line_no, text
 
 
+# The decoder's own scanner: one call decodes a value, without json.loads's BOM,
+# whitespace and extra-data steps around it.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def load_object(text: str, line: int, kind: str) -> dict:
     """One record line as a dict, or InputError naming the kind of record and the line."""
     try:
-        obj = json.loads(text)
+        try:
+            obj, end = _scan_once(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(text):  # not one value filling the line: json.loads decodes it or says why not
+            obj = json.loads(text)
         if "\\" in text:  # a one-character search is a memchr, several times faster than one for \u
             # A \u escape can decode to a lone surrogate, which no UTF-8 writer can write back.
             json.dumps(obj, ensure_ascii=False).encode("utf-8")

@@ -45,6 +45,12 @@ class Sample(NamedTuple):
     tags: tuple[str, ...] = ()
 
 
+# A record built from all of its fields in order, without the Python frame of a
+# NamedTuple's own __new__: a manifest line builds a Sample and each of its items.
+_new = tuple.__new__
+_STR = frozenset([str])  # the one type a tag may have
+
+
 # json.loads gives plain dict, list, str, int, float, bool and None, so the
 # type(x) is int tests below also reject bools.
 def _parse_item(obj: dict, line: int) -> VisualItem:
@@ -60,7 +66,7 @@ def _parse_item(obj: dict, line: int) -> VisualItem:
             raise InputError("invalid width", line, "width")
         if type(h) is not int or h < 1:
             raise InputError("invalid height", line, "height")
-        return VisualItem("image", uri, ImageDims(w, h))
+        return _new(VisualItem, ("image", uri, _new(ImageDims, (w, h)), None, None))
     if kind == "video":
         d = obj.get("duration_s")
         if type(d) is int:
@@ -68,16 +74,14 @@ def _parse_item(obj: dict, line: int) -> VisualItem:
                 d = float(d)
             except OverflowError:  # an integer beyond float range
                 d = math.inf
-        elif type(d) is not float:
+        if type(d) is not float or not 0.0 < d < math.inf:  # NaN fails both comparisons
             raise InputError("invalid duration", line, "duration_s")
-        if not (math.isfinite(d) and d > 0):
-            raise InputError("invalid duration", line, "duration_s")
-        return VisualItem("video", uri, None, d)
+        return _new(VisualItem, ("video", uri, None, d, None))
     if kind == "document":
         p = obj.get("pages")
         if type(p) is not int or p < 1:
             raise InputError("invalid pages", line, "pages")
-        return VisualItem("document", uri, None, None, p)
+        return _new(VisualItem, ("document", uri, None, None, p))
     raise InputError(f"unknown kind {kind!r}", line, "kind")
 
 
@@ -102,9 +106,9 @@ def parse_record(text: str, line: int, seen_ids: set[str] | None = None) -> Samp
         raise InputError("invalid items", line, "items")
     items = tuple([_parse_item(it, line) for it in raw_items])
     tags = obj.get("tags", [])
-    if type(tags) is not list or not all(type(t) is str for t in tags):
+    if type(tags) is not list or not _STR.issuperset(map(type, tags)):
         raise InputError("invalid tags", line, "tags")
-    return Sample(sid, items, tt, tuple(tags))
+    return _new(Sample, (sid, items, tt, tuple(tags)))
 
 
 def iter_manifest(stream: IO[str] | Iterable[str]) -> Iterator[Sample]:

@@ -1,7 +1,9 @@
 import json
+import math
 import pickle
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from mmprep.budget import (
     TILE_LADDER,
     BudgetConfig,
     SamplingPlan,
+    _largest_remainder_split,
     dumps_plan,
     frame_timestamps,
     plan,
@@ -159,6 +162,50 @@ def test_plan_insufficient_for_any_visual():
     p = plan(make_sample("i1", images=[(448, 448)], text_tokens=1000), BudgetConfig(l_max=1100))
     assert p.verdict == "discarded"
     assert p.reason == "insufficient_budget"
+
+
+@pytest.mark.parametrize("images, text_tokens", [((), 0), ([(800, 600)] * 5, 0), ((), 2000)],
+                         ids=["alone", "image_starved", "text_overflow"])
+def test_plan_rejects_an_overflowing_video_before_any_discard(images, text_tokens):
+    # At l_max 1024, five images cannot each get a tile and 2000 text tokens overflow;
+    # a video whose frame count overflows is rejected all the same.
+    sample = make_sample("huge", images=images, videos=[1e308], text_tokens=text_tokens)
+    with pytest.raises(InputError, match="sample 'huge': video too long to plan at fps_target=2.0") as err:
+        plan(sample, BudgetConfig(l_max=1024))
+    assert err.value.field == "duration_s"
+
+
+def _sort_all_split(total: int, caps: list[int]) -> list[int]:
+    """_largest_remainder_split as it was before it sorted only leftover units: every index, every call."""
+    cap_sum = sum(caps)
+    if cap_sum == 0 or total == 0:
+        return [0] * len(caps)
+    base = [total * c // cap_sum for c in caps]
+    remainders = sorted((-(total * c % cap_sum), i) for i, c in enumerate(caps))
+    for _, i in remainders[:total - sum(base)]:
+        base[i] += 1
+    return base
+
+
+@settings(max_examples=400, deadline=None)
+@given(caps=st.lists(st.integers(0, 10**6) | st.integers(0, 3), min_size=1, max_size=8), data=st.data())
+@example(caps=[0, 0], data=None)
+@example(caps=[1, 1, 1], data=None)
+def test_largest_remainder_split_matches_exact_shares(caps, data):
+    cap_sum = sum(caps)
+    total = cap_sum if data is None else data.draw(st.integers(0, cap_sum))
+    parts = _largest_remainder_split(total, caps)
+    assert parts == _sort_all_split(total, caps)
+    assert sum(parts) == total
+    assert all(0 <= n <= c for n, c in zip(parts, caps))
+    if total == 0:
+        return
+    shares = [Fraction(total * c, cap_sum) for c in caps]
+    assert all(n - math.floor(x) in (0, 1) for n, x in zip(parts, shares))
+    # The units left over go to the largest fractional remainders, ties to the lower index.
+    by_remainder = sorted(range(len(caps)), key=lambda i: (-(shares[i] - math.floor(shares[i])), i))
+    raised = {i for i, (n, x) in enumerate(zip(parts, shares)) if n > math.floor(x)}
+    assert raised == set(by_remainder[:len(raised)])
 
 
 def test_plan_deterministic_serialization():

@@ -131,12 +131,17 @@ def test_plan_non_finite_duration_exit_1(capsys, tmp_path, duration):
     assert out == ""
 
 
+_IMAGE = '{"kind": "image", "width": 800, "height": 600, "uri": ""}, '
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_plan_huge_finite_duration_exit_1(capsys, tmp_path, jobs):
-    # 1e308 s is finite, but 2 fps of it is not.
+@pytest.mark.parametrize("images", [0, 5], ids=["alone", "image_starved"])
+def test_plan_huge_finite_duration_exit_1(capsys, tmp_path, jobs, images):
+    # 1e308 s is finite, but 2 fps of it is not. At l_max 1024 five images cannot
+    # each get a tile, and the sample still exits 1 rather than being discarded.
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(_video_record("1e308").replace('"x"', '"huge-video"'))
-    code, out, err = run_cli(capsys, ["plan", "--jobs", jobs, "-i", str(bad)])
+    bad.write_text(_video_record("1e308").replace('"x"', '"huge-video"').replace('[{', "[" + _IMAGE * images + "{"))
+    code, out, err = run_cli(capsys, ["plan", "--jobs", jobs, "--l-max", "1024", "-i", str(bad)])
     assert code == 1
     assert "'huge-video'" in err
     assert "Traceback" not in err

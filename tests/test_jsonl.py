@@ -1,9 +1,12 @@
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmprep.jsonl import InputError, lines, load_object
 
@@ -44,3 +47,83 @@ def test_load_object_accepts_escapes_that_decode_to_characters(text, value):
 def test_load_object_rejects_unpaired_surrogate_escapes(text):
     with pytest.raises(InputError, match=r"malformed job record \(unpaired surrogate escape\) at line 7"):
         load_object(text, 7, "job")
+
+
+# load_object's messages for each case, as the decoder gave them before load_object
+# called the scanner directly; a case without a message decodes to what json.loads gives.
+_MALFORMED = "malformed manifest record ({}) at line 3"
+_CORPUS = {
+    "bom": ('\ufeff{"a": 1}', _MALFORMED.format("Unexpected UTF-8 BOM (decode using utf-8-sig)")),
+    "trailing_text": ('{} x', _MALFORMED.format("Extra data")),
+    "two_objects": ('{}{}', _MALFORMED.format("Extra data")),
+    "array": ('[1]', _MALFORMED.format("not an object")),
+    "string": ('"s"', _MALFORMED.format("not an object")),
+    "bare_nan": ('NaN', _MALFORMED.format("not an object")),
+    "nan_value": ('{"a": NaN}', None),
+    "infinite_value": ('{"a": 1e400}', None),
+    "negative_infinity": ('{"a": -Infinity}', None),
+    "digits_5000": ('{"a": ' + "7" * 5000 + '}', _MALFORMED.format("integer of more than 4300 digits")),
+    "nested_100000": ('{"a": ' + "[" * 100_000 + "]" * 100_000 + '}', _MALFORMED.format("nested too deeply")),
+    "unpaired_surrogate": (r'{"a": "\ud800"}', _MALFORMED.format("unpaired surrogate escape")),
+    "two_high_surrogates": (r'{"a": "x\ud800\ud800"}', _MALFORMED.format("unpaired surrogate escape")),
+    "inner_whitespace": ('{ "a" : [ 1 ,\t2 ] , "b":{"c" :null},"d" : "e" }', None),
+    "outer_whitespace": ('  {"a": 1}\t\n', None),
+    "repeated_key": ('{"a": 1, "a": 2}', None),
+    "empty": ('', _MALFORMED.format("Expecting value")),
+    "open_brace": ('{', _MALFORMED.format("Expecting property name enclosed in double quotes")),
+    "bad_literal": ('{"a": tru}', _MALFORMED.format("Expecting value")),
+}
+
+
+@pytest.mark.parametrize("text, message", _CORPUS.values(), ids=_CORPUS.keys())
+def test_load_object_reads_what_json_loads_reads(text, message):
+    if message is None:
+        # repr, because a NaN is not equal to itself
+        assert repr(load_object(text, 3, "manifest")) == repr(json.loads(text))
+    else:
+        with pytest.raises(InputError) as err:
+            load_object(text, 3, "manifest")
+        assert str(err.value) == message
+        assert (err.value.line, err.value.field) == (3, "record")
+
+
+def _json_loads_reference(text: str) -> str:
+    """What load_object gives for text, from json.loads alone: the repr of a dict, or the error message."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"malformed job record ({exc.msg}) at line 1"
+    except ValueError:
+        return f"malformed job record (integer of more than {sys.get_int_max_str_digits()} digits) at line 1"
+    except RecursionError:
+        return "malformed job record (nested too deeply) at line 1"
+    if type(obj) is not dict:
+        return "malformed job record (not an object) at line 1"
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return "malformed job record (unpaired surrogate escape) at line 1"
+    return repr(obj)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_lines = st.one_of(
+    st.text(max_size=40),
+    st.builds(lambda v, pre, post: pre + json.dumps(v) + post, _json_values,
+              st.sampled_from(["", " ", "\ufeff", "x"]), st.sampled_from(["", " ", "}", "{}", ",", "\t"])),
+    st.dictionaries(st.text(max_size=4), _json_values, max_size=4).map(json.dumps),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_lines)
+def test_load_object_agrees_with_json_loads(text):
+    try:
+        got = repr(load_object(text, 1, "job"))
+    except InputError as err:
+        got = str(err)
+    assert got == _json_loads_reference(text)
