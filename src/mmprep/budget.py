@@ -20,9 +20,10 @@ A plan record carries every field its cost is made of (l_text, the units per
 item and each image's grid), so total_tokens can be recomputed from it, and
 read_plan(dumps_plan(p), line) == p. This module alone knows the record
 format: read_plan is the one place a record line is read (through
-jsonl.load_object), checking each field's shape and, given the ids seen so
-far, that the id is new; check_plan checks the fields against each other and
-against l_max. Both raise jsonl.InputError naming the line and the field.
+jsonl.load_object), requiring every field but reason and checking each one's
+shape and, given the ids seen so far, that the id is new; check_plan checks
+the fields against each other and against l_max. Both raise InputError naming
+the line and the field.
 SamplingPlan is an immutable NamedTuple, built once per sample from all its
 fields by tuple.__new__. dumps_plan writes the record line directly, byte for
 byte what json.dumps(..., ensure_ascii=False) writes for the record's dict: it
@@ -50,6 +51,8 @@ TILE_LADDER = (12, 8, 6, 4, 2, 1)
 PLANNED = "planned"
 DISCARDED = "discarded"
 DISCARD_REASONS = ("text_overflow", "insufficient_budget")  # every reason plan gives a discard
+_REQUIRED = operator.itemgetter("verdict", "tile_cap", "n_per_item", "grids", "timestamps", "l_text", "total_tokens")
+_NUMBER = frozenset([int, float])  # a JSON number's types: json.loads gives bool, not int, for true and false
 
 # A record built from all of its fields in order, without the Python frame of a
 # NamedTuple's own __new__: plan and read_plan each build one per sample.
@@ -72,13 +75,13 @@ class BudgetConfig:
 class SamplingPlan(NamedTuple):
     sample_id: str
     verdict: str
-    reason: str | None = None
-    tile_cap: int | None = None
-    image_grids: tuple[TileGrid | None, ...] = ()  # aligned to sample.items, None for non-images
-    temporal_counts: tuple[int, ...] = ()  # aligned to sample.items, 0 for images
-    frame_timestamps: tuple[tuple[float, ...], ...] = ()  # aligned to sample.items, () for non-videos
-    l_text: int = 0
-    total_tokens: int | None = None
+    reason: str | None
+    tile_cap: int | None
+    image_grids: tuple[TileGrid | None, ...]  # aligned to sample.items, None for non-images
+    temporal_counts: tuple[int, ...]  # aligned to sample.items, 0 for images
+    frame_timestamps: tuple[tuple[float, ...], ...]  # aligned to sample.items, () for non-videos
+    l_text: int
+    total_tokens: int | None
 
     @property
     def planned(self) -> bool:
@@ -215,9 +218,9 @@ def _finite_number_lists(xss) -> bool:
         return False
     try:
         for xs in xss:
-            if type(xs) is not list or not all(map(math.isfinite, xs)):
+            if type(xs) is not list or xs and not (_NUMBER.issuperset(map(type, xs)) and all(map(math.isfinite, xs))):
                 return False
-    except (TypeError, OverflowError):  # a non-number, or an int beyond float range
+    except OverflowError:  # an int beyond float range
         return False
     return True
 
@@ -231,11 +234,10 @@ def _read_grid(g, sample_id: str, line: int) -> TileGrid:
 def read_plan(text: str, line: int, seen_ids: set[str] | None = None) -> SamplingPlan:
     """Parse one plan record line into a SamplingPlan, checking each field's shape once.
 
-    A record without grids, n_per_item, timestamps or l_text reads them as
-    empty or 0, so records written before those fields existed still read.
-    With seen_ids, an id already in the set is rejected and a new one added.
-    Whether the fields agree with each other and with a budget is check_plan's
-    to decide. Raises InputError naming the line and the first malformed field.
+    Every field dumps_plan writes but reason is required. With seen_ids, an id
+    already in the set is rejected and a new one added. Whether the fields agree
+    with each other and with a budget is check_plan's to decide. Raises
+    InputError naming the line and the first missing or malformed field.
     """
     obj = load_object(text, line, "plan")
     sid = obj.get("id")
@@ -245,20 +247,22 @@ def read_plan(text: str, line: int, seen_ids: set[str] | None = None) -> Samplin
         if sid in seen_ids:
             raise InputError(f"duplicate plan id {sid!r}", line, "id")
         seen_ids.add(sid)
-    verdict, reason, tile_cap = obj.get("verdict"), obj.get("reason"), obj.get("tile_cap")
-    l_text, counts, total = obj.get("l_text", 0), obj.get("n_per_item", []), obj.get("total_tokens")
-    grids, stamps = obj.get("grids", []), obj.get("timestamps", [])
+    try:  # the fields after the id in SamplingPlan's order, reason aside; a KeyError names the first one missing
+        verdict, tile_cap, counts, grids, stamps, l_text, total = _REQUIRED(obj)
+    except KeyError as exc:
+        raise InputError(f"plan {sid!r}: {exc.args[0]} is missing", line, exc.args[0]) from None
+    reason = obj.get("reason")
     if verdict not in (PLANNED, DISCARDED):
         raise InputError(f"plan {sid!r}: unknown verdict {verdict!r}", line, "verdict")
     if reason is not None and type(reason) is not str:
         raise InputError(f"plan {sid!r}: reason {reason!r} is not a string", line, "reason")
     if tile_cap is not None and type(tile_cap) is not int:
         raise InputError(f"plan {sid!r}: tile_cap {tile_cap!r} is not an integer", line, "tile_cap")
-    if not _is_count(l_text):
+    if type(l_text) is not int or l_text < 0:
         raise InputError(f"plan {sid!r}: l_text {l_text!r} is not a non-negative integer", line, "l_text")
     if type(counts) is not list or not all(map(_is_count, counts)):
         raise InputError(f"plan {sid!r}: n_per_item must hold non-negative integers", line, "n_per_item")
-    if not (_is_count(total) or (total is None and verdict == DISCARDED)):
+    if not ((type(total) is int and total >= 0) or (total is None and verdict == DISCARDED)):
         raise InputError(f"plan {sid!r}: total_tokens {total!r} is not a non-negative integer", line, "total_tokens")
     if type(grids) is not list:
         raise InputError(f"plan {sid!r}: grids must be a list", line, "grids")
@@ -278,8 +282,8 @@ def check_plan(p: SamplingPlan, line: int, l_max: int) -> None:
     write together, with l_max the budget the plans were made with. A discard
     is what _discard writes: one of DISCARD_REASONS, text_overflow exactly when
     l_text >= l_max, a null tile_cap and total_tokens, and no units, grids or
-    timestamps. A planned record has no reason, and its cost is recomputed
-    from its fields.
+    timestamps. A planned record has no reason and a tile_cap in 1..MAX_TILES,
+    and its cost is recomputed from its fields.
     """
     sid = p.sample_id
     if not p.planned:
@@ -304,7 +308,7 @@ def check_plan(p: SamplingPlan, line: int, l_max: int) -> None:
     if any((g is None) == (n == 0) for g, n in zip(p.image_grids, p.temporal_counts)):
         raise InputError(f"plan {sid!r}: an item must have a grid exactly when it has 0 units", line, "grids")
     tiles = [g.tiles for g in p.image_grids if g is not None]
-    if tiles and not (p.tile_cap is not None and 1 <= p.tile_cap <= MAX_TILES):
+    if not (p.tile_cap is not None and 1 <= p.tile_cap <= MAX_TILES):
         raise InputError(f"plan {sid!r}: tile_cap {p.tile_cap!r} is not an integer in 1..{MAX_TILES}", line, "tile_cap")
     if tiles and max(tiles) > p.tile_cap:
         raise InputError(f"plan {sid!r}: a grid of {max(tiles)} tiles exceeds tile_cap={p.tile_cap}", line, "grids")
@@ -321,10 +325,6 @@ def check_plan(p: SamplingPlan, line: int, l_max: int) -> None:
         raise InputError(f"plan {sid!r} exceeds l_max={l_max}", line, "total_tokens")
 
 
-def _json_int(x: int | None) -> str:
-    return "null" if x is None else repr(x)
-
-
 def dumps_plan(p: SamplingPlan) -> str:
     """The plan's record line, written directly from its fields.
 
@@ -339,7 +339,7 @@ def dumps_plan(p: SamplingPlan) -> str:
     grids = ", ".join("null" if g is None else f"[{g.cols!r}, {g.rows!r}]" for g in p.image_grids)
     return (
         f'{{"id": {_json_str(p.sample_id)}, "verdict": {_json_str(p.verdict)}, {reason}'
-        f'"tile_cap": {_json_int(p.tile_cap)}, "n_per_item": {list(p.temporal_counts)!r}, "grids": [{grids}], '
-        f'"timestamps": {list(map(list, p.frame_timestamps))!r}, "l_text": {p.l_text!r}, '
-        f'"total_tokens": {_json_int(p.total_tokens)}}}'
+        f'"tile_cap": {"null" if p.tile_cap is None else p.tile_cap}, "n_per_item": {list(p.temporal_counts)!r}, '
+        f'"grids": [{grids}], "timestamps": {list(map(list, p.frame_timestamps))!r}, "l_text": {p.l_text!r}, '
+        f'"total_tokens": {"null" if p.total_tokens is None else p.total_tokens}}}'
     )

@@ -47,6 +47,15 @@ def dumps_sample(sample: Sample) -> str:
     return json.dumps(sample_to_obj(sample), ensure_ascii=False)
 
 
+def plan_record(**fields) -> dict:
+    """A plan record as plan writes it for an empty sample without text, with the given fields replaced.
+
+    Every field plan writes is there, so a record that replaces one field reaches the check of that field.
+    """
+    return {"id": "p", "verdict": "planned", "tile_cap": 12, "n_per_item": [], "grids": [], "timestamps": [],
+            "l_text": 0, "total_tokens": 0, **fields}
+
+
 def make_sample(sid="s0", images=(), videos=(), docs=(), text_tokens=0):
     """Sample from shorthand tuples: images=[(w,h)...], videos=[dur...], docs=[pages...]."""
     items = [image_item(w, h, uri=f"img://{sid}/{i}") for i, (w, h) in enumerate(images)]

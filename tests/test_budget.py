@@ -25,7 +25,9 @@ from mmprep.budget import (
 from mmprep.jsonl import InputError
 from mmprep.manifest import Sample, parse_record
 from mmprep.tiling import TileGrid, best_grids, grid_tokens, select_grid
-from tests.conftest import document_item, dumps_sample, image_item, make_sample, random_sample, video_item
+from tests.conftest import (
+    document_item, dumps_sample, image_item, make_sample, plan_record, random_sample, video_item,
+)
 
 
 def _is_text_overflow(p: SamplingPlan) -> bool:
@@ -46,7 +48,7 @@ def test_budget_zero_text():
 def test_budget_text_overflow():
     for text_tokens, l_max in ((40000, 32768), (4096, 4096)):
         p = plan(make_sample("t", docs=[3], text_tokens=text_tokens), BudgetConfig(l_max=l_max))
-        assert p == SamplingPlan("t", "discarded", "text_overflow", l_text=text_tokens)
+        assert p == SamplingPlan("t", "discarded", "text_overflow", None, (), (), (), text_tokens, None)
     assert plan(make_sample(text_tokens=4095), BudgetConfig(l_max=4096)).planned
 
 
@@ -321,12 +323,13 @@ def test_dumps_plan_writes_what_json_dumps_writes(p):
     ([["1"]], False),
     ([[[1.0]]], False),
     ([[None]], False),
+    ([[True]], False),
     ([5], False),
     ({}, False),
 ], ids=["empty", "numbers", "large_sum", "nan_after_large_sum", "infs", "huge_int", "string", "nested",
-        "null", "not_lists", "not_a_list"])
+        "null", "bool", "not_lists", "not_a_list"])
 def test_read_plan_timestamps_are_lists_of_finite_numbers(stamps, ok):
-    line = json.dumps({"id": "t", "verdict": "discarded", "timestamps": stamps})
+    line = json.dumps(plan_record(id="t", timestamps=stamps))
     if ok:
         assert read_plan(line, 1).frame_timestamps == tuple(map(tuple, stamps))
     else:

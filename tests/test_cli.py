@@ -15,7 +15,7 @@ from mmprep import budget, cli, composer, curator, kernels, tiling
 from mmprep.annotator.pipeline import LlmResponse
 from mmprep.curator import write_feature_file
 from mmprep.manifest import ImageDims
-from tests.conftest import MockLlm, dumps_sample, make_sample
+from tests.conftest import MockLlm, dumps_sample, make_sample, plan_record
 
 
 def run_cli(capsys, argv):
@@ -177,7 +177,7 @@ def test_non_utf8_input_exit_1(capsys, tmp_path, argv):
 
 
 _GOOD_SAMPLE = dumps_sample(make_sample("ok"))
-_GOOD_PLAN = '{"id": "ok", "verdict": "discarded", "reason": "text_overflow"}'
+_GOOD_PLAN = json.dumps(plan_record(id="ok"))
 _GOOD_JOB = '{"video_id": "ok", "clips": [{"start": 0, "end": 10}]}'
 # Every command that reads a JSON-lines file: (argv, the record kind it names, a good line of that kind).
 _LINE_READERS = {
@@ -298,8 +298,7 @@ def test_pack_and_validate_reject_non_positive_l_max(capsys, tmp_path):
 
 def test_pack_rejects_oversized_plan(capsys, tmp_path):
     plans = tmp_path / "plans.jsonl"
-    plans.write_text(json.dumps({"id": "big", "verdict": "planned", "tile_cap": 1,
-                                 "n_per_item": [], "timestamps": [], "total_tokens": 99999}) + "\n")
+    plans.write_text(json.dumps(plan_record(id="big", tile_cap=1, total_tokens=99999)) + "\n")
     code, _, err = run_cli(capsys, ["pack", "-i", str(plans), "--l-max", "32768"])
     assert code == 1
     assert "plan 'big' has 99999 tokens, exceeding pack capacity 32768 at line 1" in err
@@ -341,10 +340,8 @@ def test_pack_memory_does_not_grow_with_timestamps(capsys, tmp_path):
         path = tmp_path / "plans.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             for k in range(2000):
-                rec = {"id": f"s{k:05d}", "verdict": "planned", "tile_cap": None, "n_per_item": [frames],
-                       "grids": [None], "l_text": k, "total_tokens": k + 256 * frames}
-                if with_stamps:
-                    rec["timestamps"] = [stamps]
+                rec = plan_record(id=f"s{k:05d}", n_per_item=[frames], grids=[None],
+                                  timestamps=[stamps if with_stamps else []], l_text=k, total_tokens=k + 256 * frames)
                 fh.write(json.dumps(rec) + "\n")
         tracemalloc.start()
         try:
@@ -492,18 +489,23 @@ def test_validate_plans_recomputes_total_tokens(capsys, tmp_path):
 
 def test_pack_rejects_malformed_grid(capsys, tmp_path):
     plans = tmp_path / "p.jsonl"
-    plans.write_text(json.dumps({"id": "z", "verdict": "planned", "grids": [[0, 1]], "total_tokens": 1}) + "\n")
+    plans.write_text(json.dumps(plan_record(id="z", grids=[[0, 1]], total_tokens=1)) + "\n")
     code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
     assert code == 1
     assert "grids must hold null or [cols, rows] of positive integers at line 1" in err
 
 
-@pytest.mark.parametrize("total", [{"total_tokens": "100"}, {}, {"total_tokens": -5}, {"total_tokens": True}],
+def _without(rec, key):
+    return {k: v for k, v in rec.items() if k != key}
+
+
+@pytest.mark.parametrize("bad", [plan_record(id="z", total_tokens="100"), _without(plan_record(id="z"), "total_tokens"),
+                                 plan_record(id="z", total_tokens=-5), plan_record(id="z", total_tokens=True)],
                          ids=["string", "missing", "negative", "bool"])
-def test_pack_rejects_malformed_total_tokens(capsys, tmp_path, total):
+def test_pack_rejects_malformed_total_tokens(capsys, tmp_path, bad):
     plans = tmp_path / "p.jsonl"
-    good = {"id": "ok", "verdict": "planned", "total_tokens": 10}
-    plans.write_text(json.dumps(good) + "\n" + json.dumps({"id": "z", "verdict": "planned", **total}) + "\n")
+    good = plan_record(id="ok", total_tokens=10)
+    plans.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     code, out, err = run_cli(capsys, ["pack", "-i", str(plans)])
     assert code == 1
     assert "plan 'z': total_tokens" in err and "at line 2" in err
@@ -512,10 +514,9 @@ def test_pack_rejects_malformed_total_tokens(capsys, tmp_path, total):
 
 
 @pytest.mark.parametrize("rec, field", [
-    ({"id": "x", "verdict": "planned", "l_text": -5, "total_tokens": -5}, "l_text"),
-    ({"id": "y", "verdict": "planned", "n_per_item": [-1], "grids": [None], "l_text": 300, "total_tokens": 44},
-     "n_per_item"),
-    ({"id": "z", "verdict": "planned", "l_text": True, "total_tokens": True}, "l_text"),
+    (plan_record(id="x", l_text=-5, total_tokens=-5), "l_text"),
+    (plan_record(id="y", n_per_item=[-1], grids=[None], l_text=300, total_tokens=44), "n_per_item"),
+    (plan_record(id="z", l_text=True, total_tokens=True), "l_text"),
 ], ids=["negative_l_text", "negative_units", "bool_fields"])
 def test_validate_and_pack_reject_negative_or_bool_plan_fields(capsys, tmp_path, rec, field):
     # Each record's total_tokens equals the cost of its fields, so only the field checks catch it.
@@ -530,12 +531,7 @@ def test_validate_and_pack_reject_negative_or_bool_plan_fields(capsys, tmp_path,
 
 
 def _planned(**fields):
-    return {"id": "p", "verdict": "planned", "tile_cap": 12, "n_per_item": [0], "grids": [[1, 1]],
-            "timestamps": [[]], "l_text": 0, **fields}
-
-
-def _without(rec, key):
-    return {k: v for k, v in rec.items() if k != key}
+    return plan_record(**{"n_per_item": [0], "grids": [[1, 1]], "timestamps": [[]], **fields})
 
 
 # What a message about a bad record must not show: Python's own error text.
@@ -561,9 +557,11 @@ _INTERNALS = ("'int' object", "KeyError", "TileGrid", "__", "positional argument
     (_planned(n_per_item=[1], grids=[None], timestamps=[5], total_tokens=256), "timestamps", True),
     (_planned(n_per_item=5, grids=[None], timestamps=[[]], total_tokens=1280), "n_per_item", True),
     (_planned(n_per_item=[1], grids=[None], timestamps=[[float("nan")]], total_tokens=256), "timestamps", True),
+    (plan_record(tile_cap=-7), "tile_cap", False),  # plan writes tile_cap 12 for a sample without images too
+    (plan_record(tile_cap=None), "tile_cap", False),
 ], ids=["bool_cell", "float_cell", "triple", "grid_over_cap", "cap_out_of_range", "timestamps_count",
         "no_units_no_grid", "unknown_verdict", "int_id", "not_object", "no_id", "timestamps_not_lists",
-        "n_per_item_not_list", "nan_timestamp"])
+        "n_per_item_not_list", "nan_timestamp", "no_images_negative_cap", "no_images_null_cap"])
 def test_validate_plans_rejects_fields_plan_never_writes(capsys, tmp_path, rec, field, shape):
     plans = tmp_path / "p.jsonl"
     plans.write_text(json.dumps(rec) + "\n")
@@ -584,8 +582,8 @@ def test_validate_plans_rejects_fields_plan_never_writes(capsys, tmp_path, rec, 
 
 
 def _discard(**fields):
-    return {"id": "d", "verdict": "discarded", "reason": "text_overflow", "tile_cap": None, "n_per_item": [],
-            "grids": [], "timestamps": [], "l_text": 99, "total_tokens": None, **fields}
+    return plan_record(**{"id": "d", "verdict": "discarded", "reason": "text_overflow", "tile_cap": None, "l_text": 99,
+                          "total_tokens": None, **fields})
 
 
 _STARVED = dict(reason="insufficient_budget", l_text=5)
@@ -596,7 +594,7 @@ _STARVED = dict(reason="insufficient_budget", l_text=5)
 @pytest.mark.parametrize("rec, field", [
     (_discard(reason="bogus", total_tokens=99999999), "reason"),
     (_without(_discard(), "reason"), "reason"),
-    ({"id": "p", "verdict": "planned", "reason": "text_overflow", "l_text": 5, "total_tokens": 5}, "reason"),
+    (plan_record(reason="text_overflow", l_text=5, total_tokens=5), "reason"),
     (_discard(reason="insufficient_budget", total_tokens=5), "total_tokens"),
     (_discard(l_text=5), "l_text"),
     (_discard(**_STARVED, tile_cap=7, n_per_item=[3], grids=[[4, 3]], timestamps=[[1.0]]), "tile_cap"),
@@ -655,11 +653,29 @@ def test_validate_plans_accepts_document_shaped_record(capsys, tmp_path):
     assert "1 plans checked, 0 errors" in err
 
 
+def test_plan_record_is_what_plan_writes_for_an_empty_sample():
+    p = budget.plan(make_sample("p"), budget.BudgetConfig(l_max=32768))
+    assert json.loads(budget.dumps_plan(p)) == plan_record()
+
+
+@pytest.mark.parametrize("argv", [["pack"], ["validate", "--kind", "plans"]], ids=["pack", "validate"])
+@pytest.mark.parametrize("key", ["verdict", "tile_cap", "n_per_item", "grids", "timestamps", "l_text", "total_tokens"])
+def test_pack_and_validate_reject_a_plan_record_missing_a_field(capsys, tmp_path, argv, key):
+    plans = tmp_path / "p.jsonl"
+    plans.write_text(json.dumps(plan_record(id="ok")) + "\n\n" + json.dumps(_without(plan_record(id="m"), key)) + "\n")
+    code, out, err = run_cli(capsys, [*argv, "-i", str(plans)])
+    assert code == 1
+    message = f"plan 'm': {key} is missing at line 3"
+    if argv[0] == "pack":
+        assert out == "" and f"Error: {message}\n" in err
+    else:
+        assert [json.loads(l) for l in out.splitlines()] == [{"line": 3, "field": key, "error": message}]
+
+
 def test_validate_plans_kind(capsys, tmp_path):
     plans = tmp_path / "p.jsonl"
     plans.write_text(
-        json.dumps({"id": "x", "verdict": "planned", "tile_cap": 1, "n_per_item": [],
-                    "timestamps": [], "total_tokens": 50000}) + "\n"
+        json.dumps(plan_record(id="x", tile_cap=1, total_tokens=50000)) + "\n"
     )
     code, out, _ = run_cli(capsys, ["validate", "--kind", "plans", "-i", str(plans), "--l-max", "32768"])
     assert code == 1

@@ -6,6 +6,7 @@ import pytest
 from mmprep import cli
 from mmprep.composer import pack, progressive_stages
 from mmprep.jsonl import InputError
+from tests.conftest import plan_record
 
 
 def optimal_bin_count(sizes, capacity):
@@ -106,12 +107,11 @@ def _pack_summary(capsys, tmp_path, records, l_max):
 
 
 def _planned(sid, tokens):
-    return {"id": sid, "verdict": "planned", "tile_cap": None, "n_per_item": [], "timestamps": [],
-            "total_tokens": tokens}
+    return plan_record(id=sid, total_tokens=tokens)
 
 
-_DISCARD = {"id": "d", "verdict": "discarded", "reason": "text_overflow", "tile_cap": None, "n_per_item": [],
-            "grids": [], "timestamps": [], "l_text": 40000, "total_tokens": None}
+_DISCARD = plan_record(id="d", verdict="discarded", reason="text_overflow", tile_cap=None, l_text=40000,
+                       total_tokens=None)
 
 
 def test_pack_summary_worked_example(capsys, tmp_path):

@@ -1,11 +1,15 @@
-"""Golden digests of `plan` and `pack` on a seeded mixed manifest.
+"""Golden digests of `plan`, `pack`, `tile`, `stages` and `validate --kind manifest`.
 
-A change that makes planning or packing faster must leave every output byte as
-it was. The manifest is built here from random.Random(25): videos with awkward
-durations (0.1 s, 1/3 s, 7199.9 s and random ones), documents, images, non-ASCII
-ids and text budgets that overflow at the smaller l_max. The digests were taken
-from the code before the plan and pack paths were last optimised; a mismatch
-means an output byte moved.
+A change that makes a command faster or simpler must leave every output byte as
+it was. The plan and pack manifest is built here from random.Random(25): videos
+with awkward durations (0.1 s, 1/3 s, 7199.9 s and random ones), documents,
+images, non-ASCII ids and text budgets that overflow at the smaller l_max. The
+digests were taken from the code before the plan and pack paths were last
+optimised. The tile manifest (random.Random(26)) adds slivers, exact tile
+multiples and ids that need escaping; the validate manifest (random.Random(27))
+holds one line of each manifest defect between valid lines. Their digests were
+taken before the plan-record reader last changed. A mismatch means an output
+byte moved.
 """
 
 import hashlib
@@ -56,3 +60,109 @@ def test_plan_and_pack_outputs_match_their_golden_digests(tmp_path, l_max):
     assert cli.main(["pack", "--l-max", str(l_max), "-i", str(plans), "-o", str(packs)]) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (plans, packs))
     assert digests == GOLDEN[l_max]
+
+
+# Ids a writer must escape: a quote, a backslash, control characters, line and
+# paragraph separators and non-ASCII characters, one outside the BMP; tile
+# writes them ASCII-escaped.
+ODD_IDS = ('q"uote', "back\\slash", "tab\there", "nl\nid", "ls\u2028ps\u2029", "\u00e9\u4e2d", "\U0001F600x",
+           "\x7f\x01")
+
+
+def _golden_images_manifest() -> str:
+    rng = random.Random(26)
+    records = []
+    for k in range(300):
+        items = []
+        for j in range(rng.randint(0, 5)):
+            kind = rng.choice(("image", "image", "image", "video", "document"))
+            if kind == "image":
+                shape = rng.random()
+                if shape < 0.1:  # a sliver, either way round
+                    w, h = rng.randint(1, 8), rng.randint(1000, 20000)
+                    w, h = (w, h) if rng.random() < 0.5 else (h, w)
+                elif shape < 0.2:  # an exact tile multiple
+                    w, h = 448 * rng.randint(1, 6), 448 * rng.randint(1, 6)
+                else:
+                    w, h = rng.randint(1, 6000), rng.randint(1, 6000)
+                items.append({"kind": "image", "width": w, "height": h, "uri": f"img://{k}/{j}"})
+            elif kind == "video":
+                items.append({"kind": "video", "duration_s": rng.choice(DURATIONS), "uri": f"vid://{k}/{j}"})
+            else:
+                items.append({"kind": "document", "pages": rng.randint(1, 50), "uri": f"doc://{k}/{j}"})
+        sid = f"t{k:03d}" if k % 5 else f"t{k:03d}-{ODD_IDS[k // 5 % len(ODD_IDS)]}"
+        records.append(json.dumps({"id": sid, "items": items, "text_tokens": rng.randint(0, 9000), "tags": []},
+                                  ensure_ascii=rng.random() < 0.5))
+    return "\n".join(records) + "\n"
+
+
+TILE_GOLDEN = {
+    1: "14c1376d05f59e1e1ea9f9d55f9e6b8de31edabaf88a97dabf816dadae6a2209",
+    4: "6fb77ec6380e141cdbd43d71b9ff2d0ff8022be27d5a69c70c114dda8fc7996a",
+    12: "373d6af211d4b8ea3782c0a3002590bead6cc54e0d6dc9df93dbe7555e5980fd",
+}
+
+
+@pytest.mark.parametrize("tile_cap", sorted(TILE_GOLDEN))
+def test_tile_output_matches_its_golden_digest(tmp_path, tile_cap):
+    manifest, out = tmp_path / "m.jsonl", tmp_path / "tiles.jsonl"
+    manifest.write_text(_golden_images_manifest(), encoding="utf-8")
+    assert cli.main(["tile", "--tile-cap", str(tile_cap), "-i", str(manifest), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TILE_GOLDEN[tile_cap]
+
+
+STAGES_GOLDEN = "a23432f487e6590cbd12e8b3d7c6e6d6f4be473002bbfe4eb7b287ca1894950b"
+
+
+def test_stages_output_matches_its_golden_digest(tmp_path):
+    out = tmp_path / "stages.json"
+    assert cli.main(["stages", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STAGES_GOLDEN
+
+
+def _defective_manifest() -> str:
+    """Valid records interleaved with one line of each manifest defect, blank lines and escaped text."""
+    rng = random.Random(27)
+    ok = '{"id": %s, "items": [{"kind": "image", "width": 640, "height": 480}], "text_tokens": 5}'
+    defects = [
+        '{"id": "x", "items": [',  # not JSON
+        '{"id": "deep", "items": ' + "[" * 100_000 + "]" * 100_000 + ', "text_tokens": 1}',
+        '{"id": "big", "items": [], "text_tokens": 1' + "0" * 5000 + '}',
+        r'{"id": "a\ud800b", "items": [], "text_tokens": 1}',  # unpaired surrogate escape
+        '[{"id": "arr"}]',  # not an object
+        '{"id": "", "items": [], "text_tokens": 1}',
+        '{"id": 7, "items": [], "text_tokens": 1}',
+        '{"id": "v0", "items": [], "text_tokens": 1}',  # duplicate of the first valid id
+        '{"id": "tt-neg", "items": [], "text_tokens": -1}',
+        '{"id": "tt-bool", "items": [], "text_tokens": true}',
+        '{"id": "tt-missing", "items": []}',
+        '{"id": "items-obj", "items": {}, "text_tokens": 1}',
+        '{"id": "item-num", "items": [5], "text_tokens": 1}',
+        '{"id": "uri-num", "items": [{"kind": "image", "width": 1, "height": 1, "uri": 5}], "text_tokens": 1}',
+        '{"id": "kind", "items": [{"kind": "audio"}], "text_tokens": 1}',
+        '{"id": "width", "items": [{"kind": "image", "width": 0, "height": 1}], "text_tokens": 1}',
+        '{"id": "height", "items": [{"kind": "image", "width": 1, "height": true}], "text_tokens": 1}',
+        '{"id": "dur-zero", "items": [{"kind": "video", "duration_s": 0}], "text_tokens": 1}',
+        '{"id": "dur-nan", "items": [{"kind": "video", "duration_s": NaN}], "text_tokens": 1}',
+        '{"id": "dur-inf", "items": [{"kind": "video", "duration_s": 1e400}], "text_tokens": 1}',
+        '{"id": "dur-str", "items": [{"kind": "video", "duration_s": "5"}], "text_tokens": 1}',
+        '{"id": "pages", "items": [{"kind": "document", "pages": 0}], "text_tokens": 1}',
+        '{"id": "tags-num", "items": [], "text_tokens": 1, "tags": [1]}',
+        '{"id": "tags-str", "items": [], "text_tokens": 1, "tags": "x"}',
+    ]
+    valid = [ok % json.dumps(f"v{k}-{ODD_IDS[k % len(ODD_IDS)]}" if k else "v0", ensure_ascii=k % 2 == 0)
+             for k in range(2 * len(defects))]
+    valid.append(r'{"id": "esc\/aped\"😀", "items": [], "text_tokens": 0, "tags": ["a\/b"]}')
+    lines = valid[:1] + [line for pair in zip(defects, valid[1:]) for line in pair] + valid[1 + len(defects):]
+    return "\n".join(line if rng.random() < 0.8 else "\n  " + line for line in lines) + "\n"
+
+
+VALIDATE_MANIFEST_GOLDEN = "83c0379ec6c40078ca6f33c3a388303b9d2bd20cea6db46fc9d5043260377429"
+
+
+def test_validate_manifest_output_matches_its_golden_digest(capsys, tmp_path):
+    manifest, out = tmp_path / "m.jsonl", tmp_path / "errors.jsonl"
+    manifest.write_text(_defective_manifest(), encoding="utf-8")
+    assert cli.main(["validate", "--kind", "manifest", "-i", str(manifest), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.endswith("49 valid samples, 24 errors\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_MANIFEST_GOLDEN

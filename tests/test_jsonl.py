@@ -66,6 +66,10 @@ _CORPUS = {
     "nested_100000": ('{"a": ' + "[" * 100_000 + "]" * 100_000 + '}', _MALFORMED.format("nested too deeply")),
     "unpaired_surrogate": (r'{"a": "\ud800"}', _MALFORMED.format("unpaired surrogate escape")),
     "two_high_surrogates": (r'{"a": "x\ud800\ud800"}', _MALFORMED.format("unpaired surrogate escape")),
+    "escaped_slash": (r'{"a": "x\/y\/z"}', None),
+    "escaped_backslash_u": (r'{"a": "\\ud800"}', None),  # a backslash, then the text ud800
+    "escaped_quote": (r'{"a": "say \"hi\""}', None),
+    "escaped_surrogate_pair": (r'{"a": "\ud83d\ude00", "\ud83d\ude00": 1}', None),
     "inner_whitespace": ('{ "a" : [ 1 ,\t2 ] , "b":{"c" :null},"d" : "e" }', None),
     "outer_whitespace": ('  {"a": 1}\t\n', None),
     "repeated_key": ('{"a": 1, "a": 2}', None),
@@ -85,6 +89,17 @@ def test_load_object_reads_what_json_loads_reads(text, message):
             load_object(text, 3, "manifest")
         assert str(err.value) == message
         assert (err.value.line, err.value.field) == (3, "record")
+
+
+def test_load_object_does_not_re_encode_a_line_without_a_u_escape(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", fail)
+    line = r'{"id": "a\/b", "uri": "img:\/\/1\/2", "tags": ["x\/y"]}'
+    assert load_object(line, 1, "manifest") == {"id": "a/b", "uri": "img://1/2", "tags": ["x/y"]}
+    with pytest.raises(AssertionError, match="json.dumps called"):  # a line with a \u escape is re-encoded
+        load_object(r'{"id": "\u00e9\/"}', 1, "manifest")
 
 
 def _json_loads_reference(text: str) -> str:
