@@ -9,7 +9,8 @@ every temporal item gets one unit, and the rest is split in proportion to what
 each item can still take, scaling the counts down when the budget is short.
 Phase two raises the per-image tile cap along a descending ladder as far as the
 leftover budget allows, reading every image's grid at each rung from one
-tiling.best_grids lookup; a sample without images skips it. Samples whose
+tiling.best_grids lookup and summing the rung's token cost from the per-grid
+table tiling.GRID_TOKENS; a sample without images skips it. Samples whose
 videos cannot reach the minimum frame count, or whose budget cannot give every
 temporal item one unit, are discarded rather than degraded below usefulness.
 plan walks a sample's items once, before any discard, so a video so long that
@@ -25,10 +26,12 @@ shape and, given the ids seen so far, that the id is new; check_plan checks
 the fields against each other and against l_max. Both raise InputError naming
 the line and the field.
 SamplingPlan is an immutable NamedTuple, built once per sample from all its
-fields by tuple.__new__. dumps_plan writes the record line directly, byte for
-byte what json.dumps(..., ensure_ascii=False) writes for the record's dict: it
-writes n_per_item and timestamps each as one repr of a list, which for ints
-and finite floats is json.dumps's own text. A record itself never goes to
+fields by tuple.__new__, as is each grid read_plan has checked. dumps_plan
+writes the record line directly, byte for byte what json.dumps(...,
+ensure_ascii=False) writes for the record's dict: it writes n_per_item and
+timestamps each as one repr of a list, which for ints and finite floats is
+json.dumps's own text, and each grid as its text in tiling.GRID_TEXT,
+formatting only a grid outside that table. A record itself never goes to
 json.dumps, which would write it as an array.
 """
 
@@ -36,17 +39,20 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 from typing import Callable, NamedTuple
 
 from .jsonl import InputError, load_object
 from .manifest import ImageDims, Sample, VisualItem
-from .tiling import MAX_TILES, TILE_TOKENS, TileGrid, best_grids, grid_tokens
+from .tiling import GRID_TEXT, GRID_TOKENS, MAX_TILES, TILE_TOKENS, TileGrid, best_grids, grid_tokens
 from .tiling import select_grid  # noqa: F401  (bench/worker.py traces budget.select_grid by name)
 
 # Per-image tile caps tried in phase two, largest first; ends at one tile.
 TILE_LADDER = (12, 8, 6, 4, 2, 1)
+# Each rung's cap with the getter of its grid from a best_grids ladder.
+_RUNGS = tuple((cap, operator.itemgetter(cap - 1)) for cap in TILE_LADDER)
+# A record's grids entry: each table grid's text, and null for a non-image.
+_GRID_TEXT = {None: "null", **GRID_TEXT}
 
 PLANNED = "planned"
 DISCARDED = "discarded"
@@ -55,21 +61,33 @@ _REQUIRED = operator.itemgetter("verdict", "tile_cap", "n_per_item", "grids", "t
 _NUMBER = frozenset([int, float])  # a JSON number's types: json.loads gives bool, not int, for true and false
 
 # A record built from all of its fields in order, without the Python frame of a
-# NamedTuple's own __new__: plan and read_plan each build one per sample.
+# NamedTuple's own __new__: plan and read_plan each build one per sample, and
+# read_plan one per grid it has checked.
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class BudgetConfig:
+class _BudgetFields(NamedTuple):
     l_max: int
     min_frames: int = 8
     fps_target: float = 2.0
 
-    def __post_init__(self):
-        if self.l_max <= 0:
+
+class BudgetConfig(_BudgetFields):
+    """The budget one plan run shares: immutable and hashable, and checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if cfg.l_max <= 0:
             raise ValueError("l_max must be positive")
-        if self.min_frames < 1 or not (math.isfinite(self.fps_target) and self.fps_target > 0):
+        if cfg.min_frames < 1 or not (math.isfinite(cfg.fps_target) and cfg.fps_target > 0):
             raise ValueError("min_frames must be positive and fps_target positive and finite")
+        return cfg
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds with: checked, as a new config is
+        return cls(*iterable)
 
 
 class SamplingPlan(NamedTuple):
@@ -195,12 +213,12 @@ def plan(sample: Sample, cfg: BudgetConfig,
     if images:
         residual = l_visual - tok * n_total
         ladders = [grids_of(items[i].dims) for i in images]
-        for tile_cap in TILE_LADDER:
-            image_total = sum(grid_tokens(ladder[tile_cap - 1]) for ladder in ladders)
+        for tile_cap, rung in _RUNGS:
+            image_total = sum(map(GRID_TOKENS.__getitem__, map(rung, ladders)))
             if image_total <= residual:
                 break
-        for i, ladder in zip(images, ladders):
-            grids[i] = ladder[tile_cap - 1]
+        for i, g in zip(images, map(rung, ladders)):
+            grids[i] = g
 
     total = l_text + tok * n_total + image_total
     assert total <= cfg.l_max
@@ -227,7 +245,7 @@ def _finite_number_lists(xss) -> bool:
 
 def _read_grid(g, sample_id: str, line: int) -> TileGrid:
     if type(g) is list and len(g) == 2 and type(g[0]) is int and type(g[1]) is int and g[0] >= 1 and g[1] >= 1:
-        return TileGrid(*g)
+        return _new(TileGrid, g)
     raise InputError(f"plan {sample_id!r}: grids must hold null or [cols, rows] of positive integers", line, "grids")
 
 
@@ -336,7 +354,10 @@ def dumps_plan(p: SamplingPlan) -> str:
     them: repr would write nan and inf where JSON has no such numbers.
     """
     reason = "" if p.reason is None else f'"reason": {_json_str(p.reason)}, '
-    grids = ", ".join("null" if g is None else f"[{g.cols!r}, {g.rows!r}]" for g in p.image_grids)
+    try:
+        grids = ", ".join(map(_GRID_TEXT.__getitem__, p.image_grids))
+    except KeyError:  # a grid best_grids never returns, such as 12 x 12
+        grids = ", ".join("null" if g is None else f"[{g.cols!r}, {g.rows!r}]" for g in p.image_grids)
     return (
         f'{{"id": {_json_str(p.sample_id)}, "verdict": {_json_str(p.verdict)}, {reason}'
         f'"tile_cap": {"null" if p.tile_cap is None else p.tile_cap}, "n_per_item": {list(p.temporal_counts)!r}, '

@@ -135,9 +135,10 @@ def pack_cmd(input_path, output_path, l_max):
             else:  # packing reads only the id and token count, so the timestamps and grids go with the line
                 sizes.append((p.sample_id, p.total_tokens))
     packs = composer.pack(sizes, l_max)
-    with _open_out(output_path) as fout:
+    with _open_out(output_path) as fout:  # each line byte for byte json.dumps(pack dict) + "\n", ensure_ascii
         for pack_id, (member_ids, total) in enumerate(packs):
-            fout.write(json.dumps({"pack_id": pack_id, "member_ids": member_ids, "total_tokens": total}) + "\n")
+            fout.write(f'{{"pack_id": {pack_id}, "member_ids": [{", ".join(map(_json_ascii, member_ids))}], '
+                       f'"total_tokens": {total}}}\n')
     if packs:
         utils = [total / l_max for _, total in packs]
         print(f"{len(packs)} packs from {len(sizes)} plans ({skipped} discarded skipped), utilization "
@@ -153,13 +154,13 @@ def stages_cmd(output_path):
         fout.write(json.dumps(doc, indent=2) + "\n")
 
 
-# What follows the id on a tile line, for each grid: json.dumps's own text for the
-# other three keys, so a line is byte for byte json.dumps({"id", "grid", "tokens",
-# "canvas"}) + "\n" with json.dumps's default ensure_ascii.
+# What follows the id on a tile line, for each grid, read from tiling's per-grid
+# tables: a line is byte for byte json.dumps({"id", "grid", "tokens", "canvas"})
+# + "\n" with json.dumps's default ensure_ascii.
 _TILE_TAILS = {
-    g: ", " + json.dumps({"grid": [g.cols, g.rows], "tokens": tiling.grid_tokens(g),
-                         "canvas": [g.cols * tiling.TILE_SIZE_PX, g.rows * tiling.TILE_SIZE_PX]})[1:] + "\n"
-    for g in tiling.candidate_grids(tiling.MAX_TILES)
+    g: f', "grid": {text}, "tokens": {tiling.GRID_TOKENS[g]}, '
+       f'"canvas": [{g.cols * tiling.TILE_SIZE_PX}, {g.rows * tiling.TILE_SIZE_PX}]}}\n'
+    for g, text in tiling.GRID_TEXT.items()
 }
 
 

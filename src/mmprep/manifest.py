@@ -9,9 +9,11 @@ ImageDims, VisualItem and Sample are plain immutable, hashable NamedTuples:
 they carry fields and check none. parse_record is where a manifest's fields
 are checked, once, as it reads them through jsonl.load_object; a bad line or
 field raises jsonl.InputError naming the line and the field, and a repeated
-id is rejected with field "id". So a record is only as good as what built it:
-one from parse_record holds checked fields. The module reads manifests and
-writes none; a writer builds each line's JSON object field by field, as
+id is rejected with field "id". A line must hold id, items ([] for a
+text-only sample) and text_tokens; a missing tags reads as [] and a missing
+item uri as "", the only defaults. So a record is only as good as what built
+it: one from parse_record holds checked fields. The module reads manifests
+and writes none; a writer builds each line's JSON object field by field, as
 json.dumps would write a NamedTuple as an array.
 """
 
@@ -101,8 +103,8 @@ def parse_record(text: str, line: int, seen_ids: set[str] | None = None) -> Samp
     tt = obj.get("text_tokens")
     if type(tt) is not int or tt < 0:
         raise InputError("invalid text_tokens", line, "text_tokens")
-    raw_items = obj.get("items", [])
-    if type(raw_items) is not list:
+    raw_items = obj.get("items")
+    if type(raw_items) is not list:  # missing, too: a sample without visual items holds []
         raise InputError("invalid items", line, "items")
     items = tuple([_parse_item(it, line) for it in raw_items])
     tags = obj.get("tags", [])

@@ -17,12 +17,14 @@ running best over counts 1..12 gives every cap. A planner that tries several
 caps thus searches once per image; select_grid is a lookup into it. The
 constants below are the source paper's values; every caller shares them.
 TileGrid is a plain NamedTuple; budget.read_plan checks the grids a plan
-record holds.
+record holds. GRID_TOKENS and GRID_TEXT, built once at import over
+candidate_grids(MAX_TILES), give each grid a selection can return its token
+cost and its record text "[cols, rows]", so a per-record caller looks both up
+instead of working them out; grid_tokens stays the rule for any other grid.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 from typing import NamedTuple
@@ -34,9 +36,10 @@ MAX_TILES = 12
 AREA_THRESHOLD = 0.6
 TILE_TOKENS = 256
 
-# Exact value of the float threshold (not 3/5): ties between grids are
-# decided against this rational, so it must stay the float's binary value.
-_THR = Fraction(AREA_THRESHOLD)
+# Exact value of the float threshold (not 3/5) as numerator and denominator:
+# ties between grids are decided against this rational, so it must stay the
+# float's binary value.
+_THR_NUM, _THR_DEN = AREA_THRESHOLD.as_integer_ratio()
 
 
 class TileGrid(NamedTuple):
@@ -75,7 +78,7 @@ def _table() -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, TileGr
         pq = [(a.cols * b.cols, t) for a, b in zip(grids, grids[1:])]
         cuts_of.append([(p // gcd(p, q), q // gcd(p, q)) for p, q in pq])
     cuts = sorted({c for cs in cuts_of for c in cs}, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-    tile_area = TILE_SIZE_PX**2 * _THR.denominator
+    tile_area = TILE_SIZE_PX**2 * _THR_DEN
     rows = []
     for low in (None, *cuts):  # the lower end of each gap; the first gap has none
         row = []
@@ -117,12 +120,12 @@ def best_grids(dims: ImageDims) -> tuple[TileGrid, ...]:
     # side of a cut tie only at W/H = d*d'/t, which the grid d x t/d' of fewer
     # tiles matches exactly; it scores at least as high, so a tie never decides
     # the ladder and either grid may stand for this tile count.
-    area_cap = _THR.numerator * w * h
+    area_cap = _THR_NUM * w * h
     out = []
     # Every score is positive, so the 0/1 start loses to the first tile count.
     best, best_num, best_den = None, 0, 1
     for area_num, grid, cols, rows in _ROWS[lo]:
-        # Exact score as num/den, dropping the factor 1 / (thr.denominator * W * H)
+        # Exact score as num/den, dropping the factor 1 / (_THR_DEN * W * H)
         # that every grid shares; a tie keeps the running best, which has fewer tiles.
         ch, rw = cols * h, rows * w
         if area_num > area_cap:
@@ -148,3 +151,8 @@ def grid_tokens(grid: TileGrid) -> int:
     """Token cost of a chosen grid: k tiles plus a thumbnail tile when k > 1."""
     k = grid.tiles
     return TILE_TOKENS if k == 1 else (k + 1) * TILE_TOKENS
+
+
+# Each grid best_grids can return, with its token cost and its plan-record text.
+GRID_TOKENS = {g: grid_tokens(g) for g in candidate_grids(MAX_TILES)}
+GRID_TEXT = {g: f"[{g.cols}, {g.rows}]" for g in GRID_TOKENS}

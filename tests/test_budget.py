@@ -58,6 +58,29 @@ def test_budget_config_rejects_bad_fps_target(fps_target):
         BudgetConfig(l_max=1024, fps_target=fps_target)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(l_max=0), "l_max must be positive"),
+    (dict(l_max=-1, min_frames=0), "l_max must be positive"),
+    (dict(l_max=1024, min_frames=0), "min_frames must be positive and fps_target positive and finite"),
+    (dict(l_max=1024, min_frames=1, fps_target=0.0), "min_frames must be positive and fps_target positive and finite"),
+])
+def test_budget_config_messages(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BudgetConfig(**kwargs)
+
+
+def test_budget_config_defaults_immutable_and_hashable():
+    cfg = BudgetConfig(l_max=1024)
+    assert (cfg.l_max, cfg.min_frames, cfg.fps_target) == (1024, 8, 2.0)
+    assert cfg == BudgetConfig(1024, 8, 2.0) and hash(cfg) == hash(BudgetConfig(1024, min_frames=8))
+    assert repr(cfg) == "BudgetConfig(l_max=1024, min_frames=8, fps_target=2.0)"
+    with pytest.raises(AttributeError):
+        cfg.l_max = 2048
+    assert cfg._replace(min_frames=2) == BudgetConfig(1024, 2)
+    with pytest.raises(ValueError, match="^l_max must be positive$"):
+        cfg._replace(l_max=0)
+
+
 def test_temporal_cap_video_2fps():
     cfg = BudgetConfig(l_max=1024)
     assert temporal_cap(video_item(100.0), cfg) == 200

@@ -158,6 +158,21 @@ def test_validate_manifest_non_finite_duration(capsys, tmp_path, duration):
     assert [e["field"] for e in errors] == ["duration_s"]
 
 
+@pytest.mark.parametrize("argv", [["plan"], ["tile"], ["validate", "--kind", "manifest"]],
+                         ids=["plan", "tile", "validate-manifest"])
+def test_manifest_line_without_items_exit_1(capsys, tmp_path, argv):
+    # A line that lost its items key is an error, not a text-only sample.
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "items": [], "text_tokens": 5}\n{"id": "b", "text_tokens": 5, "tags": []}\n')
+    code, out, err = run_cli(capsys, [*argv, "-i", str(bad)])
+    assert code == 1
+    if argv[0] == "validate":
+        assert [json.loads(l) for l in out.splitlines()] == [
+            {"line": 2, "field": "items", "error": "invalid items at line 2"}]
+    else:
+        assert "Error: invalid items at line 2" in err
+
+
 def test_missing_input_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["plan", "-i", str(tmp_path / "nope.jsonl")])
     assert code == 2
@@ -330,6 +345,26 @@ def test_pack_hands_composer_only_ids_and_token_counts(capsys, tmp_path, monkeyp
     assert out.read_text() == "".join(
         json.dumps({"pack_id": i, "member_ids": ids, "total_tokens": total}) + "\n"
         for i, (ids, total) in enumerate(expected))
+
+
+# Ids a pack line must escape: quotes, backslashes, control characters, line and
+# paragraph separators, non-ASCII and astral characters.
+_ODD_PLAN_IDS = ('q"uote', "back\\slash", "tab\there", "nl\nid\r", "\x00\x01\x1f\x7f", "ls\u2028ps\u2029",
+                 "\u00e9\u4e2d", "\U0001F600x", "\U0010FFFF", "plain")
+
+
+def test_pack_lines_are_what_json_dumps_writes(capsys, tmp_path):
+    plans, out = tmp_path / "plans.jsonl", tmp_path / "packs.jsonl"
+    records = [plan_record(id=f"{sid}{k}", l_text=1000 * (k + 1), total_tokens=1000 * (k + 1))
+               for k in range(3) for sid in _ODD_PLAN_IDS]
+    plans.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    code, _, _ = run_cli(capsys, ["pack", "--l-max", "4096", "-i", str(plans), "-o", str(out)])
+    assert code == 0
+    packs = composer.pack([(r["id"], r["total_tokens"]) for r in records], 4096)
+    assert len(packs) > 1 and any(len(ids) > 1 for ids, _ in packs)
+    assert out.read_bytes().decode("utf-8").split("\n") == [
+        json.dumps({"pack_id": i, "member_ids": ids, "total_tokens": total}) for i, (ids, total) in enumerate(packs)
+    ] + [""]
 
 
 def test_pack_memory_does_not_grow_with_timestamps(capsys, tmp_path):
@@ -1165,13 +1200,16 @@ def test_bench_setup_code_runs_against_a_feature_dir(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
 
 
-# Runs cli.main on argv, then fails naming any heavy module the command loaded.
+# Runs cli.main on argv, then fails naming any heavy module that importing the CLI
+# and running the command loaded; one the interpreter's start-up (site) loaded
+# before them does not count.
 _IMPORT_PROBE = """
 import sys
+before = set(sys.modules)
 from mmprep import cli
 rc = cli.main(sys.argv[1:])
-heavy = ("numpy", "mmprep.curator", "mmprep.annotator", "urllib.request", "http.client")
-loaded = [m for m in heavy if m in sys.modules]
+heavy = ("numpy", "mmprep.curator", "mmprep.annotator", "urllib.request", "http.client", "dataclasses", "fractions")
+loaded = [m for m in heavy if m in sys.modules and m not in before]
 sys.exit(f"loaded {loaded}" if loaded else rc)
 """
 
@@ -1182,7 +1220,8 @@ sys.exit(f"loaded {loaded}" if loaded else rc)
 ], ids=["plan", "pack", "tile", "stages", "validate-manifest", "validate-plans"])
 def test_commands_other_than_curate_and_annotate_load_neither(small_manifest, tmp_path, argv):
     # numpy is curate's alone and the HTTP client annotate's alone; a fresh
-    # interpreter that runs any other command must not pay to import them.
+    # interpreter that runs any other command must not pay to import them, nor
+    # dataclasses and fractions, which no such command needs.
     plans = tmp_path / "plans.jsonl"
     assert cli.main(["plan", "-i", str(small_manifest), "-o", str(plans)]) == 0
     argv = [a.format(manifest=small_manifest, plans=plans) for a in argv]

@@ -1,4 +1,4 @@
-"""Golden digests of `plan`, `pack`, `tile`, `stages` and `validate --kind manifest`.
+"""Golden digests of `plan`, `pack`, `tile`, `stages` and both kinds of `validate`.
 
 A change that makes a command faster or simpler must leave every output byte as
 it was. The plan and pack manifest is built here from random.Random(25): videos
@@ -8,8 +8,11 @@ digests were taken from the code before the plan and pack paths were last
 optimised. The tile manifest (random.Random(26)) adds slivers, exact tile
 multiples and ids that need escaping; the validate manifest (random.Random(27))
 holds one line of each manifest defect between valid lines. Their digests were
-taken before the plan-record reader last changed. A mismatch means an output
-byte moved.
+taken before the plan-record reader last changed. The plan file
+(random.Random(28)) holds one line of each plan defect the README lists
+between valid records with odd ids; its digest and summary were taken before
+read_plan and dumps_plan read grids from tiling's per-grid tables. A mismatch
+means an output byte moved.
 """
 
 import hashlib
@@ -166,3 +169,108 @@ def test_validate_manifest_output_matches_its_golden_digest(capsys, tmp_path):
     assert cli.main(["validate", "--kind", "manifest", "-i", str(manifest), "-o", str(out)]) == 1
     assert capsys.readouterr().err.endswith("49 valid samples, 24 errors\n")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_MANIFEST_GOLDEN
+
+
+# Grids of a valid record: every shape up to the cap, and the 12-tile ones.
+_GRIDS = [(c, r) for c in range(1, 13) for r in range(1, 12 // c + 1)]
+
+
+def _valid_plan(rng: random.Random, sid: str) -> dict:
+    """A record plan could write at l_max 32768: planned with mixed items, or one of the two discards."""
+    shape = rng.random()
+    if shape < 0.15:
+        return {"id": sid, "verdict": "discarded", "reason": "text_overflow", "tile_cap": None, "n_per_item": [],
+                "grids": [], "timestamps": [], "l_text": rng.randint(32768, 40000), "total_tokens": None}
+    if shape < 0.25:
+        return {"id": sid, "verdict": "discarded", "reason": "insufficient_budget", "tile_cap": None,
+                "n_per_item": [], "grids": [], "timestamps": [], "l_text": rng.randint(0, 32767),
+                "total_tokens": None}
+    cap = rng.choice((12, 8, 6, 4, 2, 1))
+    counts, grids, stamps, cost = [], [], [], 0
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.choice(("image", "image", "video", "document"))
+        if kind == "image":
+            cols, rows = rng.choice([g for g in _GRIDS if g[0] * g[1] <= cap])
+            counts.append(0), grids.append([cols, rows]), stamps.append([])
+            cost += 256 if cols * rows == 1 else 256 * (cols * rows + 1)
+        else:
+            n = rng.randint(1, 9)
+            counts.append(n), grids.append(None)
+            stamps.append([(k + 0.5) * rng.choice((0.1, 1 / 3, 2.5)) for k in range(n)] if kind == "video" else [])
+            cost += 256 * n
+    l_text = rng.randint(0, 32768 - cost)
+    return {"id": sid, "verdict": "planned", "tile_cap": cap, "n_per_item": counts, "grids": grids,
+            "timestamps": stamps, "l_text": l_text, "total_tokens": l_text + cost}
+
+
+def _defective_plans() -> str:
+    """Valid records with odd ids interleaved with one line of each plan defect, and blank lines."""
+    rng = random.Random(28)
+    planned = ('{"id": "%s", "verdict": "planned", "tile_cap": 12, "n_per_item": [0, 3], "grids": [[2, 3], null], '
+               '"timestamps": [[], [0.5, 1.5, 2.5]], "l_text": 100, "total_tokens": 2660}')
+    discard = ('{"id": "%s", "verdict": "discarded", "reason": "text_overflow", "tile_cap": null, "n_per_item": [], '
+               '"grids": [], "timestamps": [], "l_text": 40000, "total_tokens": null}')
+    defects = [
+        '{"id": "x", "verdict": [',  # not JSON
+        '{"id": "deep", "grids": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"id": "big", "l_text": 1' + "0" * 5000 + "}",
+        r'{"id": "a\ud800b", "verdict": "planned"}',  # unpaired surrogate escape
+        '[{"id": "arr"}]',  # not an object
+        planned.replace('"%s"', '""'),
+        planned.replace('"%s"', "7"),
+        planned % "v0",  # duplicate of the first valid id
+        planned.replace(', "l_text": 100', "") % "no-l-text",
+        planned.replace('"verdict": "planned", ', "") % "no-verdict",
+        planned.replace(', "total_tokens": 2660', "") % "no-total",
+        planned.replace('"planned"', '"maybe"') % "verdict",
+        planned.replace('"l_text": 100', '"l_text": -1') % "l-text-neg",
+        planned.replace('"l_text": 100', '"l_text": true') % "l-text-bool",
+        planned.replace("[0, 3]", "[0, -3]") % "count-neg",
+        planned.replace("[0, 3]", "[0, 3.0]") % "count-float",
+        planned.replace("2660", '"2660"') % "total-str",
+        planned.replace('"tile_cap": 12', '"tile_cap": "12"') % "cap-str",
+        planned.replace("[[2, 3], null]", "[[0, 3], null]") % "grid-zero",
+        planned.replace("[[2, 3], null]", "[[2], null]") % "grid-short",
+        planned.replace("[[2, 3], null]", "[[true, 3], null]") % "grid-bool",
+        planned.replace("[[2, 3], null]", '"2x3"') % "grids-str",
+        planned.replace("[0.5, 1.5, 2.5]", "[0.5, NaN, 2.5]") % "stamp-nan",
+        planned.replace("[0.5, 1.5, 2.5]", "[0.5, true, 2.5]") % "stamp-bool",
+        planned.replace("[[], [0.5, 1.5, 2.5]]", "[[], 0.5]") % "stamps-flat",
+        planned.replace('"verdict": "planned"', '"verdict": "planned", "reason": 5') % "reason-num",
+        planned.replace('"tile_cap": 12', '"tile_cap": 13') % "cap-13",
+        planned.replace('"tile_cap": 12', '"tile_cap": null') % "cap-null",
+        planned.replace('"tile_cap": 12', '"tile_cap": 4') % "cap-below-grid",
+        planned.replace("[[2, 3], null]", "[[12, 12], null]") % "grid-12x12",
+        planned.replace("[[2, 3], null]", "[[2, 3]]") % "grids-short",
+        planned.replace("[[2, 3], null]", "[[2, 3], [1, 1]]") % "grid-and-units",
+        planned.replace("[0, 3]", "[1, 3]") % "neither",
+        planned.replace("[0.5, 1.5, 2.5]", "[0.5, 1.5]") % "stamps-count",
+        planned.replace("[[], [0.5, 1.5, 2.5]]", "[[0.5, 1.5, 2.5]]") % "stamps-align",
+        planned.replace("2660", "2661") % "cost",
+        planned.replace('"l_text": 100', '"l_text": 30300').replace("2660", "32860") % "over-l-max",
+        planned.replace('"verdict": "planned"', '"verdict": "planned", "reason": "text_overflow"') % "planned-reason",
+        discard.replace('"reason": "text_overflow", ', "") % "no-reason",
+        discard.replace('"text_overflow"', '"too_long"') % "bad-reason",
+        discard.replace('"total_tokens": null', '"total_tokens": 40000') % "discard-total",
+        discard.replace('"tile_cap": null', '"tile_cap": 12') % "discard-cap",
+        discard.replace('"n_per_item": []', '"n_per_item": [1]') % "discard-units",
+        discard.replace('"grids": []', '"grids": [null]') % "discard-grids",
+        discard.replace('"timestamps": []', '"timestamps": [[]]') % "discard-stamps",
+        discard.replace('"l_text": 40000', '"l_text": 10') % "overflow-short",
+        discard.replace('"text_overflow"', '"insufficient_budget"') % "insufficient-long",
+    ]
+    valid = [_valid_plan(rng, f"v{k}-{ODD_IDS[k % len(ODD_IDS)]}" if k else "v0") for k in range(2 * len(defects))]
+    valid = [json.dumps(rec, ensure_ascii=k % 2 == 0) for k, rec in enumerate(valid)]
+    lines = valid[:1] + [line for pair in zip(defects, valid[1:]) for line in pair] + valid[1 + len(defects):]
+    return "\n".join(line if rng.random() < 0.8 else "\n  " + line for line in lines) + "\n"
+
+
+VALIDATE_PLANS_GOLDEN = "fe74f14913466a6658fb25b41c3fc00e2f0853a4be0b2215d0bb09e08231307e"
+
+
+def test_validate_plans_output_matches_its_golden_digest(capsys, tmp_path):
+    plans, out = tmp_path / "plans.jsonl", tmp_path / "errors.jsonl"
+    plans.write_text(_defective_plans(), encoding="utf-8")
+    assert cli.main(["validate", "--kind", "plans", "--l-max", "32768", "-i", str(plans), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.endswith("141 plans checked, 47 errors\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_PLANS_GOLDEN

@@ -80,6 +80,8 @@ def _item(**fields):
     (json.dumps({**_GOOD, "text_tokens": -1, "items": 3}), "text_tokens", "invalid text_tokens"),
     (json.dumps({k: v for k, v in _GOOD.items() if k != "text_tokens"}), "text_tokens", "invalid text_tokens"),
     (json.dumps({**_GOOD, "items": {}, "tags": 3}), "items", "invalid items"),
+    (json.dumps({k: v for k, v in _GOOD.items() if k != "items"}), "items", "invalid items"),
+    (json.dumps({**_GOOD, "items": None}), "items", "invalid items"),
     (json.dumps({**_GOOD, "items": [5]}), "items", "malformed item"),
     (json.dumps(_item(kind="image", width=4, height=4, uri=5)), "uri", "invalid uri"),
     (json.dumps(_item(kind="image", width=True, height=4)), "width", "invalid width"),
@@ -114,6 +116,12 @@ def test_parse_record_types():
     assert s.tags == () and type(s.tags) is tuple
     image = parse_record(json.dumps(_item(kind="image", width=4, height=3)), 1).items[0]
     assert type(image.dims) is ImageDims and image == VisualItem("image", "u", ImageDims(4, 3))
+
+
+def test_parse_record_defaults_tags_and_uri_alone():
+    # tags and an item's uri are the only keys a line may leave out.
+    s = parse_record(json.dumps({"id": "a", "items": [{"kind": "document", "pages": 2}], "text_tokens": 0}), 1)
+    assert s == Sample("a", (VisualItem("document", "", pages=2),), 0, ())
 
 
 def test_malformed_json_names_line():
