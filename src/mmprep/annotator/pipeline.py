@@ -219,18 +219,19 @@ def _segment(raw, name: str, line_no: int, title_optional: bool) -> Chapter:
     return Chapter(title, (start, end))
 
 
-def parse_jobs(stream: IO[str] | Iterable[str]) -> list[AnnotationJob]:
+def parse_jobs(stream: IO[bytes] | IO[str] | Iterable[str], name: str = "stream") -> list[AnnotationJob]:
     """Read newline-delimited job records: chapters for story jobs, clips otherwise.
 
     A job's uri, when present, must be a string (a missing one reads as "").
     Every chapter and clip needs a non-empty string title (a clip without one
     is titled "clip i") and finite numeric start and end with end > start.
-    A bad line raises InputError naming it, before any request is made.
+    A bad line raises InputError naming it, before any request is made; a
+    line of bytes that is not UTF-8 names the input as name.
     Whether a story's chapters are enough, sorted and non-overlapping is
     checked when the job runs, as its validate stage.
     """
     jobs: list[AnnotationJob] = []
-    for line_no, text in lines(stream):
+    for line_no, text in lines(stream, name):
         obj = load_object(text, line_no, "job")
         video_id, uri = obj.get("video_id"), obj.get("uri", "")
         if type(video_id) is not str or not video_id:

@@ -10,15 +10,19 @@ failures. Every rejection of input, in any module, is a jsonl.InputError,
 which main catches once: it prints "Error: <message>" to stderr and exits 1.
 So the commands hold no error handling of their own; only curate turns the
 curator's ValueError about a feature file into an InputError. Line-oriented
-inputs (manifests, plan files, job files) are read through jsonl.lines, so a
-bad line reads "malformed <kind> record (<reason>) at line N" in every command.
+inputs (manifests, plan files, job files) are read as bytes, from a path or
+from stdin alike, through jsonl.lines, so a bad line reads "malformed <kind>
+record (<reason>) at line N" and a byte that is not UTF-8 "input <name> is not
+UTF-8 at line N" in every command. plan, pack and tile hand their per-range
+work to jsonl.run_ranges, which splits a long enough --input file over the
+usable CPUs and gives what one process gives; stdin is read in one process.
+pack runs composer.pack once, over the (id, tokens) pairs of every range.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -30,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _json_ascii
 # curator (numpy) and the annotator (urllib, http.client) are imported inside
 # the functions of `curate` and `annotate`: the other commands never load them.
 from . import budget, composer, manifest, tiling
-from .jsonl import InputError, lines
+from .jsonl import InputError, lines, run_ranges
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -79,22 +83,12 @@ def _grid_memo():
 
 @contextmanager
 def _open_in(path: str):
-    """The input as UTF-8 text; a byte sequence that is not UTF-8 is a validation error."""
-    try:
-        if path == "-":
-            # sys.stdin decodes with the locale's error handler, which under the C
-            # and UTF-8 locales passes undecodable bytes through as surrogates.
-            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
-            try:
-                yield fh
-            finally:
-                fh.detach()  # leaves sys.stdin's buffer open
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                yield fh
-    except UnicodeDecodeError as exc:
-        name = "stdin" if path == "-" else path
-        raise InputError(f"input {name} is not UTF-8: {exc}") from exc
+    """The input's bytes, for jsonl.lines to split and decode, with the name its errors give it."""
+    if path == "-":
+        yield sys.stdin.buffer, "stdin"
+    else:
+        with open(path, "rb") as fh:
+            yield fh, path
 
 
 @contextmanager
@@ -110,22 +104,26 @@ def plan_cmd(input_path, output_path, l_max, min_frames, fps_target, jobs):
     """Allocate token budgets for each manifest sample (one JSON plan per line)."""
     cfg = budget.BudgetConfig(l_max=l_max, min_frames=min_frames, fps_target=fps_target)
     grids_of = _grid_memo()
-    discarded = planned = 0
-    with _open_in(input_path) as fin, _open_out(output_path) as fout:
-        for sample in manifest.iter_manifest(fin):
-            p = budget.plan(sample, cfg, grids_of)
+
+    def plan_range(numbered, seen, fout):
+        planned = discarded = 0
+        for line_no, text in numbered:
+            p = budget.plan(manifest.parse_record(text, line_no, seen), cfg, grids_of)
             fout.write(budget.dumps_plan(p) + "\n")
             planned, discarded = planned + p.planned, discarded + (not p.planned)
+        return planned, discarded
+
+    with _open_in(input_path) as (fin, name), _open_out(output_path) as fout:
+        planned, discarded = map(sum, zip(*run_ranges(fin, name, plan_range, fout, split=input_path != "-")))
     print(f"planned {planned}, discarded {discarded}", file=sys.stderr)
 
 
 def pack_cmd(input_path, output_path, l_max):
     """Pack planned samples into fixed-capacity training sequences."""
-    sizes = []
-    skipped = 0
-    seen: set[str] = set()
-    with _open_in(input_path) as fin:
-        for line_no, text in lines(fin):
+
+    def pack_range(numbered, seen, _):
+        sizes, skipped = [], 0
+        for line_no, text in numbered:
             p = budget.read_plan(text, line_no, seen)
             if not p.planned:
                 skipped += 1
@@ -134,6 +132,12 @@ def pack_cmd(input_path, output_path, l_max):
                                  line_no, "total_tokens")
             else:  # packing reads only the id and token count, so the timestamps and grids go with the line
                 sizes.append((p.sample_id, p.total_tokens))
+        return sizes, skipped
+
+    with _open_in(input_path) as (fin, name):
+        ranges = run_ranges(fin, name, pack_range, None, split=input_path != "-")
+    sizes = [pair for range_sizes, _ in ranges for pair in range_sizes]
+    skipped = sum(n for _, n in ranges)
     packs = composer.pack(sizes, l_max)
     with _open_out(output_path) as fout:  # each line byte for byte json.dumps(pack dict) + "\n", ensure_ascii
         for pack_id, (member_ids, total) in enumerate(packs):
@@ -167,12 +171,17 @@ _TILE_TAILS = {
 def tile_cmd(input_path, output_path, tile_cap):
     """Emit tiling geometry for every image in a manifest (one JSON object per image)."""
     grids_of = _grid_memo()
-    with _open_in(input_path) as fin, _open_out(output_path) as fout:
-        for sample in manifest.iter_manifest(fin):
+
+    def tile_range(numbered, seen, fout):
+        for line_no, text in numbered:
+            sample = manifest.parse_record(text, line_no, seen)
             head = '{"id": ' + _json_ascii(sample.id)
             for item in sample.items:
                 if item.kind == "image":
                     fout.write(head + _TILE_TAILS[grids_of(item.dims)[tile_cap - 1]])
+
+    with _open_in(input_path) as (fin, name), _open_out(output_path) as fout:
+        run_ranges(fin, name, tile_range, fout, split=input_path != "-")
 
 
 def curate_cmd(output_path, reference_dir, candidates_dir, tau, pool, jobs):
@@ -203,8 +212,8 @@ def annotate_cmd(input_path, output_path, endpoint, model, temperature, max_in_f
     """Run the caption/QA/anchor pipeline over a job file."""
     from .annotator import pipeline as annot
 
-    with _open_in(input_path) as fin:
-        jobs = annot.parse_jobs(fin)
+    with _open_in(input_path) as (fin, name):
+        jobs = annot.parse_jobs(fin, name)
     client = _make_client(endpoint, model, temperature, rpm)
     policy = annot.RetryPolicy(max_retries=retry_budget, max_in_flight=max_in_flight, seed=seed)
     # Append, so an earlier run's records are kept. A rerun repeats every job:
@@ -224,8 +233,8 @@ def validate_cmd(input_path, output_path, kind, l_max):
     errors: list[dict] = []
     count = 0
     seen: set[str] = set()
-    with _open_in(input_path) as fin:
-        for line_no, text in lines(fin):
+    with _open_in(input_path) as (fin, name):
+        for line_no, text in lines(fin, name):
             count += 1
             try:
                 if kind == "manifest":

@@ -1,16 +1,35 @@
 """The one reader of the JSON-lines files mmprep passes between stages.
 
 Manifests, plan files and annotation job files are read the same way: lines
-yields each non-blank line with its 1-based number (blank lines count), and
-load_object decodes one line into a dict. It calls the JSON decoder's scanner
-once and keeps the value when the scan consumed the whole line; any other
-outcome (no value, an error, or text after the value) re-runs json.loads on the
-line, so what load_object accepts and every rejection message are json.loads's
-own. A line that is not JSON, is nested too deeply for the decoder, holds an
-integer longer than Python converts (4 300 digits by default), holds a \\u
-escape of an unpaired surrogate (which no UTF-8 output can hold), or holds
-something other than an object raises
-InputError("malformed <kind> record (<reason>)", line).
+yields each non-blank line with its number (blank lines count), and
+load_object decodes one line into a dict. The CLI hands lines the bytes of a
+path or of stdin alike, split at \\n only, as JSON Lines is: a lone \\r is not
+a line end, and the \\r of a \\r\\n goes with the blank space strip() removes.
+Each line is decoded as UTF-8 on its own, so a byte that is not UTF-8 raises
+InputError("input <name> is not UTF-8", line) once every earlier line has gone
+to the caller. A stream of str lines is taken as it is.
+
+load_object calls the JSON decoder's scanner once and keeps the value when the
+scan consumed the whole line; any other outcome (no value, an error, or text
+after the value) re-runs json.loads on the line, so what load_object accepts
+and every rejection message are json.loads's own. A line that is not JSON, is
+nested too deeply for the decoder, holds an integer longer than Python
+converts (4 300 digits by default), holds a \\u escape of an unpaired surrogate
+(which no UTF-8 output can hold), or holds something other than an object
+raises InputError("malformed <kind> record (<reason>)", line).
+
+run_ranges runs a command's work over its input. A regular file is cut, just
+after a \\n, into up to one range per usable CPU (the affinity mask, so
+taskset limits it), each of about MIN_RANGE_BYTES or more. The first range
+runs in the calling process and writes straight to the output; each later one
+runs in a forked child, which writes its output to an unlinked temporary file
+and reports its result and the ids it read. The parent appends the outputs in
+range order and checks each range's ids against those of the ranges before
+it. A range whose child met an error, or which holds an earlier range's id,
+runs again in the parent with every earlier id and its own first line number,
+so it stops at its first error exactly where one process reading the whole
+file stops, after the same records. Stdin, a file too short for two ranges
+and a platform without os.fork run the work once, in-process.
 
 InputError is every rejection of input, in every module, command-line usage
 errors included: the CLI catches it once and exits 1. It imports no numpy.
@@ -18,9 +37,22 @@ errors included: the CLI catches it once and exits 1. It imports no numpy.
 
 from __future__ import annotations
 
+import io
 import json
+import marshal
+import os
+import stat
 import sys
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
+
+# The fewest bytes a range of a split input holds. On a 2-CPU VM, a split costs
+# a process with numpy loaded about 8 ms: the fork round trip (about 3 ms), and
+# copy-on-write faults on the pages it writes while a child shares them. tile
+# and pack read 15-20 kB of input per ms, so a range of less than about 150 kB
+# saves less than that; the 147 kB image manifest of the benchmark loses 2-6 ms
+# of a 10 ms tile when split in two.
+MIN_RANGE_BYTES = 256 * 1024
+_CHUNK = 1 << 16  # bytes one read of a range asks for
 
 
 class InputError(ValueError):
@@ -32,9 +64,18 @@ class InputError(ValueError):
         self.field = field
 
 
-def lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each non-blank line; single pass, constant memory."""
-    for line_no, raw in enumerate(stream, start=1):
+def lines(stream: IO[bytes] | IO[str] | Iterable[str], name: str = "stream",
+          start: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line, numbered from start; single pass, constant memory.
+
+    A line of bytes that is not UTF-8 raises InputError("input <name> is not UTF-8", line).
+    """
+    for line_no, raw in enumerate(stream, start):
+        if type(raw) is bytes:
+            try:
+                raw = raw.decode()
+            except UnicodeDecodeError:
+                raise InputError(f"input {name} is not UTF-8", line_no) from None
         text = raw.strip()
         if text:
             yield line_no, text
@@ -69,3 +110,163 @@ def load_object(text: str, line: int, kind: str) -> dict:
     if type(obj) is not dict:
         raise InputError(f"malformed {kind} record (not an object)", line)
     return obj
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _Span(io.RawIOBase):
+    """Bytes start..end of a file descriptor, read at their offsets: processes sharing it share no position."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self._fd, self._pos, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self._fd, min(len(buf), self._end - self._pos), self._pos)
+        buf[:len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _read(fd: int, start: int, end: int) -> IO[bytes]:
+    return io.BufferedReader(_Span(fd, start, end), _CHUNK)
+
+
+def _line_end(fd: int, pos: int, size: int) -> int:
+    """The offset just after the first \\n at or after pos, or size when there is none."""
+    while pos < size:
+        chunk = os.pread(fd, _CHUNK, pos)
+        end = chunk.find(b"\n")
+        if end >= 0:
+            return pos + end + 1
+        if not chunk:
+            break
+        pos += len(chunk)
+    return size
+
+
+def _range_starts(fd: int, size: int, n: int) -> list[int]:
+    """0, then the start of each of up to n - 1 more ranges of about size / n bytes."""
+    starts = [0]
+    for k in range(1, n):
+        start = _line_end(fd, max(size * k // n, starts[-1]), size)
+        if start >= size:
+            break
+        starts.append(start)
+    return starts
+
+
+# A command's work over one range: (its numbered lines, the ids seen, the output or None) -> its result.
+Work = Callable[[Iterator[tuple[int, str]], set[str], IO[str] | None], object]
+
+
+def run_ranges(fh: IO[bytes], name: str, work: Work, out: IO[str] | None, split: bool) -> list:
+    """work's result for each range of fh's lines, in file order.
+
+    work(numbered, seen, out) takes the (line number, text) pairs of a range,
+    checks each id against seen and adds it, writes its output to out (None
+    when the command writes nothing while it reads) and returns what the
+    command needs of the range. Its result must be made of what marshal
+    writes: numbers, strings, None, and tuples and lists of them. fh is
+    split only when split is true and it is a regular file of at least two
+    ranges of MIN_RANGE_BYTES; name is what a line that is not UTF-8 calls it.
+    """
+    starts = [0]
+    if split and hasattr(os, "fork"):
+        fd = fh.fileno()
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size >= 2 * MIN_RANGE_BYTES:
+            starts = _range_starts(fd, st.st_size, min(usable_cpus(), st.st_size // MIN_RANGE_BYTES))
+    if len(starts) == 1:
+        return [work(lines(fh, name), set(), out)]
+
+    import shutil  # only a split run needs these
+    import signal
+    import tempfile
+
+    ends = [*starts[1:], st.st_size]
+    pids: list[int | None] = []  # ranges 2.., None once reaped
+    tmps = []
+    try:
+        for start, end in zip(starts[1:], ends[1:]):
+            tmps.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                _run_child(work, lines(_read(fd, start, end), name), out is not None, tmps[-1])
+            pids.append(pid)
+        seen: set[str] = set()
+        results = [work(lines(_read(fd, 0, ends[0]), name), seen, out)]
+        for k, (pid, tmp) in enumerate(zip(pids, tmps), start=1):
+            _, status = os.waitpid(pid, 0)
+            pids[k - 1] = None
+            if os.waitstatus_to_exitcode(status) != 0:
+                raise OSError(f"the process reading lines of {name} from byte {starts[k]} exited with status "
+                              f"{os.waitstatus_to_exitcode(status)}")
+            report, size = _report(tmp)
+            if type(report) is str:  # the child's OSError
+                raise OSError(report)
+            if report is None or not seen.isdisjoint(report[1]):
+                # The range holds an error or an earlier range's id: this run meets the first of them
+                # after writing the records before it, as one process reading the whole file does.
+                first = 1 + sum(1 for _ in _read(fd, 0, starts[k]))
+                results.append(work(lines(_read(fd, starts[k], ends[k]), name, first), seen, out))
+                continue
+            if out is not None:
+                shutil.copyfileobj(io.TextIOWrapper(_read(tmp.fileno(), 0, size), encoding="utf-8", newline=""),
+                                   out, _CHUNK)
+            seen.update(report[1])
+            results.append(report[0])
+        return results
+    finally:  # no child outlives the call, whatever it raises
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for tmp in tmps:
+            tmp.close()
+
+
+def _run_child(work: Work, numbered: Iterator[tuple[int, str]], writes: bool, tmp: IO[bytes]) -> None:
+    """Run work over one range in a forked child, leaving its output and report in tmp; never returns.
+
+    The report is marshal's bytes of (result, the ids as a list) when work
+    returns, of the message of an OSError, or of None for any other error,
+    which the parent meets again when it runs the range itself. The offset
+    where the report starts, which is the size of the output, follows it as
+    8 bytes.
+    """
+    code = 1
+    try:
+        out = io.TextIOWrapper(tmp, encoding="utf-8", newline="\n") if writes else None
+        seen: set[str] = set()
+        try:
+            result = work(numbered, seen, out)
+            if out is not None:
+                out.flush()
+            report = (result, list(seen))  # marshal sorts a set's items; a list goes as it is
+        except OSError as exc:
+            report = str(exc)
+        except Exception:
+            report = None
+        size = tmp.seek(0, io.SEEK_END)
+        tmp.write(marshal.dumps(report) + size.to_bytes(8, "little"))
+        tmp.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _report(tmp: IO[bytes]) -> tuple[object, int]:
+    """A child's report from its temporary file, and the size of the output before it."""
+    end = tmp.seek(-8, io.SEEK_END)
+    size = int.from_bytes(tmp.read(8), "little")
+    tmp.seek(size)
+    return marshal.loads(tmp.read(end - size)), size

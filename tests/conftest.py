@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from mmprep import jsonl
 from mmprep.annotator.pipeline import LlmRequest, LlmResponse, TransientLlmError
 from mmprep.manifest import ImageDims, Sample, VisualItem
 
@@ -54,6 +55,12 @@ def plan_record(**fields) -> dict:
     """
     return {"id": "p", "verdict": "planned", "tile_cap": 12, "n_per_item": [], "grids": [], "timestamps": [],
             "l_text": 0, "total_tokens": 0, **fields}
+
+
+def split_into(monkeypatch, ranges: int) -> None:
+    """Make plan, pack and tile cut every input file of two bytes or more into up to `ranges` ranges."""
+    monkeypatch.setattr(jsonl, "MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(jsonl, "usable_cpus", lambda: ranges)
 
 
 def make_sample(sid="s0", images=(), videos=(), docs=(), text_tokens=0):

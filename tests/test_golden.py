@@ -1,4 +1,4 @@
-"""Golden digests of `plan`, `pack`, `tile`, `stages` and both kinds of `validate`.
+"""Golden digests of `plan`, `pack`, `tile`, `stages`, both kinds of `validate` and `annotate`.
 
 A change that makes a command faster or simpler must leave every output byte as
 it was. The plan and pack manifest is built here from random.Random(25): videos
@@ -11,8 +11,13 @@ holds one line of each manifest defect between valid lines. Their digests were
 taken before the plan-record reader last changed. The plan file
 (random.Random(28)) holds one line of each plan defect the README lists
 between valid records with odd ids; its digest and summary were taken before
-read_plan and dumps_plan read grids from tiling's per-grid tables. A mismatch
-means an output byte moved.
+read_plan and dumps_plan read grids from tiling's per-grid tables. The job
+file (random.Random(29)) holds story and clip jobs with non-ASCII titles and
+escaped ids, run through a test-local endpoint whose replies depend on the
+request alone, with a permanent failure and leaking brief captions; its digest
+and summary were taken before plan, pack and tile split their input over the
+CPUs. The plan, pack and tile digests hold whether the input is read in one
+range or split into three. A mismatch means an output byte moved.
 """
 
 import hashlib
@@ -22,6 +27,8 @@ import random
 import pytest
 
 from mmprep import cli
+from mmprep.annotator.pipeline import LlmError, LlmResponse
+from tests.conftest import _CATEGORY_LINE, MockLlm, split_into
 
 DURATIONS = (0.1, 1 / 3, 7199.9, 2.5, 59.97, 600.0, 1e-3)
 
@@ -55,8 +62,10 @@ GOLDEN = {
 }
 
 
+@pytest.mark.parametrize("ranges", [1, 3])
 @pytest.mark.parametrize("l_max", sorted(GOLDEN))
-def test_plan_and_pack_outputs_match_their_golden_digests(tmp_path, l_max):
+def test_plan_and_pack_outputs_match_their_golden_digests(tmp_path, monkeypatch, l_max, ranges):
+    split_into(monkeypatch, ranges)
     manifest, plans, packs = tmp_path / "m.jsonl", tmp_path / "plans.jsonl", tmp_path / "packs.jsonl"
     manifest.write_text(_golden_manifest(), encoding="utf-8")
     assert cli.main(["plan", "--l-max", str(l_max), "-i", str(manifest), "-o", str(plans)]) == 0
@@ -106,8 +115,10 @@ TILE_GOLDEN = {
 }
 
 
+@pytest.mark.parametrize("ranges", [1, 3])
 @pytest.mark.parametrize("tile_cap", sorted(TILE_GOLDEN))
-def test_tile_output_matches_its_golden_digest(tmp_path, tile_cap):
+def test_tile_output_matches_its_golden_digest(tmp_path, monkeypatch, tile_cap, ranges):
+    split_into(monkeypatch, ranges)
     manifest, out = tmp_path / "m.jsonl", tmp_path / "tiles.jsonl"
     manifest.write_text(_golden_images_manifest(), encoding="utf-8")
     assert cli.main(["tile", "--tile-cap", str(tile_cap), "-i", str(manifest), "-o", str(out)]) == 0
@@ -274,3 +285,65 @@ def test_validate_plans_output_matches_its_golden_digest(capsys, tmp_path):
     assert cli.main(["validate", "--kind", "plans", "--l-max", "32768", "-i", str(plans), "-o", str(out)]) == 1
     assert capsys.readouterr().err.endswith("141 plans checked, 47 errors\n")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_PLANS_GOLDEN
+
+
+# Titles and words a job file and the fake endpoint draw from: non-ASCII titles,
+# and QA answers that some brief captions name, so those captions leak.
+_TITLES = ("Café opening", "中文 chapter", "naïve ending", "plain", "emoji 😀 scene", 'a "quoted" title')
+_BRIEFS = ("a dog by the harbor", "two cyclists at dusk", "a red kite over the harbor", "a quiet market stall")
+_ANSWERS = ("the harbor", "two cyclists", "a red kite", "the morning light")
+
+
+def _golden_jobs() -> str:
+    """Story and clip jobs: odd chapter counts and spans, optional clip titles, escaped ids, failing uris."""
+    rng = random.Random(29)
+    records = []
+    for k in range(40):
+        vid = f"j{k:02d}" if k % 4 else f"j{k:02d}-{ODD_IDS[k // 4 % len(ODD_IDS)]}"
+        uri = f"vid://{k}" + ("/refused" if k % 11 == 5 else "")
+        t, segments = 0.0, []
+        story = rng.random() < 0.45
+        for _ in range(rng.randint(1, 4) if story else rng.randint(1, 3)):  # a one-chapter story fails validate
+            start = t + rng.choice((0, 0.5, 2.25))
+            end = start + rng.choice((1, 2.5, 7.5, 30, 61.7))
+            segment = {"start": start, "end": end}
+            if story or rng.random() < 0.5:
+                segment = {"title": rng.choice(_TITLES), **segment}
+            segments.append(segment)
+            t = end if story else rng.uniform(0, 100)
+        records.append({"video_id": vid, "uri": uri, ("chapters" if story else "clips"): segments})
+    return "".join(json.dumps(r, ensure_ascii=rng.random() < 0.5) + "\n" for r in records)
+
+
+class _RequestLlm:
+    """An endpoint whose reply depends on the request alone, so any thread order gives the same records.
+
+    A request for a uri holding "/refused" fails for good. A brief caption is
+    one of _BRIEFS, and a QA answer one of _ANSWERS; some name the same thing,
+    so the brief leaks and is asked for again with the answer banned. Nothing
+    here makes the pipeline wait out a backoff.
+    """
+
+    def submit(self, request):
+        if any("/refused" in ref for ref in request.image_refs):
+            raise LlmError("model refused the request")
+        h = hashlib.sha256("\0".join((request.prompt, *request.image_refs)).encode()).digest()
+        if "Guidelines For Brief Caption" in request.prompt:
+            return LlmResponse(text=json.dumps({"Brief Caption": _BRIEFS[h[0] % 4], "Detailed Caption": h[:6].hex()}))
+        names = _CATEGORY_LINE.findall(MockLlm._categories_section(request.prompt))
+        return LlmResponse(text=json.dumps({
+            name: None if h[i] % 5 == 0 else {"Q": f"What about the {name}?", "A": _ANSWERS[h[i + 8] % 4]}
+            for i, name in enumerate(names)
+        }))
+
+
+ANNOTATE_GOLDEN = ("7d00c05565dfb240bb14f731ad92f3875138f44f2e34544218d2408cd2c01b20", "31/40 jobs annotated, 9 failed")
+
+
+def test_annotate_output_matches_its_golden_digest(capsys, tmp_path, monkeypatch):
+    jobs, out = tmp_path / "jobs.jsonl", tmp_path / "annotations.jsonl"
+    jobs.write_text(_golden_jobs(), encoding="utf-8")
+    monkeypatch.setattr(cli, "_make_client", lambda *args: _RequestLlm())
+    code = cli.main(["annotate", "--endpoint", "http://127.0.0.1:9/generate", "-i", str(jobs), "-o", str(out)])
+    summary = capsys.readouterr().err.splitlines()[-1]
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest(), summary) == (3, *ANNOTATE_GOLDEN)
