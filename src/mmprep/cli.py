@@ -8,15 +8,14 @@ defaults, and every subcommand echoes its effective configuration to stderr.
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 partial annotation
 failures. Every rejection of input, in any module, is a jsonl.InputError,
 which main catches once: it prints "Error: <message>" to stderr and exits 1.
-So the commands hold no error handling of their own; only curate turns the
-curator's ValueError about a feature file into an InputError. Line-oriented
-inputs (manifests, plan files, job files) are read as bytes, from a path or
-from stdin alike, through jsonl.lines, so a bad line reads "malformed <kind>
-record (<reason>) at line N" and a byte that is not UTF-8 "input <name> is not
-UTF-8 at line N" in every command. plan, pack and tile hand their per-range
-work to jsonl.run_ranges, which splits a long enough --input file over the
-usable CPUs and gives what one process gives; stdin is read in one process.
-pack runs composer.pack once, over the (id, tokens) pairs of every range.
+So the commands hold no error handling of their own. Line-oriented inputs
+(manifests, plan files, job files) are read as bytes, from a path or from
+stdin alike, through jsonl.lines, so a bad line reads "malformed <kind> record
+(<reason>) at line N" and a byte that is not UTF-8 "input <name> is not UTF-8
+at line N" in every command. plan, pack and tile hand their per-range work
+to jsonl.run_ranges, which splits a long enough --input file over the usable
+CPUs and gives what one process gives; stdin is read in one process. pack
+runs composer.pack once, over the (id, tokens) pairs of every range.
 """
 
 from __future__ import annotations
@@ -188,10 +187,7 @@ def curate_cmd(output_path, reference_dir, candidates_dir, tau, pool, jobs):
     """Select novel candidate videos by max clip similarity against a reference set."""
     from . import curator
 
-    try:
-        records = curator.curate(reference_dir, candidates_dir, tau, pool)
-    except ValueError as exc:  # curator rejects a bad feature file with a ValueError naming it
-        raise InputError(str(exc)) from exc
+    records = curator.curate(reference_dir, candidates_dir, tau, pool)
     selected = total = 0
     with _open_out(output_path) as fout:
         for rec in records:

@@ -15,13 +15,15 @@ rows, copies them into one reused block and drops the track. The reference
 side is read first, as one block of all its rows, a float64 matrix built once
 at its final size (read_clip_matrix). Every candidate header is checked
 before any candidate body. The candidate side is never held whole:
-select_novel normalizes and scores each block of kernels.BLOCK_ROWS rows as
-it is read and keeps one float64 score per clip. At the peak, during the
-scan, curation holds the reference matrix, one candidate block, the scan's
-one similarity tile (kernels.TILE_VALUES float64 values, 2 MiB) and the score
-vector. After the scan, each video's output record is built from its slice
+select_novel normalizes each block of kernels.BLOCK_ROWS rows as it is read,
+kernels.smax scores the block in one piece, and one float64 score per clip is
+kept. At the peak, during the scan, curation holds the reference matrix, one
+candidate block, the scan's one similarity tile (kernels.TILE_VALUES float64
+values, 2 MiB) and the score vector. After the scan, each video's output record is built from its slice
 of the score vector only as it is written, so the 8-byte score is all that
-curation keeps of a candidate clip.
+curation keeps of a candidate clip. Every fault of a feature file or
+directory raises a jsonl.InputError naming it; a misuse no command makes (a
+bad pool mode, tau or shape, an empty reference) raises a ValueError.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
+from .jsonl import InputError
 
 CLIP_SECONDS = 10  # tracks are 1 fps, so a clip is this many vectors
 DEFAULT_TAU = 0.5
@@ -150,8 +153,8 @@ def select_novel(
     A clip is novel iff its max similarity < tau. blocks yields the candidate
     clip rows in row order as float64 matrices (clip_blocks, or a list of one
     matrix), and each VideoRows names one video's rows. The videos are sorted
-    by video_id before the first block is asked for, and two with one id are a
-    ValueError naming both paths. Each block is taken over: its rows are
+    by video_id before the first block is asked for, and two with one id are an
+    InputError naming both paths. Each block is taken over: its rows are
     normalized in place and scored by kernels.smax before the next block is
     asked for, so only one float64 score per clip is kept.
     The whole scan runs before this returns. The iterator then builds each
@@ -164,7 +167,7 @@ def select_novel(
     order = sorted(videos, key=lambda v: v.video_id)
     for a, b in zip(order, order[1:]):
         if a.video_id == b.video_id:
-            raise ValueError(f"duplicate candidate video_id {a.video_id!r} in {a.path} and {b.path}")
+            raise InputError(f"duplicate candidate video_id {a.video_id!r} in {a.path} and {b.path}")
     smax = np.empty(sum(v.clip_count for v in videos))
     row = 0
     for block in blocks:
@@ -239,37 +242,37 @@ def _read_header(fh, path: str | Path) -> FeatureHeader:
     video_id must be a non-empty str, dim and count non-bool ints >= 1, and
     fps, when present, the int 1. The body that follows must be able to hold
     count*dim values: exactly that many float32 bytes when binary, and at least
-    one byte per value and per separator when text. Every failure is a
-    ValueError naming the file.
+    one byte per value and per separator when text. Every failure is an
+    InputError naming the file.
     """
     try:
         header = json.loads(fh.readline().decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer too long, or nested too deeply
-        raise ValueError(f"{path}: malformed feature header") from exc
+        raise InputError(f"{path}: malformed feature header") from exc
     if not isinstance(header, dict):
-        raise ValueError(f"{path}: malformed feature header")
+        raise InputError(f"{path}: malformed feature header")
     for key in ("video_id", "dim", "count"):
         if key not in header:
-            raise ValueError(f"{path}: feature header missing {key!r}")
+            raise InputError(f"{path}: feature header missing {key!r}")
     video_id, dim, count = header["video_id"], header["dim"], header["count"]
     if not isinstance(video_id, str) or not video_id:
-        raise ValueError(f"{path}: feature header 'video_id' must be a non-empty string, not {video_id!r}")
+        raise InputError(f"{path}: feature header 'video_id' must be a non-empty string, not {video_id!r}")
     for key, value in (("dim", dim), ("count", count)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{path}: feature header {key!r} must be an integer >= 1, not {value!r}")
+            raise InputError(f"{path}: feature header {key!r} must be an integer >= 1, not {value!r}")
     fps = header.get("fps", 1)
     if type(fps) is not int or fps != 1:  # the JSON integer 1: not true, not 1.0
-        raise ValueError(f"{path}: unsupported feature fps {fps!r} (expected 1)")
+        raise InputError(f"{path}: unsupported feature fps {fps!r} (expected 1)")
     declared = header.get("encoding")
     if declared is not None and declared not in ENCODINGS:
-        raise ValueError(f"{path}: unknown feature encoding {declared!r} (expected one of {ENCODINGS})")
+        raise InputError(f"{path}: unknown feature encoding {declared!r} (expected one of {ENCODINGS})")
     n = count * dim
     size = os.fstat(fh.fileno()).st_size - fh.tell()
     binary = declared == "f32le" or (declared is None and size == n * 4)
     if binary and size != n * 4:
-        raise ValueError(f"{path}: f32le body is {size} bytes, header promises {n * 4}")
+        raise InputError(f"{path}: f32le body is {size} bytes, header promises {n * 4}")
     if not binary and size < 2 * n - 1:
-        raise ValueError(f"{path}: text body of {size} bytes cannot hold the {n} values the header promises")
+        raise InputError(f"{path}: text body of {size} bytes cannot hold the {n} values the header promises")
     return FeatureHeader(video_id, dim, count, declared, binary)
 
 
@@ -282,19 +285,19 @@ def read_feature_file(path: str | Path) -> tuple[str, np.ndarray]:
             values = np.fromfile(fh, dtype="<f4", count=n)
             # The prefix test settles almost every binary body without a full scan.
             if header.encoding is None and _is_text(values[:16].tobytes()) and _is_text(values.tobytes()):
-                raise ValueError(f"{path}: body of {n * 4} bytes reads as float32 and as text; "
+                raise InputError(f"{path}: body of {n * 4} bytes reads as float32 and as text; "
                                  "declare its encoding in the header")
         else:
             try:
                 values = np.array(fh.read().decode("utf-8").split(), dtype=np.float32)
             except ValueError as exc:  # undecodable bytes or a token that is not a number
                 expected = "text" if header.encoding else f"{n * 4} bytes of float32 or text"
-                raise ValueError(f"{path}: body is not {expected}") from exc
+                raise InputError(f"{path}: body is not {expected}") from exc
     if values.size != n:
-        raise ValueError(f"{path}: body has {values.size} values, header promises {n}")
+        raise InputError(f"{path}: body has {values.size} values, header promises {n}")
     arr = values.reshape(header.count, header.dim)
     if not np.isfinite(arr).all():
-        raise ValueError(f"{path}: non-finite feature value (NaN or Inf)")
+        raise InputError(f"{path}: non-finite feature value (NaN or Inf)")
     return header.video_id, arr
 
 
@@ -302,7 +305,7 @@ def feature_paths(directory: str | Path) -> list[Path]:
     """The feature files of a directory, in filename order; an empty directory is an error."""
     paths = sorted(p for p in Path(directory).iterdir() if p.is_file())
     if not paths:
-        raise ValueError(f"no feature files in {directory}")
+        raise InputError(f"no feature files in {directory}")
     return paths
 
 
@@ -331,7 +334,7 @@ def clip_layout(
     row = 0
     for path, header in headers:
         if header.dim != dim:
-            raise ValueError(f"{path}: dim {header.dim} does not match dim {dim} of {like}")
+            raise InputError(f"{path}: dim {header.dim} does not match dim {dim} of {like}")
         count = clip_count(header.count)
         videos.append(VideoRows(path, header.video_id, row, count))
         row += count
@@ -339,12 +342,16 @@ def clip_layout(
 
 
 def _pooled_clips(video: VideoRows, dim: int, pool: str) -> np.ndarray:
-    """Read one video's track, check it still fits its layout, and pool it into its clip rows."""
+    """Read one video's track, check it still fits its layout, and pool it into clip rows, none of them zero."""
     video_id, track = read_feature_file(video.path)
     if (video_id, track.shape[1], clip_count(len(track))) != (video.video_id, dim, video.clip_count):
-        raise ValueError(f"{video.path}: header changed while reading: now {video_id!r}, count {track.shape[0]}, "
+        raise InputError(f"{video.path}: header changed while reading: now {video_id!r}, count {track.shape[0]}, "
                          f"dim {track.shape[1]}; before, {video.video_id!r} with {video.clip_count} clips of dim {dim}")
-    return clips_from_seconds(video_id, track, pool)
+    clips = clips_from_seconds(video_id, track, pool)
+    zero = np.flatnonzero(~clips.any(axis=1))
+    if zero.size:
+        raise InputError(f"{video.path}: clip {zero[0]} pools to a zero vector")
+    return clips
 
 
 def clip_blocks(
@@ -399,7 +406,7 @@ def curate(
 
     Reads the whole reference side first, then checks every candidate header
     and its dim, and only then scans the candidate bodies, one block at a
-    time. Returns select_novel's records; any bad feature file is a ValueError
+    time. Returns select_novel's records; any bad feature file is an InputError
     naming it.
     """
     ref_matrix, ref_videos = read_clip_matrix(reference_dir, pool)

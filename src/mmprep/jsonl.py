@@ -4,7 +4,8 @@ Manifests, plan files and annotation job files are read the same way: lines
 yields each non-blank line with its number (blank lines count), and
 load_object decodes one line into a dict. The CLI hands lines the bytes of a
 path or of stdin alike, split at \\n only, as JSON Lines is: a lone \\r is not
-a line end, and the \\r of a \\r\\n goes with the blank space strip() removes.
+a line end, and only JSON's blank space (space, \\t, \\r, \\n) is stripped from
+a line's ends, so a form feed or a no-break space is the decoder's to reject.
 Each line is decoded as UTF-8 on its own, so a byte that is not UTF-8 raises
 InputError("input <name> is not UTF-8", line) once every earlier line has gone
 to the caller. A stream of str lines is taken as it is.
@@ -23,13 +24,14 @@ after a \\n, into up to one range per usable CPU (the affinity mask, so
 taskset limits it), each of about MIN_RANGE_BYTES or more. The first range
 runs in the calling process and writes straight to the output; each later one
 runs in a forked child, which writes its output to an unlinked temporary file
-and reports its result and the ids it read. The parent appends the outputs in
-range order and checks each range's ids against those of the ranges before
-it. A range whose child met an error, or which holds an earlier range's id,
-runs again in the parent with every earlier id and its own first line number,
-so it stops at its first error exactly where one process reading the whole
-file stops, after the same records. Stdin, a file too short for two ranges
-and a platform without os.fork run the work once, in-process.
+and marshals its result and the ids it read into a second one. The parent,
+in range order, reads each report, appends each output and checks each
+range's ids against those of the ranges before it. A range whose child met
+an error, or which holds an earlier range's id, runs again in the parent with
+every earlier id and its own first line number, so it stops at its first
+error exactly where one process reading the whole file stops, after the same
+records. Stdin, a file too short for two ranges and a platform without
+os.fork run the work once, in-process.
 
 InputError is every rejection of input, in every module, command-line usage
 errors included: the CLI catches it once and exits 1. It imports no numpy.
@@ -76,7 +78,7 @@ def lines(stream: IO[bytes] | IO[str] | Iterable[str], name: str = "stream",
                 raw = raw.decode()
             except UnicodeDecodeError:
                 raise InputError(f"input {name} is not UTF-8", line_no) from None
-        text = raw.strip()
+        text = raw.strip(" \t\r\n")  # JSON's blank space alone: str.strip() would drop \f, \xa0 and \u2028 too
         if text:
             yield line_no, text
 
@@ -140,24 +142,12 @@ def _read(fd: int, start: int, end: int) -> IO[bytes]:
     return io.BufferedReader(_Span(fd, start, end), _CHUNK)
 
 
-def _line_end(fd: int, pos: int, size: int) -> int:
-    """The offset just after the first \\n at or after pos, or size when there is none."""
-    while pos < size:
-        chunk = os.pread(fd, _CHUNK, pos)
-        end = chunk.find(b"\n")
-        if end >= 0:
-            return pos + end + 1
-        if not chunk:
-            break
-        pos += len(chunk)
-    return size
-
-
 def _range_starts(fd: int, size: int, n: int) -> list[int]:
-    """0, then the start of each of up to n - 1 more ranges of about size / n bytes."""
+    """0, then the start of each of up to n - 1 more ranges of about size / n bytes, each just after a \\n."""
     starts = [0]
     for k in range(1, n):
-        start = _line_end(fd, max(size * k // n, starts[-1]), size)
+        pos = max(size * k // n, starts[-1])
+        start = pos + len(_read(fd, pos, size).readline())
         if start >= size:
             break
         starts.append(start)
@@ -194,23 +184,23 @@ def run_ranges(fh: IO[bytes], name: str, work: Work, out: IO[str] | None, split:
 
     ends = [*starts[1:], st.st_size]
     pids: list[int | None] = []  # ranges 2.., None once reaped
-    tmps = []
+    tmps = []  # the output (text) and the report (bytes) of each of ranges 2..
     try:
         for start, end in zip(starts[1:], ends[1:]):
-            tmps.append(tempfile.TemporaryFile())
+            tmps += [tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n"), tempfile.TemporaryFile()]
             pid = os.fork()
             if pid == 0:
-                _run_child(work, lines(_read(fd, start, end), name), out is not None, tmps[-1])
+                _run_child(work, lines(_read(fd, start, end), name), tmps[-2] if out is not None else None, tmps[-1])
             pids.append(pid)
         seen: set[str] = set()
         results = [work(lines(_read(fd, 0, ends[0]), name), seen, out)]
-        for k, (pid, tmp) in enumerate(zip(pids, tmps), start=1):
-            _, status = os.waitpid(pid, 0)
+        for k, (pid, tmp, report_file) in enumerate(zip(pids, tmps[::2], tmps[1::2]), start=1):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pids[k - 1] = None
-            if os.waitstatus_to_exitcode(status) != 0:
-                raise OSError(f"the process reading lines of {name} from byte {starts[k]} exited with status "
-                              f"{os.waitstatus_to_exitcode(status)}")
-            report, size = _report(tmp)
+            if code:
+                raise OSError(f"the process reading lines of {name} from byte {starts[k]} exited with status {code}")
+            report_file.seek(0)
+            report = marshal.loads(report_file.read())  # marshal.load would call readinto once per field
             if type(report) is str:  # the child's OSError
                 raise OSError(report)
             if report is None or not seen.isdisjoint(report[1]):
@@ -220,8 +210,8 @@ def run_ranges(fh: IO[bytes], name: str, work: Work, out: IO[str] | None, split:
                 results.append(work(lines(_read(fd, starts[k], ends[k]), name, first), seen, out))
                 continue
             if out is not None:
-                shutil.copyfileobj(io.TextIOWrapper(_read(tmp.fileno(), 0, size), encoding="utf-8", newline=""),
-                                   out, _CHUNK)
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, out, _CHUNK)
             seen.update(report[1])
             results.append(report[0])
         return results
@@ -234,18 +224,14 @@ def run_ranges(fh: IO[bytes], name: str, work: Work, out: IO[str] | None, split:
             tmp.close()
 
 
-def _run_child(work: Work, numbered: Iterator[tuple[int, str]], writes: bool, tmp: IO[bytes]) -> None:
-    """Run work over one range in a forked child, leaving its output and report in tmp; never returns.
+def _run_child(work: Work, numbered: Iterator[tuple[int, str]], out: IO[str] | None, report_file: IO[bytes]) -> None:
+    """Run work over one range in a forked child, writing its output to out and its report to report_file.
 
-    The report is marshal's bytes of (result, the ids as a list) when work
-    returns, of the message of an OSError, or of None for any other error,
-    which the parent meets again when it runs the range itself. The offset
-    where the report starts, which is the size of the output, follows it as
-    8 bytes.
+    Never returns. The report is marshal's dump of (result, the ids as a
+    list) when work returns, of the message of an OSError, or of None for any
+    other error, which the parent meets again when it runs the range itself.
     """
-    code = 1
     try:
-        out = io.TextIOWrapper(tmp, encoding="utf-8", newline="\n") if writes else None
         seen: set[str] = set()
         try:
             result = work(numbered, seen, out)
@@ -256,17 +242,8 @@ def _run_child(work: Work, numbered: Iterator[tuple[int, str]], writes: bool, tm
             report = str(exc)
         except Exception:
             report = None
-        size = tmp.seek(0, io.SEEK_END)
-        tmp.write(marshal.dumps(report) + size.to_bytes(8, "little"))
-        tmp.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _report(tmp: IO[bytes]) -> tuple[object, int]:
-    """A child's report from its temporary file, and the size of the output before it."""
-    end = tmp.seek(-8, io.SEEK_END)
-    size = int.from_bytes(tmp.read(8), "little")
-    tmp.seek(size)
-    return marshal.loads(tmp.read(end - size)), size
+        marshal.dump(report, report_file)
+        report_file.flush()
+        os._exit(0)
+    finally:  # reached only when the report could not be written
+        os._exit(1)

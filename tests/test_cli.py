@@ -14,6 +14,7 @@ import pytest
 from mmprep import budget, cli, composer, curator, kernels, tiling
 from mmprep.annotator.pipeline import LlmResponse
 from mmprep.curator import write_feature_file
+from mmprep.jsonl import InputError
 from mmprep.manifest import ImageDims
 from tests.conftest import MockLlm, dumps_sample, make_sample, plan_record, split_into
 
@@ -219,6 +220,10 @@ _BAD_LINES = {
     "long-int": ('{"n": ' + "9" * 5000 + "}\n", 1, f"integer of more than {sys.get_int_max_str_digits()} digits"),
     # plan and annotate write ids as UTF-8, which cannot hold a lone surrogate; every reader rejects one.
     "lone-surrogate": ('{"id": "a\\ud800b", "video_id": "v\\ud800"}\n', 1, "unpaired surrogate escape"),
+    # Only JSON's blank space is stripped from a line's ends, so what json.loads refuses the readers refuse.
+    "no-break-space": ("{good}\n{good}\u00a0\n", 2, "Extra data"),
+    "line-separator": ("{good}\u2028\n", 1, "Extra data"),
+    "form-feed": ("\f\n", 1, "Expecting value"),
 }
 
 
@@ -899,8 +904,7 @@ def test_curate_duplicate_candidate_id_wins_over_a_bad_body(capsys, tmp_path, mo
     assert bodies == ["ref"]  # the candidate headers are checked before any candidate body is read
 
 
-@pytest.mark.parametrize("side", ["ref", "cand"])
-@pytest.mark.parametrize("field, value, message", [
+_BAD_HEADER_FIELDS = [
     ("count", "1e999", "feature header 'count' must be an integer >= 1, not inf"),
     ("dim", "null", "feature header 'dim' must be an integer >= 1, not None"),
     ("dim", "4.7", "feature header 'dim' must be an integer >= 1, not 4.7"),
@@ -910,13 +914,22 @@ def test_curate_duplicate_candidate_id_wins_over_a_bad_body(capsys, tmp_path, mo
     ("count", "1000000000000", "text body of 320 bytes cannot hold the 4000000000000 values"),
     ("fps", "true", "unsupported feature fps True (expected 1)"),
     ("fps", "1.0", "unsupported feature fps 1.0 (expected 1)"),
-])
+]
+
+
+def _text_feature_file(field="", value=""):
+    """A text feature file of 20 s at dim 4 whose header gives field the JSON text value."""
+    header = {"video_id": "v", "dim": 4, "fps": 1, "count": 20, "encoding": "text"}
+    line = ", ".join(f'"{k}": {value if k == field else json.dumps(v)}' for k, v in header.items())
+    return ("{" + line + "}\n" + "1.0 2.0 3.0 4.0\n" * 20).encode()
+
+
+@pytest.mark.parametrize("side", ["ref", "cand"])
+@pytest.mark.parametrize("field, value, message", _BAD_HEADER_FIELDS)
 def test_curate_bad_feature_header_exit_1(capsys, tmp_path, side, field, value, message):
     argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4))])
     path = tmp_path / side / f"{side[0]}0.feat"
-    header = {"video_id": "v", "dim": 4, "fps": 1, "count": 20, "encoding": "text"}
-    line = ", ".join(f'"{k}": {value if k == field else json.dumps(v)}' for k, v in header.items())
-    path.write_bytes(("{" + line + "}\n" + "1.0 2.0 3.0 4.0\n" * 20).encode())
+    path.write_bytes(_text_feature_file(field, value))
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert out == ""
@@ -924,11 +937,14 @@ def test_curate_bad_feature_header_exit_1(capsys, tmp_path, side, field, value, 
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("ref_dims, cand_dims, bad, message", [
-    ((4, 5), (4,), "ref/r1.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
-    ((4,), (4, 5), "cand/c1.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
-    ((4,), (5, 5), "cand/c0.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
-], ids=["within-reference", "within-candidates", "reference-vs-candidates"])
+_DIM_MISMATCHES = {
+    "within-reference": ((4, 5), (4,), "ref/r1.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
+    "within-candidates": ((4,), (4, 5), "cand/c1.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
+    "reference-vs-candidates": ((4,), (5, 5), "cand/c0.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
+}
+
+
+@pytest.mark.parametrize("ref_dims, cand_dims, bad, message", _DIM_MISMATCHES.values(), ids=_DIM_MISMATCHES)
 def test_curate_dim_mismatch_names_the_file_exit_1(capsys, tmp_path, ref_dims, cand_dims, bad, message):
     argv = _curate_dirs(tmp_path, [np.ones((20, d)) for d in ref_dims], [np.ones((20, d)) for d in cand_dims])
     code, out, err = run_cli(capsys, argv)
@@ -938,20 +954,122 @@ def test_curate_dim_mismatch_names_the_file_exit_1(capsys, tmp_path, ref_dims, c
     assert "Traceback" not in err
 
 
-def test_curate_header_changed_between_passes_exit_1(capsys, tmp_path, monkeypatch):
-    argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4)), np.ones((20, 4))])
+def _grow_c1_between_passes(monkeypatch):
+    """Make cand/c1.feat grow between the header pre-pass and the read of its body."""
     read = curator.read_feature_file
 
     def read_after_rewrite(path):
-        if path.name == "c1.feat":  # the file grows between the header pre-pass and its read
+        if path.name == "c1.feat":
             write_feature_file(path, "cand1", np.ones((35, 4)))
         return read(path)
 
     monkeypatch.setattr(curator, "read_feature_file", read_after_rewrite)
+
+
+def test_curate_header_changed_between_passes_exit_1(capsys, tmp_path, monkeypatch):
+    argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4)), np.ones((20, 4))])
+    _grow_c1_between_passes(monkeypatch)
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert out == ""
     assert f"{tmp_path / 'cand' / 'c1.feat'}: header changed while reading" in err
+
+
+def _with_zero_clip() -> np.ndarray:
+    """A 30 s track of ones whose second clip (seconds 10-19) is all zeros."""
+    track = np.ones((30, 4))
+    track[10:20] = 0.0
+    return track
+
+
+@pytest.mark.parametrize("pool", ["mean", "max"])
+@pytest.mark.parametrize("side", ["ref", "cand"])
+def test_curate_zero_clip_names_its_file_exit_1(capsys, tmp_path, side, pool):
+    tracks = {"ref": [np.ones((20, 4))], "cand": [np.ones((20, 4))]}
+    tracks[side].append(_with_zero_clip())
+    argv = _curate_dirs(tmp_path, tracks["ref"], tracks["cand"])
+    code, out, err = run_cli(capsys, [*argv, "--pool", pool])
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"\nError: {tmp_path / side / f'{side[0]}1.feat'}: clip 1 pools to a zero vector\n")
+
+
+def test_curate_clip_of_cancelling_seconds_is_zero_under_mean_alone(capsys, tmp_path):
+    track = np.ones((20, 4))
+    track[10:20:2] = -1.0  # clip 1 alternates +1 and -1: its mean is zero, its max is not
+    argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [track])
+    code, _, err = run_cli(capsys, [*argv, "--pool", "mean"])
+    assert code == 1
+    assert err.endswith(f"{tmp_path / 'cand' / 'c0.feat'}: clip 1 pools to a zero vector\n")
+    assert run_cli(capsys, [*argv, "--pool", "max"])[0] == 0
+
+
+def _rewritten_fault(data: bytes, message: str):
+    """ref/r0.feat and cand/c0.feat, then cand/c0.feat rewritten to data."""
+    def plant(tmp_path, monkeypatch):
+        _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4))])
+        (tmp_path / "cand" / "c0.feat").write_bytes(data)
+        return f"{tmp_path / 'cand' / 'c0.feat'}: {message}"
+    return plant
+
+
+def _tracks_fault(ref_tracks, cand_tracks, bad, message):
+    def plant(tmp_path, monkeypatch):
+        _curate_dirs(tmp_path, ref_tracks, cand_tracks)
+        return f"{tmp_path / bad}: " + message.format(ref=tmp_path / "ref")
+    return plant
+
+
+def _duplicate_candidate_id(tmp_path, monkeypatch):
+    _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4))])
+    cand = tmp_path / "cand"
+    write_feature_file(cand / "c1.feat", "cand0", np.ones((20, 4)))  # c0.feat's id
+    return f"duplicate candidate video_id 'cand0' in {cand / 'c0.feat'} and {cand / 'c1.feat'}"
+
+
+def _empty_candidates(tmp_path, monkeypatch):
+    _curate_dirs(tmp_path, [np.ones((20, 4))], [])
+    return f"no feature files in {tmp_path / 'cand'}"
+
+
+def _grown_between_passes(tmp_path, monkeypatch):
+    _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4)), np.ones((20, 4))])
+    _grow_c1_between_passes(monkeypatch)
+    return f"{tmp_path / 'cand' / 'c1.feat'}: header changed while reading"
+
+
+_NAN_TRACK = np.ones((20, 4))
+_NAN_TRACK[3, 1] = np.nan
+# Every feature-file fault the curate tests above build: {id: plant(tmp_path, monkeypatch) -> the message}.
+_FILE_FAULTS = {
+    **{f"header-{field}-{value}": _rewritten_fault(_text_feature_file(field, value), message)
+       for field, value, message in _BAD_HEADER_FIELDS},
+    "header-nested": _rewritten_fault(b"[" * 100_000 + b"\n", "malformed feature header"),
+    "header-long-int": _rewritten_fault(b'{"video_id": "v", "dim": 4, "count": ' + b"9" * 5000 + b"}\n",
+                                        "malformed feature header"),
+    "encoding-mismatch": _rewritten_fault(_text_feature_file("encoding", '"f32le"') + b"\n",
+                                          "f32le body is 321 bytes, header promises 320"),
+    "duplicate-id": _duplicate_candidate_id,
+    "nan-body": _tracks_fault([np.ones((20, 4))], [_NAN_TRACK], "cand/c0.feat", "non-finite feature value"),
+    "zero-clip-reference": _tracks_fault([_with_zero_clip()], [np.ones((20, 4))], "ref/r0.feat",
+                                         "clip 1 pools to a zero vector"),
+    "zero-clip-candidate": _tracks_fault([np.ones((20, 4))], [_with_zero_clip()], "cand/c0.feat",
+                                         "clip 1 pools to a zero vector"),
+    **{f"dim-{name}": _tracks_fault([np.ones((20, d)) for d in ref_dims], [np.ones((20, d)) for d in cand_dims],
+                                    bad, message)
+       for name, (ref_dims, cand_dims, bad, message) in _DIM_MISMATCHES.items()},
+    "empty-candidates": _empty_candidates,
+    "header-changed": _grown_between_passes,
+}
+
+
+@pytest.mark.parametrize("pool", ["mean", "max"])
+@pytest.mark.parametrize("fault", _FILE_FAULTS)
+def test_every_curate_file_fault_is_an_input_error(tmp_path, monkeypatch, fault, pool):
+    message = _FILE_FAULTS[fault](tmp_path, monkeypatch)
+    with pytest.raises(InputError) as caught:
+        curator.curate(tmp_path / "ref", tmp_path / "cand", pool=pool)
+    assert message in str(caught.value)
 
 
 def test_curate_holds_each_clip_matrix_once(tmp_path):

@@ -16,6 +16,18 @@ def test_lines_skip_blank_lines_and_count_them():
     assert list(lines(stream)) == [(1, '{"a": 1}'), (4, '{"b": 2}')]
 
 
+def test_lines_strip_json_blank_space_alone():
+    # A form feed, a no-break space and U+2028 are not JSON's blank space: the line keeps them and the decoder refuses.
+    data = ' {"a": 1}\t\r\n\f\n{"b": 2}\u00a0\n{"c": 3}\u2028\n'.encode()
+    numbered = list(lines(io.BytesIO(data)))
+    assert numbered == [(1, '{"a": 1}'), (2, "\f"), (3, '{"b": 2}\u00a0'), (4, '{"c": 3}\u2028')]
+    for line_no, text in numbered[1:]:
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        with pytest.raises(InputError, match=rf"malformed manifest record \(.+\) at line {line_no}"):
+            load_object(text, line_no, "manifest")
+
+
 def test_input_error_without_a_line_is_the_bare_message():
     err = InputError("config file x.json must hold a JSON object")
     assert str(err) == "config file x.json must hold a JSON object"

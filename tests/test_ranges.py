@@ -181,6 +181,45 @@ def test_the_shifts_put_blank_and_crlf_lines_before_a_boundary(tmp_path):
     assert before >= {"blank", "crlf"}
 
 
+# An id of 300 000 bytes of two- and four-byte UTF-8: a cut inside it searches several reads for the line's end.
+_LONG_ID = "\u00e9\U0001F600" * 50_000
+
+
+@pytest.mark.parametrize("command", ["plan", "tile", "pack"])
+def test_a_cut_inside_a_line_longer_than_a_read_moves_to_its_end(capsys, monkeypatch, tmp_path, command):
+    argv, make_lines, _ = _COMMANDS[command]
+    lines = make_lines()
+    record = json.loads(lines[5])
+    record["id"] = _LONG_ID
+    lines[5] = json.dumps(record, ensure_ascii=False)
+    data = ("\n".join(lines) + "\n").encode()
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data)
+    long_end = len("\n".join(lines[:6]).encode()) + 1
+    with open(path, "rb") as fh:
+        starts = jsonl._range_starts(fh.fileno(), len(data), 3)
+    assert long_end - len(data) // 3 > 2 * jsonl._CHUNK  # the first cut falls more than two reads before the \n
+    assert starts == [0, long_end, long_end + len(lines[6]) + 1]  # the second cut falls inside the long line too
+    code, _, err, written = _same_in_one_range_and_three(capsys, monkeypatch, tmp_path, [*argv, "-i", str(path)])
+    assert code == 0, err
+    if command != "pack":
+        assert written.count(b"\n") == N_LINES
+
+
+@pytest.mark.parametrize("command", ["plan", "tile", "pack"])
+def test_a_split_run_leaves_no_file_descriptor_open(capsys, monkeypatch, tmp_path, command):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("the platform lists no open file descriptors")
+    argv, make_lines, _ = _COMMANDS[command]
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(make_lines()) + "\n", encoding="utf-8")
+    split_into(monkeypatch, 3)
+    before = len(os.listdir("/proc/self/fd"))
+    assert cli.main([*argv, "-i", str(path), "-o", str(tmp_path / "out.jsonl")]) == 0
+    assert len(os.listdir("/proc/self/fd")) == before
+    capsys.readouterr()
+
+
 def test_plan_split_to_stdout_matches_one_range(capsys, monkeypatch, tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(_manifest_lines()) + "\n", encoding="utf-8")
