@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -49,8 +50,10 @@ def caption_frames_plan(chapter: Chapter) -> tuple[float, ...]:
 def extract_json_object(text: str) -> dict:
     """First parseable JSON object in the text; tolerates fences and trailing prose.
 
-    A reply nested too deeply for the decoder fails at once, not scanned on
-    for a later object.
+    A reply nested too deeply for the decoder, or holding an integer longer
+    than Python converts, fails at once, not scanned on for a later object;
+    so does a first object holding an unpaired surrogate, which no UTF-8
+    output can hold. These are jsonl.load_object's rules for a record line.
     """
     decoder = json.JSONDecoder()
     pos = text.find("{")
@@ -62,7 +65,14 @@ def extract_json_object(text: str) -> dict:
             continue
         except RecursionError as exc:
             raise ResponseParseError("response nests too deeply to parse") from exc
+        except ValueError as exc:  # the one other ValueError the decoder raises: int() refused the digits
+            raise ResponseParseError(
+                f"response holds an integer of more than {sys.get_int_max_str_digits()} digits") from exc
         if isinstance(obj, dict):
+            try:  # a \u escape or the reply's own text can hold a lone surrogate
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ResponseParseError("response holds an unpaired surrogate") from exc
             return obj
         pos = text.find("{", pos + 1)
     raise ResponseParseError("no JSON object found in response (offset 0)")

@@ -11,14 +11,14 @@ which run_job builds: video_id, kind, captions, qa, status, then
 anchor_dropped (a clip job that dropped questions) or stage and reason (a
 failed job), then retry_count.
 
-parse_jobs reads a job file through jsonl.lines and jsonl.load_object and
-rejects a bad line with jsonl.InputError naming it, before any request.
+parse_jobs reads a job file through jsonl.lines and jsonl.load_object, checks
+each start and end by jsonl.finite, and rejects a bad line with
+jsonl.InputError naming it, before any request.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 import urllib.error
@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Protocol
 
-from ..jsonl import InputError, lines, load_object
+from ..jsonl import InputError, finite, lines, load_object
 from .captions import (
     CaptionPair,
     Chapter,
@@ -193,14 +193,6 @@ class AnnotationJob:
     segments: tuple[Chapter, ...]
 
 
-def _seconds(x) -> float | None:
-    """x as a finite float when it is a JSON number (not a bool or a string), else None."""
-    try:
-        return float(x) if type(x) in (int, float) and math.isfinite(x) else None
-    except OverflowError:  # an int beyond float range
-        return None
-
-
 def _segment(raw, name: str, line_no: int, title_optional: bool) -> Chapter:
     """One chapter or clip of a job record, checked; name ("clip 3") is its default title."""
     if type(raw) is not dict:
@@ -210,7 +202,7 @@ def _segment(raw, name: str, line_no: int, title_optional: bool) -> Chapter:
         title = name
     if type(title) is not str or not title:
         raise InputError(f"{name} title {title!r} is not a non-empty string", line_no)
-    start, end = _seconds(raw.get("start")), _seconds(raw.get("end"))
+    start, end = finite(raw.get("start")), finite(raw.get("end"))
     if start is None or end is None:
         raise InputError(f"{name} start and end must be finite numbers, not "
                          f"{raw.get('start')!r} and {raw.get('end')!r}", line_no)

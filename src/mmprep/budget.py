@@ -10,11 +10,14 @@ each item can still take, scaling the counts down when the budget is short.
 Phase two raises the per-image tile cap along a descending ladder as far as the
 leftover budget allows, reading every image's grid at each rung from one
 tiling.best_grids lookup and summing the rung's token cost from the per-grid
-table tiling.GRID_TOKENS; a sample without images skips it. Samples whose
-videos cannot reach the minimum frame count, or whose budget cannot give every
-temporal item one unit, are discarded rather than degraded below usefulness.
+table tiling.GRID_TOKENS; a sample without images skips it. A sample whose
+budget cannot give every temporal item one unit, or whose split gives a video
+fewer than min_frames frames, is discarded rather than degraded below
+usefulness; the split can do so even when every video could get min_frames
+(ROADMAP item 4).
 plan walks a sample's items once, before any discard, so a video so long that
-its frame count overflows raises InputError whatever else the sample holds;
+its frame count overflows raises InputError (naming the manifest line plan is
+given) whatever else the sample holds;
 every other outcome is a verdict, never an exception.
 
 A plan record carries every field its cost is made of (l_text, the units per
@@ -22,9 +25,9 @@ item and each image's grid), so total_tokens can be recomputed from it, and
 read_plan(dumps_plan(p), line) == p. This module alone knows the record
 format: read_plan is the one place a record line is read (through
 jsonl.load_object), requiring every field but reason and checking each one's
-shape and, given the ids seen so far, that the id is new; check_plan checks
-the fields against each other and against l_max. Both raise InputError naming
-the line and the field.
+shape (timestamps by jsonl.finite_lists) and, given the ids seen so far, that
+the id is new; check_plan checks the fields against each other and against
+l_max. Both raise InputError naming the line and the field.
 SamplingPlan is an immutable NamedTuple, built once per sample from all its
 fields by tuple.__new__, as is each grid read_plan has checked. dumps_plan
 writes the record line directly, byte for byte what json.dumps(...,
@@ -42,7 +45,7 @@ import operator
 from json.encoder import encode_basestring as _json_str
 from typing import Callable, NamedTuple
 
-from .jsonl import InputError, load_object
+from .jsonl import InputError, finite_lists, load_object
 from .manifest import ImageDims, Sample, VisualItem
 from .tiling import GRID_TEXT, GRID_TOKENS, MAX_TILES, TILE_TOKENS, TileGrid, best_grids, grid_tokens
 from .tiling import select_grid  # noqa: F401  (bench/worker.py traces budget.select_grid by name)
@@ -58,7 +61,6 @@ PLANNED = "planned"
 DISCARDED = "discarded"
 DISCARD_REASONS = ("text_overflow", "insufficient_budget")  # every reason plan gives a discard
 _REQUIRED = operator.itemgetter("verdict", "tile_cap", "n_per_item", "grids", "timestamps", "l_text", "total_tokens")
-_NUMBER = frozenset([int, float])  # a JSON number's types: json.loads gives bool, not int, for true and false
 
 # A record built from all of its fields in order, without the Python frame of a
 # NamedTuple's own __new__: plan and read_plan each build one per sample, and
@@ -152,17 +154,18 @@ def _discard(sample: Sample, reason: str, l_text: int) -> SamplingPlan:
 
 
 def plan(sample: Sample, cfg: BudgetConfig,
-         grids_of: Callable[[ImageDims], tuple[TileGrid, ...]] = best_grids) -> SamplingPlan:
+         grids_of: Callable[[ImageDims], tuple[TileGrid, ...]] = best_grids, line: int | None = None) -> SamplingPlan:
     """Allocate the sample's visual budget; returns a plan or a discard verdict.
 
     grids_of gives an image's best grid under every tile cap (best_grids, or
     a memo of it that a caller shares across the samples of one run).
-    Raises InputError, before any discard, when a video is so long that its
-    frame count overflows. Otherwise discards (a verdict, not an error) happen
-    when the text alone meets l_max (text_overflow), and when any video would
-    fall below the configured minimum frame count or the visual items cannot
-    fit even at minimal degradation (one tile per image, one unit per temporal
-    item; insufficient_budget).
+    Raises InputError naming line, the sample's line of its manifest, before
+    any discard, when a video is so long that its frame count overflows.
+    Otherwise discards (a verdict, not an error) happen when the text alone
+    meets l_max (text_overflow), and when the split gives any video fewer
+    than min_frames frames or the visual items cannot fit even at minimal
+    degradation (one tile per image, one unit per temporal item;
+    insufficient_budget).
     """
     items = sample.items
     tok = TILE_TOKENS  # one frame, page or image tile
@@ -177,7 +180,7 @@ def plan(sample: Sample, cfg: BudgetConfig,
             spare.append(temporal_cap(it, cfg) - 1)
         except OverflowError as exc:  # fps_target * duration_s beyond float range
             raise InputError(
-                f"sample {sample.id!r}: video too long to plan at fps_target={cfg.fps_target}", field="duration_s"
+                f"sample {sample.id!r}: video too long to plan at fps_target={cfg.fps_target}", line, "duration_s"
             ) from exc
         temporal.append(i)
 
@@ -230,19 +233,6 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0  # json.loads gives bool for true/false, so bools fail
 
 
-def _finite_number_lists(xss) -> bool:
-    """Whether xss is a list of lists of finite numbers."""
-    if type(xss) is not list:
-        return False
-    try:
-        for xs in xss:
-            if type(xs) is not list or xs and not (_NUMBER.issuperset(map(type, xs)) and all(map(math.isfinite, xs))):
-                return False
-    except OverflowError:  # an int beyond float range
-        return False
-    return True
-
-
 def _read_grid(g, sample_id: str, line: int) -> TileGrid:
     if type(g) is list and len(g) == 2 and type(g[0]) is int and type(g[1]) is int and g[0] >= 1 and g[1] >= 1:
         return _new(TileGrid, g)
@@ -287,7 +277,7 @@ def read_plan(text: str, line: int, seen_ids: set[str] | None = None) -> Samplin
     if grids.count(None) != len(grids):  # videos and documents have no grid to read
         grids = [g if g is None else _read_grid(g, sid, line) for g in grids]
     grids = tuple(grids)
-    if not _finite_number_lists(stamps):
+    if not finite_lists(stamps):
         raise InputError(f"plan {sid!r}: timestamps must hold lists of finite numbers", line, "timestamps")
     stamps = tuple(map(tuple, stamps))
     return _new(SamplingPlan, (sid, verdict, reason, tile_cap, grids, tuple(counts), stamps, l_text, total))

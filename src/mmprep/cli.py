@@ -107,7 +107,7 @@ def plan_cmd(input_path, output_path, l_max, min_frames, fps_target, jobs):
     def plan_range(numbered, seen, fout):
         planned = discarded = 0
         for line_no, text in numbered:
-            p = budget.plan(manifest.parse_record(text, line_no, seen), cfg, grids_of)
+            p = budget.plan(manifest.parse_record(text, line_no, seen), cfg, grids_of, line_no)
             fout.write(budget.dumps_plan(p) + "\n")
             planned, discarded = planned + p.planned, discarded + (not p.planned)
         return planned, discarded

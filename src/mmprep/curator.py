@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .jsonl import InputError
+from .jsonl import InputError, load_object
 
 CLIP_SECONDS = 10  # tracks are 1 fps, so a clip is this many vectors
 DEFAULT_TAU = 0.5
@@ -155,8 +155,9 @@ def select_novel(
     matrix), and each VideoRows names one video's rows. The videos are sorted
     by video_id before the first block is asked for, and two with one id are an
     InputError naming both paths. Each block is taken over: its rows are
-    normalized in place and scored by kernels.smax before the next block is
-    asked for, so only one float64 score per clip is kept.
+    normalized in place and scored by kernels.smax, at most kernels.BLOCK_ROWS
+    rows a call, before the next block is asked for, so only one float64 score
+    per clip is kept.
     The whole scan runs before this returns. The iterator then builds each
     video's output record, {"video_id", "per_clip_smax", "novel_clips",
     "selected"}, from its slice of the scores only when asked for it, in
@@ -173,8 +174,10 @@ def select_novel(
     for block in blocks:
         if block.ndim != 2 or block.shape[1] != reference.dim:
             raise ValueError(f"dimension mismatch: candidates {block.shape} vs reference dim {reference.dim}")
-        smax[row : row + len(block)] = kernels.smax(_unit_rows(block), reference._matrix)
-        row += len(block)
+        for i0 in range(0, len(block), kernels.BLOCK_ROWS):  # more rows a call would shorten smax's reference blocks
+            piece = block[i0 : i0 + kernels.BLOCK_ROWS]
+            smax[row : row + len(piece)] = kernels.smax(_unit_rows(piece), reference._matrix)
+            row += len(piece)
     if row != len(smax):
         raise ValueError(f"candidate blocks hold {row} rows, the videos {len(smax)}")
 
@@ -239,26 +242,24 @@ class FeatureHeader(NamedTuple):
 def _read_header(fh, path: str | Path) -> FeatureHeader:
     """Read and check the header line of a feature file open for reading in binary.
 
-    video_id must be a non-empty str, dim and count non-bool ints >= 1, and
-    fps, when present, the int 1. The body that follows must be able to hold
-    count*dim values: exactly that many float32 bytes when binary, and at least
-    one byte per value and per separator when text. Every failure is an
-    InputError naming the file.
+    The line is decoded by jsonl.load_object, so what it rejects in a record
+    (an unpaired surrogate escape too) is a malformed header. video_id must be
+    a non-empty str, dim and count ints >= 1, and fps, when present, the int 1.
+    The body that follows must be able to hold count*dim values: exactly that
+    many float32 bytes when binary, and at least one byte per value and per
+    separator when text. Every failure is an InputError naming the file.
     """
     try:
-        header = json.loads(fh.readline().decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer too long, or nested too deeply
+        header = load_object(fh.readline().decode("utf-8"), 1, "feature header")
+        video_id, dim, count = header["video_id"], header["dim"], header["count"]
+    except KeyError as exc:
+        raise InputError(f"{path}: feature header missing {exc.args[0]!r}") from None
+    except ValueError as exc:  # not UTF-8, or load_object's InputError
         raise InputError(f"{path}: malformed feature header") from exc
-    if not isinstance(header, dict):
-        raise InputError(f"{path}: malformed feature header")
-    for key in ("video_id", "dim", "count"):
-        if key not in header:
-            raise InputError(f"{path}: feature header missing {key!r}")
-    video_id, dim, count = header["video_id"], header["dim"], header["count"]
-    if not isinstance(video_id, str) or not video_id:
+    if type(video_id) is not str or not video_id:
         raise InputError(f"{path}: feature header 'video_id' must be a non-empty string, not {video_id!r}")
     for key, value in (("dim", dim), ("count", count)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise InputError(f"{path}: feature header {key!r} must be an integer >= 1, not {value!r}")
     fps = header.get("fps", 1)
     if type(fps) is not int or fps != 1:  # the JSON integer 1: not true, not 1.0
@@ -289,7 +290,8 @@ def read_feature_file(path: str | Path) -> tuple[str, np.ndarray]:
                                  "declare its encoding in the header")
         else:
             try:
-                values = np.array(fh.read().decode("utf-8").split(), dtype=np.float32)
+                with np.errstate(over="ignore"):  # a value beyond float32 range reads as inf, rejected below
+                    values = np.array(fh.read().decode("utf-8").split(), dtype=np.float32)
             except ValueError as exc:  # undecodable bytes or a token that is not a number
                 expected = "text" if header.encoding else f"{n * 4} bytes of float32 or text"
                 raise InputError(f"{path}: body is not {expected}") from exc

@@ -33,6 +33,9 @@ error exactly where one process reading the whole file stops, after the same
 records. Stdin, a file too short for two ranges and a platform without
 os.fork run the work once, in-process.
 
+finite and finite_lists hold the one rule for a decoded JSON number: an int or
+a float, not a bool, NaN, an infinity or an integer beyond float range.
+
 InputError is every rejection of input, in every module, command-line usage
 errors included: the CLI catches it once and exits 1. It imports no numpy.
 """
@@ -42,6 +45,7 @@ from __future__ import annotations
 import io
 import json
 import marshal
+import math
 import os
 import stat
 import sys
@@ -55,6 +59,7 @@ from typing import IO, Callable, Iterable, Iterator
 # of a 10 ms tile when split in two.
 MIN_RANGE_BYTES = 256 * 1024
 _CHUNK = 1 << 16  # bytes one read of a range asks for
+_NUMBER = frozenset([int, float])  # a JSON number's types: json.loads gives bool, not int, for true and false
 
 
 class InputError(ValueError):
@@ -112,6 +117,29 @@ def load_object(text: str, line: int, kind: str) -> dict:
     if type(obj) is not dict:
         raise InputError(f"malformed {kind} record (not an object)", line)
     return obj
+
+
+def finite(x) -> float | None:
+    """x as a float when it is a finite JSON number, else None."""
+    if type(x) is float:  # tested first: most numbers a reader checks are floats
+        return x if math.isfinite(x) else None
+    try:
+        return float(x) if type(x) is int else None
+    except OverflowError:  # an integer beyond float range
+        return None
+
+
+def finite_lists(xss) -> bool:
+    """Whether xss is a list of lists of finite JSON numbers."""
+    if type(xss) is not list:
+        return False
+    try:
+        for xs in xss:
+            if type(xs) is not list or xs and not (_NUMBER.issuperset(map(type, xs)) and all(map(math.isfinite, xs))):
+                return False
+    except OverflowError:  # an int beyond float range
+        return False
+    return True
 
 
 def usable_cpus() -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-BLOCK_ROWS = 256  # candidate rows curator.clip_blocks hands the kernel at once
+BLOCK_ROWS = 256  # most candidate rows curator.select_novel hands the kernel at once
 TILE_VALUES = 1 << 18  # float64 values in the similarity tile: 2 MiB
 
 

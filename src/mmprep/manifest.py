@@ -9,9 +9,10 @@ ImageDims, VisualItem and Sample are plain immutable, hashable NamedTuples:
 they carry fields and check none. parse_record is where a manifest's fields
 are checked, once, as it reads them through jsonl.load_object; a bad line or
 field raises jsonl.InputError naming the line and the field, and a repeated
-id is rejected with field "id". A line must hold id, items ([] for a
-text-only sample) and text_tokens; a missing tags reads as [] and a missing
-item uri as "", the only defaults. So a record is only as good as what built
+id is rejected with field "id". A video's duration_s must be a positive
+number by jsonl.finite. A line must hold id, items ([] for a text-only
+sample) and text_tokens; a missing tags reads as [] and a missing item uri
+as "", the only defaults. So a record is only as good as what built
 it: one from parse_record holds checked fields. The module reads manifests
 and writes none; a writer builds each line's JSON object field by field, as
 json.dumps would write a NamedTuple as an array.
@@ -19,10 +20,9 @@ json.dumps would write a NamedTuple as an array.
 
 from __future__ import annotations
 
-import math
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .jsonl import InputError, lines, load_object
+from .jsonl import InputError, finite, lines, load_object
 
 
 class ImageDims(NamedTuple):
@@ -70,13 +70,8 @@ def _parse_item(obj: dict, line: int) -> VisualItem:
             raise InputError("invalid height", line, "height")
         return _new(VisualItem, ("image", uri, _new(ImageDims, (w, h)), None, None))
     if kind == "video":
-        d = obj.get("duration_s")
-        if type(d) is int:
-            try:
-                d = float(d)
-            except OverflowError:  # an integer beyond float range
-                d = math.inf
-        if type(d) is not float or not 0.0 < d < math.inf:  # NaN fails both comparisons
+        d = finite(obj.get("duration_s"))
+        if d is None or d <= 0.0:
             raise InputError("invalid duration", line, "duration_s")
         return _new(VisualItem, ("video", uri, None, d, None))
     if kind == "document":

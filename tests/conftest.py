@@ -1,13 +1,17 @@
-"""Shared test fixtures: sample builders, a manifest writer and a scriptable mock LLM endpoint."""
+"""Shared test fixtures: sample builders, a manifest writer, a record-damaging strategy and a mock LLM endpoint."""
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
+import operator
 import random
 import re
 import threading
 
 import pytest
+from hypothesis import strategies as st
 
 from mmprep import jsonl
 from mmprep.annotator.pipeline import LlmRequest, LlmResponse, TransientLlmError
@@ -78,6 +82,30 @@ def random_sample(rng: random.Random, sid: str, l_max: int) -> Sample:
     docs = [rng.randint(1, 80) for _ in range(rng.randint(0, 2))]
     text = rng.randint(0, max(1, l_max // 2))
     return make_sample(sid, images=images, videos=videos, docs=docs, text_tokens=text)
+
+
+def _paths(obj, path=()):
+    """The path of every value inside obj, as the keys and indices that lead to it."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def damaged(draw, valid, odd_values):
+    """One of the valid records with one value swapped for an odd one, deleted, or nested one level deeper."""
+    record = copy.deepcopy(draw(st.sampled_from(valid)))
+    *head, last = draw(st.sampled_from(list(_paths(record))))
+    parent = functools.reduce(operator.getitem, head, record)
+    damage = draw(st.sampled_from(["swap", "delete", "nest"]))
+    if damage == "delete":
+        del parent[last]
+    elif damage == "nest":
+        parent[last] = draw(st.sampled_from([[parent[last]], {"x": parent[last]}]))
+    else:
+        parent[last] = draw(odd_values)
+    return record
 
 
 _CATEGORY_LINE = re.compile(r"^([a-z0-9_]+): ", re.MULTILINE)
@@ -154,3 +182,18 @@ class MockLlm:
 @pytest.fixture
 def mock_llm():
     return MockLlm()
+
+
+class StageReply(MockLlm):
+    """Answers every caption request, or every QA request, with one reply text: of every job, or of the job of uri."""
+
+    def __init__(self, stage: str, reply: str, uri: str | None = None):
+        super().__init__()
+        self.stage, self.reply, self.uri = stage, reply, uri
+
+    def submit(self, request):
+        reply = super().submit(request)
+        if ((self.uri is None or any(ref.startswith(self.uri + "#") for ref in request.image_refs))
+                and ("Guidelines For Brief Caption" in request.prompt) == (self.stage == "caption")):
+            return LlmResponse(text=self.reply)
+        return reply

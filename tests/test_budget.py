@@ -270,6 +270,14 @@ def test_records_are_immutable_hashable_and_round_trip():
     assert len({sample, parse_record(dumps_sample(sample), 1)}) == 1
 
 
+def _utf8(s: str) -> bool:
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:  # an unpaired surrogate
+        return False
+    return True
+
+
 def _plan_dict(p: SamplingPlan) -> dict:
     """The record dict dumps_plan writes, built independently of it."""
     d = {"id": p.sample_id, "verdict": p.verdict}
@@ -307,8 +315,10 @@ _plans = st.builds(
 )
 
 
-def _rejected_field(p: SamplingPlan) -> str | None:
-    """The field read_plan names for p's record, or None when it reads p back."""
+def _rejected_field(p: SamplingPlan, line: str) -> str | None:
+    """The field read_plan names for p's record line, or None when it reads p back."""
+    if "\\u" in line and not all(map(_utf8, (p.sample_id, p.verdict, p.reason or ""))):
+        return "record"  # load_object's rule: a line with a \u escape must decode to what UTF-8 can hold
     if p.sample_id == "":
         return "id"
     if p.verdict not in ("planned", "discarded"):
@@ -327,7 +337,7 @@ def _rejected_field(p: SamplingPlan) -> str | None:
 def test_dumps_plan_writes_what_json_dumps_writes(p):
     line = dumps_plan(p)
     assert line == json.dumps(_plan_dict(p), ensure_ascii=False)
-    field = _rejected_field(p)
+    field = _rejected_field(p, line)
     if field is None:
         assert read_plan(line, 1) == p
     else:

@@ -6,17 +6,19 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mmprep import budget, cli, composer, curator, kernels, tiling
+from mmprep.annotator import pipeline as annotator_pipeline
 from mmprep.annotator.pipeline import LlmResponse
 from mmprep.curator import write_feature_file
 from mmprep.jsonl import InputError
 from mmprep.manifest import ImageDims
-from tests.conftest import MockLlm, dumps_sample, make_sample, plan_record, split_into
+from tests.conftest import MockLlm, StageReply, dumps_sample, make_sample, plan_record, split_into
 
 
 def run_cli(capsys, argv):
@@ -937,6 +939,18 @@ def test_curate_bad_feature_header_exit_1(capsys, tmp_path, side, field, value, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("side", ["ref", "cand"])
+@pytest.mark.parametrize("video_id", [r'"c\ud800"', r'"\udfff"'])
+def test_curate_header_with_an_unpaired_surrogate_exit_1(capsys, tmp_path, side, video_id):
+    # The header line is read by jsonl.load_object, as every record line is: no UTF-8 output can hold the id.
+    argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [np.ones((20, 4))])
+    path = tmp_path / side / f"{side[0]}0.feat"
+    path.write_bytes(_text_feature_file("video_id", video_id))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"\nError: {path}: malformed feature header\n")
+
+
 _DIM_MISMATCHES = {
     "within-reference": ((4, 5), (4,), "ref/r1.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
     "within-candidates": ((4,), (4, 5), "cand/c1.feat", "dim 5 does not match dim 4 of {ref}/r0.feat"),
@@ -1002,6 +1016,22 @@ def test_curate_clip_of_cancelling_seconds_is_zero_under_mean_alone(capsys, tmp_
     assert code == 1
     assert err.endswith(f"{tmp_path / 'cand' / 'c0.feat'}: clip 1 pools to a zero vector\n")
     assert run_cli(capsys, [*argv, "--pool", "max"])[0] == 0
+
+
+def test_curate_text_value_beyond_float32_range_is_one_error_line(capsys, tmp_path):
+    # numpy casts 1e40 to float32 inf with a RuntimeWarning; the user sees only the config line and the error.
+    argv = _curate_dirs(tmp_path, [np.ones((20, 4))], [])
+    path = tmp_path / "cand" / "c0.feat"
+    path.write_bytes(_text_feature_file().replace(b"4.0\n", b"1e40\n", 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert [w.message for w in caught] == []
+    config, error = err.splitlines()
+    assert config.startswith("mmprep curate config: ")
+    assert error == f"Error: {path}: non-finite feature value (NaN or Inf)"
 
 
 def _rewritten_fault(data: bytes, message: str):
@@ -1178,6 +1208,41 @@ def test_annotate_lines_are_json_dumps_bytes(capsys, tmp_path, monkeypatch):
         '{"video_id": "i", "kind": "clip", "captions": [], "qa": [], "status": "failed", '
         '"stage": "internal", "reason": "RuntimeError: client library bug", "retry_count": 0}',
     ]
+
+
+_LONG_INT = "9" * 5000
+_BAD_REPLIES = {  # (stage, reply text, reason)
+    "caption-surrogate": ("caption", '{"Brief Caption": "a dog \ud800 in a park", "Detailed Caption": "d"}',
+                          "response holds an unpaired surrogate"),
+    "caption-surrogate-escape": ("caption", '{"Brief Caption": "a dog \\ud800 in a park", "Detailed Caption": "d"}',
+                                 "response holds an unpaired surrogate"),
+    "caption-long-int": ("caption", '{"Brief Caption": "a dog", "Detailed Caption": "d", "n": ' + _LONG_INT + "}",
+                         f"response holds an integer of more than {sys.get_int_max_str_digits()} digits"),
+    "qa-surrogate": ("qa", '{"question_type_1": {"Q": "Who \udfff?", "A": "a walker"}}',
+                     "response holds an unpaired surrogate"),
+    "qa-long-int": ("qa", '{"question_type_1": ' + _LONG_INT + "}",
+                    f"response holds an integer of more than {sys.get_int_max_str_digits()} digits"),
+}
+
+
+@pytest.mark.parametrize("stage, reply, reason", _BAD_REPLIES.values(), ids=_BAD_REPLIES)
+def test_annotate_reply_of_a_lone_surrogate_or_a_long_integer_fails_its_stage(
+        capsys, tmp_path, monkeypatch, stage, reply, reason):
+    jobs_path = tmp_path / "jobs.jsonl"
+    jobs_path.write_text("".join(json.dumps({"video_id": v, "uri": f"vid://{v}", "clips": [{"start": 0, "end": 10}]})
+                                 + "\n" for v in ("ok1", "bad", "ok2")), encoding="utf-8")
+    monkeypatch.setattr(cli, "_make_client", lambda *args: StageReply(stage, reply, "vid://bad"))
+    retry_policy = annotator_pipeline.RetryPolicy
+    monkeypatch.setattr(annotator_pipeline, "RetryPolicy", lambda **kw: retry_policy(**kw, sleep=lambda _: None))
+    out_path = tmp_path / "out.jsonl"
+    code, _, err = run_cli(capsys, ["annotate", "-i", str(jobs_path), "-o", str(out_path),
+                                    "--endpoint", "http://example/generate"])
+    assert code == 3
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in out_path.read_bytes().decode("utf-8").splitlines()]
+    assert [(r["video_id"], r["status"]) for r in records] == [("ok1", "ok"), ("bad", "failed"), ("ok2", "ok")]
+    assert (records[1]["stage"], records[1]["reason"], records[1]["retry_count"]) == \
+        (stage, f"retries exhausted: {reason}", 3)
 
 
 def test_annotate_posts_temperature_and_model(capsys, tmp_path, monkeypatch):

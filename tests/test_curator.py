@@ -571,6 +571,21 @@ def test_block_scan_matches_one_block_scan(tmp_path, monkeypatch, clip_counts):
         assert np.allclose(b["per_clip_smax"], o["per_clip_smax"], rtol=0, atol=1e-12)
 
 
+def test_select_novel_scores_a_tall_block_in_kernel_blocks(monkeypatch):
+    # A caller's one 1 000-row matrix goes to smax in BLOCK_ROWS slices, which keep the reference blocks tall.
+    rng = np.random.default_rng(21)
+    matrix, videos = candidates({"a": list(rng.normal(size=(600, 8))), "b": list(rng.normal(size=(400, 8)))})
+    refs = rng.normal(size=(300, 8))
+    expected = (matrix / np.linalg.norm(matrix, axis=1)[:, None]) @ (refs / np.linalg.norm(refs, axis=1)[:, None]).T
+    calls = []
+    smax = kernels.smax
+    monkeypatch.setattr(kernels, "smax", lambda cand, ref: calls.append(len(cand)) or smax(cand, ref))
+    records = list(select_novel([matrix], videos, ReferenceIndex(refs), tau=0.5))
+    assert calls == [256, 256, 256, 232]
+    got = np.concatenate([r["per_clip_smax"] for r in records])
+    assert np.allclose(got, expected.max(axis=1), rtol=0, atol=1e-12)
+
+
 def test_clip_blocks_reuse_one_buffer_sized_to_the_rows(tmp_path):
     _write_tracks(tmp_path / "cand", [3, 2], 4, np.random.default_rng(18))
     videos, dim = clip_layout(tmp_path / "cand")

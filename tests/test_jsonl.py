@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmprep.jsonl import InputError, lines, load_object
+from mmprep.annotator.pipeline import parse_jobs
+from mmprep.budget import read_plan
+from mmprep.jsonl import InputError, finite, finite_lists, lines, load_object
+from mmprep.manifest import parse_record
+from tests.conftest import plan_record
 
 
 def test_lines_skip_blank_lines_and_count_them():
@@ -154,3 +158,55 @@ def test_load_object_agrees_with_json_loads(text):
     except InputError as err:
         got = str(err)
     assert got == _json_loads_reference(text)
+
+
+# (a decoded JSON value, what finite gives for it)
+_NUMBERS = {
+    "float": (2.5, 2.5),
+    "int": (3, 3.0),
+    "negative-zero": (-0.0, -0.0),
+    "subnormal": (5e-324, 5e-324),
+    "largest-float": (1.7976931348623157e308, 1.7976931348623157e308),
+    "int-at-float-range": (10**308, 1e308),
+    "int-beyond-float-range": (10**400, None),
+    "nan": (float("nan"), None),
+    "inf": (float("inf"), None),
+    "negative-inf": (float("-inf"), None),
+    "true": (True, None),
+    "false": (False, None),
+    "string": ("1", None),
+    "null": (None, None),
+    "list": ([1.0], None),
+}
+
+
+@pytest.mark.parametrize("value, expected", _NUMBERS.values(), ids=_NUMBERS)
+def test_finite_is_the_float_of_a_finite_json_number(value, expected):
+    got = finite(value)
+    assert type(got) is type(expected) and repr(got) == repr(expected)
+    assert finite_lists([[value]]) == finite_lists([[1.0, value], []]) == (expected is not None)
+
+
+@pytest.mark.parametrize("value, expected", _NUMBERS.values(), ids=_NUMBERS)
+def test_every_reader_of_a_json_number_applies_finite(value, expected):
+    # A video's duration, a clip's end and a plan's timestamps are read by the one rule.
+    video = json.dumps({"id": "s", "items": [{"kind": "video", "duration_s": value}], "text_tokens": 0})
+    try:
+        duration = parse_record(video, 1).items[0].duration_s
+    except InputError:
+        duration = None
+    assert duration == (expected if expected is not None and expected > 0 else None)
+
+    job = json.dumps({"video_id": "v", "clips": [{"start": -1.7976931348623157e308, "end": value}]})
+    try:
+        end = parse_jobs([job])[0].segments[0].span[1]
+    except InputError:
+        end = None
+    assert end == expected
+
+    plan = json.dumps(plan_record(id="p", timestamps=[[value]]))
+    try:
+        stamps = read_plan(plan, 1).frame_timestamps
+    except InputError:
+        stamps = None
+    assert stamps == (None if expected is None else ((value,),))

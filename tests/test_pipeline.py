@@ -1,10 +1,7 @@
-import copy
-import functools
 import http.server
 import io
 import json
 import math
-import operator
 import threading
 import time
 
@@ -28,7 +25,7 @@ from mmprep.annotator.pipeline import (
 from mmprep.annotator.captions import Chapter
 from mmprep.annotator.question_types import QUESTION_TYPES
 from mmprep.jsonl import InputError
-from tests.conftest import MockLlm
+from tests.conftest import MockLlm, StageReply, damaged
 
 NO_SLEEP = RetryPolicy(max_retries=3, sleep=lambda _: None, max_in_flight=1)
 
@@ -89,32 +86,8 @@ _ODD_VALUES = st.one_of(
 )
 
 
-def _paths(obj, path=()):
-    """The path of every value inside obj, as the keys and indices that lead to it."""
-    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
-    for key, value in items:
-        yield path + (key,)
-        yield from _paths(value, path + (key,))
-
-
-@st.composite
-def _damaged_jobs(draw):
-    """A valid job record with one value swapped for an odd one, deleted, or nested one level deeper."""
-    record = copy.deepcopy(draw(st.sampled_from(_VALID_JOBS)))
-    *head, last = draw(st.sampled_from(list(_paths(record))))
-    parent = functools.reduce(operator.getitem, head, record)
-    damage = draw(st.sampled_from(["swap", "delete", "nest"]))
-    if damage == "delete":
-        del parent[last]
-    elif damage == "nest":
-        parent[last] = draw(st.sampled_from([[parent[last]], {"x": parent[last]}]))
-    else:
-        parent[last] = draw(_ODD_VALUES)
-    return record
-
-
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(record=_damaged_jobs())
+@given(record=damaged(_VALID_JOBS, _ODD_VALUES))
 def test_parse_jobs_gives_checked_jobs_or_names_the_line(record):
     text = '{"video_id": "ok", "clips": [{"start": 0, "end": 1}]}\n' + json.dumps(record) + "\n"
     try:
@@ -263,24 +236,10 @@ class BlankBriefFirst(MockLlm):
         return super().submit(request)
 
 
-class DeepReply(MockLlm):
-    """Answers every caption request, or every QA request, with a reply text nested 200 000 levels deep."""
-
-    def __init__(self, stage: str):
-        super().__init__()
-        self.stage = stage
-
-    def submit(self, request):
-        reply = super().submit(request)
-        if ("Guidelines For Brief Caption" in request.prompt) == (self.stage == "caption"):
-            return LlmResponse(text='{"a": ' + "[" * 200_000)
-        return reply
-
-
 @pytest.mark.parametrize("stage, calls", [("caption", 4), ("qa", 1 + 4)])
 def test_reply_nested_too_deeply_is_retried_then_fails_its_stage(stage, calls):
     # A reply too deep for the JSON decoder is a reply that does not parse, not an internal error.
-    client = DeepReply(stage)
+    client = StageReply(stage, '{"a": ' + "[" * 200_000)  # nested 200 000 levels deep
     record = run_job(client, clip_job(), NO_SLEEP)
     assert (record["status"], record["stage"], record["retry_count"]) == ("failed", stage, 3)
     assert record["reason"] == "retries exhausted: response nests too deeply to parse"
