@@ -246,6 +246,8 @@ def read_plan(text: str, line: int, seen_ids: set[str] | None = None) -> Samplin
     already in the set is rejected and a new one added. Whether the fields agree
     with each other and with a budget is check_plan's to decide. Raises
     InputError naming the line and the first missing or malformed field.
+    text must be valid Unicode, as jsonl.load_object requires: a raw lone
+    surrogate in it is kept in the plan.
     """
     obj = load_object(text, line, "plan")
     sid = obj.get("id")

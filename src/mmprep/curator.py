@@ -10,10 +10,13 @@ least one of its clips is novel.
 curate is the one place a run is put together. Both sides, reference and
 candidates, are laid out from the header line of every feature file
 (clip_layout): the clip counts give every video's rows before any track is
-read. clip_blocks then reads one track at a time, pools it into its clip
-rows, copies them into one reused block and drops the track. The reference
-side is read first, as one block of all its rows, a float64 matrix built once
-at its final size (read_clip_matrix). Every candidate header is checked
+read. Each track is then read, pooled into its clip rows and dropped before
+the next is read. The reference side is read first, straight into one float64
+matrix built once at its final size (read_clip_matrix): a reference of at
+least two shares of MIN_SHARE_BYTES is dealt into one share per usable CPU,
+each pooled by its own process into one shared mapping, with the bits of a
+one-process read. clip_blocks reads the candidate side in one process, copying
+each track's rows into one reused block. Every candidate header is checked
 before any candidate body. The candidate side is never held whole:
 select_novel normalizes each block of kernels.BLOCK_ROWS rows as it is read,
 kernels.smax scores the block in one piece, and one float64 score per clip is
@@ -29,17 +32,24 @@ bad pool mode, tau or shape, an empty reference) raises a ValueError.
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import signal
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
-from .jsonl import InputError, load_object
+from .jsonl import InputError, load_object, usable_cpus
 
 CLIP_SECONDS = 10  # tracks are 1 fps, so a clip is this many vectors
 DEFAULT_TAU = 0.5
+# The fewest float32 bytes (count*dim*4) a share of a split reference read holds. On a 2-CPU VM a split in two
+# costs about 4 ms (a 2 ms fork round trip, faults on the shared matrix, the child's exit) and binary bodies pool
+# at about 2 MB/ms: two shares of 4 MiB lose 1.6 ms (6.5 against 4.9 ms), two of 8 MiB break even (9.9 ms), and
+# two of 24 MiB save 5 ms (21.9 against 27.1 ms).
+MIN_SHARE_BYTES = 8 << 20
 # float64 values normalized at a time: np.linalg.norm's two temporaries then
 # take 512 KiB each, whatever the matrix size.
 NORM_BLOCK_VALUES = 1 << 16
@@ -386,15 +396,58 @@ def clip_blocks(
         yield buf[:fill]
 
 
+def _fill_rows(matrix: np.ndarray, videos: Iterable[VideoRows], dim: int, pool: str) -> None:
+    for video in videos:
+        matrix[video.first_row : video.first_row + video.clip_count] = _pooled_clips(video, dim, pool)
+
+
 def read_clip_matrix(directory: str | Path, pool: str = "mean") -> tuple[np.ndarray, list[VideoRows]]:
     """Pool every feature file of a directory into one float64 matrix, one row per clip.
 
-    clip_layout checks every header and sizes the matrix, and clip_blocks
-    fills it as one block. Returns the matrix and one VideoRows per file, in
-    file order.
+    clip_layout checks every header and sizes the matrix. The videos are dealt,
+    interleaved, into one share per usable CPU (jsonl.usable_cpus, so the
+    affinity mask limits it), but no more shares than the tracks hold
+    MIN_SHARE_BYTES of float32 values; with one share the calling process
+    fills every row. Otherwise the matrix lies in one shared anonymous
+    mapping, each later share is pooled by a forked child that writes its rows
+    there and exits, and the caller pools share 0 and reaps the children. If
+    any share meets an error, the caller fills the whole matrix again in file
+    order, so it raises the error one process meets first. Returns the matrix
+    and one VideoRows per file, in file order.
     """
     videos, dim = clip_layout(directory)
-    (matrix,) = clip_blocks(videos, dim, pool, sum(v.clip_count for v in videos))
+    rows = sum(v.clip_count for v in videos)
+    body = 4 * dim * sum((v.clip_count - 1) * CLIP_SECONDS + 1 for v in videos)  # the fewest bytes the tracks hold
+    shares = min(usable_cpus(), len(videos), body // MIN_SHARE_BYTES) if hasattr(os, "fork") else 1
+    if shares < 2:
+        matrix = np.empty((rows, dim))
+        _fill_rows(matrix, videos, dim, pool)
+        return matrix, videos
+    matrix = np.frombuffer(mmap.mmap(-1, rows * dim * 8), np.float64).reshape(rows, dim)
+    pids: list[int] = []  # children not yet reaped
+    try:
+        for share in range(1, shares):
+            pid = os.fork()
+            if pid == 0:  # the child writes nothing but its rows; the caller meets any error of it again
+                try:
+                    _fill_rows(matrix, videos[share::shares], dim, pool)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        _fill_rows(matrix, videos[::shares], dim, pool)
+        done = True
+        while done and pids:
+            done = os.waitpid(pids[-1], 0)[1] == 0
+            pids.pop()
+    except Exception:  # met again below, in file order
+        done = False
+    finally:  # no child outlives the call, whatever it raises
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if not done:
+        _fill_rows(matrix, videos, dim, pool)
     return matrix, videos
 
 

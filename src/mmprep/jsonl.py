@@ -94,7 +94,12 @@ _scan_once = json.JSONDecoder().scan_once
 
 
 def load_object(text: str, line: int, kind: str) -> dict:
-    """One record line as a dict, or InputError naming the kind of record and the line."""
+    """One record line as a dict, or InputError naming the kind of record and the line.
+
+    text must be valid Unicode, as every line decoded from UTF-8 bytes is: the
+    rule against an unpaired surrogate applies to \\u escapes, and a raw lone
+    surrogate in text passes through into the record.
+    """
     try:
         try:
             obj, end = _scan_once(text, 0)

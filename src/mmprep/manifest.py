@@ -86,6 +86,8 @@ def parse_record(text: str, line: int, seen_ids: set[str] | None = None) -> Samp
     """Parse one manifest line into a Sample, raising InputError naming the line and field.
 
     With seen_ids, an id already in the set is rejected and a new one added.
+    text must be valid Unicode, as jsonl.load_object requires: a raw lone
+    surrogate in it is kept in the Sample.
     """
     obj = load_object(text, line, "manifest")
     sid = obj.get("id")

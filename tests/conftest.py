@@ -11,11 +11,16 @@ import re
 import threading
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
-from mmprep import jsonl
+from mmprep import curator, jsonl
 from mmprep.annotator.pipeline import LlmRequest, LlmResponse, TransientLlmError
 from mmprep.manifest import ImageDims, Sample, VisualItem
+
+# Every property test draws the same examples on every run: a failure repeats, and no example database is kept.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def image_item(width: int, height: int, uri: str = "") -> VisualItem:
@@ -65,6 +70,12 @@ def split_into(monkeypatch, ranges: int) -> None:
     """Make plan, pack and tile cut every input file of two bytes or more into up to `ranges` ranges."""
     monkeypatch.setattr(jsonl, "MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(jsonl, "usable_cpus", lambda: ranges)
+
+
+def split_reference_into(monkeypatch, shares: int) -> None:
+    """Make curate read every reference directory in `shares` shares, or one share a file when it holds fewer."""
+    monkeypatch.setattr(curator, "MIN_SHARE_BYTES", 1)
+    monkeypatch.setattr(curator, "usable_cpus", lambda: shares)
 
 
 def make_sample(sid="s0", images=(), videos=(), docs=(), text_tokens=0):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmprep import cli
 from mmprep.annotator.pipeline import parse_jobs
 from mmprep.budget import read_plan
 from mmprep.jsonl import InputError, finite, finite_lists, lines, load_object
@@ -210,3 +211,18 @@ def test_every_reader_of_a_json_number_applies_finite(value, expected):
     except InputError:
         stamps = None
     assert stamps == (None if expected is None else ((value,),))
+
+
+def test_a_str_line_with_a_raw_lone_surrogate_is_the_callers_to_avoid(tmp_path, capsys):
+    # A str line must be valid Unicode: the surrogate rule reads \u escapes, and a raw surrogate passes through.
+    assert load_object('{"id": "a\ud800"}', 1, "plan") == {"id": "a\ud800"}
+    assert parse_record('{"id": "a\ud800", "items": [], "text_tokens": 1}', 1).id == "a\ud800"
+    plan = json.dumps(plan_record(id="p")).replace('"p"', '"a\ud800"')
+    assert read_plan(plan, 1).sample_id == "a\ud800"
+    with pytest.raises(InputError, match="unpaired surrogate escape"):
+        load_object('{"id": "a\\ud800"}', 1, "plan")
+    # The CLI decodes its input as UTF-8, which cannot hold a surrogate: the line is rejected, never parsed.
+    path = tmp_path / "in.jsonl"
+    path.write_bytes('{"id": "a\ud800", "items": [], "text_tokens": 1}\n'.encode("utf-8", "surrogatepass"))
+    assert cli.main(["plan", "-i", str(path)]) == 1
+    assert capsys.readouterr().err.endswith(f"Error: input {path} is not UTF-8 at line 1\n")
