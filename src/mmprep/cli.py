@@ -12,10 +12,12 @@ So the commands hold no error handling of their own. Line-oriented inputs
 (manifests, plan files, job files) are read as bytes, from a path or from
 stdin alike, through jsonl.lines, so a bad line reads "malformed <kind> record
 (<reason>) at line N" and a byte that is not UTF-8 "input <name> is not UTF-8
-at line N" in every command. plan, pack and tile hand their per-range work
-to jsonl.run_ranges, which splits a long enough --input file over the usable
-CPUs and gives what one process gives; stdin is read in one process. pack
-runs composer.pack once, over the (id, tokens) pairs of every range.
+at line N" in every command. plan, pack and tile hand their per-range work to
+jsonl.run_ranges, and curate reads its reference with
+curator.read_clip_matrix: both split a long enough input over the usable CPUs
+and do a share whose process did not finish again in the calling process, so
+they give what one process gives; stdin is read in one process. pack runs
+composer.pack once, over the (id, tokens) pairs of every range.
 """
 
 from __future__ import annotations

@@ -14,19 +14,22 @@ read. Each track is then read, pooled into its clip rows and dropped before
 the next is read. The reference side is read first, straight into one float64
 matrix built once at its final size (read_clip_matrix): a reference of at
 least two shares of MIN_SHARE_BYTES is dealt into one share per usable CPU,
-each pooled by its own process into one shared mapping, with the bits of a
-one-process read. clip_blocks reads the candidate side in one process, copying
-each track's rows into one reused block. Every candidate header is checked
-before any candidate body. The candidate side is never held whole:
-select_novel normalizes each block of kernels.BLOCK_ROWS rows as it is read,
-kernels.smax scores the block in one piece, and one float64 score per clip is
-kept. At the peak, during the scan, curation holds the reference matrix, one
-candidate block, the scan's one similarity tile (kernels.TILE_VALUES float64
-values, 2 MiB) and the score vector. After the scan, each video's output record is built from its slice
-of the score vector only as it is written, so the 8-byte score is all that
-curation keeps of a candidate clip. Every fault of a feature file or
-directory raises a jsonl.InputError naming it; a misuse no command makes (a
-bad pool mode, tau or shape, an empty reference) raises a ValueError.
+each pooled by its own process (jsonl.fork_shares) into one shared mapping. A
+share whose process did not finish is done again by the calling process, which
+reads the whole reference again in file order, so the matrix and the first
+error are those of a one-process read. clip_blocks reads the candidate side in
+one process, copying each track's rows into one reused block. Every candidate
+header is checked before any candidate body. The candidate side is never held
+whole: select_novel normalizes each block of kernels.BLOCK_ROWS rows as it is
+read, kernels.smax scores the block in one piece, and one float64 score per
+clip is kept. At the peak, during the scan, curation holds the reference
+matrix, one candidate block, the scan's one similarity tile
+(kernels.TILE_VALUES float64 values, 2 MiB) and the score vector. After the
+scan, each video's output record is built from its slice of the score vector
+only as it is written, so the 8-byte score is all that curation keeps of a
+candidate clip. Every fault of a feature file or directory raises a
+jsonl.InputError naming it; a misuse no command makes (a bad pool mode, tau or
+shape, an empty reference) raises a ValueError.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import signal
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
-from .jsonl import InputError, load_object, usable_cpus
+from .jsonl import InputError, fork_shares, load_object, usable_cpus
 
 CLIP_SECONDS = 10  # tracks are 1 fps, so a clip is this many vectors
 DEFAULT_TAU = 0.5
@@ -409,11 +412,11 @@ def read_clip_matrix(directory: str | Path, pool: str = "mean") -> tuple[np.ndar
     affinity mask limits it), but no more shares than the tracks hold
     MIN_SHARE_BYTES of float32 values; with one share the calling process
     fills every row. Otherwise the matrix lies in one shared anonymous
-    mapping, each later share is pooled by a forked child that writes its rows
-    there and exits, and the caller pools share 0 and reaps the children. If
-    any share meets an error, the caller fills the whole matrix again in file
-    order, so it raises the error one process meets first. Returns the matrix
-    and one VideoRows per file, in file order.
+    mapping, each later share is pooled by a child of jsonl.fork_shares that
+    writes its rows there, and the caller pools share 0. If any share's process
+    does not finish, the caller fills the whole matrix again in file order, so
+    it raises the error one process meets first. Returns the matrix and one
+    VideoRows per file, in file order.
     """
     videos, dim = clip_layout(directory)
     rows = sum(v.clip_count for v in videos)
@@ -424,28 +427,11 @@ def read_clip_matrix(directory: str | Path, pool: str = "mean") -> tuple[np.ndar
         _fill_rows(matrix, videos, dim, pool)
         return matrix, videos
     matrix = np.frombuffer(mmap.mmap(-1, rows * dim * 8), np.float64).reshape(rows, dim)
-    pids: list[int] = []  # children not yet reaped
+    fills = [partial(_fill_rows, matrix, videos[share::shares], dim, pool) for share in range(shares)]
     try:
-        for share in range(1, shares):
-            pid = os.fork()
-            if pid == 0:  # the child writes nothing but its rows; the caller meets any error of it again
-                try:
-                    _fill_rows(matrix, videos[share::shares], dim, pool)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-        _fill_rows(matrix, videos[::shares], dim, pool)
-        done = True
-        while done and pids:
-            done = os.waitpid(pids[-1], 0)[1] == 0
-            pids.pop()
+        done = all(fork_shares(fills[0], fills[1:])[1])
     except Exception:  # met again below, in file order
         done = False
-    finally:  # no child outlives the call, whatever it raises
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
     if not done:
         _fill_rows(matrix, videos, dim, pool)
     return matrix, videos

@@ -21,17 +21,19 @@ raises InputError("malformed <kind> record (<reason>)", line).
 
 run_ranges runs a command's work over its input. A regular file is cut, just
 after a \\n, into up to one range per usable CPU (the affinity mask, so
-taskset limits it), each of about MIN_RANGE_BYTES or more. The first range
-runs in the calling process and writes straight to the output; each later one
-runs in a forked child, which writes its output to an unlinked temporary file
-and marshals its result and the ids it read into a second one. The parent,
-in range order, reads each report, appends each output and checks each
-range's ids against those of the ranges before it. A range whose child met
-an error, or which holds an earlier range's id, runs again in the parent with
-every earlier id and its own first line number, so it stops at its first
-error exactly where one process reading the whole file stops, after the same
-records. Stdin, a file too short for two ranges and a platform without
-os.fork run the work once, in-process.
+taskset limits it), each of about MIN_RANGE_BYTES or more. fork_shares, the
+one fork-join of a split (curator.read_clip_matrix's too), runs the first
+range in the calling process, which writes straight to the output, and each
+later one in a forked child, which writes its output to an unlinked temporary
+file and marshals its result and the ids it read into a second one. The
+parent, in range order, reads each report, appends each output and checks each
+range's ids against those of the ranges before it. One rule covers a failure:
+a share whose process did not finish is done again by the calling process. So
+a range whose child did not finish, like one which holds an earlier range's
+id, runs again in the parent with every earlier id and its own first line
+number, and stops at its first error exactly where one process reading the
+whole file stops, after the same records. Stdin, a file too short for two
+ranges and a platform without os.fork run the work once, in-process.
 
 finite and finite_lists hold the one rule for a decoded JSON number: an int or
 a float, not a bool, NaN, an infinity or an integer beyond float range.
@@ -49,7 +51,8 @@ import math
 import os
 import stat
 import sys
-from typing import IO, Callable, Iterable, Iterator
+from functools import partial
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 # The fewest bytes a range of a split input holds. On a 2-CPU VM, a split costs
 # a process with numpy loaded about 8 ms: the fork round trip (about 3 ms), and
@@ -155,6 +158,37 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def fork_shares(first: Callable[[], object], rest: Sequence[Callable[[], object]]) -> tuple[object, list[bool]]:
+    """first() run here while each of rest runs in a forked child: first's result and whether each child finished.
+
+    A child exits 0 when its callable returns and 1 when it raises, printing
+    and flushing nothing. The children are reaped in order; none outlives the call.
+    """
+    import signal  # only a split run needs it
+
+    pids: list[int] = []  # children not yet reaped
+    try:
+        for share in rest:
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    share()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        result = first()
+        finished = []
+        while pids:
+            finished.append(os.waitpid(pids[0], 0)[1] == 0)
+            del pids[0]
+        return result, finished
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 class _Span(io.RawIOBase):
     """Bytes start..end of a file descriptor, read at their offsets: processes sharing it share no position."""
 
@@ -212,71 +246,46 @@ def run_ranges(fh: IO[bytes], name: str, work: Work, out: IO[str] | None, split:
         return [work(lines(fh, name), set(), out)]
 
     import shutil  # only a split run needs these
-    import signal
     import tempfile
 
     ends = [*starts[1:], st.st_size]
-    pids: list[int | None] = []  # ranges 2.., None once reaped
     tmps = []  # the output (text) and the report (bytes) of each of ranges 2..
     try:
-        for start, end in zip(starts[1:], ends[1:]):
-            tmps += [tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n"), tempfile.TemporaryFile()]
-            pid = os.fork()
-            if pid == 0:
-                _run_child(work, lines(_read(fd, start, end), name), tmps[-2] if out is not None else None, tmps[-1])
-            pids.append(pid)
+        for _ in starts[1:]:  # one at a time, so that a failure to make one still closes those before it
+            tmps.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n"))
+            tmps.append(tempfile.TemporaryFile())
         seen: set[str] = set()
-        results = [work(lines(_read(fd, 0, ends[0]), name), seen, out)]
-        for k, (pid, tmp, report_file) in enumerate(zip(pids, tmps[::2], tmps[1::2]), start=1):
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pids[k - 1] = None
-            if code:
-                raise OSError(f"the process reading lines of {name} from byte {starts[k]} exited with status {code}")
-            report_file.seek(0)
-            report = marshal.loads(report_file.read())  # marshal.load would call readinto once per field
-            if type(report) is str:  # the child's OSError
-                raise OSError(report)
-            if report is None or not seen.isdisjoint(report[1]):
-                # The range holds an error or an earlier range's id: this run meets the first of them
-                # after writing the records before it, as one process reading the whole file does.
+        result, finished = fork_shares(
+            lambda: work(lines(_read(fd, 0, ends[0]), name), seen, out),
+            [partial(_run_child, work, lines(_read(fd, start, end), name), tmp if out is not None else None, report)
+             for start, end, tmp, report in zip(starts[1:], ends[1:], tmps[::2], tmps[1::2])])
+        results = [result]
+        for k, (done, tmp, report_file) in enumerate(zip(finished, tmps[::2], tmps[1::2]), start=1):
+            if done:
+                report_file.seek(0)
+                result, ids = marshal.loads(report_file.read())  # marshal.load would call readinto once per field
+            if not done or not seen.isdisjoint(ids):
+                # The range's process did not finish or the range holds an earlier range's id: this run meets the
+                # first of them after writing the records before it, as one process reading the whole file does.
                 first = 1 + sum(1 for _ in _read(fd, 0, starts[k]))
                 results.append(work(lines(_read(fd, starts[k], ends[k]), name, first), seen, out))
                 continue
             if out is not None:
                 tmp.seek(0)
                 shutil.copyfileobj(tmp, out, _CHUNK)
-            seen.update(report[1])
-            results.append(report[0])
+            seen.update(ids)
+            results.append(result)
         return results
-    finally:  # no child outlives the call, whatever it raises
-        for pid in pids:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    finally:
         for tmp in tmps:
             tmp.close()
 
 
 def _run_child(work: Work, numbered: Iterator[tuple[int, str]], out: IO[str] | None, report_file: IO[bytes]) -> None:
-    """Run work over one range in a forked child, writing its output to out and its report to report_file.
-
-    Never returns. The report is marshal's dump of (result, the ids as a
-    list) when work returns, of the message of an OSError, or of None for any
-    other error, which the parent meets again when it runs the range itself.
-    """
-    try:
-        seen: set[str] = set()
-        try:
-            result = work(numbered, seen, out)
-            if out is not None:
-                out.flush()
-            report = (result, list(seen))  # marshal sorts a set's items; a list goes as it is
-        except OSError as exc:
-            report = str(exc)
-        except Exception:
-            report = None
-        marshal.dump(report, report_file)
-        report_file.flush()
-        os._exit(0)
-    finally:  # reached only when the report could not be written
-        os._exit(1)
+    """Run work over one range in a child: its output goes to out, and marshal's (result, ids) to report_file."""
+    seen: set[str] = set()
+    result = work(numbered, seen, out)
+    if out is not None:
+        out.flush()
+    marshal.dump((result, list(seen)), report_file)  # marshal sorts a set's items; a list goes as it is
+    report_file.flush()

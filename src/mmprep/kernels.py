@@ -5,12 +5,12 @@ rows against every reference row, computed as a blocked BLAS matrix product.
 The candidate rows it is given are multiplied at once; reference rows go
 through in blocks sized so that one similarity tile holds at most TILE_VALUES
 values (2 MiB: 1024 reference rows against 256 candidate rows; taller
-reference blocks for fewer candidate rows, shorter ones for more). The tile and a row-max buffer are
-allocated once per call and reused for every reference block, so the scan's
-working memory stays fixed however large the reference set grows.
-curator.select_novel calls it once per candidate block of at most BLOCK_ROWS
-rows and keeps only the row maxima it returns, one float64 per candidate
-clip, from which it builds the output records.
+reference blocks for fewer candidate rows, shorter ones for more). The tile
+and a row-max buffer are allocated once per call and reused for every
+reference block, so the scan's working memory stays fixed however large the
+reference set grows. curator.select_novel calls it once per candidate block of
+at most BLOCK_ROWS rows and keeps only the row maxima it returns, one float64
+per candidate clip, from which it builds the output records.
 """
 
 from __future__ import annotations

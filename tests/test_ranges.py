@@ -1,17 +1,21 @@
 """plan, pack and tile cut a regular input file into ranges, one per usable CPU.
 
-Every test here runs a command on a file split into three ranges (with the
+Most tests here run a command on a file split into three ranges (with the
 minimum range size and the CPU count patched so small files split) and again
-read in one range, and requires the same exit code, stdout, stderr and output
+read in one range, and require the same exit code, stdout, stderr and output
 file, byte for byte, with no child process left behind once cli.main returns.
 The defects are planted in each range in turn, duplicate ids straddle ranges,
 and blank lines, CRLF endings and a last line without \\n fall on boundaries.
+The last tests call jsonl.fork_shares, the fork-join of every split, directly.
 """
 
 import io
 import json
 import os
+import signal
 import sys
+import tempfile
+import time
 
 import pytest
 
@@ -220,6 +224,28 @@ def test_a_split_run_leaves_no_file_descriptor_open(capsys, monkeypatch, tmp_pat
     capsys.readouterr()
 
 
+def test_a_temporary_file_that_cannot_be_made_closes_those_made_before(capsys, monkeypatch, tmp_path):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("the platform lists no open file descriptors")
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(_manifest_lines()) + "\n", encoding="utf-8")
+    made, real = [], tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        if len(made) == 3:
+            _no_space()
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    before = len(os.listdir("/proc/self/fd"))
+    code, _, err, _ = _run(capsys, monkeypatch, tmp_path, ["plan", "-i", str(path)], 3)
+    assert code == cli.EXIT_IO and "No space left on device" in err
+    assert all(tmp.closed for tmp in made)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_plan_split_to_stdout_matches_one_range(capsys, monkeypatch, tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(_manifest_lines()) + "\n", encoding="utf-8")
@@ -266,18 +292,39 @@ def _die():
     os._exit(7)
 
 
-@pytest.mark.parametrize("fail, message", [
-    (_no_space, "i/o error: [Errno 28] No space left on device"),
-    (_die, "exited with status 7"),
-], ids=["oserror", "killed"])
-def test_a_child_that_fails_exits_2_never_short(capsys, monkeypatch, tmp_path, fail, message):
+# A function each command calls once per record, in every range.
+_PER_RECORD = {"plan": (manifest, "parse_record"), "tile": (manifest, "parse_record"), "pack": (budget, "read_plan")}
+
+
+@pytest.mark.parametrize("fail", [_no_space, _die], ids=["oserror", "killed"])
+@pytest.mark.parametrize("command", ["plan", "tile", "pack"])
+def test_a_child_that_fails_is_run_again_in_the_parent(capsys, monkeypatch, tmp_path, command, fail):
+    argv, make_lines, _ = _COMMANDS[command]
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(make_lines()) + "\n", encoding="utf-8")
+    _in_children_only(monkeypatch, *_PER_RECORD[command], fail)
+    code, _, err, _ = _same_in_one_range_and_three(capsys, monkeypatch, tmp_path, [*argv, "-i", str(path)])
+    assert code == 0, err
+
+
+def test_an_io_error_met_again_in_the_parent_exits_2_never_short(capsys, monkeypatch, tmp_path):
+    # Every child fails, and the parent, running range 1 again, fails at its line 16: exit 2 after the records before.
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(_manifest_lines()) + "\n", encoding="utf-8")
-    _in_children_only(monkeypatch, budget, "dumps_plan", fail)
-    code, _, err, _ = _run(capsys, monkeypatch, tmp_path, ["plan", "-i", str(path)], 3)
+    assert _range_of(path, 16) == 1
+    parent, real = os.getpid(), manifest.parse_record
+
+    def parse_record(text, line_no, seen):
+        if os.getpid() != parent or line_no == 16:
+            _no_space()
+        return real(text, line_no, seen)
+
+    monkeypatch.setattr(manifest, "parse_record", parse_record)
+    code, _, err, written = _run(capsys, monkeypatch, tmp_path, ["plan", "-i", str(path)], 3)
     assert code == cli.EXIT_IO
-    assert message in err
+    assert err.endswith("i/o error: [Errno 28] No space left on device\n")
     assert "Traceback" not in err
+    assert written.count(b"\n") == 15
 
 
 def test_an_error_met_in_a_child_alone_is_run_again_in_the_parent(capsys, monkeypatch, tmp_path):
@@ -351,3 +398,35 @@ def test_ranges_follow_the_affinity_mask(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 6)
     assert jsonl.usable_cpus() == 6
+
+
+def _raise():
+    raise ValueError("met in one share")
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_fork_shares_gives_the_first_result_and_which_children_finished(capfd):
+    result, finished = jsonl.fork_shares(lambda: "first", [lambda: None, _raise, _die, _kill_self, lambda: 1])
+    assert (result, finished) == ("first", [True, False, False, False, True])
+    _assert_no_children()
+    assert capfd.readouterr() == ("", "")  # a child that raises prints no traceback
+
+
+def test_fork_shares_kills_a_busy_child_when_the_first_share_raises():
+    started = time.monotonic()
+    with pytest.raises(ValueError):
+        jsonl.fork_shares(_raise, [lambda: time.sleep(60)])
+    assert time.monotonic() - started < 10
+    _assert_no_children()
+
+
+def test_text_buffered_before_a_fork_is_written_once(tmp_path):
+    path = tmp_path / "out.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("before the fork\n")
+        jsonl.fork_shares(lambda: None, [lambda: None, _raise])
+        fh.flush()
+    assert path.read_text(encoding="utf-8") == "before the fork\n"
