@@ -12,18 +12,18 @@ candidates, are laid out from the header line of every feature file
 (clip_layout): the clip counts give every video's rows before any track is
 read. Each track is then read, pooled into its clip rows and dropped before
 the next is read. The reference side is read first, straight into one float64
-matrix built once at its final size (read_clip_matrix): a reference of at
-least two shares of MIN_SHARE_BYTES is dealt into one share per usable CPU,
-each pooled by its own process (jsonl.fork_shares) into one shared mapping. A
+matrix built once at its final size in a shared mapping (read_clip_matrix): a
+reference of at least two shares of MIN_SHARE_BYTES is dealt into one share per
+usable CPU, each later share pooled by its own process (jsonl.fork_shares). A
 share whose process did not finish is done again by the calling process, which
 reads the whole reference again in file order, so the matrix and the first
 error are those of a one-process read. clip_blocks reads the candidate side in
-one process, copying each track's rows into one reused block. Every candidate
-header is checked before any candidate body. The candidate side is never held
-whole: select_novel normalizes each block of kernels.BLOCK_ROWS rows as it is
-read, kernels.smax scores the block in one piece, and one float64 score per
-clip is kept. At the peak, during the scan, curation holds the reference
-matrix, one candidate block, the scan's one similarity tile
+one process, copying each track's rows into one reused block of
+kernels.BLOCK_ROWS rows. Every candidate header is checked before any
+candidate body. The candidate side is never held whole: select_novel
+normalizes each block as it is read, kernels.smax scores it, and one float64
+score per clip is kept. At the peak, during the scan, curation holds the
+reference matrix, one candidate block, the scan's one similarity tile
 (kernels.TILE_VALUES float64 values, 2 MiB) and the score vector. After the
 scan, each video's output record is built from its slice of the score vector
 only as it is written, so the 8-byte score is all that curation keeps of a
@@ -168,9 +168,9 @@ def select_novel(
     matrix), and each VideoRows names one video's rows. The videos are sorted
     by video_id before the first block is asked for, and two with one id are an
     InputError naming both paths. Each block is taken over: its rows are
-    normalized in place and scored by kernels.smax, at most kernels.BLOCK_ROWS
-    rows a call, before the next block is asked for, so only one float64 score
-    per clip is kept.
+    normalized in place and scored by one kernels.smax call, whatever its
+    size, before the next block is asked for, so only one float64 score per
+    clip is kept.
     The whole scan runs before this returns. The iterator then builds each
     video's output record, {"video_id", "per_clip_smax", "novel_clips",
     "selected"}, from its slice of the scores only when asked for it, in
@@ -187,10 +187,8 @@ def select_novel(
     for block in blocks:
         if block.ndim != 2 or block.shape[1] != reference.dim:
             raise ValueError(f"dimension mismatch: candidates {block.shape} vs reference dim {reference.dim}")
-        for i0 in range(0, len(block), kernels.BLOCK_ROWS):  # more rows a call would shorten smax's reference blocks
-            piece = block[i0 : i0 + kernels.BLOCK_ROWS]
-            smax[row : row + len(piece)] = kernels.smax(_unit_rows(piece), reference._matrix)
-            row += len(piece)
+        smax[row : row + len(block)] = kernels.smax(_unit_rows(block), reference._matrix)
+        row += len(block)
     if row != len(smax):
         raise ValueError(f"candidate blocks hold {row} rows, the videos {len(smax)}")
 
@@ -369,20 +367,15 @@ def _pooled_clips(video: VideoRows, dim: int, pool: str) -> np.ndarray:
     return clips
 
 
-def clip_blocks(
-    videos: Sequence[VideoRows],
-    dim: int,
-    pool: str = "mean",
-    block_rows: int = kernels.BLOCK_ROWS,
-) -> Iterator[np.ndarray]:
-    """Yield the clip rows of the videos, in order, block_rows rows at a time.
+def clip_blocks(videos: Sequence[VideoRows], dim: int, pool: str = "mean") -> Iterator[np.ndarray]:
+    """Yield the clip rows of the videos, in order, kernels.BLOCK_ROWS rows at a time.
 
-    One buffer of min(block_rows, clip rows) x dim float64 values is reused
-    for every block, so a block holds its rows only until the next is asked
-    for. Each track is read, pooled and copied into the buffer before the next
-    is read; a video's clips may span blocks, and the last block may be short.
+    One buffer of min(kernels.BLOCK_ROWS, clip rows) x dim float64 values is
+    reused for every block, so a block holds its rows only until the next is
+    asked for. Each track is read, pooled and copied into the buffer before the
+    next is read; a video's clips may span blocks, and the last block may be short.
     """
-    buf = np.empty((min(block_rows, sum(v.clip_count for v in videos)), dim))
+    buf = np.empty((min(kernels.BLOCK_ROWS, sum(v.clip_count for v in videos)), dim))
     fill = 0
     for video in videos:
         clips = _pooled_clips(video, dim, pool)
@@ -410,22 +403,18 @@ def read_clip_matrix(directory: str | Path, pool: str = "mean") -> tuple[np.ndar
     clip_layout checks every header and sizes the matrix. The videos are dealt,
     interleaved, into one share per usable CPU (jsonl.usable_cpus, so the
     affinity mask limits it), but no more shares than the tracks hold
-    MIN_SHARE_BYTES of float32 values; with one share the calling process
-    fills every row. Otherwise the matrix lies in one shared anonymous
-    mapping, each later share is pooled by a child of jsonl.fork_shares that
-    writes its rows there, and the caller pools share 0. If any share's process
-    does not finish, the caller fills the whole matrix again in file order, so
-    it raises the error one process meets first. Returns the matrix and one
-    VideoRows per file, in file order.
+    MIN_SHARE_BYTES of float32 values. The matrix lies in one shared anonymous
+    mapping: each share after the first is pooled by a child of
+    jsonl.fork_shares that writes its rows there, and the caller pools share 0
+    (every row, with one share). If any share does not finish, the caller
+    fills the whole matrix again in file order, so it raises the error one
+    process meets first. Returns the matrix and one VideoRows per file, in file
+    order.
     """
     videos, dim = clip_layout(directory)
     rows = sum(v.clip_count for v in videos)
     body = 4 * dim * sum((v.clip_count - 1) * CLIP_SECONDS + 1 for v in videos)  # the fewest bytes the tracks hold
-    shares = min(usable_cpus(), len(videos), body // MIN_SHARE_BYTES) if hasattr(os, "fork") else 1
-    if shares < 2:
-        matrix = np.empty((rows, dim))
-        _fill_rows(matrix, videos, dim, pool)
-        return matrix, videos
+    shares = min(usable_cpus(), len(videos), max(1, body // MIN_SHARE_BYTES)) if hasattr(os, "fork") else 1
     matrix = np.frombuffer(mmap.mmap(-1, rows * dim * 8), np.float64).reshape(rows, dim)
     fills = [partial(_fill_rows, matrix, videos[share::shares], dim, pool) for share in range(shares)]
     try:

@@ -2,30 +2,31 @@
 
 One kernel: the row-wise max dot product of L2-normalized float64 candidate
 rows against every reference row, computed as a blocked BLAS matrix product.
-The candidate rows it is given are multiplied at once; reference rows go
-through in blocks sized so that one similarity tile holds at most TILE_VALUES
-values (2 MiB: 1024 reference rows against 256 candidate rows; taller
-reference blocks for fewer candidate rows, shorter ones for more). The tile
-and a row-max buffer are allocated once per call and reused for every
-reference block, so the scan's working memory stays fixed however large the
-reference set grows. curator.select_novel calls it once per candidate block of
-at most BLOCK_ROWS rows and keeps only the row maxima it returns, one float64
-per candidate clip, from which it builds the output records.
+It is the one owner of the scan's block rule. Candidate rows are multiplied
+BLOCK_ROWS at a time, and each candidate block goes against reference blocks
+as tall as a similarity tile of TILE_VALUES values (2 MiB) allows for that
+many rows: 1024 reference rows against 256 candidate rows, taller ones
+against fewer. So a call on any number of rows keeps tall reference blocks,
+and gives the bits of calls on its BLOCK_ROWS-row slices. The tile and a
+row-max buffer are allocated once per call and reused for every product, so
+the scan's working memory stays fixed however large either side grows.
+curator.select_novel calls it once per candidate block clip_blocks reads and
+keeps only the row maxima it returns, one float64 per candidate clip.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BLOCK_ROWS = 256  # most candidate rows curator.select_novel hands the kernel at once
+BLOCK_ROWS = 256  # most candidate rows multiplied at once, and the rows of a curate candidate block
 TILE_VALUES = 1 << 18  # float64 values in the similarity tile: 2 MiB
 
 
 def smax(cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Max dot product of each candidate row against all reference rows.
 
-    Every candidate row is multiplied at once against a reference block as
-    tall as the tile allows for that many rows, and one row tall at least.
+    The tile holds min(BLOCK_ROWS, rows) x min(TILE_VALUES // that, ref rows)
+    values; a shorter last candidate block gets taller reference blocks.
     """
     if cand.ndim != 2 or ref.ndim != 2 or cand.shape[1] != ref.shape[1]:
         raise ValueError("cand and ref must be 2-D with matching dimension")
@@ -35,12 +36,15 @@ def smax(cand: np.ndarray, ref: np.ndarray) -> np.ndarray:
     out = np.full(rows, -np.inf)
     if rows == 0:
         return out
-    ref_rows = min(max(1, TILE_VALUES // rows), ref.shape[0])
-    tile = np.empty(rows * ref_rows)
-    row_max = np.empty(rows)
-    for j0 in range(0, ref.shape[0], ref_rows):
-        rb = ref[j0 : j0 + ref_rows]
-        sims = tile[: rows * len(rb)].reshape(rows, len(rb))
-        np.matmul(cand, rb.T, out=sims)
-        np.maximum(out, sims.max(axis=1, out=row_max), out=out)
+    block = min(BLOCK_ROWS, rows)
+    tile = np.empty(block * min(TILE_VALUES // block, ref.shape[0]))
+    row_max = np.empty(block)
+    for i0 in range(0, rows, block):
+        cb, ob = cand[i0 : i0 + block], out[i0 : i0 + block]
+        ref_rows = len(tile) // len(cb)
+        for j0 in range(0, ref.shape[0], ref_rows):
+            rb = ref[j0 : j0 + ref_rows]
+            sims = tile[: len(cb) * len(rb)].reshape(len(cb), len(rb))
+            np.matmul(cb, rb.T, out=sims)
+            np.maximum(ob, sims.max(axis=1, out=row_max[: len(cb)]), out=ob)
     return out

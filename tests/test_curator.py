@@ -144,14 +144,66 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_smax_working_memory_is_one_tile():
+def _spy_products(monkeypatch) -> list:
+    """Record (candidate rows, reference rows) of every np.matmul call from here on."""
+    products, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: products.append((len(a), b.shape[1])) or matmul(a, b, **kw))
+    return products
+
+
+def _candidate_blocks(products, ref_rows) -> list:
+    """The rows of each candidate block smax multiplied, checking its reference blocks are as tall as the tile allows.
+
+    Every reference block of a candidate block of n rows but its last has TILE_VALUES // n rows, and together
+    they hold every reference row once.
+    """
+    blocks = []
+    for n, m in products:
+        if not blocks or sum(blocks[-1][1]) == ref_rows:
+            blocks.append((n, []))
+        assert n == blocks[-1][0] and m <= kernels.TILE_VALUES // n
+        blocks[-1][1].append(m)
+    for n, ms in blocks:
+        assert sum(ms) == ref_rows and all(m == kernels.TILE_VALUES // n for m in ms[:-1])
+    return [n for n, _ in blocks]
+
+
+def test_smax_working_memory_is_one_tile(monkeypatch):
     rng = np.random.default_rng(8)
     cand, ref = _unit_rows(rng, 3000, 64), _unit_rows(rng, 20000, 64)
+    products = _spy_products(monkeypatch)
     out, peak = _traced_peak(lambda: kernels.smax(cand, ref))
+    monkeypatch.undo()
     assert peak <= kernels.TILE_VALUES * 8 + out.nbytes + 64 * 1024  # the 2 MiB tile, the output, small buffers
+    assert _candidate_blocks(products, len(ref)) == [256] * 11 + [184]  # 1024-row reference blocks, 1424 for 184
     # Calls on 7-row slices, each against the whole reference in one tile, give the same maxima.
     sliced = np.concatenate([kernels.smax(cand[i : i + 7], ref) for i in range(0, len(cand), 7)])
     assert np.allclose(out, sliced, rtol=0, atol=1e-12)
+
+
+def test_smax_multiplies_block_rows_against_tall_reference_blocks(monkeypatch):
+    # One 1 000-row call goes in BLOCK_ROWS-row candidate blocks, each against 1024-row reference blocks (1129 for
+    # the last, 232-row block), as calls on 256-row slices would.
+    rng = np.random.default_rng(21)
+    cand, ref = _unit_rows(rng, 1000, 8), _unit_rows(rng, 3000, 8)
+    expected = (cand @ ref.T).max(axis=1)
+    products = _spy_products(monkeypatch)
+    out = kernels.smax(cand, ref)
+    monkeypatch.undo()
+    assert _candidate_blocks(products, len(ref)) == [256, 256, 256, 232]
+    assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ref_rows", [1, 5, 3000])
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 1000])
+def test_smax_is_its_block_rows_slices_bit_for_bit(rows, ref_rows):
+    rng = np.random.default_rng(rows * 7 + ref_rows)
+    cand, ref = _unit_rows(rng, rows, 64), _unit_rows(rng, ref_rows, 64)
+    out = kernels.smax(cand, ref)
+    step = kernels.BLOCK_ROWS
+    sliced = np.concatenate([kernels.smax(cand[i : i + step], ref) for i in range(0, max(1, rows), step)])
+    assert out.shape == (rows,) and out.tobytes() == sliced.tobytes()
+    assert np.allclose(out, (cand @ ref.T).max(axis=1), rtol=0, atol=1e-12)
 
 
 def test_smax_few_rows_keep_tall_reference_blocks():
@@ -571,30 +623,16 @@ def test_block_scan_matches_one_block_scan(tmp_path, monkeypatch, clip_counts):
         assert np.allclose(b["per_clip_smax"], o["per_clip_smax"], rtol=0, atol=1e-12)
 
 
-def test_select_novel_scores_a_tall_block_in_kernel_blocks(monkeypatch):
-    # A caller's one 1 000-row matrix goes to smax in BLOCK_ROWS slices, which keep the reference blocks tall.
-    rng = np.random.default_rng(21)
-    matrix, videos = candidates({"a": list(rng.normal(size=(600, 8))), "b": list(rng.normal(size=(400, 8)))})
-    refs = rng.normal(size=(300, 8))
-    expected = (matrix / np.linalg.norm(matrix, axis=1)[:, None]) @ (refs / np.linalg.norm(refs, axis=1)[:, None]).T
-    calls = []
-    smax = kernels.smax
-    monkeypatch.setattr(kernels, "smax", lambda cand, ref: calls.append(len(cand)) or smax(cand, ref))
-    records = list(select_novel([matrix], videos, ReferenceIndex(refs), tau=0.5))
-    assert calls == [256, 256, 256, 232]
-    got = np.concatenate([r["per_clip_smax"] for r in records])
-    assert np.allclose(got, expected.max(axis=1), rtol=0, atol=1e-12)
-
-
-def test_clip_blocks_reuse_one_buffer_sized_to_the_rows(tmp_path):
+def test_clip_blocks_reuse_one_buffer_sized_to_the_rows(tmp_path, monkeypatch):
     _write_tracks(tmp_path / "cand", [3, 2], 4, np.random.default_rng(18))
     videos, dim = clip_layout(tmp_path / "cand")
-    blocks = clip_blocks(videos, dim, block_rows=2)
-    first = next(blocks)
-    assert [len(b) for b in blocks] == [2, 1]
-    assert first.base is None and first.shape == (2, 4)  # the buffer itself: two rows, not block_rows
     (one,) = clip_blocks(videos, dim)
     assert one.shape == (5, 4)  # min(BLOCK_ROWS, 5 rows)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 2)
+    blocks = clip_blocks(videos, dim)
+    first = next(blocks)
+    assert [len(b) for b in blocks] == [2, 1]
+    assert first.base is None and first.shape == (2, 4)  # the reused buffer itself, not a view of it
 
 
 def test_clip_blocks_reject_a_track_rewritten_with_another_id(tmp_path):

@@ -1,4 +1,4 @@
-"""Golden digests of `plan`, `pack`, `tile`, `stages`, both kinds of `validate` and `annotate`.
+"""Golden digests of `plan`, `pack`, `tile`, `stages`, both kinds of `validate` and `annotate`, and `curate` records.
 
 A change that makes a command faster or simpler must leave every output byte as
 it was. The plan and pack manifest is built here from random.Random(25): videos
@@ -18,17 +18,30 @@ request alone, with a permanent failure and leaking brief captions; its digest
 and summary were taken before plan, pack and tile split their input over the
 CPUs. The plan, pack and tile digests hold whether the input is read in one
 range or split into three. A mismatch means an output byte moved.
+
+curate's scores come from a BLAS product, whose last bits depend on the CPU,
+so its records are pinned in tests/data/curate_golden.json rather than by a
+digest: ids, novel clips and verdicts exactly, every per_clip_smax within
+1e-12, none within 1e-9 of tau. The feature dirs are built from
+random.Random(30); the records were taken before kernels.smax took over the
+scan's block rule, and hold whether the reference is read in one share or
+three.
 """
 
 import hashlib
 import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mmprep import cli
 from mmprep.annotator.pipeline import LlmError, LlmResponse
-from tests.conftest import _CATEGORY_LINE, MockLlm, split_into
+from mmprep.curator import write_feature_file
+from tests.conftest import _CATEGORY_LINE, MockLlm, split_into, split_reference_into
+
+DATA = Path(__file__).parent / "data"
 
 DURATIONS = (0.1, 1 / 3, 7199.9, 2.5, 59.97, 600.0, 1e-3)
 
@@ -347,3 +360,54 @@ def test_annotate_output_matches_its_golden_digest(capsys, tmp_path, monkeypatch
     code = cli.main(["annotate", "--endpoint", "http://127.0.0.1:9/generate", "-i", str(jobs), "-o", str(out)])
     summary = capsys.readouterr().err.splitlines()[-1]
     assert (code, hashlib.sha256(out.read_bytes()).hexdigest(), summary) == (3, *ANNOTATE_GOLDEN)
+
+
+# Ids a curate record must escape: a quote, a backslash and a non-ASCII character.
+CURATE_IDS = ('q"uote', "back\\slash", "é中")
+CURATE_TAU = {"mean": 0.5, "max": 0.9}  # max pooling of these tracks lifts every similarity
+CURATE_GOLDEN = DATA / "curate_golden.json"
+
+
+def _golden_curate_dirs(tmp_path) -> list[str]:
+    """ref/ and cand/ feature dirs at dim 64, with tail clips and one text body a side; returns the curate argv.
+
+    Every fourth candidate is a noisy copy of a reference track, at a noise level
+    that puts its mean-pooled clips on either side of tau; the others are new
+    tracks.
+    """
+    rng = random.Random(30)
+
+    def track(seconds):
+        return np.array([[rng.gauss(0.0, 1.0) for _ in range(64)] for _ in range(seconds)])
+
+    refs = []
+    for sub, n in (("ref", 10), ("cand", 14)):
+        (tmp_path / sub).mkdir()
+        for k in range(n):
+            if sub == "cand" and k % 4 == 0:
+                copied = rng.choice(refs)
+                vectors = copied + track(len(copied)) * rng.choice((1.2, 1.7, 2.4))
+            else:
+                vectors = track(rng.randint(1, 45))
+            if sub == "ref":
+                refs.append(vectors)
+            video_id = f"{sub}{k}" + (f"-{CURATE_IDS[k // 3 % 3]}" if k % 3 == 0 else "")
+            write_feature_file(tmp_path / sub / f"{sub[0]}{k:02d}.feat", video_id, vectors, binary=k != 5)
+    return ["curate", "--reference", str(tmp_path / "ref"), "--candidates", str(tmp_path / "cand")]
+
+
+@pytest.mark.parametrize("shares", [1, 3])
+@pytest.mark.parametrize("pool", ["mean", "max"])
+def test_curate_output_matches_its_golden_records(tmp_path, monkeypatch, pool, shares):
+    split_reference_into(monkeypatch, shares)
+    out = tmp_path / "curate.jsonl"
+    tau = CURATE_TAU[pool]
+    assert cli.main([*_golden_curate_dirs(tmp_path), "--pool", pool, "--tau", str(tau), "-o", str(out)]) == 0
+    got = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    golden = json.loads(CURATE_GOLDEN.read_text(encoding="utf-8"))[pool]
+    assert [(r["video_id"], len(r["per_clip_smax"]), r["novel_clips"], r["selected"]) for r in got] == \
+        [(r["video_id"], len(r["per_clip_smax"]), r["novel_clips"], r["selected"]) for r in golden]
+    stored = [s for r in golden for s in r["per_clip_smax"]]
+    assert all(abs(s - tau) > 1e-9 for s in stored)  # no verdict hangs on the last bits
+    assert np.allclose([s for r in got for s in r["per_clip_smax"]], stored, rtol=0, atol=1e-12)
+    assert {r["selected"] for r in golden} == {True, False}
